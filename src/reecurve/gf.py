@@ -1,10 +1,20 @@
 """Arithmetic in GF(3^m) with deterministic moduli.
 
-Elements are coefficient tuples over GF(3) in the polynomial basis
-1, t, ..., t^(m-1).  The modulus for each degree is pinned so that any two
-runs (and any two machines) agree on element encodings: it is the monic
-irreducible whose non-leading coefficient vector, read as a base-3 integer
-with the constant term least significant, is smallest.
+An element is one Python int that packs its coordinates in the polynomial
+basis 1, t, ..., t^(m-1) one GF(3) digit (trit) per byte, constant term in
+the lowest byte.  Sums are int additions followed by ``bytes.translate``,
+which reduces every byte mod 3 at once.  Products use Kronecker
+substitution (Harvey, J. Symbolic Comput. 44, 2009): one big-int product,
+a byte-wise reduction, then a Barrett reduction modulo the field
+polynomial made of two more packed products.  Frobenius powers and the
+Artin-Schreier solver are GF(3)-linear maps, applied as sums of packed
+columns built on first use; inverses use the Itoh-Tsujii norm trick.
+
+The modulus for each degree is pinned so that any two runs (and any two
+machines) agree on element encodings: it is the monic irreducible whose
+non-leading coefficient vector, read as a base-3 integer with the constant
+term least significant, is smallest.  ``code()`` is that same base-3
+reading of an element.
 
 Beyond the ring operations the module provides the three maps the curve
 machinery needs: iterated cube (Frobenius powers), traces onto subfields,
@@ -19,10 +29,6 @@ __all__ = [
     "FieldContext",
     "FieldElement",
     "field_context",
-    "ff_add",
-    "ff_sub",
-    "ff_mul",
-    "ff_inv",
     "frobenius_power",
     "trace_to_subfield",
     "solve_artin_schreier",
@@ -30,25 +36,13 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# dense GF(3)[t] helpers, little-endian coefficient lists
+# dense GF(3)[t] helpers, little-endian coefficient lists (modulus search)
 
 
 def _ptrim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _pmul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = (out[i + j] + ai * bj) % 3
-    return _ptrim(out)
 
 
 def _pmod(a: Sequence[int], f: Sequence[int]) -> list[int]:
@@ -66,17 +60,6 @@ def _pmod(a: Sequence[int], f: Sequence[int]) -> list[int]:
     return r
 
 
-def _ppowmod(a: Sequence[int], n: int, f: Sequence[int]) -> list[int]:
-    result = [1]
-    base = _pmod(a, f)
-    while n:
-        if n & 1:
-            result = _pmod(_pmul(result, base), f)
-        base = _pmod(_pmul(base, base), f)
-        n >>= 1
-    return result
-
-
 def _pgcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     a, b = list(a), list(b)
     while b:
@@ -89,22 +72,23 @@ def _pgcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 def _is_irreducible(f: list[int]) -> bool:
     m = len(f) - 1
-    if m < 1:
-        return False
+    if m < 2:
+        return m == 1
     # t^(3^m) == t mod f, and gcd(t^(3^(m/p)) - t, f) == 1 for prime p | m.
-    tp = _ppowmod([0, 1], 3**m, f)
-    t_red = _pmod([0, 1], f)
-    width = max(len(tp), len(t_red))
-    tp = list(tp) + [0] * (width - len(tp))
-    t_red = list(t_red) + [0] * (width - len(t_red))
-    if _ptrim([(a - b) % 3 for a, b in zip(tp, t_red)]):
+    ring = _Quotient(f)
+    checks = {m // p for p in _prime_factors(m)}
+    t = x = 1 << 8
+    powers = []
+    for j in range(1, m + 1):
+        x = ring._mulmod(ring._mulmod(x, x), x)
+        if j in checks:
+            powers.append(x)
+    if x != t:
         return False
-    for p in _prime_factors(m):
-        tp = _ppowmod([0, 1], 3 ** (m // p), f)
-        diff = list(tp) + [0, 0]
+    for tp in powers:
+        diff = list(tp.to_bytes(m, "little"))
         diff[1] = (diff[1] - 1) % 3
-        g = _pgcd(_ptrim(diff), f)
-        if len(g) != 1:
+        if len(_pgcd(_ptrim(diff), f)) != 1:
             return False
     return True
 
@@ -138,27 +122,109 @@ def _smallest_modulus(m: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# packed GF(3)[t]: one trit per byte, constant term in the lowest byte
+
+_MOD3 = bytes(i % 3 for i in range(256))
+_NEG3 = bytes(-i % 3 for i in range(256))
+_DIGITS = b"012" + bytes(253)  # trit -> ASCII digit
+# A byte may sum up to 63 products of two trits plus one trit: 4*63 + 2 < 256.
+_CHUNK = 63
+_CHUNK_BITS = 8 * _CHUNK
+_CHUNK_MASK = (1 << _CHUNK_BITS) - 1
+_from_bytes = int.from_bytes
+
+
+def _pack(trits: Sequence[int]) -> int:
+    return _from_bytes(bytes(trits), "little")
+
+
+def _mod3(x: int, n: int) -> int:
+    """Every byte of x reduced mod 3; n is at least the byte length of x."""
+    return _from_bytes(x.to_bytes(n, "little").translate(_MOD3), "little")
+
+
+def _neg3(x: int, n: int) -> int:
+    return _from_bytes(x.to_bytes(n, "little").translate(_NEG3), "little")
+
+
+def _kmul(a: int, b: int, n: int, c: int = 0) -> int:
+    """c + a*b in GF(3)[t] on packed operands, by Kronecker substitution.
+
+    A byte of a*b sums one product of two trits per trit of a, so a is
+    taken _CHUNK trits at a time.  c must be reduced; n is at least the
+    byte length of the result.
+    """
+    while a >> _CHUNK_BITS:
+        c = _mod3(c + (a & _CHUNK_MASK) * b, n)
+        a >>= _CHUNK_BITS
+        b <<= _CHUNK_BITS
+    return _mod3(c + a * b, n)
+
+
+def _barrett_mu(f: Sequence[int]) -> list[int]:
+    """Coefficients of floor(t^(2m-2) / f) for monic f of degree m."""
+    m = len(f) - 1
+    r = [0] * (2 * m - 2) + [1]
+    q = [0] * (m - 1)
+    for i in range(2 * m - 2, m - 1, -1):
+        c = r[i]
+        if c:
+            q[i - m] = c
+            for j, fj in enumerate(f):
+                r[i - m + j] = (r[i - m + j] - c * fj) % 3
+    return q
+
+
+class _Quotient:
+    """GF(3)[t]/(f) for monic f of degree m >= 1, on packed residues."""
+
+    def __init__(self, f: Sequence[int]):
+        m = len(f) - 1
+        self.m = m
+        self.modulus = tuple(f)
+        self._bits = 8 * m
+        self._mask = (1 << self._bits) - 1
+        self._wide = 2 * m  # bytes of a product before reduction mod f
+        self._mu = _pack(_barrett_mu(f))
+        self._qshift = 8 * max(m - 2, 0)
+        self._tm = _pack([-c % 3 for c in f[:m]])  # t^m mod f
+
+    def _mulmod(self, a: int, b: int) -> int:
+        """a*b mod f.  Polynomial Barrett reduction needs no correction:
+        for a product p = hi*t^m + lo, the quotient by f is exactly
+        floor(hi * mu / t^(m-2))."""
+        n = self._wide
+        p = _kmul(a, b, n)
+        hi = p >> self._bits
+        if not hi:
+            return p
+        q = _kmul(hi, self._mu, n) >> self._qshift
+        return _kmul(q, self._tm, n, p & self._mask) & self._mask
+
+
+# ---------------------------------------------------------------------------
 
 
 class FieldElement:
-    """Immutable element of a FieldContext, coefficients in the power basis."""
+    """Immutable element of a FieldContext, packed one trit per byte."""
 
-    __slots__ = ("ctx", "coeffs", "_hash")
+    __slots__ = ("ctx", "packed")
 
-    def __init__(self, ctx: "FieldContext", coeffs: tuple[int, ...]):
+    def __init__(self, ctx: "FieldContext", packed: int):
         self.ctx = ctx
-        self.coeffs = coeffs
-        self._hash = None
+        self.packed = packed
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Coefficients in the power basis, constant term first."""
+        return tuple(self.packed.to_bytes(self.ctx.m, "little"))
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.packed
 
     def code(self) -> int:
         """Base-3 packed integer encoding, constant term least significant."""
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * 3 + c
-        return out
+        return int(self.packed.to_bytes(self.ctx.m, "big").translate(_DIGITS), 3)
 
     def _check(self, other: "FieldElement") -> None:
         if self.ctx is not other.ctx:
@@ -166,24 +232,20 @@ class FieldElement:
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        return FieldElement(
-            self.ctx,
-            tuple((a + b) % 3 for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        return FieldElement(self.ctx, _mod3(self.packed + other.packed, self.ctx.m))
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        return FieldElement(
-            self.ctx,
-            tuple((a - b) % 3 for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        ctx = self.ctx
+        # adding 3 to every byte keeps each byte of the difference >= 0
+        return FieldElement(ctx, _mod3(self.packed + ctx._threes - other.packed, ctx.m))
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.ctx, tuple((-a) % 3 for a in self.coeffs))
+        return FieldElement(self.ctx, _neg3(self.packed, self.ctx.m))
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        return self.ctx._mul(self, other)
+        return FieldElement(self.ctx, self.ctx._mulmod(self.packed, other.packed))
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()
@@ -198,108 +260,83 @@ class FieldElement:
         return (
             isinstance(other, FieldElement)
             and self.ctx is other.ctx
-            and self.coeffs == other.coeffs
+            and self.packed == other.packed
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((id(self.ctx), self.coeffs))
-        return self._hash
+        return hash(self.packed)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GF(3^{self.ctx.m}):{self.code()}"
 
 
-class FieldContext:
+class FieldContext(_Quotient):
     """GF(3^m) with the deterministic degree-m modulus."""
 
     def __init__(self, m: int):
         if m < 1:
             raise ValueError("m must be >= 1")
-        self.m = m
-        self.modulus = _smallest_modulus(m)
+        super().__init__(_smallest_modulus(m))
         self.order = 3**m
-        self._cube_cols: Optional[list[tuple[int, ...]]] = None
-        self._as_cache: dict[int, tuple] = {}
+        self._threes = _pack([3] * m)
+        self._frob_cols: dict[int, list] = {}
+        self._as_cache: dict[int, list] = {}
 
     # -- constructors
 
     def zero(self) -> FieldElement:
-        return FieldElement(self, (0,) * self.m)
+        return FieldElement(self, 0)
 
     def one(self) -> FieldElement:
-        return FieldElement(self, (1,) + (0,) * (self.m - 1))
+        return FieldElement(self, 1)
 
     def scalar(self, n: int) -> FieldElement:
-        return FieldElement(self, (n % 3,) + (0,) * (self.m - 1))
+        return FieldElement(self, n % 3)
 
     def gen(self) -> FieldElement:
         if self.m == 1:
             # modulus is t itself, so the generator image is 0
             return self.zero()
-        return FieldElement(self, (0, 1) + (0,) * (self.m - 2))
+        return FieldElement(self, 1 << 8)
 
     def from_coeffs(self, coeffs: Sequence[int]) -> FieldElement:
         c = [x % 3 for x in coeffs]
         if len(c) > self.m:
-            c = _pmod(c, list(self.modulus)) or [0]
-        c = c + [0] * (self.m - len(c))
-        return FieldElement(self, tuple(c[: self.m]))
+            c = _pmod(c, self.modulus)
+        return FieldElement(self, _pack(c))
 
     def from_code(self, code: int) -> FieldElement:
         if not 0 <= code < self.order:
             raise ValueError("code out of range")
-        coeffs = []
-        for _ in range(self.m):
-            coeffs.append(code % 3)
-            code //= 3
-        return FieldElement(self, tuple(coeffs))
+        trits = bytearray(self.m)
+        for i in range(self.m):
+            code, trits[i] = divmod(code, 3)
+        return FieldElement(self, _from_bytes(trits, "little"))
 
     def random_element(self, rng) -> FieldElement:
         return self.from_code(rng.randrange(self.order))
 
     # -- core ops
 
-    def _mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        prod = _pmod(_pmul(a.coeffs, b.coeffs), list(self.modulus))
-        prod = prod + [0] * (self.m - len(prod))
-        return FieldElement(self, tuple(prod))
-
     def inv(self, a: FieldElement) -> FieldElement:
         if a.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        # extended Euclid in GF(3)[t]
-        r0, r1 = list(self.modulus), _ptrim(list(a.coeffs))
-        s0, s1 = [], [1]
-        while r1:
-            # divide r0 by r1
-            q = []
-            r = list(r0)
-            df = len(r1) - 1
-            inv_lead = pow(r1[-1], -1, 3)
-            while len(r) - 1 >= df and r:
-                shift = len(r) - 1 - df
-                coef = (r[-1] * inv_lead) % 3
-                while len(q) <= shift:
-                    q.append(0)
-                q[shift] = coef
-                for i, fi in enumerate(r1):
-                    r[i + shift] = (r[i + shift] - coef * fi) % 3
-                _ptrim(r)
-            r0, r1 = r1, r
-            s0, s1 = s1, _ptrim(
-                [
-                    (x - y) % 3
-                    for x, y in zip(
-                        s0 + [0] * max(0, len(_pmul(q, s1)) - len(s0)),
-                        _pmul(q, s1) + [0] * max(0, len(s0) - len(_pmul(q, s1))),
-                    )
-                ]
-            )
-        lead_inv = pow(r0[-1], -1, 3)
-        s0 = [(c * lead_inv) % 3 for c in s0]
-        s0 = _pmod(s0, list(self.modulus))
-        return self.from_coeffs(s0)
+        # Itoh-Tsujii: r = (3^m - 1)/2 = 1 + 3 + ... + 3^(m-1), so a^r is the
+        # norm of a.  It lies in GF(3)^* = {1, 2}, so it is its own inverse
+        # and 1/a = a^(r-1) * a^r.  With b_j = a^((3^j - 1)/2) and
+        # b_(i+j) = b_i^(3^j) * b_j, b_(m-1) is built along the binary
+        # digits of m - 1; a^(r-1) = b_(m-1)^3.
+        x = a.packed
+        n = self.m - 1
+        b, j = (x, 1) if n else (1, 0)
+        for bit in bin(n)[3:]:
+            b = self._mulmod(self._frob(b, j), b)
+            j *= 2
+            if bit == "1":
+                b = self._mulmod(self._frob(b, 1), x)
+                j += 1
+        b = self._frob(b, 1)
+        return FieldElement(self, b if self._mulmod(b, x) == 1 else _neg3(b, self.m))
 
     def pow(self, a: FieldElement, n: int) -> FieldElement:
         if n < 0:
@@ -313,63 +350,46 @@ class FieldContext:
             n >>= 1
         return result
 
-    # -- Frobenius
+    # -- GF(3)-linear maps as sums of packed columns
 
-    def _cube_columns(self) -> list[tuple[int, ...]]:
-        if self._cube_cols is None:
-            cols = []
-            t3 = _pmod([0, 0, 0, 1], list(self.modulus))
-            col = [1]
-            for _ in range(self.m):
-                padded = col + [0] * (self.m - len(col))
-                cols.append(tuple(padded[: self.m]))
-                col = _pmod(_pmul(col, t3), list(self.modulus))
-            self._cube_cols = cols
-        return self._cube_cols
+    def _columns(self, cols: list[int]) -> list[tuple[int, list]]:
+        """(first index, [(0, col, -col), ...]) per chunk of columns."""
+        triples = [(0, c, _neg3(c, self._wide)) for c in cols]
+        return [(lo, triples[lo : lo + _CHUNK]) for lo in range(0, len(cols), _CHUNK)]
 
-    def cube(self, a: FieldElement) -> FieldElement:
-        # x -> x^3 is GF(3)-linear; apply the precomputed matrix.
-        cols = self._cube_columns()
-        acc = [0] * self.m
-        for i, ai in enumerate(a.coeffs):
-            if ai:
-                col = cols[i]
-                for j in range(self.m):
-                    acc[j] = (acc[j] + ai * col[j]) % 3
-        return FieldElement(self, tuple(acc))
+    def _apply(self, table: list[tuple[int, list]], v: int) -> int:
+        """Image of v under the linear map with the given columns."""
+        trits = v.to_bytes(self.m, "little")
+        n = self._wide
+        acc = 0
+        for lo, cols in table:
+            for c, col in zip(trits[lo:], cols):
+                if c:
+                    acc += col[c]
+            acc = _mod3(acc, n)
+        return acc
 
-    def _frob_columns(self, k: int) -> list[tuple[int, ...]]:
-        """Columns of x -> x^(3^k), built by composing the cube matrix."""
-        if not hasattr(self, "_frob_cols"):
-            self._frob_cols = {1: self._cube_columns()}
-        cache = self._frob_cols
-        if k not in cache:
-            prev = self._frob_columns(k - 1)
-            cube_cols = self._cube_columns()
-            cols = []
-            for col in prev:
-                acc = [0] * self.m
-                for i, ci in enumerate(col):
-                    if ci:
-                        cc = cube_cols[i]
-                        for j in range(self.m):
-                            acc[j] = (acc[j] + ci * cc[j]) % 3
-                cols.append(tuple(acc))
-            cache[k] = cols
-        return cache[k]
+    def _frob(self, v: int, k: int) -> int:
+        """v^(3^k); the columns t^(i*3^k) are built on first use of k."""
+        k %= self.m
+        if not k:
+            return v
+        table = self._frob_cols.get(k)
+        if table is None:
+            tk = 1 << 8
+            for _ in range(k):
+                tk = self._mulmod(self._mulmod(tk, tk), tk)
+            cols = [1]
+            for _ in range(self.m - 1):
+                cols.append(self._mulmod(cols[-1], tk))
+            table = self._frob_cols[k] = self._columns(cols)
+        return self._apply(table, v)
 
     def frobenius(self, a: FieldElement, k: int) -> FieldElement:
-        k %= self.m
-        if k == 0:
-            return a
-        cols = self._frob_columns(k)
-        acc = [0] * self.m
-        for i, ai in enumerate(a.coeffs):
-            if ai:
-                col = cols[i]
-                for j in range(self.m):
-                    acc[j] = (acc[j] + ai * col[j]) % 3
-        return FieldElement(self, tuple(acc))
+        return FieldElement(self, self._frob(a.packed, k))
+
+    def cube(self, a: FieldElement) -> FieldElement:
+        return self.frobenius(a, 1)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"FieldContext(GF(3^{self.m}))"
@@ -387,22 +407,6 @@ def field_context(m: int) -> FieldContext:
 
 # ---------------------------------------------------------------------------
 # module-level operation surface
-
-
-def ff_add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def ff_sub(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a - b
-
-
-def ff_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def ff_inv(a: FieldElement) -> FieldElement:
-    return a.inverse()
 
 
 def frobenius_power(a: FieldElement, k: int) -> FieldElement:
@@ -596,20 +600,16 @@ def solve_artin_schreier(c: FieldElement, q: int) -> Optional[FieldElement]:
                     aug[rr] = [(v - f * p) % 3 for v, p in zip(aug[rr], aug[r])]
             pivots.append(col)
             r += 1
-        transform = [tuple(row[m:]) for row in aug]
-        ctx._as_cache[e] = (pivots, transform)
-    pivots, transform = ctx._as_cache[e]
-    m = ctx.m
-    b = c.coeffs
-    for r in range(len(pivots), m):
-        row = transform[r]
-        if sum(row[i] * b[i] for i in range(m) if b[i]) % 3:
-            return None
-    sol = [0] * m
-    for r, col in enumerate(pivots):
-        row = transform[r]
-        sol[col] = sum(row[i] * b[i] for i in range(m) if b[i]) % 3
-    u = ctx.from_coeffs(sol)
+        # transform row r yields solution coordinate pivots[r]; the rows past
+        # the rank are solvability checks, packed into bytes m and up
+        slots = pivots + list(range(m, 2 * m - len(pivots)))
+        ctx._as_cache[e] = ctx._columns(
+            [sum(row[m + i] << 8 * s for row, s in zip(aug, slots)) for i in range(m)]
+        )
+    out = ctx._apply(ctx._as_cache[e], c.packed)
+    if out >> ctx._bits:
+        return None
+    u = FieldElement(ctx, out)
     if ctx.frobenius(u, e) - u != c:
         raise ArithmeticError("Artin-Schreier solver produced a non-solution")
     return u

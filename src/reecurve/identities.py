@@ -789,9 +789,6 @@ def collision_exclusions() -> list[tuple[str, str, str]]:
 # backends
 
 
-_POW_TAGS = {"q0": 0, "3q0": 1, "q": 2, "q2": 3}  # resolved per level below
-
-
 def _pow_count(tag: str, s: int) -> int:
     return {"q0": s, "3q0": s + 1, "q": 2 * s + 1, "q2": 2 * (2 * s + 1)}[tag]
 

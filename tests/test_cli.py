@@ -179,3 +179,28 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["q0"] == "3"
+
+
+GOLDEN_REPORTS = [
+    # m = 18 and extension-6 sampling
+    ("weierstrass_s1_generic_seed5.json",
+     ["weierstrass", "--s", "1", "--point", "generic", "--seed", "5"]),
+    # m = 5
+    ("verify_s2_series_seed0_trials3.json",
+     ["verify", "--s", "2", "--backend", "series", "--seed", "0", "--trials", "3"]),
+    # m = 7
+    ("weierstrass_s3_origin_E.json",
+     ["weierstrass", "--s", "3", "--point", "origin", "--series", "E"]),
+    ("orders_s1_D_series_seed0_trials2.json",
+     ["orders", "--s", "1", "--series", "D", "--backend", "series", "--seed", "0",
+      "--trials", "2"]),
+]
+
+
+@pytest.mark.parametrize("name,argv", GOLDEN_REPORTS, ids=[g[0] for g in GOLDEN_REPORTS])
+def test_report_matches_golden(capsys, name, argv):
+    # pinned byte for byte: field-arithmetic changes must not move a report
+    assert main(argv) == 0
+    golden = __file__.rsplit("/", 1)[0] + "/golden"
+    with open(f"{golden}/{name}") as fh:
+        assert capsys.readouterr().out == fh.read()

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reecurve.gf import (
+    _pmod,
     field_context,
     frobenius_power,
     solve_artin_schreier,
@@ -167,3 +168,63 @@ def test_artin_schreier_rejects_bad_q():
         solve_artin_schreier(ctx.one(), 4)
     with pytest.raises(ValueError):
         solve_artin_schreier(ctx.one(), 9)  # exponent 2 does not divide 3
+
+
+# ---------------------------------------------------------------------------
+# packed kernels against schoolbook GF(3)[t] arithmetic on coefficient lists
+
+
+def _pmul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % 3
+    return out
+
+
+def _reduced(ctx, coeffs):
+    c = _pmod(coeffs, ctx.modulus)
+    return tuple(c) + (0,) * (ctx.m - len(c))
+
+
+# m = 1 has modulus t; 63 is the last degree whose products fit one byte a
+# trit (4m <= 255), so 64 runs the chunked kernels
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 18, 42, 63, 64])
+def test_packed_ops_match_schoolbook(m):
+    ctx = field_context(m)
+    rng = random.Random(f"packed:{m}")
+    xs = [ctx.random_element(rng) for _ in range(8)] + [ctx.from_code(ctx.order - 1)]
+    for a, b in zip(xs, xs[1:] + xs[:1]):
+        ac, bc = list(a.coeffs), list(b.coeffs)
+        assert (a * b).coeffs == _reduced(ctx, _pmul(ac, bc))
+        # the all-2 square puts 4m into the middle byte of the product
+        assert (a * a).coeffs == _reduced(ctx, _pmul(ac, ac))
+        assert (a + b).coeffs == tuple((x + y) % 3 for x, y in zip(ac, bc))
+        assert (a - b).coeffs == tuple((x - y) % 3 for x, y in zip(ac, bc))
+        assert (-a).coeffs == tuple(-x % 3 for x in ac)
+        cube = _reduced(ctx, _pmul(_pmul(ac, ac), ac))
+        assert frobenius_power(a, 1).coeffs == cube
+        assert frobenius_power(frobenius_power(a, 1), 1) == frobenius_power(a, 2)
+        # a^(3^(m-1)) is the cube root of a
+        root = frobenius_power(a, m - 1).coeffs
+        assert _reduced(ctx, _pmul(_pmul(root, root), root)) == a.coeffs
+        assert frobenius_power(a, m // 2 + 1) == frobenius_power(
+            frobenius_power(a, m // 2), 1
+        )
+        if not a.is_zero():
+            inv = a.inverse().coeffs
+            assert _reduced(ctx, _pmul(ac, inv)) == (1,) + (0,) * (m - 1)
+        code = a.code()
+        assert code == sum(c * 3**i for i, c in enumerate(ac))
+        assert ctx.from_code(code) == a
+        assert ctx.from_coeffs(ac + [0, 1]).coeffs == _reduced(ctx, ac + [0, 1])
+    with pytest.raises(ZeroDivisionError):
+        ctx.zero().inverse()
+
+
+def test_mixed_contexts_raise():
+    a, b = field_context(2).one(), field_context(3).one()
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b):
+        with pytest.raises(ValueError):
+            op()
+    assert a != b

@@ -2,6 +2,9 @@
 
 Useful when tuning the series window or comparing backends: prints a
 per-identity wall-clock table, slowest first, plus the overall verdict.
+Backends are built once per route and then shared, so on the points
+route the first key's time includes sampling the points, and later keys
+reuse them together with the series already expanded.
 
     python3 scripts/identity_timing.py --s 2 --backend points --trials 3
 """

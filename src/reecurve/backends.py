@@ -1,0 +1,328 @@
+"""One backend object per route, shared by the identity checks and the order scans.
+
+A route evaluates Hasse derivatives of the family members in one of two
+ways: exactly, as normal forms in the coordinate ring ("symbolic"), or as
+truncated power series at seeded sample points ("points").  Both backend
+classes expose the same operations:
+
+* residual arithmetic for the identity catalog: member, member_d, shift_d,
+  qpow_d, ell_power, pow_tag, mul, add, is_zero, virtual, describe;
+* row accessors for the order scans: value(name, i) is D^i of the member,
+  shift_value(name, i) is D^i (f^q - f) and qpow_value(name) is f^q, as
+  ring elements or as values in the residue field of the sample point.
+
+backends() builds them and is their only cache, so every caller asking for
+one route gets one tuple: points are sampled, and series and derivative
+tables expanded, once per process.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from reecurve.gf import frobenius_power
+from reecurve.hasse import HasseCalculus, hasse_calculus
+from reecurve.params import ReeParams, ree_params
+from reecurve.ring import FAMILY_NAMES
+from reecurve.series import (
+    CurvePoint,
+    PointExpansion,
+    as_lift,
+    hasse_shift,
+    random_point,
+    ser_add,
+    ser_mul,
+    ser_pow3k,
+)
+
+__all__ = ["SymbolicBackend", "PointBackend", "backends", "default_window", "sample_count"]
+
+
+def _pow_count(tag: str, s: int) -> int:
+    return {"q0": s, "3q0": s + 1, "q": 2 * s + 1, "q2": 2 * (2 * s + 1)}[tag]
+
+
+class SymbolicBackend:
+    """Evaluates residuals as exact normal forms in the coordinate ring."""
+
+    kind = "symbolic"
+
+    def __init__(self, s: int):
+        if s != 1:
+            raise ValueError(
+                "backend unavailable for requested s "
+                "(symbolic restricted to s=1 by resource policy)"
+            )
+        self.calc: HasseCalculus = hasse_calculus(s)
+        self.p: ReeParams = self.calc.p
+        self.s = s
+        self._shift: dict[str, dict] = {}
+        self._qpow: dict[str, dict] = {}
+        self._ellpow: dict[int, object] = {}
+        self._virtuals: dict[tuple[str, str], _SymbolicVirtual] = {}
+
+    def zero(self):
+        return self.calc.ring.zero()
+
+    def member(self, name: str):
+        return self.calc.fam.element(name)
+
+    def member_d(self, name: str, i: int):
+        return self.calc.table(name).get(i, self.zero())
+
+    def shift_d(self, name: str, i: int):
+        if name not in self._shift:
+            self._shift[name] = self.calc.shift_table(name)
+        return self._shift[name].get(i, self.zero())
+
+    def qpow_d(self, name: str, i: int):
+        if name not in self._qpow:
+            self._qpow[name] = self.calc.qshift(self.calc.table(name))
+        return self._qpow[name].get(i, self.zero())
+
+    # the order scans' rows are the same exact derivatives
+    value = member_d
+    shift_value = shift_d
+
+    def qpow_value(self, name: str):
+        return self.member(name).qpow()
+
+    def ell(self):
+        return self.ell_power(1)
+
+    def ell_power(self, n: int):
+        if n not in self._ellpow:
+            if n == 0:
+                self._ellpow[n] = self.calc.ring.one()
+            elif n == 1:
+                self._ellpow[n] = self.calc.ring.ell()
+            else:
+                self._ellpow[n] = self.ell_power(n - 1) * self.ell_power(1)
+        return self._ellpow[n]
+
+    def pow_tag(self, v, tag: str):
+        if tag == "q2":  # two reduced q-powers keep intermediate forms small
+            return v.qpow().qpow()
+        return v.pow3k(_pow_count(tag, self.s))
+
+    def mul(self, a, b):
+        return a * b
+
+    def add(self, a, b, sign: int = 1):
+        return a + b if sign == 1 else a - b
+
+    def is_zero(self, v) -> bool:
+        return v.is_zero()
+
+    def virtual(self, f: str, b: str) -> "_SymbolicVirtual":
+        if (f, b) not in self._virtuals:
+            self._virtuals[(f, b)] = _SymbolicVirtual(self, f, b)
+        return self._virtuals[(f, b)]
+
+    def describe(self, v) -> str:
+        terms = v.to_sorted_list()
+        return f"{len(terms)} monomials, leading {terms[0] if terms else None}"
+
+
+class _SymbolicVirtual:
+    """Derivatives of t with t^q - t = f^q0 (b^q - b), i >= 1 only."""
+
+    def __init__(self, K: SymbolicBackend, f: str, b: str):
+        self.K = K
+        self.f = f
+        self.b = b
+        self._memo: dict[int, object] = {}
+
+    def _h(self, k: int):
+        # D^k h by the twisted convolution over the support of f
+        K = self.K
+        q0 = K.p.q0
+        out = K.zero()
+        for a, el in K.calc.table(self.f).items():
+            j = k - q0 * a
+            if j < 0:
+                continue
+            piece = K.shift_d(self.b, j)
+            if piece.is_zero():
+                continue
+            out = out + el.pow3k(K.s) * piece
+        return out
+
+    def d(self, i: int):
+        if i <= 0:
+            raise ValueError("virtual functions only expose positive indices")
+        if i not in self._memo:
+            q = self.K.p.q
+            val = -self._h(i)
+            if i % q == 0:
+                val = val + self.d(i // q).qpow()
+            self._memo[i] = val
+        return self._memo[i]
+
+
+def default_window(p: ReeParams) -> int:
+    """Series window wide enough that no catalog term truncates away.
+
+    At rational points ell has valuation one, so a product with ell^(2q+1)
+    only shows up from exponent 2q+1 on; the window clears that with room
+    for a block of genuinely shared coefficients.
+    """
+    return 2 * p.q + p.q0 + 32
+
+
+class PointBackend:
+    """Evaluates residuals as truncated series at one sampled point."""
+
+    kind = "points"
+
+    def __init__(self, point: CurvePoint, window: Optional[int] = None):
+        self.point = point
+        self.exp = PointExpansion(point)
+        self.p = point.params
+        self.s = point.s
+        self.window = default_window(self.p) if window is None else window
+        self._virtuals: dict[tuple[str, str], _PointVirtual] = {}
+        self._rows: Optional[dict[str, dict]] = None
+        self._shift_rows: Optional[dict[str, dict]] = None
+
+    def zero(self):
+        return {}
+
+    def member(self, name: str):
+        # the expansion may hold more terms than asked for; residuals
+        # compare this against products cut off at the window
+        ser = self.exp.series(name, self.window)
+        return {e: c for e, c in ser.items() if e < self.window}
+
+    def member_d(self, name: str, i: int):
+        return self.exp.derivative_series(name, i, self.window)
+
+    def _qpow_series(self, name: str, prec: int):
+        return ser_pow3k(self.exp.series(name, -(-prec // self.p.q)), 2 * self.s + 1, prec)
+
+    def _shift_series(self, name: str, prec: int):
+        f = self.exp.series(name, prec)
+        return ser_add(self._qpow_series(name, prec), f, -1)
+
+    def shift_d(self, name: str, i: int):
+        return hasse_shift(self._shift_series(name, i + self.window), i, self.window)
+
+    def qpow_d(self, name: str, i: int):
+        return hasse_shift(self._qpow_series(name, i + self.window), i, self.window)
+
+    # -- rows: the i-th coefficient of a series is D^i at the point; every
+    # member is expanded once to q^2 + 1, the whole range a scan reads
+
+    def _member_rows(self) -> dict[str, dict]:
+        if self._rows is None:
+            limit = self.p.q**2 + 1
+            self._rows = {f: self.exp.series(f, limit) for f in FAMILY_NAMES}
+        return self._rows
+
+    def value(self, name: str, i: int):
+        return self._member_rows()[name].get(i, self.point.ctx.zero())
+
+    def shift_value(self, name: str, i: int):
+        if self._shift_rows is None:
+            limit = self.p.q**2 + 1
+            self._shift_rows = {f: self._shift_series(f, limit) for f in FAMILY_NAMES}
+        return self._shift_rows[name].get(i, self.point.ctx.zero())
+
+    def qpow_value(self, name: str):
+        return frobenius_power(self.value(name, 0), 2 * self.s + 1)
+
+    def ell(self):
+        return self.ell_power(1)
+
+    def ell_power(self, n: int):
+        return self.exp.ell_power(n, self.window)
+
+    def pow_tag(self, v, tag: str):
+        return ser_pow3k(v, _pow_count(tag, self.s), self.window)
+
+    def mul(self, a, b):
+        return ser_mul(a, b, self.window)
+
+    def add(self, a, b, sign: int = 1):
+        return ser_add(a, b, sign)
+
+    def is_zero(self, v) -> bool:
+        return not v
+
+    def virtual(self, f: str, b: str) -> "_PointVirtual":
+        if (f, b) not in self._virtuals:
+            self._virtuals[(f, b)] = _PointVirtual(self, f, b)
+        return self._virtuals[(f, b)]
+
+    def describe(self, v) -> str:
+        e = min(v)
+        x, y, z = (c.code() for c in self.point.coords())
+        return f"t^{e} coefficient nonzero at point codes ({x},{y},{z})"
+
+
+class _PointVirtual:
+    """Series of the virtual t, up to its irrelevant constant term."""
+
+    def __init__(self, K: PointBackend, f: str, b: str):
+        self.K = K
+        self.f = f
+        self.b = b
+        self._prec = 0
+        self._ser: dict = {}
+
+    def _t_series(self, prec: int):
+        if prec <= self._prec:
+            return self._ser
+        K = self.K
+        fq0 = ser_pow3k(K.exp.series(self.f, -(-prec // K.p.q0)), K.s, prec)
+        h = ser_mul(fq0, K._shift_series(self.b, prec), prec)
+        self._prec, self._ser = prec, as_lift({}, h, K.s, prec)
+        return self._ser
+
+    def d(self, i: int):
+        if i <= 0:
+            raise ValueError("virtual functions only expose positive indices")
+        w = self.K.window
+        return hasse_shift(self._t_series(i + w), i, w)
+
+
+_BACKENDS: dict[tuple, tuple] = {}
+
+
+def backends(
+    s: int,
+    backend: str,
+    trials: int,
+    seed: int,
+    extension: int = 1,
+    window: Optional[int] = None,
+) -> tuple:
+    """The backends of one route, built on first use and then shared.
+
+    "symbolic" gives (SymbolicBackend(s),); "points" gives one PointBackend
+    per seed in seed .. seed+trials-1, at points over the given extension.
+    """
+    if backend == "symbolic":
+        key: tuple = ("symbolic", s)
+    elif backend == "points":
+        if trials < 1:
+            raise ValueError("the points backend needs at least one trial")
+        if window is None:
+            window = default_window(ree_params(s))
+        key = ("points", s, trials, seed, extension, window)
+    else:
+        raise ValueError(f"unknown backend {backend!r}")
+    if key not in _BACKENDS:
+        if backend == "symbolic":
+            _BACKENDS[key] = (SymbolicBackend(s),)
+        else:
+            _BACKENDS[key] = tuple(
+                PointBackend(random_point(s, seed + j, extension), window)
+                for j in range(trials)
+            )
+    return _BACKENDS[key]
+
+
+def sample_count(Ks: tuple) -> int:
+    """Sample points behind a route's verdicts: none on the exact route."""
+    return 0 if Ks[0].kind == "symbolic" else len(Ks)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -33,8 +32,6 @@ from .weierstrass import (
 
 # external backend names; the sampling backend is called "points" inside
 _BACKENDS = {"symbolic": "symbolic", "series": "points"}
-
-_MAX_JOBS = 8
 
 
 @dataclass(frozen=True)
@@ -146,39 +143,6 @@ def cmd_params(args, parser) -> int:
     return 0
 
 
-def _run_verify(cfg: RunConfig, keys: Optional[list[str]], jobs: int):
-    all_keys = [spec.key for spec in IDENTITY_CATALOG]
-    wanted = all_keys if keys is None else [k for k in all_keys if k in set(keys)]
-    if jobs <= 1:
-        return verify_catalog(
-            cfg.s,
-            cfg.internal_backend,
-            keys=None if keys is None else keys,
-            trials=cfg.trials,
-            seed=cfg.seed or 0,
-            window=cfg.precision,
-        )
-    # bounded pool, one task per identity; results are reassembled in
-    # catalog order so parallelism cannot change the report
-    with ThreadPoolExecutor(max_workers=min(jobs, _MAX_JOBS)) as pool:
-        futures = [
-            pool.submit(
-                verify_catalog,
-                cfg.s,
-                cfg.internal_backend,
-                keys=[key],
-                trials=cfg.trials,
-                seed=cfg.seed or 0,
-                window=cfg.precision,
-            )
-            for key in wanted
-        ]
-        results = []
-        for fut in futures:
-            results.extend(fut.result())
-        return results
-
-
 def cmd_verify(args, parser) -> int:
     cfg = _config(args, parser)
     known = {spec.key for spec in IDENTITY_CATALOG}
@@ -187,7 +151,14 @@ def cmd_verify(args, parser) -> int:
         for key in keys:
             if key not in known:
                 parser.error(f"unknown identity {key!r}")
-    results = _run_verify(cfg, keys, args.jobs)
+    results = verify_catalog(
+        cfg.s,
+        cfg.internal_backend,
+        keys=keys,
+        trials=cfg.trials,
+        seed=cfg.seed or 0,
+        window=cfg.precision,
+    )
     rows = [
         {
             "identity": r.identity,
@@ -392,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="restrict to one identity key (repeatable)",
     )
-    sp.add_argument("--jobs", type=_positive, default=1, help="bounded worker pool size")
     sp.set_defaults(handler=cmd_verify)
 
     sp = sub.add_parser("orders", help="generic order sequence of a linear series")

@@ -30,25 +30,22 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
+from reecurve.backends import (
+    PointBackend,
+    SymbolicBackend,
+    backends,
+    default_window,
+    sample_count,
+)
 from reecurve.gf import frobenius_power
-from reecurve.hasse import HasseCalculus, hasse_calculus
 from reecurve.params import (
-    ReeParams,
     SymbolicIndex,
     index_value,
     ree_params,
     symbolic_from_value,
 )
 from reecurve.ring import FAMILY_NAMES, SUBFAMILY_NAMES, function_family
-from reecurve.series import (
-    CurvePoint,
-    PointExpansion,
-    hasse_shift,
-    random_point,
-    ser_add,
-    ser_mul,
-    ser_pow3k,
-)
+from reecurve.series import CurvePoint, PointExpansion, ser_add, ser_pow3k
 from reecurve.support import member_support, support_values
 
 __all__ = [
@@ -786,236 +783,6 @@ def collision_exclusions() -> list[tuple[str, str, str]]:
 
 
 # ---------------------------------------------------------------------------
-# backends
-
-
-def _pow_count(tag: str, s: int) -> int:
-    return {"q0": s, "3q0": s + 1, "q": 2 * s + 1, "q2": 2 * (2 * s + 1)}[tag]
-
-
-class SymbolicBackend:
-    """Evaluates residuals as exact normal forms in the coordinate ring."""
-
-    kind = "symbolic"
-
-    def __init__(self, s: int):
-        if s != 1:
-            raise ValueError(
-                "backend unavailable for requested s "
-                "(symbolic restricted to s=1 by resource policy)"
-            )
-        self.calc: HasseCalculus = hasse_calculus(s)
-        self.p: ReeParams = self.calc.p
-        self.s = s
-        self._shift: dict[str, dict] = {}
-        self._qpow: dict[str, dict] = {}
-        self._ellpow: dict[int, object] = {}
-        self._virtuals: dict[tuple[str, str], _SymbolicVirtual] = {}
-
-    def zero(self):
-        return self.calc.ring.zero()
-
-    def member(self, name: str):
-        return self.calc.fam.element(name)
-
-    def member_d(self, name: str, i: int):
-        return self.calc.table(name).get(i, self.zero())
-
-    def shift_d(self, name: str, i: int):
-        if name not in self._shift:
-            self._shift[name] = self.calc.shift_table(name)
-        return self._shift[name].get(i, self.zero())
-
-    def qpow_d(self, name: str, i: int):
-        if name not in self._qpow:
-            self._qpow[name] = self.calc.qshift(self.calc.table(name))
-        return self._qpow[name].get(i, self.zero())
-
-    def ell(self):
-        return self.ell_power(1)
-
-    def ell_power(self, n: int):
-        if n not in self._ellpow:
-            if n == 0:
-                self._ellpow[n] = self.calc.ring.one()
-            elif n == 1:
-                self._ellpow[n] = self.calc.ring.ell()
-            else:
-                self._ellpow[n] = self.ell_power(n - 1) * self.ell_power(1)
-        return self._ellpow[n]
-
-    def pow_tag(self, v, tag: str):
-        if tag == "q2":  # two reduced q-powers keep intermediate forms small
-            return v.qpow().qpow()
-        return v.pow3k(_pow_count(tag, self.s))
-
-    def mul(self, a, b):
-        return a * b
-
-    def add(self, a, b, sign: int = 1):
-        return a + b if sign == 1 else a - b
-
-    def is_zero(self, v) -> bool:
-        return v.is_zero()
-
-    def virtual(self, f: str, b: str) -> "_SymbolicVirtual":
-        if (f, b) not in self._virtuals:
-            self._virtuals[(f, b)] = _SymbolicVirtual(self, f, b)
-        return self._virtuals[(f, b)]
-
-    def describe(self, v) -> str:
-        terms = v.to_sorted_list()
-        return f"{len(terms)} monomials, leading {terms[0] if terms else None}"
-
-
-class _SymbolicVirtual:
-    """Derivatives of t with t^q - t = f^q0 (b^q - b), i >= 1 only."""
-
-    def __init__(self, K: SymbolicBackend, f: str, b: str):
-        self.K = K
-        self.f = f
-        self.b = b
-        self._memo: dict[int, object] = {}
-
-    def _h(self, k: int):
-        # D^k h by the twisted convolution over the support of f
-        K = self.K
-        q0 = K.p.q0
-        out = K.zero()
-        for a, el in K.calc.table(self.f).items():
-            j = k - q0 * a
-            if j < 0:
-                continue
-            piece = K.shift_d(self.b, j)
-            if piece.is_zero():
-                continue
-            out = out + el.pow3k(K.s) * piece
-        return out
-
-    def d(self, i: int):
-        if i <= 0:
-            raise ValueError("virtual functions only expose positive indices")
-        if i not in self._memo:
-            q = self.K.p.q
-            val = -self._h(i)
-            if i % q == 0:
-                val = val + self.d(i // q).qpow()
-            self._memo[i] = val
-        return self._memo[i]
-
-
-def default_window(p: ReeParams) -> int:
-    """Series window wide enough that no catalog term truncates away.
-
-    At rational points ell has valuation one, so a product with ell^(2q+1)
-    only shows up from exponent 2q+1 on; the window clears that with room
-    for a block of genuinely shared coefficients.
-    """
-    return 2 * p.q + p.q0 + 32
-
-
-class PointBackend:
-    """Evaluates residuals as truncated series at one sampled point."""
-
-    kind = "points"
-
-    def __init__(self, point: CurvePoint, window: Optional[int] = None):
-        self.point = point
-        self.exp = PointExpansion(point)
-        self.p = point.params
-        self.s = point.s
-        self.window = default_window(self.p) if window is None else window
-        self._virtuals: dict[tuple[str, str], _PointVirtual] = {}
-
-    def zero(self):
-        return {}
-
-    def member(self, name: str):
-        return self.exp.series(name, self.window)
-
-    def member_d(self, name: str, i: int):
-        return self.exp.derivative_series(name, i, self.window)
-
-    def _shift_series(self, name: str, prec: int):
-        e = 2 * self.s + 1
-        f = self.exp.series(name, prec)
-        fq = ser_pow3k(self.exp.series(name, -(-prec // self.p.q)), e, prec)
-        return ser_add(fq, f, -1)
-
-    def shift_d(self, name: str, i: int):
-        return hasse_shift(self._shift_series(name, i + self.window), i, self.window)
-
-    def qpow_d(self, name: str, i: int):
-        prec = i + self.window
-        e = 2 * self.s + 1
-        fq = ser_pow3k(self.exp.series(name, -(-prec // self.p.q)), e, prec)
-        return hasse_shift(fq, i, self.window)
-
-    def ell(self):
-        return self.ell_power(1)
-
-    def ell_power(self, n: int):
-        return self.exp.ell_power(n, self.window)
-
-    def pow_tag(self, v, tag: str):
-        return ser_pow3k(v, _pow_count(tag, self.s), self.window)
-
-    def mul(self, a, b):
-        return ser_mul(a, b, self.window)
-
-    def add(self, a, b, sign: int = 1):
-        return ser_add(a, b, sign)
-
-    def is_zero(self, v) -> bool:
-        return not v
-
-    def virtual(self, f: str, b: str) -> "_PointVirtual":
-        if (f, b) not in self._virtuals:
-            self._virtuals[(f, b)] = _PointVirtual(self, f, b)
-        return self._virtuals[(f, b)]
-
-    def describe(self, v) -> str:
-        e = min(v)
-        x, y, z = (c.code() for c in self.point.coords())
-        return f"t^{e} coefficient nonzero at point codes ({x},{y},{z})"
-
-
-class _PointVirtual:
-    """Series of the virtual t, up to its irrelevant constant term."""
-
-    def __init__(self, K: PointBackend, f: str, b: str):
-        self.K = K
-        self.f = f
-        self.b = b
-        self._prec = 0
-        self._ser: dict = {}
-
-    def _t_series(self, prec: int):
-        if prec <= self._prec:
-            return self._ser
-        K = self.K
-        fq0 = ser_pow3k(K.exp.series(self.f, -(-prec // K.p.q0)), K.s, prec)
-        h = ser_mul(fq0, K._shift_series(self.b, prec), prec)
-        hd = {e: c for e, c in h.items() if e != 0}
-        out: dict = {}
-        j = 0
-        while True:
-            term = ser_pow3k(hd, (2 * K.s + 1) * j, prec)
-            if not term:
-                break
-            out = ser_add(out, term, -1)
-            j += 1
-        self._prec, self._ser = prec, out
-        return out
-
-    def d(self, i: int):
-        if i <= 0:
-            raise ValueError("virtual functions only expose positive indices")
-        w = self.K.window
-        return hasse_shift(self._t_series(i + w), i, w)
-
-
-# ---------------------------------------------------------------------------
 # evaluation
 
 
@@ -1077,6 +844,21 @@ def _check_on_backend(spec: IdentitySpec, roles: dict, K) -> Optional[str]:
     return None
 
 
+def _verdict(spec: IdentitySpec, roles: dict[str, str], Ks: tuple) -> CheckResult:
+    """One instance on every backend of a route; the first witness wins."""
+    label = _instance_label(roles)
+    if Ks[0].s == 1:
+        reason = collision_reason(spec, roles)
+        if reason is not None:
+            return CheckResult(spec.key, label, Ks[0].kind, True, 0, reason, skipped=True)
+    witness = None
+    for K in Ks:
+        witness = _check_on_backend(spec, roles, K)
+        if witness is not None:
+            break
+    return CheckResult(spec.key, label, Ks[0].kind, witness is None, sample_count(Ks), witness)
+
+
 def check_identity(
     spec: IdentitySpec | str,
     subject,
@@ -1100,20 +882,7 @@ def check_identity(
         roles = {"w": subject[0], "f": subject[1]}
     else:
         roles = {"f": subject[0], "b": subject[1]}
-    label = _instance_label(roles)
-    if s == 1:
-        reason = collision_reason(spec, roles)
-        if reason is not None:
-            return CheckResult(spec.key, label, backend, True, 0, reason, skipped=True)
-    if backend == "symbolic":
-        witness = _check_on_backend(spec, roles, SymbolicBackend(s))
-        return CheckResult(spec.key, label, "symbolic", witness is None, 0, witness)
-    for k in range(trials):
-        K = PointBackend(random_point(s, seed + k), window)
-        witness = _check_on_backend(spec, roles, K)
-        if witness is not None:
-            return CheckResult(spec.key, label, "points", False, trials, witness)
-    return CheckResult(spec.key, label, "points", True, trials, None)
+    return _verdict(spec, roles, backends(s, backend, trials, seed, window=window))
 
 
 def verify_catalog(
@@ -1132,48 +901,8 @@ def verify_catalog(
         missing = wanted - {sp.key for sp in specs}
         if missing:
             raise KeyError(f"unknown identity keys: {sorted(missing)}")
-    if backend == "symbolic":
-        backends = [SymbolicBackend(s)]
-        npoints = 0
-    elif backend == "points":
-        backends = [PointBackend(random_point(s, seed + k), window) for k in range(trials)]
-        npoints = trials
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    results = []
-    for spec in specs:
-        for roles in instances_for(spec):
-            if s == 1:
-                reason = collision_reason(spec, roles)
-                if reason is not None:
-                    results.append(
-                        CheckResult(
-                            spec.key,
-                            _instance_label(roles),
-                            backend,
-                            True,
-                            0,
-                            reason,
-                            skipped=True,
-                        )
-                    )
-                    continue
-            witness = None
-            for K in backends:
-                witness = _check_on_backend(spec, roles, K)
-                if witness is not None:
-                    break
-            results.append(
-                CheckResult(
-                    spec.key,
-                    _instance_label(roles),
-                    backend,
-                    witness is None,
-                    npoints,
-                    witness,
-                )
-            )
-    return results
+    Ks = backends(s, backend, trials, seed, window=window)
+    return [_verdict(spec, roles, Ks) for spec in specs for roles in instances_for(spec)]
 
 
 # ---------------------------------------------------------------------------
@@ -1250,22 +979,15 @@ def check_hypersurface(
     seed: int = 0,
     window: Optional[int] = None,
 ) -> list[CheckResult]:
-    if backend == "symbolic":
-        K = SymbolicBackend(s)
-        return [
-            CheckResult("hypersurface", label, "symbolic", K.is_zero(v), 0,
-                        None if K.is_zero(v) else K.describe(v))
-            for label, v in _hyper_backend(K)
-        ]
+    Ks = backends(s, backend, trials, seed, window=window)
     results: dict[str, CheckResult] = {}
-    for k in range(trials):
-        K = PointBackend(random_point(s, seed + k), window)
+    for K in Ks:
         for label, v in _hyper_backend(K):
             ok = K.is_zero(v)
             prev = results.get(label)
             if prev is None or (prev.ok and not ok):
                 results[label] = CheckResult(
-                    "hypersurface", label, "points", ok, trials,
+                    "hypersurface", label, K.kind, ok, sample_count(Ks),
                     None if ok else K.describe(v),
                 )
     return list(results.values())
@@ -1284,24 +1006,14 @@ def check_rank1_remark(
     shared factor ell nonzero, which is how it is checked.
     """
     spec = _catalog_map()["nu1"]
-    if backend == "symbolic":
-        K = SymbolicBackend(s)
-        for name in FAMILY_NAMES:
-            witness = _check_on_backend(spec, {"f": name}, K)
-            if witness is not None:
-                return CheckResult("rank1", "2x14", "symbolic", False, 0, witness)
-        ok = not K.is_zero(K.ell())
-        return CheckResult("rank1", "2x14", "symbolic", ok, 0,
-                           None if ok else "ell vanished")
-    for k in range(trials):
-        K = PointBackend(random_point(s, seed + k), window)
-        for name in FAMILY_NAMES:
-            witness = _check_on_backend(spec, {"f": name}, K)
-            if witness is not None:
-                return CheckResult("rank1", "2x14", "points", False, trials, witness)
-        if K.is_zero(K.ell()):
-            return CheckResult("rank1", "2x14", "points", False, trials, "ell vanished")
-    return CheckResult("rank1", "2x14", "points", True, trials, None)
+    Ks = backends(s, backend, trials, seed, window=window)
+    for name in FAMILY_NAMES:
+        r = _verdict(spec, {"f": name}, Ks)
+        if not r.ok:
+            return CheckResult("rank1", "2x14", r.backend, False, r.points, r.witness)
+    ok = not any(K.is_zero(K.ell()) for K in Ks)
+    return CheckResult("rank1", "2x14", Ks[0].kind, ok, sample_count(Ks),
+                       None if ok else "ell vanished")
 
 
 def osculating_functions(P: CurvePoint, precision: Optional[int] = None):
@@ -1363,7 +1075,7 @@ def support_consistency_report(s: int) -> list[str]:
     Empty means every derivative the identities touch is accounted for:
     any D^i f with i outside S_f evaluated to exactly zero.
     """
-    K = SymbolicBackend(s)
+    K = backends(s, "symbolic", 1, 0)[0]
     p = K.p
     claimed = {name: support_values(name, p) for name in FAMILY_NAMES}
     problems: list[str] = []

@@ -3,8 +3,10 @@
 An index i is an order of a function family exactly when the derivative row
 (D^i f)_f increases the rank of the rows selected at smaller indices; scanning
 candidates in increasing order therefore reproduces the lexicographically
-minimal order sequence.  Frobenius orders use the same scan seeded with the
-row (f^q)_f.  Two rank backends:
+minimal order sequence (the Stöhr-Voloch method).  Frobenius orders use the
+same scan seeded with the row (f^q)_f.  Rows come from the route's backends
+(backends.backends, shared with the identity checks), one echelon per
+backend:
 
 * symbolic (s = 1): fraction-free cross-multiplication elimination over the
   coordinate ring, exact;
@@ -25,11 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf import FieldElement, frobenius_power
-from .hasse import HasseCalculus, hasse_calculus
+from .backends import backends, sample_count
+from .gf import FieldElement
 from .params import ReeParams, SymbolicIndex, index_value, ree_params
 from .ring import FAMILY_NAMES, SUBFAMILY_NAMES, CurveElement
-from .series import PointExpansion, random_point, ser_add, ser_pow3k
 from .support import family_candidate_values, minimal_non_orders, order_values
 
 __all__ = [
@@ -49,9 +50,6 @@ __all__ = [
     "E_PROOF_ROWS",
     "E_PROOF_COLS",
 ]
-
-_POLICY = "backend unavailable for requested s (symbolic restricted to s=1 by resource policy)"
-
 
 def _family_names(series) -> tuple[str, ...]:
     if series == "D":
@@ -127,7 +125,7 @@ class FrobeniusOrders:
 # rank engines
 
 
-def _strip_content(ring, vec: list[CurveElement]) -> list[CurveElement]:
+def _strip_content(vec: list[CurveElement]) -> list[CurveElement]:
     """Divide a row by the monomial content shared by its entries."""
     mins = None
     for el in vec:
@@ -143,8 +141,7 @@ def _strip_content(ring, vec: list[CurveElement]) -> list[CurveElement]:
 class _SymbolicEchelon:
     """Fraction-free echelon of rows of normal-form ring elements."""
 
-    def __init__(self, ring, ncols: int):
-        self.ring = ring
+    def __init__(self, ncols: int):
         self.ncols = ncols
         self.rows: list[tuple[int, list[CurveElement]]] = []
 
@@ -156,7 +153,7 @@ class _SymbolicEchelon:
                 continue
             lead = row[pivot]
             vec = [lead * vec[k] - c * row[k] for k in range(self.ncols)]
-            vec = _strip_content(self.ring, vec)
+            vec = _strip_content(vec)
         live = [k for k in range(self.ncols) if not vec[k].is_zero()]
         if not live:
             return None
@@ -169,8 +166,7 @@ class _SymbolicEchelon:
 class _PointEchelon:
     """Plain Gaussian elimination over one sample point's field."""
 
-    def __init__(self, ctx):
-        self.ctx = ctx
+    def __init__(self):
         self.rows: list[tuple[int, list[FieldElement]]] = []
 
     def insert(self, vec: list[FieldElement]) -> bool:
@@ -187,130 +183,31 @@ class _PointEchelon:
         return False
 
 
-class _SymbolicRows:
-    """Row supplier over the s=1 coordinate ring."""
-
-    backend = "symbolic"
-    points = 0
-
-    def __init__(self, s: int):
-        if s != 1:
-            raise ValueError(_POLICY)
-        self.calc: HasseCalculus = hasse_calculus(1)
-        self.p = self.calc.p
-        self._shift_tables: dict[str, dict[int, CurveElement]] = {}
-
-    def new_echelons(self, ncols: int) -> list[_SymbolicEchelon]:
-        return [_SymbolicEchelon(self.calc.ring, ncols)]
-
-    def derivative_rows(self, names, i: int) -> list[list[CurveElement]]:
-        zero = self.calc.ring.zero()
-        return [[self.calc.table(f).get(i, zero) for f in names]]
-
-    def qpow_rows(self, names) -> list[list[CurveElement]]:
-        return [[self.calc.fam.element(f).qpow() for f in names]]
-
-    def shift_rows(self, names, i: int) -> list[list[CurveElement]]:
-        zero = self.calc.ring.zero()
-        out = []
-        for f in names:
-            if f not in self._shift_tables:
-                self._shift_tables[f] = self.calc.shift_table(f)
-            out.append(self._shift_tables[f].get(i, zero))
-        return [out]
-
-    @staticmethod
-    def describe(hits: list[int], pivot_info) -> str:
-        return f"pivot-col={pivot_info[0]}"
+def _echelons(Ks: tuple, ncols: int) -> list:
+    if Ks[0].kind == "symbolic":
+        return [_SymbolicEchelon(ncols)]
+    return [_PointEchelon() for _ in Ks]
 
 
-class _PointRows:
-    """Row supplier from series expansions at sampled extension points."""
-
-    backend = "points"
-
-    def __init__(self, s: int, trials: int, seed: int, k: int = 6):
-        self.p = ree_params(s)
-        self.points = trials
-        limit = self.p.q**2 + 1
-        self._series: list[dict[str, dict[int, FieldElement]]] = []
-        self._values: list[dict[str, FieldElement]] = []
-        self._ctxs = []
-        for j in range(trials):
-            pt = random_point(s, seed + j, extension=k)
-            exp = PointExpansion(pt)
-            table = {f: exp.series(f, limit) for f in FAMILY_NAMES}
-            self._series.append(table)
-            self._values.append({f: exp.coefficient(f, 0) for f in FAMILY_NAMES})
-            self._ctxs.append(pt.ctx)
-
-    def new_echelons(self, ncols: int) -> list[_PointEchelon]:
-        return [_PointEchelon(ctx) for ctx in self._ctxs]
-
-    def derivative_rows(self, names, i: int) -> list[list[FieldElement]]:
-        rows = []
-        for j, table in enumerate(self._series):
-            zero = self._ctxs[j].zero()
-            rows.append([table[f].get(i, zero) for f in names])
-        return rows
-
-    def qpow_rows(self, names) -> list[list[FieldElement]]:
-        n = 2 * self.p.s + 1
-        return [
-            [frobenius_power(vals[f], n) for f in names] for vals in self._values
-        ]
-
-    def shift_rows(self, names, i: int) -> list[list[FieldElement]]:
-        if not hasattr(self, "_shift"):
-            limit = self.p.q**2 + 1
-            self._shift = []
-            for table in self._series:
-                sh = {}
-                for f in FAMILY_NAMES:
-                    qs = ser_pow3k(table[f], 2 * self.p.s + 1, limit)
-                    sh[f] = ser_add(qs, table[f], sign=-1)
-                self._shift.append(sh)
-        rows = []
-        for j, sh in enumerate(self._shift):
-            zero = self._ctxs[j].zero()
-            rows.append([sh[f].get(i, zero) for f in names])
-        return rows
-
-    @staticmethod
-    def describe(hits: list[int], pivot_info) -> str:
-        return "points=" + ",".join(str(h) for h in hits)
+def _rows(Ks: tuple, names, i: int) -> list[list]:
+    """The row (D^i f)_f on every backend of the route."""
+    return [[K.value(f, i) for f in names] for K in Ks]
 
 
-_ROWS_CACHE: dict[tuple, object] = {}
+def _insert_rows(echelons, rows) -> tuple[list[int], object]:
+    """Offer one index's rows to every echelon; accepted if any rank grows.
 
-
-def _rows_backend(s: int, backend: str, trials: int, seed: int, k: int):
-    """Row suppliers are immutable once built; share them across scans."""
-    if backend == "symbolic":
-        key = ("symbolic", s)
-    elif backend == "points":
-        key = ("points", s, trials, seed, k)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    if key not in _ROWS_CACHE:
-        if backend == "symbolic":
-            _ROWS_CACHE[key] = _SymbolicRows(s)
-        else:
-            _ROWS_CACHE[key] = _PointRows(s, trials, seed, k)
-    return _ROWS_CACHE[key]
-
-
-def _insert_rows(echelons, rows) -> tuple[bool, list[int], object]:
-    """Offer one index's rows to every echelon; accepted if any rank grows."""
+    Returns the echelons whose rank grew and the first pivot taken.
+    """
     hits = []
-    pivot_info = None
+    pivot = None
     for j, (ech, vec) in enumerate(zip(echelons, rows)):
-        got = ech.insert(list(vec))
+        got = ech.insert(vec)
         if got is not None and got is not False:
             hits.append(j)
-            if pivot_info is None:
-                pivot_info = (got,)
-    return (bool(hits), hits, pivot_info)
+            if pivot is None:
+                pivot = got
+    return hits, pivot
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +228,18 @@ def order_sequence(
     p = ree_params(s)
     if candidates is None:
         candidates = family_candidate_values(p, names)
-    src = _rows_backend(s, backend, trials, seed, k)
-    echelons = src.new_echelons(len(names))
+    Ks = backends(s, backend, trials, seed, k)
+    echelons = _echelons(Ks, len(names))
     orders: list[int] = []
     witness: list[str] = []
     for i in sorted(candidates):
-        accepted, hits, info = _insert_rows(echelons, src.derivative_rows(names, i))
-        if accepted:
+        hits, pivot = _insert_rows(echelons, _rows(Ks, names, i))
+        if hits:
             orders.append(i)
-            witness.append(src.describe(hits, info))
+            witness.append(
+                f"pivot-col={pivot}" if Ks[0].kind == "symbolic"
+                else "points=" + ",".join(str(h) for h in hits)
+            )
             if len(orders) == len(names):
                 break
     if len(orders) != len(names):
@@ -353,7 +253,7 @@ def order_sequence(
         orders=tuple(orders),
         labels=_order_labels(series, p, tuple(orders)),
         backend=backend,
-        points=src.points,
+        points=sample_count(Ks),
         witness=tuple(witness),
     )
 
@@ -365,7 +265,6 @@ def morphism_orders_below_q(
     trials: int = 3,
     seed: int = 0,
     k: int = 6,
-    _src=None,
 ) -> tuple[int, ...]:
     """Orders below q of the morphism with coordinates (f^q - f).
 
@@ -376,13 +275,13 @@ def morphism_orders_below_q(
     """
     names = _family_names(series)[1:]
     p = ree_params(s)
-    src = _src if _src is not None else _rows_backend(s, backend, trials, seed, k)
-    echelons = src.new_echelons(len(names))
+    Ks = backends(s, backend, trials, seed, k)
+    echelons = _echelons(Ks, len(names))
     found: list[int] = []
     pool = [v for v in family_candidate_values(p, _family_names(series)) if v < p.q]
     for i in sorted(pool):
-        accepted, _, _ = _insert_rows(echelons, src.shift_rows(names, i))
-        if accepted:
+        hits, _ = _insert_rows(echelons, [[K.shift_value(f, i) for f in names] for K in Ks])
+        if hits:
             found.append(i)
     return tuple(found)
 
@@ -398,15 +297,15 @@ def frobenius_orders(
     """Greedy scan seeded with the row (f^q)_f; one order drops out."""
     names = _family_names(series)
     p = ree_params(s)
-    src = _rows_backend(s, backend, trials, seed, k)
-    echelons = src.new_echelons(len(names))
-    for ech, vec in zip(echelons, src.qpow_rows(names)):
-        ech.insert(list(vec))
+    Ks = backends(s, backend, trials, seed, k)
+    echelons = _echelons(Ks, len(names))
+    for ech, K in zip(echelons, Ks):
+        ech.insert([K.qpow_value(f) for f in names])
     nus: list[int] = []
     want = len(names) - 1
     for i in family_candidate_values(p, names):
-        accepted, _, _ = _insert_rows(echelons, src.derivative_rows(names, i))
-        if accepted:
+        hits, _ = _insert_rows(echelons, _rows(Ks, names, i))
+        if hits:
             nus.append(i)
             if len(nus) == want:
                 break
@@ -421,7 +320,7 @@ def frobenius_orders(
         raise ArithmeticError(
             f"expected exactly one omitted order, got {missing} for {series} at s={s}"
         )
-    below = morphism_orders_below_q(series, s, backend, trials, seed, k, _src=src)
+    below = morphism_orders_below_q(series, s, backend, trials, seed, k)
     return FrobeniusOrders(
         series=series,
         s=s,
@@ -430,7 +329,7 @@ def frobenius_orders(
         omitted_order=missing[0],
         below_q=below,
         backend=backend,
-        points=src.points,
+        points=sample_count(Ks),
     )
 
 
@@ -489,9 +388,9 @@ def triangular_check(
     """
     if len(rows) != len(cols):
         raise ValueError("rows and cols must have equal length")
-    src = _rows_backend(s, backend, trials, seed, k)
+    Ks = backends(s, backend, trials, seed, k)
     n = len(rows)
-    entries = [src.derivative_rows(cols, i) for i in rows]
+    entries = [_rows(Ks, cols, i) for i in rows]
     for i in range(n):
         for j in range(i):
             for sample in entries[i]:

@@ -43,9 +43,6 @@ class CurveElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(k == (0, 0, 0) for k in self.terms)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, CurveElement)
@@ -198,12 +195,13 @@ class CoordinateRing:
         self.p = params
         self.q = params.q
         self.q0 = params.q0
-        self._red_y_memo: dict[int, dict[tuple[int, int], int]] = {}
-        self._red_z_memo: dict[int, dict[tuple[int, int], int]] = {}
         # y^q and z^q as (x-shift, new-degree) -> coeff
         q, q0 = self.q, self.q0
-        self._yq = {(0, 1): 1, (q + q0, 0): 1, (q0 + 1, 0): 2}
-        self._zq = {(0, 1): 1, (q + 2 * q0, 0): 1, (2 * q0 + 1, 0): 2}
+        self._qrule = {
+            "y": {(0, 1): 1, (q + q0, 0): 1, (q0 + 1, 0): 2},
+            "z": {(0, 1): 1, (q + 2 * q0, 0): 1, (2 * q0 + 1, 0): 2},
+        }
+        self._red_memo: dict[str, dict[int, dict[tuple[int, int], int]]] = {"y": {}, "z": {}}
 
     # -- constructors
 
@@ -240,63 +238,35 @@ class CoordinateRing:
 
     # -- reduction
 
-    def _red_y(self, b: int) -> dict[tuple[int, int], int]:
-        if b < self.q:
-            return {(0, b): 1}
-        memo = self._red_y_memo
-        if b not in memo:
-            base = self._red_y(b - self.q)
+    def _red(self, var: str, n: int) -> dict[tuple[int, int], int]:
+        """var^n for var in y, z with var^q folded back, as (x-shift, degree) -> coeff."""
+        if n < self.q:
+            return {(0, n): 1}
+        memo = self._red_memo[var]
+        if n not in memo:
+            base = self._red(var, n - self.q)
             out: dict[tuple[int, int], int] = {}
-            for (da1, b1), c1 in base.items():
-                for (da2, db2), c2 in self._yq.items():
-                    nb = b1 + db2
+            for (da1, n1), c1 in base.items():
+                for (da2, dn2), c2 in self._qrule[var].items():
+                    nn = n1 + dn2
                     co = (c1 * c2) % 3
-                    if nb >= self.q:
-                        for (da3, b3), c3 in self._red_y(nb).items():
-                            k = (da1 + da2 + da3, b3)
+                    if nn >= self.q:
+                        for (da3, n3), c3 in self._red(var, nn).items():
+                            k = (da1 + da2 + da3, n3)
                             nv = (out.get(k, 0) + co * c3) % 3
                             if nv:
                                 out[k] = nv
                             else:
                                 out.pop(k, None)
                     else:
-                        k = (da1 + da2, nb)
+                        k = (da1 + da2, nn)
                         nv = (out.get(k, 0) + co) % 3
                         if nv:
                             out[k] = nv
                         else:
                             out.pop(k, None)
-            memo[b] = out
-        return memo[b]
-
-    def _red_z(self, c: int) -> dict[tuple[int, int], int]:
-        if c < self.q:
-            return {(0, c): 1}
-        memo = self._red_z_memo
-        if c not in memo:
-            base = self._red_z(c - self.q)
-            out: dict[tuple[int, int], int] = {}
-            for (da1, c1), v1 in base.items():
-                for (da2, dc2), v2 in self._zq.items():
-                    nc = c1 + dc2
-                    co = (v1 * v2) % 3
-                    if nc >= self.q:
-                        for (da3, c3), v3 in self._red_z(nc).items():
-                            k = (da1 + da2 + da3, c3)
-                            nv = (out.get(k, 0) + co * v3) % 3
-                            if nv:
-                                out[k] = nv
-                            else:
-                                out.pop(k, None)
-                    else:
-                        k = (da1 + da2, nc)
-                        nv = (out.get(k, 0) + co) % 3
-                        if nv:
-                            out[k] = nv
-                        else:
-                            out.pop(k, None)
-            memo[c] = out
-        return memo[c]
+            memo[n] = out
+        return memo[n]
 
     def reduce(self, raw: dict[Monomial, int]) -> dict[Monomial, int]:
         q = self.q
@@ -313,8 +283,8 @@ class CoordinateRing:
                 else:
                     out.pop(k, None)
                 continue
-            for (day, b2), cy in self._red_y(b).items():
-                for (daz, c2), cz in self._red_z(c).items():
+            for (day, b2), cy in self._red("y", b).items():
+                for (daz, c2), cz in self._red("z", c).items():
                     k = (a + day + daz, b2, c2)
                     nv = (out.get(k, 0) + v * cy * cz) % 3
                     if nv:
@@ -446,9 +416,6 @@ class FunctionFamily:
 
     def names(self) -> tuple[str, ...]:
         return FAMILY_NAMES
-
-    def sub_names(self) -> tuple[str, ...]:
-        return SUBFAMILY_NAMES
 
     def q_shift(self, name: str) -> CurveElement:
         """w^q - w assembled from the rule (not by direct q-th powering)."""

@@ -13,16 +13,17 @@ point backend for the identity checks and for order computations at
 parameter levels where the symbolic ring is too large.
 
 Series are sparse dicts {exponent: coefficient} with zero values omitted.
-An operation taking prec returns coefficients for exponents < prec only;
-every kept coefficient is the exact coefficient of the underlying
-function, never an artefact of truncation.
+An operation taking prec returns every coefficient for exponents < prec,
+and each kept coefficient is the exact coefficient of the underlying
+function, never an artefact of truncation.  The arithmetic helpers keep
+only exponents < prec; PointExpansion.series may return more, since it
+hands back whatever its cache holds once that covers prec.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 from reecurve.gf import (
     FieldContext,
@@ -45,6 +46,7 @@ __all__ = [
     "ser_mul",
     "ser_pow3k",
     "hasse_shift",
+    "as_lift",
 ]
 
 Series = dict[int, FieldElement]
@@ -115,6 +117,22 @@ def hasse_shift(a: Series, i: int, prec: int) -> Series:
             continue
         out[e - i] = c if bc == 1 else -c
     return out
+
+
+def as_lift(out: Series, h: Series, s: int, prec: int) -> Series:
+    """out - sum_j (h - h(0))^(q^j), q = 3^(2s+1), for exponents < prec.
+
+    The sum telescopes under the q-power, so this solves t^q - t = h in
+    t-adic series up to the constant term, which is taken from out.
+    """
+    hd = {e: c for e, c in h.items() if e != 0}
+    k = 0
+    while True:
+        term = ser_pow3k(hd, k, prec)
+        if not term:
+            return out
+        out = ser_add(out, term, -1)
+        k += 2 * s + 1
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +252,7 @@ class PointExpansion:
         self.p = point.params
         self.s = point.s
         self._cache: dict[str, tuple[int, Series]] = {}
+        self._rhs: dict[int, Series] = {}
 
     # -- exact polynomial ingredients
 
@@ -248,30 +267,23 @@ class PointExpansion:
             out[0] = l0
         return out
 
-    @lru_cache(maxsize=None)
     def _rhs_poly(self, which: int) -> Series:
         """x^q0 * ell for the y equation, x^q0 * that for the z equation."""
-        xq0: Series = {
-            0: frobenius_power(self.point.x, self.s),
-            self.p.q0: self.ctx.one(),
-        }
-        h = ser_mul(xq0, self.ell_series(), self.p.q + self.p.q0 + 1)
-        if which == 2:
-            h = ser_mul(xq0, h, self.p.q + 2 * self.p.q0 + 1)
-        return h
+        if which not in self._rhs:
+            xq0: Series = {
+                0: frobenius_power(self.point.x, self.s),
+                self.p.q0: self.ctx.one(),
+            }
+            h = ser_mul(xq0, self.ell_series(), self.p.q + self.p.q0 + 1)
+            if which == 2:
+                h = ser_mul(xq0, h, self.p.q + 2 * self.p.q0 + 1)
+            self._rhs[which] = h
+        return self._rhs[which]
 
     def _coord_series(self, name: str, prec: int) -> Series:
-        h = self._rhs_poly(1 if name == "y" else 2)
-        hd = {e: c for e, c in h.items() if e != 0}
         centre = self.point.y if name == "y" else self.point.z
         out: Series = {} if centre.is_zero() else {0: centre}
-        j = 0
-        while True:
-            term = ser_pow3k(hd, (2 * self.s + 1) * j, prec)
-            if not term:
-                return out
-            out = ser_add(out, term, -1)
-            j += 1
+        return as_lift(out, self._rhs_poly(1 if name == "y" else 2), self.s, prec)
 
     # -- members
 

@@ -81,14 +81,6 @@ def minimal_elements(values) -> list[int]:
     return out
 
 
-def _twist_exponent(tag, p: ReeParams) -> int:
-    if tag == "s":
-        return p.q0
-    if tag == "s1":
-        return 3 * p.q0
-    return 3 ** int(tag)
-
-
 def _qc_digits(v: int, p: ReeParams) -> tuple[int, int]:
     r = v % (p.q * p.q0)
     b, r = divmod(r, p.q)

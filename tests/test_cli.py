@@ -62,14 +62,6 @@ def test_verify_single_identity(capsys):
     assert doc["summary"]["failed"] == "0"
 
 
-def test_verify_jobs_pool_matches_serial(tmp_path, capsys):
-    argv = ["verify", "--s", "1", "--identity", "A9", "--identity", "kq0-1"]
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(argv + ["--jobs", "1", "--out", str(a)]) == 0
-    assert main(argv + ["--jobs", "4", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_verify_failure_writes_witness(tmp_path, capsys, monkeypatch):
     bad = CheckResult(
         identity="A9",
@@ -194,6 +186,9 @@ GOLDEN_REPORTS = [
     ("orders_s1_D_series_seed0_trials2.json",
      ["orders", "--s", "1", "--series", "D", "--backend", "series", "--seed", "0",
       "--trials", "2"]),
+    # the exact route
+    ("verify_s1_symbolic.json", ["verify", "--s", "1"]),
+    ("orders_s1_E_symbolic.json", ["orders", "--s", "1", "--series", "E"]),
 ]
 
 

@@ -15,6 +15,7 @@ from reecurve.identities import (
     PointBackend,
     SymbolicBackend,
     _check_on_backend,
+    _hyper_backend,
     check_hypersurface,
     check_identity,
     check_rank1_remark,
@@ -27,6 +28,7 @@ from reecurve.identities import (
     support_consistency_report,
     verify_catalog,
 )
+from reecurve.backends import backends
 from reecurve.params import index_value, ree_params
 from reecurve.ring import FAMILY_NAMES
 from reecurve.series import rational_point
@@ -247,3 +249,35 @@ def test_support_consistency_is_clean():
 def test_window_clears_the_deepest_ell_power():
     assert default_window(P1) > 2 * P1.q + 1
     assert default_window(P2) > 2 * P2.q + 1
+
+
+def test_point_member_is_cut_at_the_window():
+    # a deeper derivative grows the expansion cache past the window; the
+    # hypersurface pairs compare members with products cut off there
+    K = PointBackend(rational_point(1, seed=0))
+    K.member_d("w8", 40)
+    assert all(e < K.window for e in K.member("w8"))
+    assert [label for label, v in _hyper_backend(K) if not K.is_zero(v)] == []
+
+
+def test_checks_do_not_depend_on_call_history():
+    seed = 23
+    fresh = [(label, not v)
+             for label, v in _hyper_backend(PointBackend(rational_point(1, seed)))]
+    (K,) = backends(1, "points", 1, seed)
+    K.member_d("w8", 40)
+    K.shift_d("w6", 200)
+    verify_catalog(1, backend="points", trials=1, seed=seed)
+    assert check_rank1_remark(1, backend="points", trials=1, seed=seed).ok
+    res = check_hypersurface(1, backend="points", trials=1, seed=seed)
+    assert [(r.instance, r.ok) for r in res] == fresh
+    assert all(r.ok for r in res)
+
+
+def test_unknown_backend_raises():
+    with pytest.raises(ValueError, match="unknown backend"):
+        check_identity("nu1", "x", backend="magic")
+    with pytest.raises(ValueError, match="unknown backend"):
+        verify_catalog(1, backend="magic")
+    with pytest.raises(ValueError, match="at least one trial"):
+        check_identity("nu1", "x", backend="points", trials=0)

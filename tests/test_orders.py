@@ -7,6 +7,8 @@ the scans must land on the instantiated symbolic lists.
 
 import pytest
 
+import reecurve.orders
+from reecurve.backends import backends
 from reecurve.hasse import hasse_calculus
 from reecurve.orders import (
     D_PROOF_COLS,
@@ -123,7 +125,7 @@ def test_points_backend_e_and_frobenius_s1():
     assert fr.below_q == (0, 3, 6, 9)
 
 
-# -- level two, points backend (shared sample points via the row cache)
+# -- level two, points backend (sample points shared through backends())
 
 
 def test_points_backend_s2_matches_theory():
@@ -141,6 +143,25 @@ def test_frobenius_s2_points():
     assert fr.omitted_order == 1 and fr.omitted_index == 1
     assert set(fr.nus) == set(order_values(p, "D")) - {1}
     assert fr.below_q == (0, p.q0, 2 * p.q0, 3 * p.q0)
+
+
+def test_scans_share_one_backend_tuple(monkeypatch):
+    seen = []
+
+    def spy(*args, **kwargs):
+        Ks = backends(*args, **kwargs)
+        seen.append(Ks)
+        return Ks
+
+    monkeypatch.setattr(reecurve.orders, "backends", spy)
+    order_sequence("E", s=1, backend="points", trials=2, seed=8)
+    (K0, _K1) = seen[0]
+    rows = K0._rows
+    frobenius_orders("E", s=1, backend="points", trials=2, seed=8)
+    assert len(seen) == 3  # the scan, the Frobenius scan, the shift scan
+    assert all(Ks is seen[0] for Ks in seen)
+    assert K0._rows is rows  # member series expanded once per point
+    assert seen[0] is backends(1, "points", 2, 8, 6)
 
 
 # -- triangular proof matrices

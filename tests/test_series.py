@@ -1,6 +1,8 @@
 """Point sampling and local expansions, cross-checked against the ring."""
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -160,3 +162,12 @@ def test_power_helper_matches_repeated_multiplication():
         acc = ser_mul(acc, ell, prec)
         assert exp.power(ell, n, prec) == acc
         assert exp.ell_power(n, prec) == acc
+
+
+def test_expansions_are_freed():
+    exp = PointExpansion(rational_point(1, seed=4))
+    exp.series("z", 40)  # builds and keeps the z right-hand side
+    ref = weakref.ref(exp)
+    del exp
+    gc.collect()
+    assert ref() is None

@@ -6,7 +6,7 @@ truncated power series at seeded sample points ("points").  Both backend
 classes expose the same operations:
 
 * residual arithmetic for the identity catalog: member, member_d, shift_d,
-  qpow_d, ell_power, pow_tag, mul, add, is_zero, virtual, describe;
+  qpow_d, virtual_d, ell_power, pow_tag, mul, add, is_zero, describe;
 * row accessors for the order scans: value(name, i) is D^i of the member,
   shift_value(name, i) is D^i (f^q - f) and qpow_value(name) is f^q, as
   ring elements or as values in the residue field of the sample point.
@@ -27,7 +27,6 @@ from reecurve.ring import FAMILY_NAMES
 from reecurve.series import (
     CurvePoint,
     PointExpansion,
-    as_lift,
     hasse_shift,
     random_point,
     ser_add,
@@ -59,7 +58,7 @@ class SymbolicBackend:
         self._shift: dict[str, dict] = {}
         self._qpow: dict[str, dict] = {}
         self._ellpow: dict[int, object] = {}
-        self._virtuals: dict[tuple[str, str], _SymbolicVirtual] = {}
+        self._lifts: dict[tuple[str, str], dict] = {}
 
     def zero(self):
         return self.calc.ring.zero()
@@ -79,6 +78,14 @@ class SymbolicBackend:
         if name not in self._qpow:
             self._qpow[name] = self.calc.qshift(self.calc.table(name))
         return self._qpow[name].get(i, self.zero())
+
+    def virtual_d(self, f: str, b: str, i: int):
+        """D^i t for t^q - t = f^q0 (b^q - b); t itself is never needed."""
+        if i <= 0:
+            raise ValueError("virtual functions only expose positive indices")
+        if (f, b) not in self._lifts:
+            self._lifts[(f, b)] = self.calc.lift(f, b)
+        return self._lifts[(f, b)].get(i, self.zero())
 
     # the order scans' rows are the same exact derivatives
     value = member_d
@@ -114,50 +121,9 @@ class SymbolicBackend:
     def is_zero(self, v) -> bool:
         return v.is_zero()
 
-    def virtual(self, f: str, b: str) -> "_SymbolicVirtual":
-        if (f, b) not in self._virtuals:
-            self._virtuals[(f, b)] = _SymbolicVirtual(self, f, b)
-        return self._virtuals[(f, b)]
-
     def describe(self, v) -> str:
         terms = v.to_sorted_list()
         return f"{len(terms)} monomials, leading {terms[0] if terms else None}"
-
-
-class _SymbolicVirtual:
-    """Derivatives of t with t^q - t = f^q0 (b^q - b), i >= 1 only."""
-
-    def __init__(self, K: SymbolicBackend, f: str, b: str):
-        self.K = K
-        self.f = f
-        self.b = b
-        self._memo: dict[int, object] = {}
-
-    def _h(self, k: int):
-        # D^k h by the twisted convolution over the support of f
-        K = self.K
-        q0 = K.p.q0
-        out = K.zero()
-        for a, el in K.calc.table(self.f).items():
-            j = k - q0 * a
-            if j < 0:
-                continue
-            piece = K.shift_d(self.b, j)
-            if piece.is_zero():
-                continue
-            out = out + el.pow3k(K.s) * piece
-        return out
-
-    def d(self, i: int):
-        if i <= 0:
-            raise ValueError("virtual functions only expose positive indices")
-        if i not in self._memo:
-            q = self.K.p.q
-            val = -self._h(i)
-            if i % q == 0:
-                val = val + self.d(i // q).qpow()
-            self._memo[i] = val
-        return self._memo[i]
 
 
 def default_window(p: ReeParams) -> int:
@@ -181,7 +147,6 @@ class PointBackend:
         self.p = point.params
         self.s = point.s
         self.window = default_window(self.p) if window is None else window
-        self._virtuals: dict[tuple[str, str], _PointVirtual] = {}
         self._rows: Optional[dict[str, dict]] = None
         self._shift_rows: Optional[dict[str, dict]] = None
 
@@ -197,18 +162,17 @@ class PointBackend:
     def member_d(self, name: str, i: int):
         return self.exp.derivative_series(name, i, self.window)
 
-    def _qpow_series(self, name: str, prec: int):
-        return ser_pow3k(self.exp.series(name, -(-prec // self.p.q)), 2 * self.s + 1, prec)
-
-    def _shift_series(self, name: str, prec: int):
-        f = self.exp.series(name, prec)
-        return ser_add(self._qpow_series(name, prec), f, -1)
-
     def shift_d(self, name: str, i: int):
-        return hasse_shift(self._shift_series(name, i + self.window), i, self.window)
+        return hasse_shift(self.exp.shift_series(name, i + self.window), i, self.window)
 
     def qpow_d(self, name: str, i: int):
-        return hasse_shift(self._qpow_series(name, i + self.window), i, self.window)
+        return hasse_shift(self.exp.qpow_series(name, i + self.window), i, self.window)
+
+    def virtual_d(self, f: str, b: str, i: int):
+        """D^i t for t^q - t = f^q0 (b^q - b); t itself is never needed."""
+        if i <= 0:
+            raise ValueError("virtual functions only expose positive indices")
+        return hasse_shift(self.exp.lift(f, b, i + self.window), i, self.window)
 
     # -- rows: the i-th coefficient of a series is D^i at the point; every
     # member is expanded once to q^2 + 1, the whole range a scan reads
@@ -225,7 +189,7 @@ class PointBackend:
     def shift_value(self, name: str, i: int):
         if self._shift_rows is None:
             limit = self.p.q**2 + 1
-            self._shift_rows = {f: self._shift_series(f, limit) for f in FAMILY_NAMES}
+            self._shift_rows = {f: self.exp.shift_series(f, limit) for f in FAMILY_NAMES}
         return self._shift_rows[name].get(i, self.point.ctx.zero())
 
     def qpow_value(self, name: str):
@@ -249,41 +213,10 @@ class PointBackend:
     def is_zero(self, v) -> bool:
         return not v
 
-    def virtual(self, f: str, b: str) -> "_PointVirtual":
-        if (f, b) not in self._virtuals:
-            self._virtuals[(f, b)] = _PointVirtual(self, f, b)
-        return self._virtuals[(f, b)]
-
     def describe(self, v) -> str:
         e = min(v)
         x, y, z = (c.code() for c in self.point.coords())
         return f"t^{e} coefficient nonzero at point codes ({x},{y},{z})"
-
-
-class _PointVirtual:
-    """Series of the virtual t, up to its irrelevant constant term."""
-
-    def __init__(self, K: PointBackend, f: str, b: str):
-        self.K = K
-        self.f = f
-        self.b = b
-        self._prec = 0
-        self._ser: dict = {}
-
-    def _t_series(self, prec: int):
-        if prec <= self._prec:
-            return self._ser
-        K = self.K
-        fq0 = ser_pow3k(K.exp.series(self.f, -(-prec // K.p.q0)), K.s, prec)
-        h = ser_mul(fq0, K._shift_series(self.b, prec), prec)
-        self._prec, self._ser = prec, as_lift({}, h, K.s, prec)
-        return self._ser
-
-    def d(self, i: int):
-        if i <= 0:
-            raise ValueError("virtual functions only expose positive indices")
-        w = self.K.window
-        return hasse_shift(self._t_series(i + w), i, w)
 
 
 _BACKENDS: dict[tuple, tuple] = {}

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .identities import IDENTITY_CATALOG, verify_catalog
+from .identities import IDENTITY_CATALOG, check_window, verify_catalog
 from .orders import order_sequence
 from .params import index_value, ree_params
 from .series import origin_point, random_point, rational_point
@@ -56,6 +56,8 @@ class RunConfig:
             )
         if self.backend == "series" and self.seed is None:
             raise ValueError("the series backend needs --seed for reproducibility")
+        if 2 <= self.k <= 5:
+            raise ValueError("--k 2 to 5 names extensions that carry no new points")
 
     @property
     def internal_backend(self) -> str:
@@ -151,6 +153,11 @@ def cmd_verify(args, parser) -> int:
         for key in keys:
             if key not in known:
                 parser.error(f"unknown identity {key!r}")
+    if cfg.internal_backend == "points":
+        try:
+            check_window(cfg.s, cfg.precision)
+        except ValueError as exc:
+            parser.error(f"--precision: {exc}")
     results = verify_catalog(
         cfg.s,
         cfg.internal_backend,

@@ -414,42 +414,56 @@ def frobenius_power(a: FieldElement, k: int) -> FieldElement:
     return a.ctx.frobenius(a, k)
 
 
-def _subfield_basis(ctx: FieldContext, d: int) -> list[FieldElement]:
-    """GF(3)-basis of the fixed field of x -> x^(3^d) inside ctx."""
-    m = ctx.m
-    # columns of (Frob^d - I) acting on the power basis
-    cols = []
-    for i in range(m):
-        e = ctx.from_coeffs([0] * i + [1])
-        img = ctx.frobenius(e, d) - e
-        cols.append(img.coeffs)
-    # kernel via row-reduction of the transpose system
-    rows = [[cols[j][i] for j in range(m)] for i in range(m)]
-    pivots = {}
-    for col in range(m):
-        pr = None
-        for r in range(m):
-            if r in pivots.values():
-                continue
-            if rows[r][col]:
-                pr = r
-                break
+def _rref(rows: list[list[int]], width: int) -> list[int]:
+    """Gauss-Jordan elimination over GF(3) in place; returns the pivot columns.
+
+    Pivots come from the first width columns; later columns (a right-hand
+    side, an identity block) ride along.  Row r ends with a 1 in column
+    pivots[r] and zeros in the other pivot columns, and rows past the rank
+    are zero on the first width columns.  This reduced form is unique, so
+    a representative read off it (free coordinates zero) is too.
+    """
+    pivots: list[int] = []
+    n = len(rows)
+    for col in range(width):
+        r = len(pivots)
+        pr = next((rr for rr in range(r, n) if rows[rr][col]), None)
         if pr is None:
             continue
-        inv = pow(rows[pr][col], -1, 3)
-        rows[pr] = [(v * inv) % 3 for v in rows[pr]]
-        for r in range(m):
-            if r != pr and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [(v - f * p) % 3 for v, p in zip(rows[r], rows[pr])]
-        pivots[col] = pr
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = pow(rows[r][col], -1, 3)
+        rows[r] = [(v * inv) % 3 for v in rows[r]]
+        for rr in range(n):
+            if rr != r and rows[rr][col]:
+                f = rows[rr][col]
+                rows[rr] = [(v - f * p) % 3 for v, p in zip(rows[rr], rows[r])]
+        pivots.append(col)
+    return pivots
+
+
+def _frob_minus_one(ctx: FieldContext, k: int) -> list[list[int]]:
+    """Matrix of Frob^k - I on the power basis, one list per row."""
+    cols = []
+    for j in range(ctx.m):
+        b = FieldElement(ctx, 1 << 8 * j)
+        cols.append((ctx.frobenius(b, k) - b).coeffs)
+    return [list(row) for row in zip(*cols)]
+
+
+def _subfield_basis(ctx: FieldContext, d: int) -> list[FieldElement]:
+    """GF(3)-basis of the fixed field of x -> x^(3^d) inside ctx: the
+    kernel of Frob^d - I, one vector per free column."""
+    m = ctx.m
+    rows = _frob_minus_one(ctx, d)
+    pivots = _rref(rows, m)
     basis = []
-    free_cols = [c for c in range(m) if c not in pivots]
-    for fc in free_cols:
+    for fc in range(m):
+        if fc in pivots:
+            continue
         vec = [0] * m
         vec[fc] = 1
-        for col, r in pivots.items():
-            vec[col] = (-rows[r][fc]) % 3
+        for r, col in enumerate(pivots):
+            vec[col] = -rows[r][fc] % 3
         basis.append(ctx.from_coeffs(vec))
     return basis
 
@@ -515,46 +529,14 @@ def trace_to_subfield(a: FieldElement, d: int) -> FieldElement:
     powers = [ctx.one()]
     for _ in range(d - 1):
         powers.append(powers[-1] * root)
-    rows = [[powers[j].coeffs[i] for j in range(d)] for i in range(ctx.m)]
-    rhs = list(total.coeffs)
-    sol = _solve_gf3(rows, rhs)
-    if sol is None:
+    rows = [list(row) for row in zip(*(pw.coeffs for pw in powers), total.coeffs)]
+    pivots = _rref(rows, d)
+    if any(row[d] for row in rows[len(pivots):]):
         raise ArithmeticError("trace not in subfield span")
+    sol = [0] * d
+    for r, col in enumerate(pivots):
+        sol[col] = rows[r][d]
     return sub.from_coeffs(sol)
-
-
-def _solve_gf3(rows: list[list[int]], rhs: list[int]) -> Optional[list[int]]:
-    """Solve a GF(3) linear system; deterministic representative, or None."""
-    nr, nc = len(rows), len(rows[0]) if rows else 0
-    aug = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pr = None
-        for rr in range(r, nr):
-            if aug[rr][c]:
-                pr = rr
-                break
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = pow(aug[r][c], -1, 3)
-        aug[r] = [(v * inv) % 3 for v in aug[r]]
-        for rr in range(nr):
-            if rr != r and aug[rr][c]:
-                f = aug[rr][c]
-                aug[rr] = [(v - f * p) % 3 for v, p in zip(aug[rr], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    for rr in range(r, nr):
-        if aug[rr][nc]:
-            return None
-    sol = [0] * nc
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][nc]
-    return sol
 
 
 def solve_artin_schreier(c: FieldElement, q: int) -> Optional[FieldElement]:
@@ -576,30 +558,14 @@ def solve_artin_schreier(c: FieldElement, q: int) -> Optional[FieldElement]:
         raise ValueError("exponent of q must divide field degree")
     if e not in ctx._as_cache:
         # factor the elimination once: row-reduce [A | I] so each solve is
-        # one transform application (the pivot order matches _solve_gf3, so
-        # the echelon representative is unchanged)
+        # one transform application; transform row r applied to a solvable
+        # c gives row r of the reduced [A | c], so the representative is
+        # the one with free coordinates zero
         m = ctx.m
-        cols = []
-        for i in range(m):
-            b = ctx.from_coeffs([0] * i + [1])
-            img = ctx.frobenius(b, e) - b
-            cols.append(img.coeffs)
-        aug = [[cols[j][i] for j in range(m)] + [int(k == i) for k in range(m)] for i in range(m)]
-        pivots = []
-        r = 0
-        for col in range(m):
-            pr = next((rr for rr in range(r, m) if aug[rr][col]), None)
-            if pr is None:
-                continue
-            aug[r], aug[pr] = aug[pr], aug[r]
-            inv = pow(aug[r][col], -1, 3)
-            aug[r] = [(v * inv) % 3 for v in aug[r]]
-            for rr in range(m):
-                if rr != r and aug[rr][col]:
-                    f = aug[rr][col]
-                    aug[rr] = [(v - f * p) % 3 for v, p in zip(aug[rr], aug[r])]
-            pivots.append(col)
-            r += 1
+        aug = _frob_minus_one(ctx, e)
+        for i, row in enumerate(aug):
+            row += [int(k == i) for k in range(m)]
+        pivots = _rref(aug, m)
         # transform row r yields solution coordinate pivots[r]; the rows past
         # the rank are solvability checks, packed into bytes m and up
         slots = pivots + list(range(m, 2 * m - len(pivots)))

@@ -10,12 +10,15 @@ derivative is exactly zero.  Indices above q^2 are outside the calculus and
 are truncated away.
 
 Tables for the fourteen spanning functions are assembled along the shared
-construction DAG, with the y and z tables seeded through
+construction DAG.  The y and z tables are Artin-Schreier lifts: a function
+t with t^q - t = h, h = f^q0 (b^q - b), has
 
-    D^i y = -D^i h - (D^{i/q} h)^q,  h = x^q0 (x^q - x),
+    D^i t = -D^i h + (D^{i/q} t)^q   (the second term only when q | i),
 
-and its z analogue.  Cubing a table is cheap (indices triple, coefficients
-cube), which keeps the q0-power towers inexpensive.
+for i >= 1, since D^i (t^q) is (D^{i/q} t)^q or zero.  y is the lift with
+f = b = x and z the lift with f = x, b = y.  Cubing a table is cheap
+(indices triple, coefficients cube), which keeps the q0-power towers
+inexpensive.
 """
 
 from __future__ import annotations
@@ -138,36 +141,20 @@ class HasseCalculus:
             self._xpow[n] = tbl
         return self._xpow[n]
 
-    def _seed_coordinate(self, name: str) -> Table:
-        # h = x^q0 * (x^q - x) for y; h = x^q0 * (y^q - y) for z
-        ring = self.ring
-        q, q0 = self.p.q, self.p.q0
-        xq0: Table = {0: ring.monomial(q0, 0, 0), q0: ring.one()}
-        if name == "y":
-            ell_tbl: Table = {0: ring.ell(), 1: ring.const(-1), q: ring.one()}
-            h = self.t_mul(xq0, ell_tbl)
-            base = ring.y()
-        else:
-            ytbl = self.table("y")
-            shift_y = self.t_add(self.qshift(ytbl), ytbl, sign=-1)
-            h = self.t_mul(xq0, shift_y)
-            base = ring.z()
-        cands = set()
-        for i in h:
-            for mult in (1, q, q * q):
-                j = i * mult
-                if 1 <= j <= self.limit:
-                    cands.add(j)
-        tbl: Table = {0: base}
-        for i in sorted(cands):
-            val = self.ring.zero()
-            if i in h:
-                val = val - h[i]
-            if i % q == 0 and (i // q) in tbl:
-                val = val + tbl[i // q].qpow()
+    def lift(self, f: str, b: str) -> Table:
+        """D^i t for 1 <= i <= q^2, where t^q - t = f^q0 (b^q - b); t is never needed."""
+        q, zero = self.p.q, self.ring.zero()
+        h = self.t_mul(self.t_pow3k(self.table(f), self.p.s), self.shift_table(b))
+        # D^i t is nonzero only at i = j*q^k with D^j h nonzero; i <= q^2 keeps k <= 2
+        cands = {i * q**k for i in h if i for k in range(3)}
+        out: Table = {}
+        for i in sorted(c for c in cands if c <= self.limit):
+            val = zero - h.get(i, zero)
+            if i % q == 0 and i // q in out:
+                val = val + out[i // q].qpow()
             if not val.is_zero():
-                tbl[i] = val
-        return tbl
+                out[i] = val
+        return out
 
     def table(self, name: str) -> Table:
         if name not in self._tbl:
@@ -177,10 +164,9 @@ class HasseCalculus:
             elif name == "x":
                 self._tbl[name] = {0: ring.x(), 1: ring.one()}
             elif name == "y":
-                self._tbl[name] = self._seed_coordinate("y")
+                self._tbl[name] = {0: ring.y()} | self.lift("x", "x")
             elif name == "z":
-                self.table("y")
-                self._tbl[name] = self._seed_coordinate("z")
+                self._tbl[name] = {0: ring.z()} | self.lift("x", "y")
             else:
                 s = self.p.s
                 for nm in RECIPE_ORDER:

@@ -33,12 +33,14 @@ from typing import Optional
 from reecurve.backends import (
     PointBackend,
     SymbolicBackend,
+    _pow_count,
     backends,
     default_window,
     sample_count,
 )
 from reecurve.gf import frobenius_power
 from reecurve.params import (
+    ReeParams,
     SymbolicIndex,
     index_value,
     ree_params,
@@ -57,6 +59,7 @@ __all__ = [
     "identity_catalog",
     "check_identity",
     "verify_catalog",
+    "check_window",
     "check_hypersurface",
     "check_rank1_remark",
     "osculating_functions",
@@ -789,11 +792,10 @@ def collision_exclusions() -> list[tuple[str, str, str]]:
 def _evaluate(expr: tuple, K, roles: dict):
     op = expr[0]
     if op == "d":
-        target = roles[expr[1]]
         i = index_value(expr[2], K.p)
         if expr[1] == "t":
-            return target.d(i)
-        return K.member_d(target, i)
+            return K.virtual_d(roles["f"], roles["b"], i)
+        return K.member_d(roles[expr[1]], i)
     if op == "dshift":
         return K.shift_d(roles[expr[1]], index_value(expr[2], K.p))
     if op == "dqpow":
@@ -815,11 +817,42 @@ def _evaluate(expr: tuple, K, roles: dict):
     raise ValueError(f"unknown expression node {op!r}")
 
 
-def _bind(spec: IdentitySpec, roles: dict[str, str], K) -> dict:
-    bound: dict = dict(roles)
-    if spec.group == "type2":
-        bound["t"] = K.virtual(roles["f"], roles["b"])
-    return bound
+def _ell_depth(expr: tuple, p: ReeParams) -> int:
+    """Largest ell exponent carried by a term of expr."""
+    op = expr[0]
+    if op == "ell":
+        return index_value(expr[1], p)
+    if op == "pw":
+        return _ell_depth(expr[1], p) * 3 ** _pow_count(expr[2], p.s)
+    if op == "mul":
+        return sum(_ell_depth(sub, p) for sub in expr[1:])
+    if op == "sum":
+        return max(_ell_depth(sub, p) for _sign, sub in expr[1:])
+    return 0
+
+
+def check_window(s: int, window: Optional[int]) -> None:
+    """Refuse a series window that would hide catalog terms.
+
+    At rational points ell has valuation one, so a term carrying ell^n
+    starts at t^n: the window must reach past the deepest such product,
+    2q+1 at every level.  None, the default window, always does.
+    """
+    p = ree_params(s)
+    low = 1 + max(
+        _ell_depth(expr, p) for spec in IDENTITY_CATALOG for _sub, expr in spec.residuals
+    )
+    if window is not None and window < low:
+        raise ValueError(
+            f"series window {window} is shorter than {low}, the least that "
+            f"keeps the deepest ell power of the catalog at s={s}"
+        )
+
+
+def _route(s: int, backend: str, trials: int, seed: int, window: Optional[int]) -> tuple:
+    if backend == "points":
+        check_window(s, window)
+    return backends(s, backend, trials, seed, window=window)
 
 
 @dataclass(frozen=True)
@@ -835,9 +868,8 @@ class CheckResult:
 
 def _check_on_backend(spec: IdentitySpec, roles: dict, K) -> Optional[str]:
     """None when every residual vanishes, else a witness string."""
-    bound = _bind(spec, roles, K)
     for sublabel, expr in spec.residuals:
-        val = _evaluate(expr, K, bound)
+        val = _evaluate(expr, K, roles)
         if not K.is_zero(val):
             where = f" [{sublabel}]" if sublabel else ""
             return f"{spec.key}{where}: {K.describe(val)}"
@@ -882,7 +914,7 @@ def check_identity(
         roles = {"w": subject[0], "f": subject[1]}
     else:
         roles = {"f": subject[0], "b": subject[1]}
-    return _verdict(spec, roles, backends(s, backend, trials, seed, window=window))
+    return _verdict(spec, roles, _route(s, backend, trials, seed, window))
 
 
 def verify_catalog(
@@ -901,7 +933,7 @@ def verify_catalog(
         missing = wanted - {sp.key for sp in specs}
         if missing:
             raise KeyError(f"unknown identity keys: {sorted(missing)}")
-    Ks = backends(s, backend, trials, seed, window=window)
+    Ks = _route(s, backend, trials, seed, window)
     return [_verdict(spec, roles, Ks) for spec in specs for roles in instances_for(spec)]
 
 
@@ -979,7 +1011,7 @@ def check_hypersurface(
     seed: int = 0,
     window: Optional[int] = None,
 ) -> list[CheckResult]:
-    Ks = backends(s, backend, trials, seed, window=window)
+    Ks = _route(s, backend, trials, seed, window)
     results: dict[str, CheckResult] = {}
     for K in Ks:
         for label, v in _hyper_backend(K):
@@ -1006,7 +1038,7 @@ def check_rank1_remark(
     shared factor ell nonzero, which is how it is checked.
     """
     spec = _catalog_map()["nu1"]
-    Ks = backends(s, backend, trials, seed, window=window)
+    Ks = _route(s, backend, trials, seed, window)
     for name in FAMILY_NAMES:
         r = _verdict(spec, {"f": name}, Ks)
         if not r.ok:

@@ -2,9 +2,10 @@
 
 Every triple over the base field satisfies both defining equations (each
 right-hand side vanishes there), so rational points can be sampled
-uniformly.  Points with non-rational x live over extensions of degree at
-least three and are found by rejection on the two Artin-Schreier
-solvability conditions; degree two is impossible, see random_point.
+uniformly.  Extensions of degree two through five carry no further
+points, see random_point; points with non-rational x live over extensions
+of degree six and up and are found by rejection on the two Artin-Schreier
+solvability conditions.
 
 At an affine point the coordinate x - x(P) is a uniformizer, and the i-th
 coefficient of the expansion of f is exactly the i-th Hasse derivative of
@@ -46,7 +47,6 @@ __all__ = [
     "ser_mul",
     "ser_pow3k",
     "hasse_shift",
-    "as_lift",
 ]
 
 Series = dict[int, FieldElement]
@@ -117,22 +117,6 @@ def hasse_shift(a: Series, i: int, prec: int) -> Series:
             continue
         out[e - i] = c if bc == 1 else -c
     return out
-
-
-def as_lift(out: Series, h: Series, s: int, prec: int) -> Series:
-    """out - sum_j (h - h(0))^(q^j), q = 3^(2s+1), for exponents < prec.
-
-    The sum telescopes under the q-power, so this solves t^q - t = h in
-    t-adic series up to the constant term, which is taken from out.
-    """
-    hd = {e: c for e, c in h.items() if e != 0}
-    k = 0
-    while True:
-        term = ser_pow3k(hd, k, prec)
-        if not term:
-            return out
-        out = ser_add(out, term, -1)
-        k += 2 * s + 1
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +223,8 @@ def random_point(s: int, seed: int, extension: int = 1) -> CurvePoint:
 class PointExpansion:
     """Truncated expansions of all spanning functions at one point.
 
-    y and z have closed forms: with h = x^q0 * (x^q - x) the series of y
-    is y(P) - sum_j (h - h(0))^(q^j), since the sum telescopes under the
-    q-power; z is the same with h replaced by x^q0 * h.  The remaining
+    y and z are Artin-Schreier lifts (see lift): y is the centre y(P) plus
+    lift("x", "x") and z is z(P) plus lift("x", "y").  The remaining
     members fold the construction recipes, so the per-coefficient work
     stays polynomial in the number of retained terms.
     """
@@ -252,7 +235,7 @@ class PointExpansion:
         self.p = point.params
         self.s = point.s
         self._cache: dict[str, tuple[int, Series]] = {}
-        self._rhs: dict[int, Series] = {}
+        self._lifts: dict[tuple[str, str], tuple[int, Series]] = {}
 
     # -- exact polynomial ingredients
 
@@ -267,24 +250,6 @@ class PointExpansion:
             out[0] = l0
         return out
 
-    def _rhs_poly(self, which: int) -> Series:
-        """x^q0 * ell for the y equation, x^q0 * that for the z equation."""
-        if which not in self._rhs:
-            xq0: Series = {
-                0: frobenius_power(self.point.x, self.s),
-                self.p.q0: self.ctx.one(),
-            }
-            h = ser_mul(xq0, self.ell_series(), self.p.q + self.p.q0 + 1)
-            if which == 2:
-                h = ser_mul(xq0, h, self.p.q + 2 * self.p.q0 + 1)
-            self._rhs[which] = h
-        return self._rhs[which]
-
-    def _coord_series(self, name: str, prec: int) -> Series:
-        centre = self.point.y if name == "y" else self.point.z
-        out: Series = {} if centre.is_zero() else {0: centre}
-        return as_lift(out, self._rhs_poly(1 if name == "y" else 2), self.s, prec)
-
     # -- members
 
     def series(self, name: str, prec: int) -> Series:
@@ -297,7 +262,9 @@ class PointExpansion:
         elif name == "x":
             out = self.x_series()
         elif name in ("y", "z"):
-            out = self._coord_series(name, prec)
+            centre = self.point.y if name == "y" else self.point.z
+            out = {} if centre.is_zero() else {0: centre}
+            out |= self.lift("x", "x" if name == "y" else "y", prec)
         else:
             out = {}
             for sign, left, right, tag in RECIPES[name]:
@@ -306,6 +273,35 @@ class PointExpansion:
                 term = ser_mul(self.series(left, prec), ser_pow3k(sub, k, prec), prec)
                 out = ser_add(out, term, sign)
         self._cache[name] = (prec, out)
+        return out
+
+    def qpow_series(self, name: str, prec: int) -> Series:
+        """Expansion of f^q, exact on exponents < prec."""
+        return ser_pow3k(self.series(name, -(-prec // self.p.q)), 2 * self.s + 1, prec)
+
+    def shift_series(self, name: str, prec: int) -> Series:
+        """Expansion of f^q - f, exact on exponents < prec; terms past prec are not."""
+        return ser_add(self.qpow_series(name, prec), self.series(name, prec), -1)
+
+    def lift(self, f: str, b: str, prec: int) -> Series:
+        """Expansion of t with t^q - t = h, h = f^q0 (b^q - b), less t(P).
+
+        The sum -sum_j (h - h(0))^(q^j) telescopes under the q-power, so it
+        solves the equation up to the constant term; exact on exponents
+        < prec, and like series it may return more.
+        """
+        cached = self._lifts.get((f, b))
+        if cached is not None and cached[0] >= prec:
+            return cached[1]
+        fq0 = ser_pow3k(self.series(f, -(-prec // self.p.q0)), self.s, prec)
+        h = ser_mul(fq0, self.shift_series(b, prec), prec)
+        h.pop(0, None)
+        out: Series = {}
+        k = 0
+        while term := ser_pow3k(h, k, prec):
+            out = ser_add(out, term, -1)
+            k += 2 * self.s + 1
+        self._lifts[(f, b)] = (prec, out)
         return out
 
     def coefficient(self, name: str, i: int) -> FieldElement:

@@ -48,6 +48,22 @@ def test_series_backend_requires_seed():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_extension_without_points_is_usage_error(k):
+    with pytest.raises(SystemExit) as exc:
+        main(["orders", "--s", "1", "--backend", "series", "--seed", "0", "--k", str(k)])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("s,window", [(1, 55), (2, 1), (2, 487)])
+def test_short_series_window_is_usage_error(s, window):
+    # 2q+1 or less truncates the catalog's ell^(2q+1) terms away
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--s", str(s), "--backend", "series", "--seed", "0",
+              "--precision", str(window)])
+    assert exc.value.code == 2
+
+
 def test_unknown_identity_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--identity", "ZZZ"])
@@ -188,6 +204,9 @@ GOLDEN_REPORTS = [
       "--trials", "2"]),
     # the exact route
     ("verify_s1_symbolic.json", ["verify", "--s", "1"]),
+    # the point virtual together with the lowest level's collision skips
+    ("verify_s1_series_seed0.json",
+     ["verify", "--s", "1", "--backend", "series", "--seed", "0"]),
     ("orders_s1_E_symbolic.json", ["orders", "--s", "1", "--series", "E"]),
 ]
 

@@ -102,20 +102,21 @@ def test_trace_to_prime_field():
     assert images == {0, 1, 2}
 
 
-def test_trace_to_intermediate_field():
-    # Tr: GF(3^6) -> GF(3^2) is GF(9)-linear and surjective
-    ctx = field_context(6)
-    sub = field_context(2)
+@pytest.mark.parametrize("m,d", [(6, 2), (6, 3)])
+def test_trace_to_intermediate_field(m, d):
+    # Tr: GF(3^m) -> GF(3^d) is GF(3^d)-linear and surjective
+    ctx = field_context(m)
+    sub = field_context(d)
     seen = set()
     rng = random.Random(11)
     for _ in range(200):
         a = ctx.random_element(rng)
-        tr = trace_to_subfield(a, 2)
+        tr = trace_to_subfield(a, d)
+        assert tr.ctx is sub
         seen.add(tr.code())
-        # transitivity: Tr_{9->3}(Tr_{729->9}(a)) == Tr_{729->3}(a)
+        # transitivity: Tr_{3^d->3}(Tr_{3^m->3^d}(a)) == Tr_{3^m->3}(a)
         assert trace_to_subfield(tr, 1) == trace_to_subfield(a, 1)
-    assert seen == set(range(9))
-    assert sub.order == 9
+    assert seen == set(range(sub.order))
 
 
 @pytest.mark.parametrize("m,e", [(2, 1), (3, 1), (6, 1), (6, 2), (6, 3)])
@@ -160,6 +161,63 @@ def test_artin_schreier_solvable_iff_trace_zero():
         solvable = solve_artin_schreier(c, 3) is not None
         tr_zero = trace_to_subfield(c, 1).is_zero()
         assert solvable == tr_zero
+
+
+def _solve_gf3(rows, rhs):
+    """Solve a GF(3) linear system; deterministic representative, or None."""
+    nr, nc = len(rows), len(rows[0]) if rows else 0
+    aug = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
+    pivots = []
+    r = 0
+    for c in range(nc):
+        pr = None
+        for rr in range(r, nr):
+            if aug[rr][c]:
+                pr = rr
+                break
+        if pr is None:
+            continue
+        aug[r], aug[pr] = aug[pr], aug[r]
+        inv = pow(aug[r][c], -1, 3)
+        aug[r] = [(v * inv) % 3 for v in aug[r]]
+        for rr in range(nr):
+            if rr != r and aug[rr][c]:
+                f = aug[rr][c]
+                aug[rr] = [(v - f * p) % 3 for v, p in zip(aug[rr], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    for rr in range(r, nr):
+        if aug[rr][nc]:
+            return None
+    sol = [0] * nc
+    for i, c in enumerate(pivots):
+        sol[c] = aug[i][nc]
+    return sol
+
+
+@pytest.mark.parametrize("m,e", [(6, 1), (6, 2), (6, 3), (18, 3), (30, 5)])
+def test_artin_schreier_returns_the_reference_representative(m, e):
+    # the solver's factored elimination against a plain solve of
+    # (Frob^e - I) u = c, free coordinates zero
+    ctx = field_context(m)
+    cols = []
+    for j in range(m):
+        b = ctx.from_coeffs([0] * j + [1])
+        cols.append((frobenius_power(b, e) - b).coeffs)
+    rows = [[col[i] for col in cols] for i in range(m)]
+    rng = random.Random(f"as-reference:{m}:{e}")
+    for _ in range(40):
+        v = ctx.random_element(rng)
+        # a random c, mostly unsolvable, and one that is solvable
+        for c in (ctx.random_element(rng), frobenius_power(v, e) - v):
+            want = _solve_gf3(rows, list(c.coeffs))
+            got = solve_artin_schreier(c, 3**e)
+            if want is None:
+                assert got is None
+            else:
+                assert got is not None and got.coeffs == tuple(want)
 
 
 def test_artin_schreier_rejects_bad_q():

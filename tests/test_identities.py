@@ -19,6 +19,7 @@ from reecurve.identities import (
     check_hypersurface,
     check_identity,
     check_rank1_remark,
+    check_window,
     collision_exclusions,
     default_window,
     identity_catalog,
@@ -249,6 +250,15 @@ def test_support_consistency_is_clean():
 def test_window_clears_the_deepest_ell_power():
     assert default_window(P1) > 2 * P1.q + 1
     assert default_window(P2) > 2 * P2.q + 1
+    for s in (1, 2, 3):
+        p = ree_params(s)
+        check_window(s, None)
+        check_window(s, 2 * p.q + 2)
+        check_window(s, default_window(p))
+        with pytest.raises(ValueError, match="series window"):
+            check_window(s, 2 * p.q + 1)
+    with pytest.raises(ValueError, match="series window"):
+        verify_catalog(2, "points", seed=0, window=1)
 
 
 def test_point_member_is_cut_at_the_window():

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from reecurve.gf import field_context, frobenius_power
 from reecurve.hasse import binom_mod3, hasse_calculus
-from reecurve.params import ree_params
+from reecurve.identities import IDENTITY_CATALOG, TYPE2_PAIRS, _d_leaves
+from reecurve.params import index_value, ree_params
 from reecurve.ring import FAMILY_NAMES, function_family
 from reecurve.series import (
     CurvePoint,
@@ -135,6 +136,22 @@ def test_cross_backend_agreement_on_seeded_triples():
         k = rng.randrange(len(points))
         sym = calc.derivative_of(name, i).evaluate(*points[k].coords())
         assert expansions[k].coefficient(name, i) == sym, (name, i, k)
+    # the virtual t of every shifted-product pair at the catalog's indices:
+    # the table lift against the series lift
+    leaves = []
+    for spec in IDENTITY_CATALOG:
+        if spec.group == "type2":
+            for _sub, expr in spec.residuals:
+                _d_leaves(expr, leaves)
+    t_indices = sorted({index_value(ix, p) for role, ix in leaves if role == "t"})
+    zero = calc.ring.zero()
+    for f, b in TYPE2_PAIRS:
+        lifted = calc.lift(f, b)
+        for P, exp in zip(points, expansions):
+            for i in t_indices:
+                sym = lifted.get(i, zero).evaluate(*P.coords())
+                got = exp.lift(f, b, i + 1).get(i, P.ctx.zero())
+                assert got == sym, (f, b, i, P.coords())
 
 
 def test_derivative_series_window_matches_coefficients():
@@ -166,7 +183,7 @@ def test_power_helper_matches_repeated_multiplication():
 
 def test_expansions_are_freed():
     exp = PointExpansion(rational_point(1, seed=4))
-    exp.series("z", 40)  # builds and keeps the z right-hand side
+    exp.series("z", 40)  # builds and keeps the lifts behind y and z
     ref = weakref.ref(exp)
     del exp
     gc.collect()

@@ -18,18 +18,17 @@ from reecurve.identities import IDENTITY_CATALOG, verify_catalog
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--s", type=int, default=1)
-    ap.add_argument("--backend", choices=("symbolic", "points"), default=None)
+    ap.add_argument("--backend", choices=("symbolic", "points"), default="symbolic")
     ap.add_argument("--trials", type=int, default=3)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--window", type=int, default=None)
     args = ap.parse_args()
 
-    backend = args.backend or ("symbolic" if args.s == 1 else "points")
     rows = []
     failures = 0
     for spec in IDENTITY_CATALOG:
         t0 = time.time()
-        res = verify_catalog(args.s, backend, keys=[spec.key],
+        res = verify_catalog(args.s, args.backend, keys=[spec.key],
                              trials=args.trials, seed=args.seed,
                              window=args.window)
         dt = time.time() - t0
@@ -39,7 +38,7 @@ def main() -> int:
         rows.append((dt, spec.key, len(res), bad, skipped))
 
     rows.sort(reverse=True)
-    print(f"s={args.s} backend={backend} trials={args.trials} seed={args.seed}")
+    print(f"s={args.s} backend={args.backend} trials={args.trials} seed={args.seed}")
     print(f"{'identity':14} {'instances':>9} {'failed':>6} {'skipped':>7} {'secs':>8}")
     for dt, key, n, bad, skipped in rows:
         print(f"{key:14} {n:>9d} {bad:>6d} {skipped:>7d} {dt:>8.3f}")

@@ -1,19 +1,20 @@
-"""One backend object per route, shared by the identity checks and the order scans.
+"""One backend object per route, shared by identity checks, order scans and profiles.
 
 A route evaluates Hasse derivatives of the family members in one of two
 ways: exactly, as normal forms in the coordinate ring ("symbolic"), or as
-truncated power series at seeded sample points ("points").  Both backend
-classes expose the same operations:
+truncated power series at seeded sample points ("points").  Both routes
+run at every level, and both backend classes expose the same operations:
 
 * residual arithmetic for the identity catalog: member, member_d, shift_d,
   qpow_d, virtual_d, ell_power, pow_tag, mul, add, is_zero, describe;
-* row accessors for the order scans: value(name, i) is D^i of the member,
+* row accessors for the rank scans: value(name, i) is D^i of the member,
   shift_value(name, i) is D^i (f^q - f) and qpow_value(name) is f^q, as
   ring elements or as values in the residue field of the sample point.
 
-backends() builds them and is their only cache, so every caller asking for
-one route gets one tuple: points are sampled, and series and derivative
-tables expanded, once per process.
+backends() builds a route's backends and is their only cache, so every
+caller asking for one route gets one tuple: points are sampled, and series
+and derivative tables expanded, once per process.  A vanishing profile or
+the osculating functions at a given point read a PointBackend of that point.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import Optional
 from reecurve.gf import frobenius_power
 from reecurve.hasse import HasseCalculus, hasse_calculus
 from reecurve.params import ReeParams, ree_params
-from reecurve.ring import FAMILY_NAMES
 from reecurve.series import (
     CurvePoint,
     PointExpansion,
@@ -47,11 +47,6 @@ class SymbolicBackend:
     kind = "symbolic"
 
     def __init__(self, s: int):
-        if s != 1:
-            raise ValueError(
-                "backend unavailable for requested s "
-                "(symbolic restricted to s=1 by resource policy)"
-            )
         self.calc: HasseCalculus = hasse_calculus(s)
         self.p: ReeParams = self.calc.p
         self.s = s
@@ -103,8 +98,12 @@ class SymbolicBackend:
                 self._ellpow[n] = self.calc.ring.one()
             elif n == 1:
                 self._ellpow[n] = self.calc.ring.ell()
+            elif n == 2:
+                self._ellpow[n] = self.ell_power(1) * self.ell_power(1)
             else:
-                self._ellpow[n] = self.ell_power(n - 1) * self.ell_power(1)
+                # base-3 digits, as PointExpansion.power: ell^(3a+d) = (ell^a)^3 ell^d
+                a, d = divmod(n, 3)
+                self._ellpow[n] = self.ell_power(a).pow3k(1) * self.ell_power(d)
         return self._ellpow[n]
 
     def pow_tag(self, v, tag: str):
@@ -141,14 +140,19 @@ class PointBackend:
 
     kind = "points"
 
-    def __init__(self, point: CurvePoint, window: Optional[int] = None):
+    def __init__(
+        self, point: CurvePoint, window: Optional[int] = None, depth: Optional[int] = None
+    ):
         self.point = point
         self.exp = PointExpansion(point)
         self.p = point.params
         self.s = point.s
         self.window = default_window(self.p) if window is None else window
-        self._rows: Optional[dict[str, dict]] = None
-        self._shift_rows: Optional[dict[str, dict]] = None
+        # member rows cover the indices below depth: q^2 + 1 holds every
+        # order candidate, a vanishing profile needs m + 1
+        self.depth = self.p.q**2 + 1 if depth is None else depth
+        self._rows: dict[str, dict] = {}
+        self._shift_rows: dict[str, dict] = {}
 
     def zero(self):
         return {}
@@ -174,22 +178,25 @@ class PointBackend:
             raise ValueError("virtual functions only expose positive indices")
         return hasse_shift(self.exp.lift(f, b, i + self.window), i, self.window)
 
-    # -- rows: the i-th coefficient of a series is D^i at the point; every
-    # member is expanded once to q^2 + 1, the whole range a scan reads
+    # -- rows: the i-th coefficient of a series is D^i at the point; each
+    # member is expanded on first use, once
 
-    def _member_rows(self) -> dict[str, dict]:
-        if self._rows is None:
-            limit = self.p.q**2 + 1
-            self._rows = {f: self.exp.series(f, limit) for f in FAMILY_NAMES}
-        return self._rows
+    def row(self, name: str) -> dict:
+        """The member's series below the depth: where its rows are nonzero."""
+        if name not in self._rows:
+            ser = self.exp.series(name, self.depth)
+            self._rows[name] = {e: c for e, c in ser.items() if e < self.depth}
+        return self._rows[name]
 
     def value(self, name: str, i: int):
-        return self._member_rows()[name].get(i, self.point.ctx.zero())
+        return self.row(name).get(i, self.point.ctx.zero())
 
     def shift_value(self, name: str, i: int):
-        if self._shift_rows is None:
-            limit = self.p.q**2 + 1
-            self._shift_rows = {f: self.exp.shift_series(f, limit) for f in FAMILY_NAMES}
+        """D^i (f^q - f) at the point for i < q, all the morphism scan reads."""
+        if i >= self.p.q:
+            raise ValueError("shift rows stop below q")
+        if name not in self._shift_rows:
+            self._shift_rows[name] = self.exp.shift_series(name, self.p.q)
         return self._shift_rows[name].get(i, self.point.ctx.zero())
 
     def qpow_value(self, name: str):

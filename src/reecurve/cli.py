@@ -50,10 +50,6 @@ class RunConfig:
             raise ValueError("s must be a positive integer")
         if self.backend not in _BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
-        if self.backend == "symbolic" and self.s != 1:
-            raise ValueError(
-                "the symbolic backend is limited to s=1; pass --backend series"
-            )
         if self.backend == "series" and self.seed is None:
             raise ValueError("the series backend needs --seed for reproducibility")
         if 2 <= self.k <= 5:
@@ -79,6 +75,16 @@ def _positive(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
+
+
+# options of the commands that run a route, by name
+_RUN_OPTIONS = {
+    "backend": dict(choices=("symbolic", "series"), default="symbolic"),
+    "seed": dict(type=int, default=None),
+    "trials": dict(type=_positive, default=3),
+    "k": dict(type=_positive, default=6, help="extension degree for sampled points"),
+    "precision": dict(type=_positive, default=None),
+}
 
 
 def _config(args, parser) -> RunConfig:
@@ -304,7 +310,7 @@ def cmd_weierstrass(args, parser) -> int:
     else:
         pt = random_point(cfg.s, seed=cfg.seed or 0, extension=cfg.k)
         seed_used = cfg.seed or 0
-    prof = vanishing_orders(args.series, pt, prec=cfg.precision)
+    prof = vanishing_orders(args.series, pt)
     audit = divisor_degree_audit(ree_params(cfg.s), args.series)
     payload = {
         "command": "weierstrass",
@@ -346,15 +352,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, backend_default="symbolic", seed_default=None):
+    def add_common(sp, unread=(), **defaults):
+        """The run options; a command leaves out those in unread.
+
+        argparse then refuses them, and the report echoes their defaults.
+        """
         sp.add_argument("--s", type=_positive, default=1, help="tower level (q = 3^(2s+1))")
-        sp.add_argument("--backend", choices=("symbolic", "series"), default=backend_default)
-        sp.add_argument("--seed", type=int, default=seed_default)
-        sp.add_argument("--trials", type=_positive, default=3)
-        sp.add_argument("--k", type=_positive, default=6, help="extension degree for sampled points")
-        sp.add_argument("--precision", type=_positive, default=None)
+        for name, spec in _RUN_OPTIONS.items():
+            if name not in unread:
+                sp.add_argument(f"--{name}", **spec)
         sp.add_argument("--format", choices=("json", "text", "csv"), default="json")
         sp.add_argument("--out", default=None)
+        sp.set_defaults(**{name: _RUN_OPTIONS[name]["default"] for name in unread} | defaults)
 
     sp = sub.add_parser("params", help="numeric invariants of the curve at level s")
     sp.add_argument("--s", type=_positive, default=1)
@@ -363,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cmd_params)
 
     sp = sub.add_parser("verify", help="run the differential identity suite")
-    add_common(sp)
+    add_common(sp, unread=("k",))
     sp.add_argument(
         "--identity",
         action="append",
@@ -373,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cmd_verify)
 
     sp = sub.add_parser("orders", help="generic order sequence of a linear series")
-    add_common(sp)
+    add_common(sp, unread=("precision",))
     sp.add_argument("--series", choices=("D", "E"), default="D")
     sp.set_defaults(handler=cmd_orders)
 
@@ -384,9 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cmd_support)
 
     sp = sub.add_parser("weierstrass", help="vanishing profile and weight at a point")
-    # profiles are always series computations, so the series backend is
-    # the natural default here and the origin needs no sampling seed
-    add_common(sp, backend_default="series", seed_default=0)
+    # profiles are always series computations at one point, so the
+    # echoed backend is series and the origin needs no sampling seed
+    add_common(sp, unread=("backend", "trials", "precision"), backend="series", seed=0)
     sp.add_argument("--series", choices=("D", "E"), default="D")
     sp.add_argument("--point", choices=("origin", "rational", "generic"), default="origin")
     sp.set_defaults(handler=cmd_weierstrass)

@@ -47,7 +47,7 @@ from reecurve.params import (
     symbolic_from_value,
 )
 from reecurve.ring import FAMILY_NAMES, SUBFAMILY_NAMES, function_family
-from reecurve.series import CurvePoint, PointExpansion, ser_add, ser_pow3k
+from reecurve.series import CurvePoint, ser_add
 from reecurve.support import member_support, support_values
 
 __all__ = [
@@ -1056,18 +1056,16 @@ def osculating_functions(P: CurvePoint, precision: Optional[int] = None):
     an exact q^2-th power.  Both vanish at P to order at least q^2.
     """
     p = P.params
-    prec = p.q**2 + 1 if precision is None else precision
-    exp = PointExpansion(P)
+    K = PointBackend(P, window=p.q**2 + 1 if precision is None else precision)
     e2 = 2 * (2 * P.s + 1)
-    names = SUBFAMILY_NAMES
-    values = [exp.coefficient(name, 0) for name in names]
+    members = [K.member(name) for name in SUBFAMILY_NAMES]
+    values = [ser.get(0, P.ctx.zero()) for ser in members]
     g: dict = {}
     h: dict = {}
-    for i, name in enumerate(names):
+    for i, ser in enumerate(members):
         cg = frobenius_power(values[i], e2)
-        partner = exp.series(names[6 - i], prec)
-        g = ser_add(g, {e: cg * c for e, c in partner.items()}, 1)
-        fq2 = ser_pow3k(exp.series(name, -(-prec // p.q**2)), e2, prec)
+        g = ser_add(g, {e: cg * c for e, c in members[6 - i].items()}, 1)
+        fq2 = K.pow_tag(ser, "q2")
         cv = values[6 - i]
         h = ser_add(h, {e: cv * c for e, c in fq2.items()}, 1)
     g = {e: c for e, c in g.items() if not c.is_zero()}

@@ -4,11 +4,12 @@ An index i is an order of a function family exactly when the derivative row
 (D^i f)_f increases the rank of the rows selected at smaller indices; scanning
 candidates in increasing order therefore reproduces the lexicographically
 minimal order sequence (the Stöhr-Voloch method).  Frobenius orders use the
-same scan seeded with the row (f^q)_f.  Rows come from the route's backends
-(backends.backends, shared with the identity checks), one echelon per
-backend:
+same scan seeded with the row (f^q)_f, and the vanishing profile at a point
+(weierstrass.vanishing_orders) is the same scan on that point's rows.  Rows
+come from the route's backends (backends.backends, shared with the identity
+checks), one echelon per backend:
 
-* symbolic (s = 1): fraction-free cross-multiplication elimination over the
+* symbolic (any s): fraction-free cross-multiplication elimination over the
   coordinate ring, exact;
 * points (any s): Gaussian elimination over the residue field of sampled
   points, taking a row as independent when it grows the rank at any sample.
@@ -189,25 +190,35 @@ def _echelons(Ks: tuple, ncols: int) -> list:
     return [_PointEchelon() for _ in Ks]
 
 
-def _rows(Ks: tuple, names, i: int) -> list[list]:
-    """The row (D^i f)_f on every backend of the route."""
-    return [[K.value(f, i) for f in names] for K in Ks]
+def _scan(Ks: tuple, names, candidates, row="value", seed_row=None, want=None) -> list:
+    """The greedy rank scan, the one loop behind order sequences and profiles.
 
-
-def _insert_rows(echelons, rows) -> tuple[list[int], object]:
-    """Offer one index's rows to every echelon; accepted if any rank grows.
-
-    Returns the echelons whose rank grew and the first pivot taken.
+    Offers the row (K.<row>(f, i))_f of each candidate i, in increasing
+    order, to one echelon per backend, after the row (K.<seed_row>(f))_f
+    when a seed accessor is named; i is accepted when the rank grows on
+    any backend.  Stops after want acceptances.  Returns (i, hits, pivot)
+    per accepted i: the backends whose rank grew and the first pivot taken.
     """
-    hits = []
-    pivot = None
-    for j, (ech, vec) in enumerate(zip(echelons, rows)):
-        got = ech.insert(vec)
-        if got is not None and got is not False:
-            hits.append(j)
-            if pivot is None:
-                pivot = got
-    return hits, pivot
+    echelons = _echelons(Ks, len(names))
+    if seed_row is not None:
+        for ech, K in zip(echelons, Ks):
+            ech.insert([getattr(K, seed_row)(f) for f in names])
+    accessors = [getattr(K, row) for K in Ks]
+    found = []
+    for i in sorted(candidates):
+        hits = []
+        pivot = None
+        for j, (ech, value) in enumerate(zip(echelons, accessors)):
+            got = ech.insert([value(f, i) for f in names])
+            if got is not None and got is not False:
+                hits.append(j)
+                if pivot is None:
+                    pivot = got
+        if hits:
+            found.append((i, hits, pivot))
+            if len(found) == want:
+                break
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -229,19 +240,13 @@ def order_sequence(
     if candidates is None:
         candidates = family_candidate_values(p, names)
     Ks = backends(s, backend, trials, seed, k)
-    echelons = _echelons(Ks, len(names))
-    orders: list[int] = []
-    witness: list[str] = []
-    for i in sorted(candidates):
-        hits, pivot = _insert_rows(echelons, _rows(Ks, names, i))
-        if hits:
-            orders.append(i)
-            witness.append(
-                f"pivot-col={pivot}" if Ks[0].kind == "symbolic"
-                else "points=" + ",".join(str(h) for h in hits)
-            )
-            if len(orders) == len(names):
-                break
+    found = _scan(Ks, names, candidates, want=len(names))
+    orders = [i for i, _, _ in found]
+    witness = [
+        f"pivot-col={pivot}" if Ks[0].kind == "symbolic"
+        else "points=" + ",".join(str(h) for h in hits)
+        for _, hits, pivot in found
+    ]
     if len(orders) != len(names):
         raise ArithmeticError(
             f"rank deficiency not resolved: found {len(orders)} of {len(names)} "
@@ -276,14 +281,8 @@ def morphism_orders_below_q(
     names = _family_names(series)[1:]
     p = ree_params(s)
     Ks = backends(s, backend, trials, seed, k)
-    echelons = _echelons(Ks, len(names))
-    found: list[int] = []
     pool = [v for v in family_candidate_values(p, _family_names(series)) if v < p.q]
-    for i in sorted(pool):
-        hits, _ = _insert_rows(echelons, [[K.shift_value(f, i) for f in names] for K in Ks])
-        if hits:
-            found.append(i)
-    return tuple(found)
+    return tuple(i for i, _, _ in _scan(Ks, names, pool, row="shift_value"))
 
 
 def frobenius_orders(
@@ -298,17 +297,10 @@ def frobenius_orders(
     names = _family_names(series)
     p = ree_params(s)
     Ks = backends(s, backend, trials, seed, k)
-    echelons = _echelons(Ks, len(names))
-    for ech, K in zip(echelons, Ks):
-        ech.insert([K.qpow_value(f) for f in names])
-    nus: list[int] = []
     want = len(names) - 1
-    for i in family_candidate_values(p, names):
-        hits, _ = _insert_rows(echelons, _rows(Ks, names, i))
-        if hits:
-            nus.append(i)
-            if len(nus) == want:
-                break
+    candidates = family_candidate_values(p, names)
+    found = _scan(Ks, names, candidates, seed_row="qpow_value", want=want)
+    nus = [i for i, _, _ in found]
     if len(nus) != want:
         raise ArithmeticError(
             f"rank deficiency not resolved: found {len(nus)} of {want} "
@@ -390,7 +382,7 @@ def triangular_check(
         raise ValueError("rows and cols must have equal length")
     Ks = backends(s, backend, trials, seed, k)
     n = len(rows)
-    entries = [_rows(Ks, cols, i) for i in rows]
+    entries = [[[K.value(f, i) for f in cols] for K in Ks] for i in rows]
     for i in range(n):
         for j in range(i):
             for sample in entries[i]:

@@ -1,23 +1,25 @@
 """Vanishing profiles at points and the ramification-degree bookkeeping.
 
 The profile of a family at a point P lists the orders of vanishing
-achievable by linear combinations of the family members at P; it equals
-the pivot exponents of the row-reduced coefficient matrix of the member
-expansions.  Away from finitely many points the profile is the order
-sequence; the excess weight sum(j_i - eps_i) is positive exactly at the
-special points, and the rational points carry all of it: the degree of
-the ramification divisor, (2g-2)*sum(eps) + (r+1)*m, equals the shared
-rational-point weight times the number of rational points, with nothing
-left over.
+achievable by linear combinations of the family members at P.  An exponent
+i is one of them exactly when the row of i-th Hasse derivatives at P grows
+the rank of the rows below it (Stöhr-Voloch), so the profile is the greedy
+scan of orders.py run on the rows of a PointBackend at P.  Away from
+finitely many points the profile is the order sequence; the excess weight
+sum(j_i - eps_i) is positive exactly at the special points, and the
+rational points carry all of it: the degree of the ramification divisor,
+(2g-2)*sum(eps) + (r+1)*m, equals the shared rational-point weight times
+the number of rational points, with nothing left over.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .orders import _family_names
+from .backends import PointBackend
+from .orders import _family_names, _scan, order_sequence
 from .params import ReeParams, ree_params
-from .series import CurvePoint, PointExpansion
+from .series import CurvePoint
 from .support import order_values
 
 __all__ = [
@@ -78,53 +80,29 @@ def expected_rational_profile(p: ReeParams, series: str = "D") -> list[int]:
     raise ValueError(f"unknown series {series!r}")
 
 
-def vanishing_orders(
-    series="D",
-    point: CurvePoint | None = None,
-    prec: int | None = None,
-) -> VanishingProfile:
-    """Profile of the family at one point by sparse pivot reduction."""
+def vanishing_orders(series="D", point: CurvePoint | None = None) -> VanishingProfile:
+    """Profile of the family at one point by the greedy scan of its rows.
+
+    The candidates are the exponents where some member's row is nonzero.
+    A section of D vanishes at a point to order at most deg D = m, so rows
+    stop at m.
+    """
     if point is None:
         raise ValueError("a point is required")
     names = _family_names(series)
     p = point.params
-    if prec is None:
-        prec = p.m_value + 1
-    if prec <= p.m_value:
-        raise ValueError("prec must exceed the family degree m")
-    exp = PointExpansion(point)
-    pool = []
-    for f in names:
-        ser = exp.series(f, prec)
-        pool.append({e: c for e, c in ser.items() if e < prec and not c.is_zero()})
-    js: list[int] = []
-    while len(js) < len(names):
-        live = [(min(r), i) for i, r in enumerate(pool) if r]
-        if not live:
-            raise ArithmeticError(
-                f"precision shortfall: only {len(js)} of {len(names)} pivots "
-                f"below precision {prec}"
-            )
-        v, idx = min(live)
-        r0 = pool.pop(idx)
-        js.append(v)
-        inv = r0[v].inverse()
-        for r in pool:
-            c = r.get(v)
-            if c is None:
-                continue
-            f = c * inv
-            for e, ce in r0.items():
-                cur = r.get(e)
-                nxt = (cur - f * ce) if cur is not None else -(f * ce)
-                if nxt.is_zero():
-                    r.pop(e, None)
-                else:
-                    r[e] = nxt
+    K = PointBackend(point, depth=p.m_value + 1)
+    candidates = set().union(*(K.row(f) for f in names))
+    js = [i for i, _, _ in _scan((K,), names, candidates, want=len(names))]
+    if len(js) != len(names):
+        raise ArithmeticError(
+            f"precision shortfall: only {len(js)} of {len(names)} pivots "
+            f"below precision {K.depth}"
+        )
     if isinstance(series, str):
         eps = order_values(p, series)
     else:
-        eps = list(order_sequence_like(series, p))
+        eps = list(order_sequence(names, s=p.s, backend="symbolic").orders)
     return VanishingProfile(
         series=series if isinstance(series, str) else "+".join(series),
         s=p.s,
@@ -135,19 +113,12 @@ def vanishing_orders(
     )
 
 
-def order_sequence_like(names, p: ReeParams) -> tuple[int, ...]:
-    """Generic orders of an ad hoc subfamily, via the symbolic scan."""
-    from .orders import order_sequence
-
-    return order_sequence(tuple(names), s=p.s, backend="symbolic").orders
+def weierstrass_weight(series, point: CurvePoint) -> int:
+    return vanishing_orders(series, point).weight
 
 
-def weierstrass_weight(series, point: CurvePoint, prec: int | None = None) -> int:
-    return vanishing_orders(series, point, prec).weight
-
-
-def is_weierstrass(series, point: CurvePoint, prec: int | None = None) -> bool:
-    return weierstrass_weight(series, point, prec) > 0
+def is_weierstrass(series, point: CurvePoint) -> bool:
+    return weierstrass_weight(series, point) > 0
 
 
 def divisor_degree_audit(p, eps="D") -> dict:

@@ -24,7 +24,7 @@ from reecurve.identities import (
     osculating_vanishing,
     verify_catalog,
 )
-from reecurve.orders import order_sequence, proof_matrix, triangular_check
+from reecurve.orders import frobenius_orders, order_sequence, proof_matrix, triangular_check
 from reecurve.params import ree_params
 from reecurve.ring import FAMILY_NAMES, coordinate_ring
 from reecurve.series import (
@@ -33,7 +33,7 @@ from reecurve.series import (
     random_point,
     rational_point,
 )
-from reecurve.support import appendix_csv, support_soundness
+from reecurve.support import appendix_csv, order_values, support_soundness
 from reecurve.weierstrass import divisor_degree_audit, vanishing_orders
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -275,3 +275,24 @@ def test_criterion_11_byte_identical_reports(tmp_path):
     out2 = subprocess.run(argv, capture_output=True).stdout
     assert out1 == out2 and json.loads(out1)["schema"] == 1
     _verdict(11, "repeated runs give byte-identical JSON, in and across processes")
+
+
+def test_criterion_12_exact_route_above_s1():
+    t0 = time.time()
+    for s in (2, 3):
+        res = verify_catalog(s, "symbolic")
+        assert len(res) == 452 and all(r.ok and not r.skipped for r in res)
+    for s, series in ((2, "E"), (3, "E"), (2, "D")):
+        seq = order_sequence(series, s=s, backend="symbolic")
+        assert list(seq.orders) == order_values(ree_params(s), series)
+    fr = frobenius_orders("E", s=3, backend="symbolic")
+    assert fr.omitted_order == 1 and fr.omitted_index == 1
+    # an ad hoc subfamily's generic orders come from the exact scan
+    prof = vanishing_orders(("one", "x", "w1"), rational_point(2, seed=0))
+    assert prof.jorders == (0, 1, 28) and prof.epsilons == (0, 1, 27)
+    dt = time.time() - t0
+    _verdict(
+        12,
+        f"exact route above s=1: catalog 452/452 at s=2,3, E orders at s=2,3, "
+        f"D orders at s=2, Frobenius E at s=3 omits 1, {dt:.2f}s",
+    )

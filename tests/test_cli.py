@@ -8,6 +8,8 @@ import pytest
 
 from reecurve.cli import main
 from reecurve.identities import CheckResult
+from reecurve.params import ree_params
+from reecurve.support import order_values
 
 D_ORDERS_S1 = ["0", "1", "3", "6", "9", "27", "30", "54", "81", "84", "108", "162", "243", "729"]
 
@@ -36,9 +38,25 @@ def test_s_zero_is_usage_error():
     assert exc.value.code == 2
 
 
-def test_symbolic_backend_rejected_above_s1():
+def test_symbolic_backend_runs_above_s1(capsys):
+    code, doc = run_json(capsys, ["orders", "--s", "2", "--series", "E"])
+    assert code == 0
+    assert doc["orders"] == [str(v) for v in order_values(ree_params(2), "E")]
+    assert doc["config"]["backend"] == "symbolic"
+
+
+@pytest.mark.parametrize("argv", [
+    ["weierstrass", "--backend", "symbolic"],
+    ["weierstrass", "--trials", "2"],
+    ["weierstrass", "--precision", "5"],
+    ["weierstrass", "--precision", "5000"],
+    ["orders", "--precision", "3"],
+    ["verify", "--k", "7"],
+])
+def test_unread_flag_is_usage_error(argv):
+    # a flag the command would ignore is refused rather than echoed
     with pytest.raises(SystemExit) as exc:
-        main(["orders", "--s", "2", "--backend", "symbolic"])
+        main(argv)
     assert exc.value.code == 2
 
 
@@ -208,6 +226,9 @@ GOLDEN_REPORTS = [
     ("verify_s1_series_seed0.json",
      ["verify", "--s", "1", "--backend", "series", "--seed", "0"]),
     ("orders_s1_E_symbolic.json", ["orders", "--s", "1", "--series", "E"]),
+    # a profile scanned on the point's rows, its last order m above q^2
+    ("weierstrass_s2_rational_seed0_D.json",
+     ["weierstrass", "--s", "2", "--point", "rational", "--seed", "0", "--series", "D"]),
 ]
 
 

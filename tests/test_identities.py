@@ -211,11 +211,11 @@ def test_single_check_verdicts():
     assert r.ok and r.skipped and "D^81" in r.witness
 
 
-def test_symbolic_backend_is_lowest_level_only():
-    with pytest.raises(ValueError, match="resource policy"):
-        SymbolicBackend(2)
-    with pytest.raises(ValueError, match="resource policy"):
-        verify_catalog(2, backend="symbolic")
+def test_symbolic_catalog_at_s3():
+    # the deepest ell power, 2q+1 = 4375, is built from its base-3 digits
+    res = verify_catalog(3, backend="symbolic")
+    assert len(res) == 452
+    assert all(r.ok and not r.skipped and r.points == 0 for r in res)
 
 
 def test_hypersurface_exact_and_at_points():

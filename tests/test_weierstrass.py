@@ -92,9 +92,6 @@ def test_weight_helper_agrees():
 
 
 def test_precision_preconditions():
-    pt = origin_point(1)
-    with pytest.raises(ValueError, match="prec"):
-        vanishing_orders("D", pt, prec=ree_params(1).m_value)
     with pytest.raises(ValueError, match="point"):
         vanishing_orders("D", None)
 

@@ -77,6 +77,14 @@ def _positive(text: str) -> int:
     return value
 
 
+class _Given(argparse.Action):
+    """Store the value and note the option in args.given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = namespace.given | {self.dest}
+
+
 # options of the commands that run a route, by name
 _RUN_OPTIONS = {
     "backend": dict(choices=("symbolic", "series"), default="symbolic"),
@@ -85,6 +93,13 @@ _RUN_OPTIONS = {
     "k": dict(type=_positive, default=6, help="extension degree for sampled points"),
     "precision": dict(type=_positive, default=None),
 }
+
+
+def _refuse_given(args, parser, names, where: str) -> None:
+    """Refuse options passed explicitly that nothing reads on this route or point."""
+    for name in names:
+        if name in args.given:
+            parser.error(f"--{name} is not read {where}")
 
 
 def _config(args, parser) -> RunConfig:
@@ -227,6 +242,8 @@ def cmd_verify(args, parser) -> int:
 
 
 def cmd_orders(args, parser) -> int:
+    if args.backend == "symbolic":
+        _refuse_given(args, parser, ("seed", "trials", "k"), "by the exact route")
     cfg = _config(args, parser)
     seq = order_sequence(
         args.series,
@@ -300,6 +317,12 @@ def cmd_support(args, parser) -> int:
 
 
 def cmd_weierstrass(args, parser) -> int:
+    if args.point == "origin":
+        _refuse_given(args, parser, ("seed", "k"), "at the origin")
+    elif args.point == "rational":
+        _refuse_given(args, parser, ("k",), "at a rational point")
+    elif args.k == 1:
+        parser.error("--k 1 samples a rational point, not a generic one")
     cfg = _config(args, parser)
     if args.point == "origin":
         pt = origin_point(cfg.s)
@@ -356,14 +379,18 @@ def build_parser() -> argparse.ArgumentParser:
         """The run options; a command leaves out those in unread.
 
         argparse then refuses them, and the report echoes their defaults.
+        args.given names the run options passed explicitly.
         """
         sp.add_argument("--s", type=_positive, default=1, help="tower level (q = 3^(2s+1))")
         for name, spec in _RUN_OPTIONS.items():
             if name not in unread:
-                sp.add_argument(f"--{name}", **spec)
+                sp.add_argument(f"--{name}", action=_Given, **spec)
         sp.add_argument("--format", choices=("json", "text", "csv"), default="json")
         sp.add_argument("--out", default=None)
-        sp.set_defaults(**{name: _RUN_OPTIONS[name]["default"] for name in unread} | defaults)
+        sp.set_defaults(
+            given=frozenset(),
+            **{name: _RUN_OPTIONS[name]["default"] for name in unread} | defaults,
+        )
 
     sp = sub.add_parser("params", help="numeric invariants of the curve at level s")
     sp.add_argument("--s", type=_positive, default=1)

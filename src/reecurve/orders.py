@@ -159,7 +159,7 @@ class _SymbolicEchelon:
         if not live:
             return None
         # smallest pivot entry keeps later cross-multiplications cheap
-        pivot = min(live, key=lambda k: (len(vec[k].to_sorted_list()), k))
+        pivot = min(live, key=lambda k: (len(vec[k]), k))
         self.rows.append((pivot, vec))
         return pivot
 

@@ -11,8 +11,14 @@ below q.  Reduction uses
     y^q = y + x^(q+q0) - x^(q0+1)
     z^q = z + x^(q+2q0) - x^(2q0+1)
 
-and elements are sparse dicts mapping (a, b, c) to nonzero GF(3) scalars,
-standing for x^a y^b z^c.
+An element is a sparse dict from one int key per monomial to its nonzero
+GF(3) coefficient: x^a y^b z^c has key a << 2S | b << S | c, where the
+field width S is the bit length of 3q.  The fields of a normal form are
+below q and 2^S > 3(q-1), so adding two keys multiplies the monomials and
+3*key is the Frobenius cube, with no carry between fields.  A product is
+one int add and one dict update per term pair; the mod 3 and the fold of
+y- and z-degrees >= q are left to ``CoordinateRing.reduce``.  The
+{(a, b, c): coeff} view ``terms`` is derived on demand.
 
 The module also builds the fourteen-function linear system spanning the
 canonical very ample series, each function tagged with its q-power
@@ -30,34 +36,48 @@ Monomial = tuple[int, int, int]
 
 
 class CurveElement:
-    """Normal-form regular function; immutable once built."""
+    """Normal-form regular function; immutable once built.
 
-    __slots__ = ("ring", "terms")
+    ``packed`` maps each monomial's key (see ``CoordinateRing.key``) to
+    its coefficient, 1 or 2.
+    """
 
-    def __init__(self, ring: "CoordinateRing", terms: dict[Monomial, int]):
+    __slots__ = ("ring", "packed")
+
+    def __init__(self, ring: "CoordinateRing", packed: dict[int, int]):
         self.ring = ring
-        self.terms = terms
+        self.packed = packed
+
+    @property
+    def terms(self) -> dict[Monomial, int]:
+        """The terms as a fresh {(a, b, c): coeff} dict."""
+        unpack = self.ring.unpack
+        return {unpack(k): v for k, v in self.packed.items()}
 
     # -- predicates
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, CurveElement)
             and self.ring is other.ring
-            and self.terms == other.terms
+            and self.packed == other.packed
         )
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.packed)
+
+    def __len__(self) -> int:
+        """Number of terms."""
+        return len(self.packed)
 
     # -- arithmetic
 
     def __add__(self, other: "CurveElement") -> "CurveElement":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
+        out = dict(self.packed)
+        for k, v in other.packed.items():
             nv = (out.get(k, 0) + v) % 3
             if nv:
                 out[k] = nv
@@ -66,8 +86,8 @@ class CurveElement:
         return CurveElement(self.ring, out)
 
     def __sub__(self, other: "CurveElement") -> "CurveElement":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
+        out = dict(self.packed)
+        for k, v in other.packed.items():
             nv = (out.get(k, 0) - v) % 3
             if nv:
                 out[k] = nv
@@ -76,7 +96,7 @@ class CurveElement:
         return CurveElement(self.ring, out)
 
     def __neg__(self) -> "CurveElement":
-        return CurveElement(self.ring, {k: (-v) % 3 for k, v in self.terms.items()})
+        return CurveElement(self.ring, {k: (-v) % 3 for k, v in self.packed.items()})
 
     def scale(self, c: int) -> "CurveElement":
         c %= 3
@@ -89,18 +109,16 @@ class CurveElement:
     def __mul__(self, other: "CurveElement") -> "CurveElement":
         if not isinstance(other, CurveElement):
             return NotImplemented
-        a, b = self.terms, other.terms
+        a, b = self.packed, other.packed
         if len(a) > len(b):
             a, b = b, a
-        raw: dict[Monomial, int] = {}
-        for (a1, b1, c1), v1 in a.items():
-            for (a2, b2, c2), v2 in b.items():
-                k = (a1 + a2, b1 + b2, c1 + c2)
-                nv = (raw.get(k, 0) + v1 * v2) % 3
-                if nv:
-                    raw[k] = nv
-                else:
-                    raw.pop(k, None)
+        b = b.items()
+        raw: dict[int, int] = {}
+        get = raw.get
+        for k, v in a.items():
+            for e, w in b:
+                e += k
+                raw[e] = get(e, 0) + v * w
         return CurveElement(self.ring, self.ring.reduce(raw))
 
     def __pow__(self, n: int) -> "CurveElement":
@@ -117,7 +135,7 @@ class CurveElement:
 
     def pow3(self) -> "CurveElement":
         # Frobenius cube; GF(3) coefficients are fixed by it.
-        raw = {(3 * a, 3 * b, 3 * c): v for (a, b, c), v in self.terms.items()}
+        raw = {3 * k: v for k, v in self.packed.items()}
         return CurveElement(self.ring, self.ring.reduce(raw))
 
     def pow3k(self, k: int) -> "CurveElement":
@@ -136,24 +154,28 @@ class CurveElement:
 
     def monomial_mins(self) -> Monomial:
         """Componentwise minimum exponent over all terms."""
-        if not self.terms:
+        if not self.packed:
             raise ValueError("zero element has no monomial content")
-        ma = min(k[0] for k in self.terms)
-        mb = min(k[1] for k in self.terms)
-        mc = min(k[2] for k in self.terms)
-        return (ma, mb, mc)
+        S, M = self.ring.width, self.ring.mask
+        return (
+            min(self.packed) >> 2 * S,
+            min((k >> S) & M for k in self.packed),
+            min(k & M for k in self.packed),
+        )
 
     def divide_monomial(self, mono: Monomial) -> "CurveElement":
         ga, gb, gc = mono
-        out = {}
-        for (a, b, c), v in self.terms.items():
-            if a < ga or b < gb or c < gc:
+        S, M = self.ring.width, self.ring.mask
+        for k in self.packed:
+            if k >> 2 * S < ga or (k >> S) & M < gb or k & M < gc:
                 raise ValueError("monomial does not divide every term")
-            out[(a - ga, b - gb, c - gc)] = v
-        return CurveElement(self.ring, out)
+        g = self.ring.key(ga, gb, gc)
+        return CurveElement(self.ring, {k - g: v for k, v in self.packed.items()})
 
     def to_sorted_list(self) -> list[tuple[int, int, int, int]]:
-        return [(a, b, c, v) for (a, b, c), v in sorted(self.terms.items())]
+        # key order is (a, b, c) order: the fields have fixed width
+        unpack = self.ring.unpack
+        return [(*unpack(k), v) for k, v in sorted(self.packed.items())]
 
     def evaluate(self, vx, vy, vz):
         """Value at a point with coordinates in some GF(3^m) context."""
@@ -179,22 +201,25 @@ class CurveElement:
         return total
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if not self.terms:
+        if not self.packed:
             return "0"
         bits = []
-        for (a, b, c), v in sorted(self.terms.items())[:8]:
+        for a, b, c, v in self.to_sorted_list()[:8]:
             bits.append(f"{v}*x^{a}y^{b}z^{c}")
-        more = "" if len(self.terms) <= 8 else f" (+{len(self.terms) - 8} terms)"
+        more = "" if len(self) <= 8 else f" (+{len(self) - 8} terms)"
         return " + ".join(bits) + more
 
 
 class CoordinateRing:
-    """Reduction tables and element constructors for one parameter level."""
+    """Reduction tables, monomial keys and element constructors for one level."""
 
     def __init__(self, params: ReeParams):
         self.p = params
         self.q = params.q
         self.q0 = params.q0
+        # key field width: a cube of a normal form keeps every field below 3q
+        self.width = (3 * self.q).bit_length()
+        self.mask = (1 << self.width) - 1
         # y^q and z^q as (x-shift, new-degree) -> coeff
         q, q0 = self.q, self.q0
         self._qrule = {
@@ -203,25 +228,36 @@ class CoordinateRing:
         }
         self._red_memo: dict[str, dict[int, dict[tuple[int, int], int]]] = {"y": {}, "z": {}}
 
+    # -- monomial keys
+
+    def key(self, a: int, b: int, c: int) -> int:
+        """Key of x^a y^b z^c; b and c must be below 2^width."""
+        S = self.width
+        return a << 2 * S | b << S | c
+
+    def unpack(self, k: int) -> Monomial:
+        S, M = self.width, self.mask
+        return (k >> 2 * S, (k >> S) & M, k & M)
+
     # -- constructors
 
     def zero(self) -> CurveElement:
         return CurveElement(self, {})
 
     def one(self) -> CurveElement:
-        return CurveElement(self, {(0, 0, 0): 1})
+        return CurveElement(self, {0: 1})
 
     def const(self, c: int) -> CurveElement:
         c %= 3
-        return CurveElement(self, {(0, 0, 0): c} if c else {})
+        return CurveElement(self, {0: c} if c else {})
 
     def monomial(self, a: int, b: int, c: int, coeff: int = 1) -> CurveElement:
         coeff %= 3
         if not coeff:
             return self.zero()
-        if b >= self.q or c >= self.q:
-            return CurveElement(self, self.reduce({(a, b, c): coeff}))
-        return CurveElement(self, {(a, b, c): coeff})
+        out: dict[int, int] = {}
+        self._fold_into(out, a, b, c, coeff)
+        return CurveElement(self, out)
 
     def x(self) -> CurveElement:
         return self.monomial(1, 0, 0)
@@ -234,7 +270,7 @@ class CoordinateRing:
 
     def ell(self) -> CurveElement:
         """x^q - x, the separating element of the calculus."""
-        return CurveElement(self, {(self.q, 0, 0): 1, (1, 0, 0): 2})
+        return CurveElement(self, {self.key(self.q, 0, 0): 1, self.key(1, 0, 0): 2})
 
     # -- reduction
 
@@ -268,29 +304,35 @@ class CoordinateRing:
             memo[n] = out
         return memo[n]
 
-    def reduce(self, raw: dict[Monomial, int]) -> dict[Monomial, int]:
-        q = self.q
-        out: dict[Monomial, int] = {}
-        for (a, b, c), v in raw.items():
-            v %= 3
-            if not v:
-                continue
-            if b < q and c < q:
-                k = (a, b, c)
-                nv = (out.get(k, 0) + v) % 3
+    def _fold_into(self, out: dict[int, int], a: int, b: int, c: int, v: int) -> None:
+        """Add v x^a y^b z^c to the normal form out, folding y^b and z^c below q."""
+        for (day, b2), cy in self._red("y", b).items():
+            for (daz, c2), cz in self._red("z", c).items():
+                k = self.key(a + day + daz, b2, c2)
+                nv = (out.get(k, 0) + v * cy * cz) % 3
                 if nv:
                     out[k] = nv
                 else:
                     out.pop(k, None)
-                continue
-            for (day, b2), cy in self._red("y", b).items():
-                for (daz, c2), cz in self._red("z", c).items():
-                    k = (a + day + daz, b2, c2)
-                    nv = (out.get(k, 0) + v * cy * cz) % 3
-                    if nv:
-                        out[k] = nv
-                    else:
-                        out.pop(k, None)
+
+    def reduce(self, raw: dict[int, int]) -> dict[int, int]:
+        """Normal form of a sum of keyed monomials with integer coefficients.
+
+        Keys whose y- and z-fields are below q are kept as they are; only
+        the others are folded.
+        """
+        q, S, M = self.q, self.width, self.mask
+        out: dict[int, int] = {}
+        high = []
+        for k, v in raw.items():
+            v %= 3
+            if v:
+                if k & M < q and (k >> S) & M < q:
+                    out[k] = v
+                else:
+                    high.append((k, v))
+        for k, v in high:
+            self._fold_into(out, k >> 2 * S, (k >> S) & M, k & M, v)
         return out
 
 

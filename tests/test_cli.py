@@ -52,6 +52,14 @@ def test_symbolic_backend_runs_above_s1(capsys):
     ["weierstrass", "--precision", "5000"],
     ["orders", "--precision", "3"],
     ["verify", "--k", "7"],
+    # read by the sampled route only
+    ["orders", "--seed", "0"],
+    ["orders", "--backend", "symbolic", "--trials", "3"],
+    ["orders", "--k", "6"],
+    # the origin is one fixed rational point
+    ["weierstrass", "--point", "origin", "--seed", "0"],
+    ["weierstrass", "--k", "7"],
+    ["weierstrass", "--point", "rational", "--seed", "1", "--k", "6"],
 ])
 def test_unread_flag_is_usage_error(argv):
     # a flag the command would ignore is refused rather than echoed
@@ -70,6 +78,13 @@ def test_series_backend_requires_seed():
 def test_extension_without_points_is_usage_error(k):
     with pytest.raises(SystemExit) as exc:
         main(["orders", "--s", "1", "--backend", "series", "--seed", "0", "--k", str(k)])
+    assert exc.value.code == 2
+
+
+def test_generic_point_refuses_rational_extension():
+    # GF(q)-points of the curve are rational, so --k 1 names no generic point
+    with pytest.raises(SystemExit) as exc:
+        main(["weierstrass", "--s", "1", "--point", "generic", "--seed", "0", "--k", "1"])
     assert exc.value.code == 2
 
 
@@ -226,6 +241,8 @@ GOLDEN_REPORTS = [
     ("verify_s1_series_seed0.json",
      ["verify", "--s", "1", "--backend", "series", "--seed", "0"]),
     ("orders_s1_E_symbolic.json", ["orders", "--s", "1", "--series", "E"]),
+    # the D scan: the exact ring's product kernel at its largest entries
+    ("orders_s1_D_symbolic.json", ["orders", "--s", "1", "--series", "D"]),
     # a profile scanned on the point's rows, its last order m above q^2
     ("weierstrass_s2_rational_seed0_D.json",
      ["weierstrass", "--s", "2", "--point", "rational", "--seed", "0", "--series", "D"]),

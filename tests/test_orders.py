@@ -143,6 +143,15 @@ def test_frobenius_s2_points():
     assert fr.below_q == (0, p.q0, 2 * p.q0, 3 * p.q0)
 
 
+@pytest.mark.parametrize("series", ["D", "E"])
+def test_frobenius_s2_exact_equals_points(series):
+    # the exact scan and the sampled one of test_frobenius_s2_points agree
+    exact = frobenius_orders(series, s=2, backend="symbolic")
+    pts = frobenius_orders(series, s=2, backend="points", trials=2, seed=0)
+    fields = ("nus", "omitted_index", "omitted_order", "below_q")
+    assert [getattr(exact, f) for f in fields] == [getattr(pts, f) for f in fields]
+
+
 def test_scans_share_one_backend_tuple(monkeypatch):
     seen = []
 

@@ -8,6 +8,7 @@ from reecurve.gf import field_context
 from reecurve.params import ree_params
 from reecurve.ring import (
     FAMILY_NAMES,
+    CurveElement,
     coordinate_ring,
     expected_pole_orders,
     function_family,
@@ -16,6 +17,111 @@ from reecurve.ring import (
 
 R1 = coordinate_ring(1)
 F1 = function_family(1)
+
+
+# -- tuple-keyed reference for the int-key kernel
+
+
+def _ref_reduce(raw, q, q0):
+    """Normal form of {(a, b, c): int} by substituting y^q and z^q one at a time."""
+    out = {}
+    todo = list(raw.items())
+    while todo:
+        (a, b, c), v = todo.pop()
+        if b >= q:  # y^q = y + x^(q+q0) - x^(q0+1)
+            todo += [((a, b - q + 1, c), v), ((a + q + q0, b - q, c), v),
+                     ((a + q0 + 1, b - q, c), -v)]
+        elif c >= q:  # z^q = z + x^(q+2q0) - x^(2q0+1)
+            todo += [((a, b, c - q + 1), v), ((a + q + 2 * q0, b, c - q), v),
+                     ((a + 2 * q0 + 1, b, c - q), -v)]
+        else:
+            out[(a, b, c)] = out.get((a, b, c), 0) + v
+    return {k: v % 3 for k, v in out.items() if v % 3}
+
+
+def _ref_mul(f, g):
+    raw = {}
+    for (a1, b1, c1), v1 in f.items():
+        for (a2, b2, c2), v2 in g.items():
+            k = (a1 + a2, b1 + b2, c1 + c2)
+            raw[k] = raw.get(k, 0) + v1 * v2
+    return raw
+
+
+def _ref_add(f, g, sign):
+    raw = dict(f)
+    for k, v in g.items():
+        raw[k] = raw.get(k, 0) + sign * v
+    return {k: v % 3 for k, v in raw.items() if v % 3}
+
+
+def _summed(terms):
+    """{(a, b, c): v} of a list of (a, b, c, v), repeated monomials summed mod 3."""
+    out = {}
+    for a, b, c, v in terms:
+        out = _ref_add(out, {(a, b, c): v}, 1)
+    return out
+
+
+def _terms(s):
+    """Normal-form term lists at level s: b, c up to q-1, a up to q^2."""
+    q = 3 ** (2 * s + 1)
+    term = st.tuples(
+        st.integers(0, q * q), st.integers(0, q - 1), st.integers(0, q - 1),
+        st.integers(1, 2),
+    )
+    return st.lists(term, max_size=6)
+
+
+def _element(ring, terms):
+    f = ring.zero()
+    for a, b, c, v in terms:
+        f = f + ring.monomial(a, b, c, v)
+    return f
+
+
+def _check_kernel(s, ta, tb):
+    ring = coordinate_ring(s)
+    q, q0 = ring.q, ring.q0
+    f, g = _element(ring, ta), _element(ring, tb)
+    tf, tg = f.terms, g.terms
+    # the view round-trips, and repeated monomials were summed mod 3
+    assert tf == _summed(ta)
+    assert CurveElement(ring, {ring.key(*m): v for m, v in tf.items()}) == f
+    assert (f * g).terms == _ref_reduce(_ref_mul(tf, tg), q, q0)
+    assert (f * g).terms == (g * f).terms
+    cube = {(3 * a, 3 * b, 3 * c): v for (a, b, c), v in tf.items()}
+    assert f.pow3().terms == _ref_reduce(cube, q, q0)
+    assert (f + g).terms == _ref_add(tf, tg, 1)
+    assert (f - g).terms == _ref_add(tf, tg, -1)
+    assert (-f).terms == _ref_add({}, tf, -1)
+    if tf:
+        ga, gb, gc = f.monomial_mins()
+        assert (ga, gb, gc) == tuple(min(m[i] for m in tf) for i in range(3))
+        quot = {(a - ga, b - gb, c - gc): v for (a, b, c), v in tf.items()}
+        assert f.divide_monomial((ga, gb, gc)).terms == quot
+        for bump in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+            with pytest.raises(ValueError):
+                f.divide_monomial((ga + bump[0], gb + bump[1], gc + bump[2]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 800), st.integers(0, 140), st.integers(0, 140), st.integers(1, 2))
+def test_monomial_folds_from_the_tuple(a, b, c, v):
+    # b and c range past 2^width, so an encoded field would carry
+    assert R1.monomial(a, b, c, v).terms == _ref_reduce({(a, b, c): v}, R1.q, R1.q0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_terms(1), _terms(1))
+def test_kernel_matches_reference_s1(ta, tb):
+    _check_kernel(1, ta, tb)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_terms(2), _terms(2))
+def test_kernel_matches_reference_s2(ta, tb):
+    _check_kernel(2, ta, tb)
 
 
 def test_reduction_matches_curve_equations():

@@ -184,6 +184,13 @@ def test_support_soundness_exact():
     assert checked >= 9000
 
 
+def test_support_soundness_exact_s2():
+    """The off-support zero sweep at the first level without index collisions."""
+    checked, violations = support_soundness(hasse_calculus(2))
+    assert violations == []
+    assert checked == 826202
+
+
 def test_claimed_supports_exact_in_window():
     """Within the table window the claims are attained, not just sound.
 

@@ -167,6 +167,8 @@ def cmd_params(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
+    if args.backend == "symbolic":
+        _refuse_given(args, parser, ("seed", "trials", "precision"), "by the exact route")
     cfg = _config(args, parser)
     known = {spec.key for spec in IDENTITY_CATALOG}
     keys = args.identity

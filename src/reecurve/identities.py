@@ -707,26 +707,44 @@ def _sym_div_q(ix: SymbolicIndex) -> bool:
     return ix.c == 0 and ix.d == 0 and not ix.is_q2
 
 
-def _dirty_values(sym_support, v1: int, v2: int, p1, p2) -> Optional[str]:
-    named = 1 if any(index_value(jx, p2) == v2 for jx in sym_support) else 0
-    carried = sum(1 for jx in sym_support if index_value(jx, p1) == v1)
+@lru_cache(maxsize=None)
+def _valued_support(
+    f: str, b: Optional[str] = None
+) -> tuple[tuple[int, ...], frozenset[int]]:
+    """Support of member f, or of the virtual t(f, b), valued once.
+
+    Returns the value of each support slot at s=1, repeats kept, and the
+    set of values at s=2: all that the collision check reads of a support.
+    """
+    sup = member_support(f) if b is None else _t_support(f, b)
+    p1, p2 = ree_params(1), ree_params(2)
+    return (
+        tuple(index_value(jx, p1) for jx in sup),
+        frozenset(index_value(jx, p2) for jx in sup),
+    )
+
+
+def _dirty_values(valued, v1: int, v2: int) -> Optional[str]:
+    at1, at2 = valued
+    named = 1 if v2 in at2 else 0
+    carried = at1.count(v1)
     if carried != named:
         return f"D^{v1} carries {carried} support slots where the formula names {named}"
     return None
 
 
-def _dirty_leaf(sym_support, ix: SymbolicIndex, p1, p2) -> Optional[str]:
-    return _dirty_values(sym_support, index_value(ix, p1), index_value(ix, p2), p1, p2)
+def _dirty_leaf(valued, ix: SymbolicIndex, p1, p2) -> Optional[str]:
+    return _dirty_values(valued, index_value(ix, p1), index_value(ix, p2))
 
 
 def collision_reason(spec: IdentitySpec, roles: dict[str, str]) -> Optional[str]:
     """Why the instance is outside the asserted scope at s=1, or None."""
     p1, p2 = ree_params(1), ree_params(2)
 
-    def supp_of(role: str):
+    def valued_of(role: str):
         if role == "t":
-            return _t_support(roles["f"], roles["b"])
-        return member_support(roles[role])
+            return _valued_support(roles["f"], roles["b"])
+        return _valued_support(roles[role])
 
     def label_of(role: str) -> str:
         if role == "t":
@@ -738,23 +756,19 @@ def collision_reason(spec: IdentitySpec, roles: dict[str, str]) -> Optional[str]
         e = stack.pop()
         op = e[0]
         if op == "d":
-            r = _dirty_leaf(supp_of(e[1]), e[2], p1, p2)
+            r = _dirty_leaf(valued_of(e[1]), e[2], p1, p2)
             if r:
                 return f"{label_of(e[1])}: {r}"
         elif op in ("dshift", "dqpow"):
             ix = e[2]
-            sup = supp_of(e[1])
+            valued = valued_of(e[1])
             if op == "dshift":
-                r = _dirty_leaf(sup, ix, p1, p2)
+                r = _dirty_leaf(valued, ix, p1, p2)
                 if r:
                     return f"{label_of(e[1])}^q-{label_of(e[1])}: {r}"
             if _sym_div_q(ix):
                 r = _dirty_values(
-                    sup,
-                    index_value(ix, p1) // p1.q,
-                    index_value(ix, p2) // p2.q,
-                    p1,
-                    p2,
+                    valued, index_value(ix, p1) // p1.q, index_value(ix, p2) // p2.q
                 )
                 if r:
                     return f"{label_of(e[1])} under the q-power route: {r}"

@@ -10,7 +10,8 @@ come from the route's backends (backends.backends, shared with the identity
 checks), one echelon per backend:
 
 * symbolic (any s): fraction-free cross-multiplication elimination over the
-  coordinate ring, exact;
+  coordinate ring, exact; the pivot column of a reduced row is zero by
+  construction and is set, never computed;
 * points (any s): Gaussian elimination over the residue field of sampled
   points, taking a row as independent when it grows the rank at any sample.
   Rank at a point never exceeds the generic rank, so the scan is biased
@@ -140,7 +141,12 @@ def _strip_content(vec: list[CurveElement]) -> list[CurveElement]:
 
 
 class _SymbolicEchelon:
-    """Fraction-free echelon of rows of normal-form ring elements."""
+    """Fraction-free echelon of rows of normal-form ring elements.
+
+    Reducing vec by a stored row with pivot p replaces each entry k by
+    row[p]*vec[k] - vec[p]*row[k].  At k = p that is zero whatever the
+    entries, so the pivot column is set to zero and never multiplied.
+    """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
@@ -153,7 +159,11 @@ class _SymbolicEchelon:
             if c.is_zero():
                 continue
             lead = row[pivot]
-            vec = [lead * vec[k] - c * row[k] for k in range(self.ncols)]
+            zero = lead.ring.zero()
+            vec = [
+                zero if k == pivot else lead * vec[k] - c * row[k]
+                for k in range(self.ncols)
+            ]
             vec = _strip_content(vec)
         live = [k for k in range(self.ncols) if not vec[k].is_zero()]
         if not live:

@@ -60,6 +60,10 @@ def test_symbolic_backend_runs_above_s1(capsys):
     ["weierstrass", "--point", "origin", "--seed", "0"],
     ["weierstrass", "--k", "7"],
     ["weierstrass", "--point", "rational", "--seed", "1", "--k", "6"],
+    # the exact catalog is one fixed computation
+    ["verify", "--seed", "5"],
+    ["verify", "--s", "1", "--trials", "2", "--identity", "A9"],
+    ["verify", "--backend", "symbolic", "--precision", "60"],
 ])
 def test_unread_flag_is_usage_error(argv):
     # a flag the command would ignore is refused rather than echoed
@@ -243,6 +247,8 @@ GOLDEN_REPORTS = [
     ("orders_s1_E_symbolic.json", ["orders", "--s", "1", "--series", "E"]),
     # the D scan: the exact ring's product kernel at its largest entries
     ("orders_s1_D_symbolic.json", ["orders", "--s", "1", "--series", "D"]),
+    # the pivot witnesses at s = 2, where the echelon's entries are largest
+    ("orders_s2_D_symbolic.json", ["orders", "--s", "2", "--series", "D"]),
     # a profile scanned on the point's rows, its last order m above q^2
     ("weierstrass_s2_rational_seed0_D.json",
      ["weierstrass", "--s", "2", "--point", "rational", "--seed", "0", "--series", "D"]),

@@ -15,7 +15,11 @@ from reecurve.identities import (
     PointBackend,
     SymbolicBackend,
     _check_on_backend,
+    _dirty_values,
     _hyper_backend,
+    _sym_div_q,
+    _t_support,
+    _valued_support,
     check_hypersurface,
     check_identity,
     check_rank1_remark,
@@ -33,7 +37,7 @@ from reecurve.backends import backends
 from reecurve.params import index_value, ree_params
 from reecurve.ring import FAMILY_NAMES
 from reecurve.series import rational_point
-from reecurve.support import support_values
+from reecurve.support import member_support, support_values
 
 P1 = ree_params(1)
 P2 = ree_params(2)
@@ -147,6 +151,51 @@ def test_exclusion_list_is_frozen():
     assert {(k, inst) for k, inst, _ in excl} == EXPECTED_EXCLUSIONS
     assert all("carries" in reason or "q-power route" in reason
                for _, _, reason in excl)
+
+
+def _leaves(e):
+    """(op, role, index) of each derivative leaf of a residual."""
+    op = e[0]
+    if op in ("d", "dshift", "dqpow"):
+        yield e
+    elif op == "pw":
+        yield from _leaves(e[1])
+    elif op == "mul":
+        for sub in e[1:]:
+            yield from _leaves(sub)
+    elif op == "sum":
+        for _sign, sub in e[1:]:
+            yield from _leaves(sub)
+
+
+def test_valued_support_matches_a_direct_count_at_every_leaf():
+    # the collision check values each support once; at every leaf of every
+    # instance that must give the slot count of a per-index scan
+    checked = multiple = 0
+    for sp in IDENTITY_CATALOG:
+        for roles in instances_for(sp):
+            for _sub, expr in sp.residuals:
+                for op, role, ix in _leaves(expr):
+                    if role == "t":
+                        support = _t_support(roles["f"], roles["b"])
+                        valued = _valued_support(roles["f"], roles["b"])
+                    else:
+                        support = member_support(roles[role])
+                        valued = _valued_support(roles[role])
+                    v1, v2 = index_value(ix, P1), index_value(ix, P2)
+                    pairs = [(v1, v2)]
+                    if op != "d" and _sym_div_q(ix):
+                        pairs.append((v1 // P1.q, v2 // P2.q))
+                    for w1, w2 in pairs:
+                        carried = sum(1 for jx in support if index_value(jx, P1) == w1)
+                        named = any(index_value(jx, P2) == w2 for jx in support)
+                        assert valued[0].count(w1) == carried, (sp.key, roles, w1)
+                        assert (w2 in valued[1]) == named, (sp.key, roles, w2)
+                        clean = _dirty_values(valued, w1, w2) is None
+                        assert clean == (carried == named), (sp.key, roles, w1)
+                        checked += 1
+                        multiple += carried > 1
+    assert checked > 2000 and multiple > 0
 
 
 def test_excluded_instances_fail_honestly_where_predicted():

@@ -171,6 +171,67 @@ def test_scans_share_one_backend_tuple(monkeypatch):
     assert seen[0] is backends(1, "points", 2, 8, 6)
 
 
+# -- the exact echelon against the full cross-multiplication it replaces
+
+_Echelon = reecurve.orders._SymbolicEchelon
+
+
+class _CrossMultiplyEchelon:
+    """Reference: every column cross-multiplied, the pivot column included."""
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self.rows = []
+
+    def insert(self, vec):
+        for pivot, row in self.rows:
+            c = vec[pivot]
+            if c.is_zero():
+                continue
+            lead = row[pivot]
+            vec = [lead * vec[k] - c * row[k] for k in range(self.ncols)]
+            vec = reecurve.orders._strip_content(vec)
+        live = [k for k in range(self.ncols) if not vec[k].is_zero()]
+        if not live:
+            return None
+        pivot = min(live, key=lambda k: (len(vec[k]), k))
+        self.rows.append((pivot, vec))
+        return pivot
+
+
+class _TwinEchelon:
+    """Feeds each row to both echelons and asserts they store the same."""
+
+    inserts = 0
+
+    def __init__(self, ncols):
+        self.fast = _Echelon(ncols)
+        self.ref = _CrossMultiplyEchelon(ncols)
+
+    def insert(self, vec):
+        got = self.fast.insert(vec)
+        assert got == self.ref.insert(vec)
+        assert self.fast.rows == self.ref.rows
+        _TwinEchelon.inserts += 1
+        return got
+
+
+@pytest.mark.parametrize("s,series,scan", [
+    (1, "D", order_sequence),
+    (1, "E", order_sequence),
+    (1, "D", frobenius_orders),
+    (1, "E", frobenius_orders),
+    (2, "D", order_sequence),
+])
+def test_echelon_stores_what_cross_multiplication_stores(monkeypatch, s, series, scan):
+    # the pivot column is never multiplied; every stored row, pivot and
+    # witness must be the one the full cross-multiplication gives
+    monkeypatch.setattr(reecurve.orders, "_SymbolicEchelon", _TwinEchelon)
+    _TwinEchelon.inserts = 0
+    scan(series, s=s, backend="symbolic")
+    assert _TwinEchelon.inserts > len(order_values(ree_params(s), series))
+
+
 # -- triangular proof matrices
 
 

@@ -18,6 +18,26 @@ checks), one echelon per backend:
   towards rejection and never invents an order; under-selection is guarded
   by seed-stability checks in the test suite.
 
+The exact route offers the echelon only rows the theory does not already
+reject, by two rules; both leave every accepted index and pivot unchanged,
+because a rejected insert never changes an echelon's state:
+
+* closure: by the p-adic criterion (Stöhr-Voloch, Proc. LMS 52, 1986,
+  Cor. 1.9) every mu <=3 eps (digitwise in base 3) of an order eps is an
+  order, so the scan over the full candidate pool skips i unless each
+  i - 3^k, for each nonzero base-3 digit k of i, is already accepted;
+* Frobenius pool: the Frobenius scan offers only the computed orders after
+  its seed row.  With V_i the span of the rows D^j f, j <= i, and W_i the
+  span of (f^q)_f and the accepted rows up to i, W_i contains V_i by
+  induction, so the row of a non-order already lies in W_(i-1) (this is
+  also Stöhr-Voloch Prop. 2.1: the Frobenius orders are the orders with
+  one left out).
+
+The criterion is about generic orders, so vanishing profiles at a point
+keep the full pool, and so does the sampled route, which stays an
+independent check on the exact one.  The exact order scan runs once per
+family and level in a process (_exact_scan).
+
 Sample points live in the degree-6 extension.  The curve has no places of
 degree 2 through 5 (the zeta function forces N_k = N_1 for k <= 5), so
 degree 6 is the smallest extension where non-rational behaviour exists; at
@@ -28,6 +48,7 @@ of the generic orders.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .backends import backends, sample_count
 from .gf import FieldElement
@@ -200,7 +221,19 @@ def _echelons(Ks: tuple, ncols: int) -> list:
     return [_PointEchelon() for _ in Ks]
 
 
-def _scan(Ks: tuple, names, candidates, row="value", seed_row=None, want=None) -> list:
+def _closure_admits(i: int, accepted: set[int]) -> bool:
+    """Whether every i - 3^k, for each nonzero base-3 digit k of i, is accepted."""
+    v, power = i, 1
+    while v:
+        if v % 3 and i - power not in accepted:
+            return False
+        v //= 3
+        power *= 3
+    return True
+
+
+def _scan(Ks: tuple, names, candidates, row="value", seed_row=None, want=None,
+          closure=False) -> list:
     """The greedy rank scan, the one loop behind order sequences and profiles.
 
     Offers the row (K.<row>(f, i))_f of each candidate i, in increasing
@@ -208,6 +241,20 @@ def _scan(Ks: tuple, names, candidates, row="value", seed_row=None, want=None) -
     when a seed accessor is named; i is accepted when the rank grows on
     any backend.  Stops after want acceptances.  Returns (i, hits, pivot)
     per accepted i: the backends whose rank grew and the first pivot taken.
+
+    The exact route cuts the pool by the two rules of the module
+    docstring.  With closure set, i is offered only when _closure_admits
+    it; that is sound for the generic orders over the full candidate pool,
+    where the accepted set is the order set below i: closed under digitwise
+    base-3 domination (Stöhr-Voloch Cor. 1.9), it stays a down-set by
+    induction, a skipped i is a non-order the echelon would have rejected,
+    and a rejected insert leaves the echelon as it was.  The minimal
+    non-orders have every proper submask an order, so they still reach the
+    echelon and are rejected by it.  The Frobenius scan is passed only the
+    computed orders: W_i contains V_i, so each non-order's row already lies
+    in W_(i-1).  Profiles at a point and the sampled route offer the full
+    pool, since the criterion is about generic orders and the sampled scan
+    must stay an independent check on the exact one.
     """
     echelons = _echelons(Ks, len(names))
     if seed_row is not None:
@@ -215,7 +262,10 @@ def _scan(Ks: tuple, names, candidates, row="value", seed_row=None, want=None) -
             ech.insert([getattr(K, seed_row)(f) for f in names])
     accessors = [getattr(K, row) for K in Ks]
     found = []
+    accepted: set[int] = set()
     for i in sorted(candidates):
+        if closure and not _closure_admits(i, accepted):
+            continue
         hits = []
         pivot = None
         for j, (ech, value) in enumerate(zip(echelons, accessors)):
@@ -226,9 +276,25 @@ def _scan(Ks: tuple, names, candidates, row="value", seed_row=None, want=None) -
                     pivot = got
         if hits:
             found.append((i, hits, pivot))
+            accepted.add(i)
             if len(found) == want:
                 break
     return found
+
+
+@lru_cache(maxsize=None)
+def _exact_scan(names: tuple[str, ...], s: int) -> tuple:
+    """The closure scan of one family's generic orders on the exact route.
+
+    Run once per (family, level) in a process: order_sequence,
+    frobenius_orders, rejection_report and the epsilons of a tuple-series
+    profile all read it.  Entries are (i, hits, pivot) as _scan returns
+    them, with hits a tuple, so the shared result cannot be mutated.
+    """
+    Ks = backends(s, "symbolic", 1, 0)
+    pool = family_candidate_values(ree_params(s), names)
+    found = _scan(Ks, names, pool, want=len(names), closure=True)
+    return tuple((i, tuple(hits), pivot) for i, hits, pivot in found)
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +313,13 @@ def order_sequence(
     """Greedy lexicographic order scan over the candidate index pool."""
     names = _family_names(series)
     p = ree_params(s)
-    if candidates is None:
-        candidates = family_candidate_values(p, names)
     Ks = backends(s, backend, trials, seed, k)
-    found = _scan(Ks, names, candidates, want=len(names))
+    if candidates is None and Ks[0].kind == "symbolic":
+        found = _exact_scan(names, s)
+    else:
+        if candidates is None:
+            candidates = family_candidate_values(p, names)
+        found = _scan(Ks, names, candidates, want=len(names))
     orders = [i for i, _, _ in found]
     witness = [
         f"pivot-col={pivot}" if Ks[0].kind == "symbolic"
@@ -303,12 +372,22 @@ def frobenius_orders(
     seed: int = 0,
     k: int = 6,
 ) -> FrobeniusOrders:
-    """Greedy scan seeded with the row (f^q)_f; one order drops out."""
+    """Greedy scan seeded with the row (f^q)_f; one order drops out.
+
+    On the exact route the pool is the computed order sequence and the
+    omitted order is found against it; the sampled route scans the full
+    pool and names the omitted order against order_values.
+    """
     names = _family_names(series)
     p = ree_params(s)
     Ks = backends(s, backend, trials, seed, k)
     want = len(names) - 1
-    candidates = family_candidate_values(p, names)
+    if Ks[0].kind == "symbolic":
+        eps = list(order_sequence(series, s, backend).orders)
+        candidates = eps
+    else:
+        eps = order_values(p, series)
+        candidates = family_candidate_values(p, names)
     found = _scan(Ks, names, candidates, seed_row="qpow_value", want=want)
     nus = [i for i, _, _ in found]
     if len(nus) != want:
@@ -316,7 +395,6 @@ def frobenius_orders(
             f"rank deficiency not resolved: found {len(nus)} of {want} "
             f"Frobenius orders for {series} at s={s} ({backend})"
         )
-    eps = order_values(p, series)
     missing = sorted(set(eps) - set(nus))
     if len(missing) != 1:
         raise ArithmeticError(

@@ -282,17 +282,21 @@ def test_criterion_12_exact_route_above_s1():
     for s in (2, 3):
         res = verify_catalog(s, "symbolic")
         assert len(res) == 452 and all(r.ok and not r.skipped for r in res)
-    for s, series in ((2, "E"), (3, "E"), (2, "D")):
+    for s, series in ((2, "E"), (3, "E"), (2, "D"), (3, "D")):
         seq = order_sequence(series, s=s, backend="symbolic")
         assert list(seq.orders) == order_values(ree_params(s), series)
     fr = frobenius_orders("E", s=3, backend="symbolic")
     assert fr.omitted_order == 1 and fr.omitted_index == 1
+    for s in (2, 3):
+        fr = frobenius_orders("D", s=s, backend="symbolic")
+        assert fr.omitted_order == 1 and fr.omitted_index == 1
+        assert list(fr.nus) == [v for v in order_values(ree_params(s), "D") if v != 1]
     # an ad hoc subfamily's generic orders come from the exact scan
     prof = vanishing_orders(("one", "x", "w1"), rational_point(2, seed=0))
     assert prof.jorders == (0, 1, 28) and prof.epsilons == (0, 1, 27)
     dt = time.time() - t0
     _verdict(
         12,
-        f"exact route above s=1: catalog 452/452 at s=2,3, E orders at s=2,3, "
-        f"D orders at s=2, Frobenius E at s=3 omits 1, {dt:.2f}s",
+        f"exact route above s=1: catalog 452/452 at s=2,3, E and D orders at "
+        f"s=2,3, Frobenius E at s=3 and D at s=2,3 omit 1, {dt:.2f}s",
     )

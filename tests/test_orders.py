@@ -25,7 +25,12 @@ from reecurve.orders import (
     triangular_check,
 )
 from reecurve.params import index_value, ree_params
-from reecurve.support import leq3, minimal_non_orders, order_values
+from reecurve.support import (
+    family_candidate_values,
+    leq3,
+    minimal_non_orders,
+    order_values,
+)
 
 D_ORDERS_S1 = (0, 1, 3, 6, 9, 27, 30, 54, 81, 84, 108, 162, 243, 729)
 E_ORDERS_S1 = (0, 1, 9, 27, 54, 243, 729)
@@ -97,6 +102,13 @@ def test_frobenius_e_symbolic():
     assert fr.omitted_order == 1 and fr.omitted_index == 1
     # the morphism shortcut agrees with the seeded scan below q
     assert fr.below_q == tuple(v for v in fr.nus if v < 27)
+
+
+def test_frobenius_tuple_family_symbolic():
+    # the omitted order is found against the family's own computed orders,
+    # not against a closed-form list that only D and E have
+    fr = frobenius_orders(("one", "x", "w1"), s=1, backend="symbolic")
+    assert fr.nus == (0, 9) and fr.omitted_order == 1 and fr.omitted_index == 1
 
 
 def test_morphism_shortcut_routes_agree():
@@ -216,20 +228,100 @@ class _TwinEchelon:
         return got
 
 
+@pytest.fixture
+def fresh_exact_scan():
+    """An empty per-process memo of exact order scans, emptied again after."""
+    reecurve.orders._exact_scan.cache_clear()
+    yield
+    reecurve.orders._exact_scan.cache_clear()
+
+
 @pytest.mark.parametrize("s,series,scan", [
     (1, "D", order_sequence),
     (1, "E", order_sequence),
     (1, "D", frobenius_orders),
     (1, "E", frobenius_orders),
     (2, "D", order_sequence),
+    (2, "D", frobenius_orders),
 ])
-def test_echelon_stores_what_cross_multiplication_stores(monkeypatch, s, series, scan):
+def test_echelon_stores_what_cross_multiplication_stores(
+    monkeypatch, fresh_exact_scan, s, series, scan
+):
     # the pivot column is never multiplied; every stored row, pivot and
     # witness must be the one the full cross-multiplication gives
     monkeypatch.setattr(reecurve.orders, "_SymbolicEchelon", _TwinEchelon)
     _TwinEchelon.inserts = 0
     scan(series, s=s, backend="symbolic")
     assert _TwinEchelon.inserts > len(order_values(ree_params(s), series))
+
+
+# -- what the exact route offers the echelon
+
+_RAW_FULL_POOL_CASES = [(1, "D"), (1, "E"), (2, "D"), (2, "E"), (3, "E")]
+
+
+class _Offered:
+    """A symbolic backend that records which candidates' rows are read."""
+
+    kind = "symbolic"
+
+    def __init__(self, K):
+        self.K = K
+        self.seen = set()
+
+    def value(self, f, i):
+        self.seen.add(i)
+        return self.K.value(f, i)
+
+
+def _pool(s, series):
+    names = reecurve.orders._family_names(series)
+    return names, family_candidate_values(ree_params(s), names)
+
+
+@pytest.mark.parametrize("s,series", _RAW_FULL_POOL_CASES)
+def test_closure_scan_equals_the_raw_scan(s, series):
+    # skipping the candidates closure rejects changes no accepted index,
+    # no pivot and no hit list
+    names, pool = _pool(s, series)
+    raw = reecurve.orders._scan(backends(s, "symbolic", 1, 0), names, pool,
+                                want=len(names))
+    closed = reecurve.orders._exact_scan(names, s)
+    assert [(i, tuple(hits), pivot) for i, hits, pivot in raw] == list(closed)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("series", ["D", "E"])
+def test_minimal_non_orders_reach_the_echelon(s, series):
+    # the echelon itself still rejects every minimal non-order in the pool
+    names, pool = _pool(s, series)
+    p = ree_params(s)
+    spy = _Offered(backends(s, "symbolic", 1, 0)[0])
+    found = reecurve.orders._scan((spy,), names, pool, want=len(names), closure=True)
+    assert [i for i, _, _ in found] == order_values(p, series)
+    minimal = {index_value(ix, p) for ix in minimal_non_orders(series)} & set(pool)
+    assert minimal and minimal <= spy.seen
+    if (s, series) == (1, "D"):
+        assert len(pool) == 121 and len(spy.seen) <= 40
+
+
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("series", ["D", "E"])
+def test_frobenius_pool_equals_the_full_pool(s, series):
+    # the Frobenius scan over the computed orders takes what the full pool
+    # takes, and its omitted order is the one the closed form omits
+    names, pool = _pool(s, series)
+    Ks = backends(s, "symbolic", 1, 0)
+    full = reecurve.orders._scan(Ks, names, pool, seed_row="qpow_value",
+                                 want=len(names) - 1)
+    nus = tuple(i for i, _, _ in full)
+    eps = order_values(ree_params(s), series)
+    (omitted,) = set(eps) - set(nus)
+    fr = frobenius_orders(series, s=s, backend="symbolic")
+    assert (fr.nus, fr.omitted_order, fr.omitted_index) == (
+        nus, omitted, eps.index(omitted)
+    )
+    assert fr.below_q == morphism_orders_below_q(series, s=s, backend="symbolic")
 
 
 # -- triangular proof matrices

@@ -42,8 +42,6 @@ class RunConfig:
     trials: int
     k: int
     precision: Optional[int]
-    fmt: str
-    out: Optional[str]
 
     def __post_init__(self) -> None:
         if self.s < 1:
@@ -111,8 +109,6 @@ def _config(args, parser) -> RunConfig:
             trials=args.trials,
             k=args.k,
             precision=args.precision,
-            fmt=args.format,
-            out=args.out,
         )
     except ValueError as exc:
         parser.error(str(exc))

@@ -16,9 +16,9 @@ non-leading coefficient vector, read as a base-3 integer with the constant
 term least significant, is smallest.  ``code()`` is that same base-3
 reading of an element.
 
-Beyond the ring operations the module provides the three maps the curve
-machinery needs: iterated cube (Frobenius powers), traces onto subfields,
-and a deterministic solver for Artin-Schreier equations u^q - u = c.
+Beyond the ring operations the module provides the two maps the curve
+machinery needs: iterated cube (Frobenius powers) and a deterministic
+solver for Artin-Schreier equations u^q - u = c.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "FieldElement",
     "field_context",
     "frobenius_power",
-    "trace_to_subfield",
     "solve_artin_schreier",
 ]
 
@@ -448,95 +447,6 @@ def _frob_minus_one(ctx: FieldContext, k: int) -> list[list[int]]:
         b = FieldElement(ctx, 1 << 8 * j)
         cols.append((ctx.frobenius(b, k) - b).coeffs)
     return [list(row) for row in zip(*cols)]
-
-
-def _subfield_basis(ctx: FieldContext, d: int) -> list[FieldElement]:
-    """GF(3)-basis of the fixed field of x -> x^(3^d) inside ctx: the
-    kernel of Frob^d - I, one vector per free column."""
-    m = ctx.m
-    rows = _frob_minus_one(ctx, d)
-    pivots = _rref(rows, m)
-    basis = []
-    for fc in range(m):
-        if fc in pivots:
-            continue
-        vec = [0] * m
-        vec[fc] = 1
-        for r, col in enumerate(pivots):
-            vec[col] = -rows[r][fc] % 3
-        basis.append(ctx.from_coeffs(vec))
-    return basis
-
-
-_EMBED_CACHE: dict[tuple[int, int], FieldElement] = {}
-
-
-def _subfield_generator_image(ctx: FieldContext, d: int) -> FieldElement:
-    """Image in ctx of the canonical GF(3^d) generator (deterministic root)."""
-    key = (ctx.m, d)
-    if key in _EMBED_CACHE:
-        return _EMBED_CACHE[key]
-    sub = field_context(d)
-    basis = _subfield_basis(ctx, d)
-    if len(basis) != d:
-        raise ArithmeticError("subfield dimension mismatch")
-    # enumerate subfield elements in ascending coordinate code, pick the
-    # first root of the canonical degree-d modulus
-    best = None
-    for code in range(3**d):
-        coords = []
-        k = code
-        for _ in range(d):
-            coords.append(k % 3)
-            k //= 3
-        elem = ctx.zero()
-        for c, b in zip(coords, basis):
-            if c:
-                elem = elem + (b if c == 1 else b + b)
-        val = ctx.zero()
-        for coeff in reversed(sub.modulus):
-            val = val * elem + ctx.scalar(coeff)
-        if val.is_zero():
-            best = elem
-            break
-    if best is None:
-        raise ArithmeticError("canonical subfield modulus has no root")
-    _EMBED_CACHE[key] = best
-    return best
-
-
-def trace_to_subfield(a: FieldElement, d: int) -> FieldElement:
-    """Trace of a onto GF(3^d), returned as an element of that context."""
-    ctx = a.ctx
-    if ctx.m % d:
-        raise ValueError("subfield degree must divide m")
-    total = ctx.zero()
-    cur = a
-    for _ in range(ctx.m // d):
-        total = total + cur
-        cur = ctx.frobenius(cur, d)
-    if ctx.frobenius(total, d) != total:
-        raise ArithmeticError("trace not fixed by subfield Frobenius")
-    sub = field_context(d)
-    if d == 1:
-        if any(total.coeffs[1:]):
-            raise ArithmeticError("prime-field trace has nonconstant part")
-        return sub.scalar(total.coeffs[0])
-    if d == ctx.m:
-        return total if sub is ctx else sub.from_coeffs(total.coeffs)
-    root = _subfield_generator_image(ctx, d)
-    # solve for coordinates of total in the power basis of the root
-    powers = [ctx.one()]
-    for _ in range(d - 1):
-        powers.append(powers[-1] * root)
-    rows = [list(row) for row in zip(*(pw.coeffs for pw in powers), total.coeffs)]
-    pivots = _rref(rows, d)
-    if any(row[d] for row in rows[len(pivots):]):
-        raise ArithmeticError("trace not in subfield span")
-    sol = [0] * d
-    for r, col in enumerate(pivots):
-        sol[col] = rows[r][d]
-    return sub.from_coeffs(sol)
 
 
 def solve_artin_schreier(c: FieldElement, q: int) -> Optional[FieldElement]:

@@ -44,11 +44,10 @@ from reecurve.params import (
     SymbolicIndex,
     index_value,
     ree_params,
-    symbolic_from_value,
 )
 from reecurve.ring import FAMILY_NAMES, SUBFAMILY_NAMES, function_family
 from reecurve.series import CurvePoint, ser_add
-from reecurve.support import member_support, support_values
+from reecurve.support import level_uniform, member_support, support_values
 
 __all__ = [
     "IdentitySpec",
@@ -696,11 +695,7 @@ def _t_support(f: str, b: str) -> tuple[SymbolicIndex, ...]:
             frontier = {p.q * v for v in frontier if p.q * v <= lim} - out
         return frozenset(out)
 
-    p3 = ree_params(3)
-    sym = tuple(symbolic_from_value(v, ree_params(2)) for v in sorted(values(2)))
-    if {index_value(ix, p3) for ix in sym} != set(values(3)):
-        raise ArithmeticError(f"virtual support of ({f},{b}) is not level-uniform")
-    return sym
+    return level_uniform(values(2), values(3), f"virtual support of ({f},{b})")
 
 
 def _sym_div_q(ix: SymbolicIndex) -> bool:

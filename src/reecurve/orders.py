@@ -35,8 +35,9 @@ because a rejected insert never changes an echelon's state:
 
 The criterion is about generic orders, so vanishing profiles at a point
 keep the full pool, and so does the sampled route, which stays an
-independent check on the exact one.  The exact order scan runs once per
-family and level in a process (_exact_scan).
+independent check on the exact one.  The order scan runs once per family,
+level and route in a process (_order_scan), and the Frobenius orders name
+their omitted order against that route's own order sequence.
 
 Sample points live in the degree-6 extension.  The curve has no places of
 degree 2 through 5 (the zeta function forces N_k = N_1 for k <= 5), so
@@ -52,6 +53,7 @@ from functools import lru_cache
 
 from .backends import backends, sample_count
 from .gf import FieldElement
+from .hasse import binom_support
 from .params import ReeParams, SymbolicIndex, index_value, ree_params
 from .ring import FAMILY_NAMES, SUBFAMILY_NAMES, CurveElement
 from .support import family_candidate_values, minimal_non_orders, order_values
@@ -201,7 +203,8 @@ class _PointEchelon:
     def __init__(self):
         self.rows: list[tuple[int, list[FieldElement]]] = []
 
-    def insert(self, vec: list[FieldElement]) -> bool:
+    def insert(self, vec: list[FieldElement]) -> int | None:
+        """Reduce against stored rows; keep and return pivot if independent."""
         for pivot, row in self.rows:
             c = vec[pivot]
             if c.is_zero():
@@ -211,8 +214,8 @@ class _PointEchelon:
             if not a.is_zero():
                 inv = a.inverse()
                 self.rows.append((k, [v * inv for v in vec]))
-                return True
-        return False
+                return k
+        return None
 
 
 def _echelons(Ks: tuple, ncols: int) -> list:
@@ -239,13 +242,15 @@ def _scan(Ks: tuple, names, candidates, row="value", seed_row=None, want=None,
     Offers the row (K.<row>(f, i))_f of each candidate i, in increasing
     order, to one echelon per backend, after the row (K.<seed_row>(f))_f
     when a seed accessor is named; i is accepted when the rank grows on
-    any backend.  Stops after want acceptances.  Returns (i, hits, pivot)
-    per accepted i: the backends whose rank grew and the first pivot taken.
+    any backend, that is when some echelon's insert returns a pivot rather
+    than None.  Stops after want acceptances.  Returns (i, hits, pivot) per
+    accepted i: the backends whose rank grew and the first pivot taken.
 
     The exact route cuts the pool by the two rules of the module
-    docstring.  With closure set, i is offered only when _closure_admits
-    it; that is sound for the generic orders over the full candidate pool,
-    where the accepted set is the order set below i: closed under digitwise
+    docstring; _order_scan sets closure exactly on that route.  With
+    closure set, i is offered only when _closure_admits it; that is sound
+    for the generic orders over the full candidate pool, where the
+    accepted set is the order set below i: closed under digitwise
     base-3 domination (Stöhr-Voloch Cor. 1.9), it stays a down-set by
     induction, a skipped i is a non-order the echelon would have rejected,
     and a rejected insert leaves the echelon as it was.  The minimal
@@ -270,7 +275,7 @@ def _scan(Ks: tuple, names, candidates, row="value", seed_row=None, want=None,
         pivot = None
         for j, (ech, value) in enumerate(zip(echelons, accessors)):
             got = ech.insert([value(f, i) for f in names])
-            if got is not None and got is not False:
+            if got is not None:
                 hits.append(j)
                 if pivot is None:
                     pivot = got
@@ -283,17 +288,19 @@ def _scan(Ks: tuple, names, candidates, row="value", seed_row=None, want=None,
 
 
 @lru_cache(maxsize=None)
-def _exact_scan(names: tuple[str, ...], s: int) -> tuple:
-    """The closure scan of one family's generic orders on the exact route.
+def _order_scan(names: tuple[str, ...], Ks: tuple) -> tuple:
+    """The order scan of one family over the full pool of one route.
 
-    Run once per (family, level) in a process: order_sequence,
-    frobenius_orders, rejection_report and the epsilons of a tuple-series
-    profile all read it.  Entries are (i, hits, pivot) as _scan returns
-    them, with hits a tuple, so the shared result cannot be mutated.
+    Keyed on the backend tuple, which backends() builds once per route, so
+    the scan runs once per family, level and route in a process:
+    order_sequence, frobenius_orders, rejection_report and the epsilons of
+    a tuple-series profile all read it.  Closure is set exactly on the
+    exact route.  Entries are (i, hits, pivot) as _scan returns them, with
+    hits a tuple, so the shared result cannot be mutated.
     """
-    Ks = backends(s, "symbolic", 1, 0)
-    pool = family_candidate_values(ree_params(s), names)
-    found = _scan(Ks, names, pool, want=len(names), closure=True)
+    pool = family_candidate_values(ree_params(Ks[0].s), names)
+    found = _scan(Ks, names, pool, want=len(names),
+                  closure=Ks[0].kind == "symbolic")
     return tuple((i, tuple(hits), pivot) for i, hits, pivot in found)
 
 
@@ -305,7 +312,6 @@ def order_sequence(
     series: str = "D",
     s: int = 1,
     backend: str = "symbolic",
-    candidates=None,
     trials: int = 3,
     seed: int = 0,
     k: int = 6,
@@ -314,12 +320,7 @@ def order_sequence(
     names = _family_names(series)
     p = ree_params(s)
     Ks = backends(s, backend, trials, seed, k)
-    if candidates is None and Ks[0].kind == "symbolic":
-        found = _exact_scan(names, s)
-    else:
-        if candidates is None:
-            candidates = family_candidate_values(p, names)
-        found = _scan(Ks, names, candidates, want=len(names))
+    found = _order_scan(names, Ks)
     orders = [i for i, _, _ in found]
     witness = [
         f"pivot-col={pivot}" if Ks[0].kind == "symbolic"
@@ -374,21 +375,17 @@ def frobenius_orders(
 ) -> FrobeniusOrders:
     """Greedy scan seeded with the row (f^q)_f; one order drops out.
 
-    On the exact route the pool is the computed order sequence and the
-    omitted order is found against it; the sampled route scans the full
-    pool and names the omitted order against order_values.
+    The omitted order is found against the route's own order sequence.
+    The exact route offers only those orders after the seed row; the
+    sampled route offers the full pool.
     """
     names = _family_names(series)
     p = ree_params(s)
     Ks = backends(s, backend, trials, seed, k)
     want = len(names) - 1
-    if Ks[0].kind == "symbolic":
-        eps = list(order_sequence(series, s, backend).orders)
-        candidates = eps
-    else:
-        eps = order_values(p, series)
-        candidates = family_candidate_values(p, names)
-    found = _scan(Ks, names, candidates, seed_row="qpow_value", want=want)
+    eps = list(order_sequence(series, s, backend, trials, seed, k).orders)
+    pool = eps if Ks[0].kind == "symbolic" else family_candidate_values(p, names)
+    found = _scan(Ks, names, pool, seed_row="qpow_value", want=want)
     nus = [i for i, _, _ in found]
     if len(nus) != want:
         raise ArithmeticError(
@@ -487,30 +484,16 @@ def triangular_check(
 # closure and rejection bookkeeping
 
 
-def _downsets(e: int):
-    """All mu with mu <=3 e (digitwise base-3 domination)."""
-    if e == 0:
-        yield 0
-        return
-    digits = []
-    v = e
-    while v:
-        digits.append(v % 3)
-        v //= 3
-    subs = [0]
-    base = 1
-    for d in digits:
-        subs = [s0 + c * base for s0 in subs for c in range(d + 1)]
-        base *= 3
-    yield from subs
-
-
 def padic_closure_check(orders) -> list[tuple[int, int]]:
-    """Digitwise downward-closure violations; empty means closed."""
+    """Digitwise downward-closure violations; empty means closed.
+
+    The mu <=3 e digitwise in base 3 are the k with C(e, k) nonzero mod 3
+    (Lucas), so binom_support(e) lists them.
+    """
     have = set(orders)
     bad = []
     for e in sorted(have):
-        for mu in _downsets(e):
+        for mu in binom_support(e):
             if mu not in have:
                 bad.append((mu, e))
     return sorted(set(bad))
@@ -570,7 +553,7 @@ def rejection_report(
     from .identities import verify_catalog
 
     p = ree_params(s)
-    scan = set(order_sequence(series, s, backend, None, trials, seed, k).orders)
+    scan = set(order_sequence(series, s, backend, trials, seed, k).orders)
     witnesses = rejection_witnesses(series)
     if set(witnesses) != set(minimal_non_orders(series)):
         raise ArithmeticError("rejection table drifted from the minimal non-orders")

@@ -10,7 +10,8 @@ with e the twist exponent (q0 or 3q0), all sums and dilations truncated to
 [0, q^2].  The generators are S(x^q - x) = {0, 1, q} and S_x = {0, 1}.
 
 Index sets are level-uniform for s >= 2: each is computed numerically at
-s = 2, decoded into the symbolic index grammar, and revalidated at s = 3.
+s = 2, decoded into the symbolic index grammar, and revalidated at s = 3
+(level_uniform, which the identity catalog's virtual supports use too).
 The two appendix tables, the candidate sets for the order scans, and the
 digitwise-minimal non-order sets are all derived here.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from reecurve.hasse import binom_mod3
 from reecurve.params import (
     Q2,
     ReeParams,
@@ -63,13 +65,8 @@ E_ORDER_INDICES = (
 
 
 def leq3(i: int, j: int) -> bool:
-    """Digitwise base-3 domination, i.e. C(j, i) nonzero mod 3."""
-    while i or j:
-        if i % 3 > j % 3:
-            return False
-        i //= 3
-        j //= 3
-    return True
+    """Digitwise base-3 domination, i.e. C(j, i) nonzero mod 3 (Lucas)."""
+    return binom_mod3(j, i) != 0
 
 
 def minimal_elements(values) -> list[int]:
@@ -159,9 +156,22 @@ def _shift_values(name: str, s: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _symbolic_set(values: frozenset[int]) -> tuple[SymbolicIndex, ...]:
+def _symbolic_set(values) -> tuple[SymbolicIndex, ...]:
     p2 = ree_params(2)
     return tuple(symbolic_from_value(v, p2) for v in sorted(values))
+
+
+def level_uniform(values2, values3, what: str) -> tuple[SymbolicIndex, ...]:
+    """Decode a value set at s = 2 into symbolic indices, checked at s = 3.
+
+    The indices, in ascending order of their s = 2 values, must value to
+    the s = 3 set in ascending order; otherwise what is not level-uniform.
+    """
+    symbolic = _symbolic_set(values2)
+    p3 = ree_params(3)
+    if [index_value(ix, p3) for ix in symbolic] != sorted(values3):
+        raise ArithmeticError(f"{what} is not level-uniform")
+    return symbolic
 
 
 @lru_cache(maxsize=None)
@@ -191,15 +201,9 @@ def support_values(name: str, p: ReeParams, kind: str = "member") -> frozenset[i
 @lru_cache(maxsize=None)
 def member_support(name: str) -> tuple[SymbolicIndex, ...]:
     """Level-uniform symbolic support, validated at two reference levels."""
-    p2, p3 = ree_params(2), ree_params(3)
-    vals2 = _member_values(name, 2)
-    symbolic = tuple(
-        symbolic_from_value(v, p2) for v in sorted(vals2)
+    return level_uniform(
+        _member_values(name, 2), _member_values(name, 3), f"support of {name}"
     )
-    revalued = {index_value(ix, p3) for ix in symbolic}
-    if revalued != set(_member_values(name, 3)):
-        raise ArithmeticError(f"support of {name} is not level-uniform")
-    return symbolic
 
 
 def family_candidate_values(p: ReeParams, names=FAMILY_NAMES) -> list[int]:
@@ -231,15 +235,9 @@ def minimal_non_orders(series: str) -> tuple[SymbolicIndex, ...]:
             pool = {v for v in pool if v <= bound}
         else:
             pool = set(_member_values("w8", s))
-            bound = None
         pool -= set(order_values(p, series))
         out[s] = minimal_elements(pool)
-    p2 = ree_params(2)
-    symbolic = tuple(symbolic_from_value(v, p2) for v in out[2])
-    p3 = ree_params(3)
-    if [index_value(ix, p3) for ix in symbolic] != out[3]:
-        raise ArithmeticError("minimal non-orders are not level-uniform")
-    return symbolic
+    return level_uniform(out[2], out[3], "minimal non-orders")
 
 
 # ---------------------------------------------------------------------------

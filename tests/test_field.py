@@ -9,7 +9,6 @@ from reecurve.gf import (
     field_context,
     frobenius_power,
     solve_artin_schreier,
-    trace_to_subfield,
 )
 
 
@@ -85,40 +84,6 @@ def test_frobenius_power_cycles():
         assert frobenius_power(frobenius_power(a, 1), 2) == a
 
 
-def test_trace_to_prime_field():
-    # Tr: GF(9) -> GF(3), a + a^3; Tr(1) = 2
-    ctx = field_context(2)
-    gf3 = field_context(1)
-    assert trace_to_subfield(ctx.one(), 1) == gf3.scalar(2)
-    # exhaustive: trace is GF(3)-linear and onto
-    images = set()
-    for code in range(9):
-        a = ctx.from_code(code)
-        tr = trace_to_subfield(a, 1)
-        manual = a + ctx.cube(a)
-        assert manual.coeffs[0] == tr.coeffs[0]
-        assert not any(manual.coeffs[1:])
-        images.add(tr.code())
-    assert images == {0, 1, 2}
-
-
-@pytest.mark.parametrize("m,d", [(6, 2), (6, 3)])
-def test_trace_to_intermediate_field(m, d):
-    # Tr: GF(3^m) -> GF(3^d) is GF(3^d)-linear and surjective
-    ctx = field_context(m)
-    sub = field_context(d)
-    seen = set()
-    rng = random.Random(11)
-    for _ in range(200):
-        a = ctx.random_element(rng)
-        tr = trace_to_subfield(a, d)
-        assert tr.ctx is sub
-        seen.add(tr.code())
-        # transitivity: Tr_{3^d->3}(Tr_{3^m->3^d}(a)) == Tr_{3^m->3}(a)
-        assert trace_to_subfield(tr, 1) == trace_to_subfield(a, 1)
-    assert seen == set(range(sub.order))
-
-
 @pytest.mark.parametrize("m,e", [(2, 1), (3, 1), (6, 1), (6, 2), (6, 3)])
 def test_artin_schreier_against_search(m, e):
     # oracle: brute-force search for any u with u^(3^e) - u = c
@@ -154,13 +119,15 @@ def test_artin_schreier_deterministic():
 
 
 def test_artin_schreier_solvable_iff_trace_zero():
-    # u^3 - u = c solvable over GF(3^m) iff Tr to GF(3) vanishes
+    # u^3 - u = c solvable over GF(3^m) iff Tr to GF(3) vanishes;
+    # over GF(27) that trace is c + c^3 + c^9
     ctx = field_context(3)
     for code in range(27):
         c = ctx.from_code(code)
         solvable = solve_artin_schreier(c, 3) is not None
-        tr_zero = trace_to_subfield(c, 1).is_zero()
-        assert solvable == tr_zero
+        tr = c + frobenius_power(c, 1) + frobenius_power(c, 2)
+        assert not any(tr.coeffs[1:])
+        assert solvable == tr.is_zero()
 
 
 def _solve_gf3(rows, rhs):

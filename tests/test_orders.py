@@ -73,8 +73,9 @@ def test_two_member_family_trivial():
 
 
 def test_rank_deficiency_reported():
+    # a repeated member can never grow the rank past the distinct members
     with pytest.raises(ArithmeticError, match="rank deficiency"):
-        order_sequence("D", s=1, backend="symbolic", candidates=range(4))
+        order_sequence(("one", "x", "x"), s=1, backend="symbolic")
 
 
 def test_symbolic_backend_policy():
@@ -108,6 +109,12 @@ def test_frobenius_tuple_family_symbolic():
     # the omitted order is found against the family's own computed orders,
     # not against a closed-form list that only D and E have
     fr = frobenius_orders(("one", "x", "w1"), s=1, backend="symbolic")
+    assert fr.nus == (0, 9) and fr.omitted_order == 1 and fr.omitted_index == 1
+
+
+def test_frobenius_tuple_family_points():
+    # the sampled route names the omitted order against its own order scan
+    fr = frobenius_orders(("one", "x", "w1"), s=1, backend="points", trials=2, seed=0)
     assert fr.nus == (0, 9) and fr.omitted_order == 1 and fr.omitted_index == 1
 
 
@@ -177,7 +184,8 @@ def test_scans_share_one_backend_tuple(monkeypatch):
     (K0, _K1) = seen[0]
     rows = K0._rows
     frobenius_orders("E", s=1, backend="points", trials=2, seed=8)
-    assert len(seen) == 3  # the scan, the Frobenius scan, the shift scan
+    # the scan; the Frobenius scan, its order sequence and its shift scan
+    assert len(seen) == 4
     assert all(Ks is seen[0] for Ks in seen)
     assert K0._rows is rows  # member series expanded once per point
     assert seen[0] is backends(1, "points", 2, 8, 6)
@@ -229,11 +237,11 @@ class _TwinEchelon:
 
 
 @pytest.fixture
-def fresh_exact_scan():
-    """An empty per-process memo of exact order scans, emptied again after."""
-    reecurve.orders._exact_scan.cache_clear()
+def fresh_order_scan():
+    """An empty per-process memo of order scans, emptied again after."""
+    reecurve.orders._order_scan.cache_clear()
     yield
-    reecurve.orders._exact_scan.cache_clear()
+    reecurve.orders._order_scan.cache_clear()
 
 
 @pytest.mark.parametrize("s,series,scan", [
@@ -245,7 +253,7 @@ def fresh_exact_scan():
     (2, "D", frobenius_orders),
 ])
 def test_echelon_stores_what_cross_multiplication_stores(
-    monkeypatch, fresh_exact_scan, s, series, scan
+    monkeypatch, fresh_order_scan, s, series, scan
 ):
     # the pivot column is never multiplied; every stored row, pivot and
     # witness must be the one the full cross-multiplication gives
@@ -284,9 +292,9 @@ def test_closure_scan_equals_the_raw_scan(s, series):
     # skipping the candidates closure rejects changes no accepted index,
     # no pivot and no hit list
     names, pool = _pool(s, series)
-    raw = reecurve.orders._scan(backends(s, "symbolic", 1, 0), names, pool,
-                                want=len(names))
-    closed = reecurve.orders._exact_scan(names, s)
+    Ks = backends(s, "symbolic", 1, 0)
+    raw = reecurve.orders._scan(Ks, names, pool, want=len(names))
+    closed = reecurve.orders._order_scan(names, Ks)
     assert [(i, tuple(hits), pivot) for i, hits, pivot in raw] == list(closed)
 
 

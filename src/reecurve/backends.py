@@ -3,7 +3,9 @@
 A route evaluates Hasse derivatives of the family members in one of two
 ways: exactly, as normal forms in the coordinate ring ("symbolic"), or as
 truncated power series at seeded sample points ("points").  Both routes
-run at every level, and both backend classes expose the same operations:
+run at every level, and both backend classes expose the same operations
+(SymbolicBackend here, PointBackend in series.py beside the series code, so
+the exact route never loads the field or series modules):
 
 * residual arithmetic for the identity catalog: member, member_d, shift_d,
   qpow_d, virtual_d, ell_power, pow_tag, mul, add, is_zero, describe;
@@ -21,20 +23,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from reecurve.gf import frobenius_power
 from reecurve.hasse import HasseCalculus, hasse_calculus
 from reecurve.params import ReeParams, ree_params
-from reecurve.series import (
-    CurvePoint,
-    PointExpansion,
-    hasse_shift,
-    random_point,
-    ser_add,
-    ser_mul,
-    ser_pow3k,
-)
 
-__all__ = ["SymbolicBackend", "PointBackend", "backends", "default_window", "sample_count"]
+__all__ = ["SymbolicBackend", "backends", "default_window", "sample_count"]
 
 
 def _pow_count(tag: str, s: int) -> int:
@@ -135,97 +127,6 @@ def default_window(p: ReeParams) -> int:
     return 2 * p.q + p.q0 + 32
 
 
-class PointBackend:
-    """Evaluates residuals as truncated series at one sampled point."""
-
-    kind = "points"
-
-    def __init__(
-        self, point: CurvePoint, window: Optional[int] = None, depth: Optional[int] = None
-    ):
-        self.point = point
-        self.exp = PointExpansion(point)
-        self.p = point.params
-        self.s = point.s
-        self.window = default_window(self.p) if window is None else window
-        # member rows cover the indices below depth: q^2 + 1 holds every
-        # order candidate, a vanishing profile needs m + 1
-        self.depth = self.p.q**2 + 1 if depth is None else depth
-        self._rows: dict[str, dict] = {}
-        self._shift_rows: dict[str, dict] = {}
-
-    def zero(self):
-        return {}
-
-    def member(self, name: str):
-        # the expansion may hold more terms than asked for; residuals
-        # compare this against products cut off at the window
-        ser = self.exp.series(name, self.window)
-        return {e: c for e, c in ser.items() if e < self.window}
-
-    def member_d(self, name: str, i: int):
-        return self.exp.derivative_series(name, i, self.window)
-
-    def shift_d(self, name: str, i: int):
-        return hasse_shift(self.exp.shift_series(name, i + self.window), i, self.window)
-
-    def qpow_d(self, name: str, i: int):
-        return hasse_shift(self.exp.qpow_series(name, i + self.window), i, self.window)
-
-    def virtual_d(self, f: str, b: str, i: int):
-        """D^i t for t^q - t = f^q0 (b^q - b); t itself is never needed."""
-        if i <= 0:
-            raise ValueError("virtual functions only expose positive indices")
-        return hasse_shift(self.exp.lift(f, b, i + self.window), i, self.window)
-
-    # -- rows: the i-th coefficient of a series is D^i at the point; each
-    # member is expanded on first use, once
-
-    def row(self, name: str) -> dict:
-        """The member's series below the depth: where its rows are nonzero."""
-        if name not in self._rows:
-            ser = self.exp.series(name, self.depth)
-            self._rows[name] = {e: c for e, c in ser.items() if e < self.depth}
-        return self._rows[name]
-
-    def value(self, name: str, i: int):
-        return self.row(name).get(i, self.point.ctx.zero())
-
-    def shift_value(self, name: str, i: int):
-        """D^i (f^q - f) at the point for i < q, all the morphism scan reads."""
-        if i >= self.p.q:
-            raise ValueError("shift rows stop below q")
-        if name not in self._shift_rows:
-            self._shift_rows[name] = self.exp.shift_series(name, self.p.q)
-        return self._shift_rows[name].get(i, self.point.ctx.zero())
-
-    def qpow_value(self, name: str):
-        return frobenius_power(self.value(name, 0), 2 * self.s + 1)
-
-    def ell(self):
-        return self.ell_power(1)
-
-    def ell_power(self, n: int):
-        return self.exp.ell_power(n, self.window)
-
-    def pow_tag(self, v, tag: str):
-        return ser_pow3k(v, _pow_count(tag, self.s), self.window)
-
-    def mul(self, a, b):
-        return ser_mul(a, b, self.window)
-
-    def add(self, a, b, sign: int = 1):
-        return ser_add(a, b, sign)
-
-    def is_zero(self, v) -> bool:
-        return not v
-
-    def describe(self, v) -> str:
-        e = min(v)
-        x, y, z = (c.code() for c in self.point.coords())
-        return f"t^{e} coefficient nonzero at point codes ({x},{y},{z})"
-
-
 _BACKENDS: dict[tuple, tuple] = {}
 
 
@@ -256,6 +157,8 @@ def backends(
         if backend == "symbolic":
             _BACKENDS[key] = (SymbolicBackend(s),)
         else:
+            from reecurve.series import PointBackend, random_point
+
             _BACKENDS[key] = tuple(
                 PointBackend(random_point(s, seed + j, extension), window)
                 for j in range(trials)

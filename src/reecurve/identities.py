@@ -28,17 +28,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from reecurve.backends import (
-    PointBackend,
     SymbolicBackend,
     _pow_count,
     backends,
     default_window,
     sample_count,
 )
-from reecurve.gf import frobenius_power
 from reecurve.params import (
     ReeParams,
     SymbolicIndex,
@@ -46,8 +44,10 @@ from reecurve.params import (
     ree_params,
 )
 from reecurve.ring import FAMILY_NAMES, SUBFAMILY_NAMES, function_family
-from reecurve.series import CurvePoint, ser_add
 from reecurve.support import level_uniform, member_support, support_values
+
+if TYPE_CHECKING:
+    from reecurve.series import CurvePoint
 
 __all__ = [
     "IdentitySpec",
@@ -67,7 +67,6 @@ __all__ = [
     "collision_reason",
     "collision_exclusions",
     "SymbolicBackend",
-    "PointBackend",
     "default_window",
 ]
 
@@ -1064,6 +1063,9 @@ def osculating_functions(P: CurvePoint, precision: Optional[int] = None):
     member of the small linear series; h_P fixes the second slot and is
     an exact q^2-th power.  Both vanish at P to order at least q^2.
     """
+    from reecurve.gf import frobenius_power
+    from reecurve.series import PointBackend, ser_add
+
     p = P.params
     K = PointBackend(P, window=p.q**2 + 1 if precision is None else precision)
     e2 = 2 * (2 * P.s + 1)

@@ -50,13 +50,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .backends import backends, sample_count
-from .gf import FieldElement
 from .hasse import binom_support
 from .params import ReeParams, SymbolicIndex, index_value, ree_params
 from .ring import FAMILY_NAMES, SUBFAMILY_NAMES, CurveElement
 from .support import family_candidate_values, minimal_non_orders, order_values
+
+if TYPE_CHECKING:
+    from .gf import FieldElement
 
 __all__ = [
     "OrderSequence",

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .backends import PointBackend
 from .orders import _family_names, _scan, order_sequence
 from .params import ReeParams, ree_params
-from .series import CurvePoint
+from .series import CurvePoint, PointBackend
 from .support import order_values
 
 __all__ = [

@@ -125,7 +125,7 @@ def test_verify_failure_writes_witness(tmp_path, capsys, monkeypatch):
         witness="forced failure",
         skipped=False,
     )
-    monkeypatch.setattr("reecurve.cli.verify_catalog", lambda *a, **k: [bad])
+    monkeypatch.setattr("reecurve.identities.verify_catalog", lambda *a, **k: [bad])
     out = tmp_path / "report.json"
     code = main(["verify", "--s", "1", "--identity", "A9", "--out", str(out)])
     assert code == 1

@@ -12,7 +12,6 @@ from reecurve.identities import (
     IDENTITY_CATALOG,
     TYPE1_PAIRS,
     TYPE2_PAIRS,
-    PointBackend,
     SymbolicBackend,
     _check_on_backend,
     _dirty_values,
@@ -36,7 +35,7 @@ from reecurve.identities import (
 from reecurve.backends import backends
 from reecurve.params import index_value, ree_params
 from reecurve.ring import FAMILY_NAMES
-from reecurve.series import rational_point
+from reecurve.series import PointBackend, rational_point
 from reecurve.support import member_support, support_values
 
 P1 = ree_params(1)

@@ -1,0 +1,114 @@
+"""Cold start: each command loads only its modules, the package exports lazily.
+
+Module lists come from ``python -X importtime`` in a fresh process, which
+names every module the process imports.
+"""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import reecurve
+
+SRC = Path(reecurve.__file__).resolve().parent.parent
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ENTRY = {"reecurve", "reecurve.commands"}
+
+
+def loaded_modules(*args: str) -> set[str]:
+    """reecurve modules a fresh ``python -X importtime ARGS`` imports."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    names = {
+        line.rsplit("|", 1)[-1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    return {n for n in names if n == "reecurve" or n.startswith("reecurve.")}
+
+
+def command_modules(command: str) -> set[str]:
+    return loaded_modules("-m", "reecurve", *command.split())
+
+
+def test_params_loads_only_params():
+    assert command_modules("params --s 1") == ENTRY | {"reecurve.params"}
+
+
+def test_bare_package_import_loads_no_submodule():
+    assert loaded_modules("-c", "import reecurve") == {"reecurve"}
+
+
+@pytest.mark.parametrize(
+    "command, absent",
+    [
+        ("verify --s 1", {"reecurve.gf", "reecurve.series"}),
+        ("orders --s 1 --series D", {"reecurve.gf", "reecurve.series", "reecurve.identities"}),
+        ("orders --s 1 --series E --backend series --seed 0 --trials 1",
+         {"reecurve.identities"}),
+        ("weierstrass --s 1", {"reecurve.identities"}),
+    ],
+)
+def test_command_leaves_modules_unloaded(command, absent):
+    mods = command_modules(command)
+    assert ENTRY <= mods
+    assert not mods & absent
+
+
+def test_cli_module_loads_every_traced_module():
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = {modname for _, modname, _ in tracer.SPAN_TARGETS}
+    assert "reecurve.cli" in targets
+    assert targets <= loaded_modules("-c", "import reecurve.cli")
+
+
+# ---------------------------------------------------------------------------
+# lazy package exports
+
+
+@pytest.mark.parametrize("name", reecurve.__all__)
+def test_export_resolves_to_its_module(name):
+    value = getattr(reecurve, name)
+    home = sys.modules[value.__module__]
+    assert home.__name__.startswith("reecurve.")
+    assert getattr(home, name) is value
+
+
+def test_star_import_and_dir():
+    namespace: dict = {}
+    exec("from reecurve import *", namespace)
+    assert set(reecurve.__all__) <= set(namespace)
+    assert set(reecurve.__all__) <= set(dir(reecurve))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        reecurve.no_such_name  # noqa: B018
+    assert not hasattr(reecurve, "no_such_name")
+
+
+def test_readme_import_line():
+    from reecurve import divisor_degree_audit, order_sequence, vanishing_orders
+
+    from reecurve.orders import order_sequence as home_order_sequence
+    from reecurve.weierstrass import divisor_degree_audit as home_audit
+    from reecurve.weierstrass import vanishing_orders as home_vanishing
+
+    assert order_sequence is home_order_sequence
+    assert vanishing_orders is home_vanishing
+    assert divisor_degree_audit is home_audit

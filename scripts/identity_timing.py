@@ -1,10 +1,10 @@
 """Time the identity catalog, identity by identity.
 
-Useful when tuning the series window or comparing backends: prints a
-per-identity wall-clock table, slowest first, plus the overall verdict.
-Backends are built once per route and then shared, so on the points
-route the first key's time includes sampling the points, and later keys
-reuse them together with the series already expanded.
+Useful when comparing backends: prints a per-identity wall-clock table,
+slowest first, plus the overall verdict.  Backends are built once per
+route and then shared, so on the points route the first key's time
+includes sampling the points, and later keys reuse them together with
+the series already expanded.
 
     python3 scripts/identity_timing.py --s 2 --backend points --trials 3
 """
@@ -21,7 +21,6 @@ def main() -> int:
     ap.add_argument("--backend", choices=("symbolic", "points"), default="symbolic")
     ap.add_argument("--trials", type=int, default=3)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--window", type=int, default=None)
     args = ap.parse_args()
 
     rows = []
@@ -29,8 +28,7 @@ def main() -> int:
     for spec in IDENTITY_CATALOG:
         t0 = time.time()
         res = verify_catalog(args.s, args.backend, keys=[spec.key],
-                             trials=args.trials, seed=args.seed,
-                             window=args.window)
+                             trials=args.trials, seed=args.seed)
         dt = time.time() - t0
         bad = sum(1 for r in res if not r.ok and not r.skipped)
         skipped = sum(1 for r in res if r.skipped)

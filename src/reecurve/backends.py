@@ -17,16 +17,24 @@ backends() builds a route's backends and is their only cache, so every
 caller asking for one route gets one tuple: points are sampled, and series
 and derivative tables expanded, once per process.  A vanishing profile or
 the osculating functions at a given point read a PointBackend of that point.
+
+The sampled route has one fixed configuration: the identity catalog runs
+at rational points with the series window default_window(p), the order
+scans and generic profiles at points over GF(q^SAMPLE_EXTENSION).
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from reecurve.hasse import HasseCalculus, hasse_calculus
-from reecurve.params import ReeParams, ree_params
+from reecurve.params import ReeParams
 
-__all__ = ["SymbolicBackend", "backends", "default_window", "sample_count"]
+__all__ = [
+    "SAMPLE_EXTENSION",
+    "SymbolicBackend",
+    "backends",
+    "default_window",
+    "sample_count",
+]
 
 
 def _pow_count(tag: str, s: int) -> int:
@@ -127,30 +135,27 @@ def default_window(p: ReeParams) -> int:
     return 2 * p.q + p.q0 + 32
 
 
+# The curve has no places of degree 2 through 5 (its zeta function forces
+# N_k = N_1 for k <= 5): degree 6 is the smallest extension of GF(q) that
+# holds non-rational points.
+SAMPLE_EXTENSION = 6
+
 _BACKENDS: dict[tuple, tuple] = {}
 
 
-def backends(
-    s: int,
-    backend: str,
-    trials: int,
-    seed: int,
-    extension: int = 1,
-    window: Optional[int] = None,
-) -> tuple:
+def backends(s: int, backend: str, trials: int, seed: int, extension: int = 1) -> tuple:
     """The backends of one route, built on first use and then shared.
 
     "symbolic" gives (SymbolicBackend(s),); "points" gives one PointBackend
-    per seed in seed .. seed+trials-1, at points over the given extension.
+    per seed in seed .. seed+trials-1, at points over the given extension,
+    each with the default series window.
     """
     if backend == "symbolic":
         key: tuple = ("symbolic", s)
     elif backend == "points":
         if trials < 1:
             raise ValueError("the points backend needs at least one trial")
-        if window is None:
-            window = default_window(ree_params(s))
-        key = ("points", s, trials, seed, extension, window)
+        key = ("points", s, trials, seed, extension)
     else:
         raise ValueError(f"unknown backend {backend!r}")
     if key not in _BACKENDS:
@@ -160,7 +165,7 @@ def backends(
             from reecurve.series import PointBackend, random_point
 
             _BACKENDS[key] = tuple(
-                PointBackend(random_point(s, seed + j, extension), window)
+                PointBackend(random_point(s, seed + j, extension))
                 for j in range(trials)
             )
     return _BACKENDS[key]

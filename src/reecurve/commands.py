@@ -21,46 +21,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 # external backend names; the sampling backend is called "points" inside
 _BACKENDS = {"symbolic": "symbolic", "series": "points"}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    s: int
-    backend: str
-    seed: Optional[int]
-    trials: int
-    k: int
-    precision: Optional[int]
-
-    def __post_init__(self) -> None:
-        if self.s < 1:
-            raise ValueError("s must be a positive integer")
-        if self.backend not in _BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}")
-        if self.backend == "series" and self.seed is None:
-            raise ValueError("the series backend needs --seed for reproducibility")
-        if 2 <= self.k <= 5:
-            raise ValueError("--k 2 to 5 names extensions that carry no new points")
-
-    @property
-    def internal_backend(self) -> str:
-        return _BACKENDS[self.backend]
-
-    def echo(self) -> dict:
-        return {
-            "s": self.s,
-            "backend": self.backend,
-            "seed": self.seed,
-            "trials": self.trials,
-            "k": self.k,
-            "precision": self.precision,
-        }
 
 
 def _positive(text: str) -> int:
@@ -83,8 +48,6 @@ _RUN_OPTIONS = {
     "backend": dict(choices=("symbolic", "series"), default="symbolic"),
     "seed": dict(type=int, default=None),
     "trials": dict(type=_positive, default=3),
-    "k": dict(type=_positive, default=6, help="extension degree for sampled points"),
-    "precision": dict(type=_positive, default=None),
 }
 
 
@@ -95,18 +58,24 @@ def _refuse_given(args, parser, names, where: str) -> None:
             parser.error(f"--{name} is not read {where}")
 
 
-def _config(args, parser) -> RunConfig:
-    try:
-        return RunConfig(
-            s=args.s,
-            backend=args.backend,
-            seed=args.seed,
-            trials=args.trials,
-            k=args.k,
-            precision=args.precision,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+def _config(args, parser) -> dict:
+    """The run configuration a route's report echoes.
+
+    k and precision are fixed fields of schema 1: the sampled route's
+    extension degree and no override of its series window.
+    """
+    if args.backend == "series" and args.seed is None:
+        parser.error("the series backend needs --seed for reproducibility")
+    from .backends import SAMPLE_EXTENSION
+
+    return {
+        "s": args.s,
+        "backend": args.backend,
+        "seed": args.seed,
+        "trials": args.trials,
+        "k": SAMPLE_EXTENSION,
+        "precision": None,
+    }
 
 
 def _as_strings(obj):
@@ -163,26 +132,20 @@ def cmd_verify(args, parser) -> int:
     from . import identities
 
     if args.backend == "symbolic":
-        _refuse_given(args, parser, ("seed", "trials", "precision"), "by the exact route")
-    cfg = _config(args, parser)
+        _refuse_given(args, parser, ("seed", "trials"), "by the exact route")
+    config = _config(args, parser)
     known = {spec.key for spec in identities.IDENTITY_CATALOG}
     keys = args.identity
     if keys:
         for key in keys:
             if key not in known:
                 parser.error(f"unknown identity {key!r}")
-    if cfg.internal_backend == "points":
-        try:
-            identities.check_window(cfg.s, cfg.precision)
-        except ValueError as exc:
-            parser.error(f"--precision: {exc}")
     results = identities.verify_catalog(
-        cfg.s,
-        cfg.internal_backend,
+        args.s,
+        _BACKENDS[args.backend],
         keys=keys,
-        trials=cfg.trials,
-        seed=cfg.seed or 0,
-        window=cfg.precision,
+        trials=args.trials,
+        seed=args.seed or 0,
     )
     rows = [
         {
@@ -200,7 +163,7 @@ def cmd_verify(args, parser) -> int:
     skipped = [r for r in rows if r["skipped"]]
     payload = {
         "command": "verify",
-        "config": cfg.echo(),
+        "config": config,
         "results": rows,
         "summary": {
             "total": len(rows),
@@ -242,26 +205,25 @@ def cmd_orders(args, parser) -> int:
     from . import orders
 
     if args.backend == "symbolic":
-        _refuse_given(args, parser, ("seed", "trials", "k"), "by the exact route")
-    cfg = _config(args, parser)
+        _refuse_given(args, parser, ("seed", "trials"), "by the exact route")
+    config = _config(args, parser)
     seq = orders.order_sequence(
         args.series,
-        s=cfg.s,
-        backend=cfg.internal_backend,
-        trials=cfg.trials,
-        seed=cfg.seed or 0,
-        k=cfg.k,
+        s=args.s,
+        backend=_BACKENDS[args.backend],
+        trials=args.trials,
+        seed=args.seed or 0,
     )
     payload = {
         "command": "orders",
-        "config": cfg.echo(),
+        "config": config,
         "series": seq.series,
         "orders": list(seq.orders),
         "labels": list(seq.labels),
         "points": seq.points,
         "witness": list(seq.witness),
     }
-    lines = [f"{args.series} order sequence, s={cfg.s}, backend={cfg.backend}"]
+    lines = [f"{args.series} order sequence, s={args.s}, backend={args.backend}"]
     lines += [
         f"eps[{i}] = {v}  ({label})"
         for i, (v, label) in enumerate(zip(seq.orders, seq.labels))
@@ -323,27 +285,21 @@ def cmd_weierstrass(args, parser) -> int:
     from . import params, series, weierstrass
 
     if args.point == "origin":
-        _refuse_given(args, parser, ("seed", "k"), "at the origin")
-    elif args.point == "rational":
-        _refuse_given(args, parser, ("k",), "at a rational point")
-    elif args.k == 1:
-        parser.error("--k 1 samples a rational point, not a generic one")
-    cfg = _config(args, parser)
+        _refuse_given(args, parser, ("seed",), "at the origin")
+    config = _config(args, parser)
+    seed_used = None if args.point == "origin" else args.seed
     if args.point == "origin":
-        pt = series.origin_point(cfg.s)
-        seed_used = None
+        pt = series.origin_point(args.s)
     elif args.point == "rational":
-        pt = series.rational_point(cfg.s, seed=cfg.seed or 0)
-        seed_used = cfg.seed or 0
+        pt = series.rational_point(args.s, seed=args.seed)
     else:
-        pt = series.random_point(cfg.s, seed=cfg.seed or 0, extension=cfg.k)
-        seed_used = cfg.seed or 0
-    p = params.ree_params(cfg.s)
+        pt = series.random_point(args.s, seed=args.seed, extension=config["k"])
+    p = params.ree_params(args.s)
     prof = weierstrass.vanishing_orders(args.series, pt)
     audit = weierstrass.divisor_degree_audit(p, args.series)
     payload = {
         "command": "weierstrass",
-        "config": cfg.echo(),
+        "config": config,
         "point": {"kind": args.point, "extension": pt.extension, "seed": seed_used},
         "series": args.series,
         "jorders": list(prof.jorders),
@@ -355,7 +311,7 @@ def cmd_weierstrass(args, parser) -> int:
         "audit": audit,
     }
     lines = [
-        f"{args.series} profile at {args.point} point, s={cfg.s}",
+        f"{args.series} profile at {args.point} point, s={args.s}",
         "j      = " + " ".join(str(j) for j in prof.jorders),
         "eps    = " + " ".join(str(e) for e in prof.epsilons),
         f"weight = {prof.weight}",
@@ -405,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cmd_params)
 
     sp = sub.add_parser("verify", help="run the differential identity suite")
-    add_common(sp, unread=("k",))
+    add_common(sp)
     sp.add_argument(
         "--identity",
         action="append",
@@ -415,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cmd_verify)
 
     sp = sub.add_parser("orders", help="generic order sequence of a linear series")
-    add_common(sp, unread=("precision",))
+    add_common(sp)
     sp.add_argument("--series", choices=("D", "E"), default="D")
     sp.set_defaults(handler=cmd_orders)
 
@@ -428,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("weierstrass", help="vanishing profile and weight at a point")
     # profiles are always series computations at one point, so the
     # echoed backend is series and the origin needs no sampling seed
-    add_common(sp, unread=("backend", "trials", "precision"), backend="series", seed=0)
+    add_common(sp, unread=("backend", "trials"), backend="series", seed=0)
     sp.add_argument("--series", choices=("D", "E"), default="D")
     sp.add_argument("--point", choices=("origin", "rational", "generic"), default="origin")
     sp.set_defaults(handler=cmd_weierstrass)

@@ -30,19 +30,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Optional
 
-from reecurve.backends import (
-    SymbolicBackend,
-    _pow_count,
-    backends,
-    default_window,
-    sample_count,
-)
-from reecurve.params import (
-    ReeParams,
-    SymbolicIndex,
-    index_value,
-    ree_params,
-)
+from reecurve.backends import SymbolicBackend, backends, default_window, sample_count
+from reecurve.params import SymbolicIndex, index_value, ree_params
 from reecurve.ring import FAMILY_NAMES, SUBFAMILY_NAMES, function_family
 from reecurve.support import level_uniform, member_support, support_values
 
@@ -58,12 +47,10 @@ __all__ = [
     "identity_catalog",
     "check_identity",
     "verify_catalog",
-    "check_window",
     "check_hypersurface",
     "check_rank1_remark",
     "osculating_functions",
     "osculating_vanishing",
-    "support_consistency_report",
     "collision_reason",
     "collision_exclusions",
     "SymbolicBackend",
@@ -825,44 +812,6 @@ def _evaluate(expr: tuple, K, roles: dict):
     raise ValueError(f"unknown expression node {op!r}")
 
 
-def _ell_depth(expr: tuple, p: ReeParams) -> int:
-    """Largest ell exponent carried by a term of expr."""
-    op = expr[0]
-    if op == "ell":
-        return index_value(expr[1], p)
-    if op == "pw":
-        return _ell_depth(expr[1], p) * 3 ** _pow_count(expr[2], p.s)
-    if op == "mul":
-        return sum(_ell_depth(sub, p) for sub in expr[1:])
-    if op == "sum":
-        return max(_ell_depth(sub, p) for _sign, sub in expr[1:])
-    return 0
-
-
-def check_window(s: int, window: Optional[int]) -> None:
-    """Refuse a series window that would hide catalog terms.
-
-    At rational points ell has valuation one, so a term carrying ell^n
-    starts at t^n: the window must reach past the deepest such product,
-    2q+1 at every level.  None, the default window, always does.
-    """
-    p = ree_params(s)
-    low = 1 + max(
-        _ell_depth(expr, p) for spec in IDENTITY_CATALOG for _sub, expr in spec.residuals
-    )
-    if window is not None and window < low:
-        raise ValueError(
-            f"series window {window} is shorter than {low}, the least that "
-            f"keeps the deepest ell power of the catalog at s={s}"
-        )
-
-
-def _route(s: int, backend: str, trials: int, seed: int, window: Optional[int]) -> tuple:
-    if backend == "points":
-        check_window(s, window)
-    return backends(s, backend, trials, seed, window=window)
-
-
 @dataclass(frozen=True)
 class CheckResult:
     identity: str
@@ -906,7 +855,6 @@ def check_identity(
     s: int = 1,
     trials: int = 3,
     seed: int = 0,
-    window: Optional[int] = None,
 ) -> CheckResult:
     """Verdict for one identity instance.
 
@@ -922,7 +870,7 @@ def check_identity(
         roles = {"w": subject[0], "f": subject[1]}
     else:
         roles = {"f": subject[0], "b": subject[1]}
-    return _verdict(spec, roles, _route(s, backend, trials, seed, window))
+    return _verdict(spec, roles, backends(s, backend, trials, seed))
 
 
 def verify_catalog(
@@ -931,9 +879,12 @@ def verify_catalog(
     keys: Optional[list[str]] = None,
     trials: int = 3,
     seed: int = 0,
-    window: Optional[int] = None,
 ) -> list[CheckResult]:
-    """Every catalog identity over its full applicability set."""
+    """Every catalog identity over its full applicability set.
+
+    The points route checks at `trials` rational points, seeds seed on,
+    with the series window default_window(p).
+    """
     specs = identity_catalog()
     if keys is not None:
         wanted = set(keys)
@@ -941,7 +892,7 @@ def verify_catalog(
         missing = wanted - {sp.key for sp in specs}
         if missing:
             raise KeyError(f"unknown identity keys: {sorted(missing)}")
-    Ks = _route(s, backend, trials, seed, window)
+    Ks = backends(s, backend, trials, seed)
     return [_verdict(spec, roles, Ks) for spec in specs for roles in instances_for(spec)]
 
 
@@ -1017,9 +968,8 @@ def check_hypersurface(
     backend: str = "symbolic",
     trials: int = 3,
     seed: int = 0,
-    window: Optional[int] = None,
 ) -> list[CheckResult]:
-    Ks = _route(s, backend, trials, seed, window)
+    Ks = backends(s, backend, trials, seed)
     results: dict[str, CheckResult] = {}
     for K in Ks:
         for label, v in _hyper_backend(K):
@@ -1038,7 +988,6 @@ def check_rank1_remark(
     backend: str = "symbolic",
     trials: int = 3,
     seed: int = 0,
-    window: Optional[int] = None,
 ) -> CheckResult:
     """The two rows (f^q - f) and (D^1 f) over the family have rank one.
 
@@ -1046,7 +995,7 @@ def check_rank1_remark(
     shared factor ell nonzero, which is how it is checked.
     """
     spec = _catalog_map()["nu1"]
-    Ks = _route(s, backend, trials, seed, window)
+    Ks = backends(s, backend, trials, seed)
     for name in FAMILY_NAMES:
         r = _verdict(spec, {"f": name}, Ks)
         if not r.ok:
@@ -1093,10 +1042,11 @@ def osculating_vanishing(P: CurvePoint, precision: Optional[int] = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# support consistency
+# catalog leaves
 
 
 def _d_leaves(expr: tuple, out: list):
+    """Append the (role, index) of every derivative leaf of expr to out."""
     op = expr[0]
     if op == "d":
         out.append((expr[1], expr[2]))
@@ -1108,30 +1058,3 @@ def _d_leaves(expr: tuple, out: list):
     elif op == "sum":
         for _sign, sub in expr[1:]:
             _d_leaves(sub, out)
-
-
-def support_consistency_report(s: int) -> list[str]:
-    """Nonzero catalog terms whose index escapes the claimed support.
-
-    Empty means every derivative the identities touch is accounted for:
-    any D^i f with i outside S_f evaluated to exactly zero.
-    """
-    K = backends(s, "symbolic", 1, 0)[0]
-    p = K.p
-    claimed = {name: support_values(name, p) for name in FAMILY_NAMES}
-    problems: list[str] = []
-    for spec in IDENTITY_CATALOG:
-        leaves: list = []
-        for _sub, expr in spec.residuals:
-            _d_leaves(expr, leaves)
-        for roles in instances_for(spec):
-            for role, idx in leaves:
-                if role == "t":
-                    continue
-                name = roles[role]
-                i = index_value(idx, p)
-                if i > p.q**2 or i in claimed[name]:
-                    continue
-                if not K.member_d(name, i).is_zero():
-                    problems.append(f"{spec.key}: D^{i} {name} nonzero off-support")
-    return sorted(set(problems))

@@ -39,11 +39,9 @@ independent check on the exact one.  The order scan runs once per family,
 level and route in a process (_order_scan), and the Frobenius orders name
 their omitted order against that route's own order sequence.
 
-Sample points live in the degree-6 extension.  The curve has no places of
-degree 2 through 5 (the zeta function forces N_k = N_1 for k <= 5), so
-degree 6 is the smallest extension where non-rational behaviour exists; at
-rational points the scan would return the rational vanishing profile instead
-of the generic orders.
+Sample points live in the degree-6 extension (backends.SAMPLE_EXTENSION),
+the smallest that holds non-rational points; at rational points the scan
+would return the rational vanishing profile instead of the generic orders.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .backends import backends, sample_count
+from .backends import SAMPLE_EXTENSION, backends, sample_count
 from .hasse import binom_support
 from .params import ReeParams, SymbolicIndex, index_value, ree_params
 from .ring import FAMILY_NAMES, SUBFAMILY_NAMES, CurveElement
@@ -317,12 +315,11 @@ def order_sequence(
     backend: str = "symbolic",
     trials: int = 3,
     seed: int = 0,
-    k: int = 6,
 ) -> OrderSequence:
     """Greedy lexicographic order scan over the candidate index pool."""
     names = _family_names(series)
     p = ree_params(s)
-    Ks = backends(s, backend, trials, seed, k)
+    Ks = backends(s, backend, trials, seed, SAMPLE_EXTENSION)
     found = _order_scan(names, Ks)
     orders = [i for i, _, _ in found]
     witness = [
@@ -352,7 +349,6 @@ def morphism_orders_below_q(
     backend: str = "symbolic",
     trials: int = 3,
     seed: int = 0,
-    k: int = 6,
 ) -> tuple[int, ...]:
     """Orders below q of the morphism with coordinates (f^q - f).
 
@@ -363,7 +359,7 @@ def morphism_orders_below_q(
     """
     names = _family_names(series)[1:]
     p = ree_params(s)
-    Ks = backends(s, backend, trials, seed, k)
+    Ks = backends(s, backend, trials, seed, SAMPLE_EXTENSION)
     pool = [v for v in family_candidate_values(p, _family_names(series)) if v < p.q]
     return tuple(i for i, _, _ in _scan(Ks, names, pool, row="shift_value"))
 
@@ -374,7 +370,6 @@ def frobenius_orders(
     backend: str = "symbolic",
     trials: int = 3,
     seed: int = 0,
-    k: int = 6,
 ) -> FrobeniusOrders:
     """Greedy scan seeded with the row (f^q)_f; one order drops out.
 
@@ -384,9 +379,9 @@ def frobenius_orders(
     """
     names = _family_names(series)
     p = ree_params(s)
-    Ks = backends(s, backend, trials, seed, k)
+    Ks = backends(s, backend, trials, seed, SAMPLE_EXTENSION)
     want = len(names) - 1
-    eps = list(order_sequence(series, s, backend, trials, seed, k).orders)
+    eps = list(order_sequence(series, s, backend, trials, seed).orders)
     pool = eps if Ks[0].kind == "symbolic" else family_candidate_values(p, names)
     found = _scan(Ks, names, pool, seed_row="qpow_value", want=want)
     nus = [i for i, _, _ in found]
@@ -400,7 +395,7 @@ def frobenius_orders(
         raise ArithmeticError(
             f"expected exactly one omitted order, got {missing} for {series} at s={s}"
         )
-    below = morphism_orders_below_q(series, s, backend, trials, seed, k)
+    below = morphism_orders_below_q(series, s, backend, trials, seed)
     return FrobeniusOrders(
         series=series,
         s=s,
@@ -458,7 +453,6 @@ def triangular_check(
     backend: str = "symbolic",
     trials: int = 3,
     seed: int = 0,
-    k: int = 6,
 ):
     """Assert the matrix [D^rows[i] cols[j]] is upper triangular.
 
@@ -468,7 +462,7 @@ def triangular_check(
     """
     if len(rows) != len(cols):
         raise ValueError("rows and cols must have equal length")
-    Ks = backends(s, backend, trials, seed, k)
+    Ks = backends(s, backend, trials, seed, SAMPLE_EXTENSION)
     n = len(rows)
     entries = [[[K.value(f, i) for f in cols] for K in Ks] for i in rows]
     for i in range(n):
@@ -544,7 +538,6 @@ def rejection_report(
     backend: str = "symbolic",
     trials: int = 3,
     seed: int = 0,
-    k: int = 6,
 ) -> list[dict]:
     """Cross-check the scan's rejections against the proof witnesses.
 
@@ -556,7 +549,7 @@ def rejection_report(
     from .identities import verify_catalog
 
     p = ree_params(s)
-    scan = set(order_sequence(series, s, backend, trials, seed, k).orders)
+    scan = set(order_sequence(series, s, backend, trials, seed).orders)
     witnesses = rejection_witnesses(series)
     if set(witnesses) != set(minimal_non_orders(series)):
         raise ArithmeticError("rejection table drifted from the minimal non-orders")

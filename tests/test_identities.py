@@ -6,8 +6,11 @@ asserted scope there; that exclusion list is frozen here, together with
 evidence that the excluded instances are not quietly true.
 """
 
+import dataclasses
+
 import pytest
 
+import reecurve.identities as identities
 from reecurve.identities import (
     IDENTITY_CATALOG,
     TYPE1_PAIRS,
@@ -22,14 +25,12 @@ from reecurve.identities import (
     check_hypersurface,
     check_identity,
     check_rank1_remark,
-    check_window,
     collision_exclusions,
     default_window,
     identity_catalog,
     instances_for,
     osculating_functions,
     osculating_vanishing,
-    support_consistency_report,
     verify_catalog,
 )
 from reecurve.backends import backends
@@ -291,22 +292,36 @@ def test_osculating_contact_order():
         assert all(e % 729 == 0 for e in h)  # an exact q^2-th power
 
 
-def test_support_consistency_is_clean():
-    assert support_consistency_report(1) == []
+def _flip_term(expr, term):
+    """expr with the sign of its summand (1, term) flipped."""
+    if expr == (1, term):
+        return (-1, term)
+    if type(expr) is tuple:
+        return tuple(_flip_term(e, term) for e in expr)
+    return expr
 
 
 def test_window_clears_the_deepest_ell_power():
     assert default_window(P1) > 2 * P1.q + 1
     assert default_window(P2) > 2 * P2.q + 1
-    for s in (1, 2, 3):
-        p = ree_params(s)
-        check_window(s, None)
-        check_window(s, 2 * p.q + 2)
-        check_window(s, default_window(p))
-        with pytest.raises(ValueError, match="series window"):
-            check_window(s, 2 * p.q + 1)
-    with pytest.raises(ValueError, match="series window"):
-        verify_catalog(2, "points", seed=0, window=1)
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_fixed_window_catches_a_wrong_deep_term(monkeypatch, s):
+    # A10 with the sign of its ell^(2q+1) term flipped: the derivative it
+    # multiplies starts at t^q0 at rational points, so a window of 2q+2
+    # still reads zero; the fixed window reaches past 2q+q0+1
+    term = identities._mul(identities._ell(d=1), identities._d("f", a=1, b=2))
+    catalog = tuple(
+        dataclasses.replace(spec, residuals=_flip_term(spec.residuals, term))
+        if spec.key == "A10" else spec
+        for spec in IDENTITY_CATALOG
+    )
+    assert catalog != IDENTITY_CATALOG
+    monkeypatch.setattr(identities, "IDENTITY_CATALOG", catalog)
+    for backend in ("points", "symbolic"):
+        rows = verify_catalog(s, backend, keys=["A10"], seed=0)
+        assert any(not r.ok and not r.skipped for r in rows), backend
 
 
 def test_point_member_is_cut_at_the_window():

@@ -89,6 +89,30 @@ def test_series_backend_requires_seed():
     assert exc.value.code == 2
 
 
+# the invocations a chosen extension or window used to refuse stay refused,
+# now because no command takes either option
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_extension_without_points_is_usage_error(k):
+    with pytest.raises(SystemExit) as exc:
+        main(["orders", "--s", "1", "--backend", "series", "--seed", "0", "--k", str(k)])
+    assert exc.value.code == 2
+
+
+def test_generic_point_refuses_rational_extension():
+    with pytest.raises(SystemExit) as exc:
+        main(["weierstrass", "--s", "1", "--point", "generic", "--seed", "0", "--k", "1"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("s,window", [(1, 55), (2, 1), (2, 487)])
+def test_short_series_window_is_usage_error(s, window):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--s", str(s), "--backend", "series", "--seed", "0",
+              "--precision", str(window)])
+    assert exc.value.code == 2
+
+
 def test_unknown_identity_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--identity", "ZZZ"])

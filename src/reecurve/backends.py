@@ -53,7 +53,6 @@ class SymbolicBackend:
         self._shift: dict[str, dict] = {}
         self._qpow: dict[str, dict] = {}
         self._ellpow: dict[int, object] = {}
-        self._lifts: dict[tuple[str, str], dict] = {}
 
     def zero(self):
         return self.calc.ring.zero()
@@ -71,16 +70,14 @@ class SymbolicBackend:
 
     def qpow_d(self, name: str, i: int):
         if name not in self._qpow:
-            self._qpow[name] = self.calc.qshift(self.calc.table(name))
+            self._qpow[name] = self.calc.qpow_series(name, self.calc.limit + 1)
         return self._qpow[name].get(i, self.zero())
 
     def virtual_d(self, f: str, b: str, i: int):
         """D^i t for t^q - t = f^q0 (b^q - b); t itself is never needed."""
         if i <= 0:
             raise ValueError("virtual functions only expose positive indices")
-        if (f, b) not in self._lifts:
-            self._lifts[(f, b)] = self.calc.lift(f, b)
-        return self._lifts[(f, b)].get(i, self.zero())
+        return self.calc.lift(f, b).get(i, self.zero())
 
     # the order scans' rows are the same exact derivatives
     value = member_d

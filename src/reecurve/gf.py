@@ -255,6 +255,10 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         return self.ctx.inv(self)
 
+    def pow3k(self, k: int) -> "FieldElement":
+        """self^(3^k), as frobenius_power(self, k) with the same depth of calls."""
+        return self.ctx.frobenius(self, k)
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FieldElement)

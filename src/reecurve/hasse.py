@@ -1,32 +1,62 @@
-"""Hasse derivatives on the curve with respect to the coordinate x.
+"""Taylor expansions of the family members in the separating variable x.
 
-The central object is the full derivative transform of a function f,
+At a point P = (x0, y0, z0) of the curve, t = x - x0 is a local parameter
+and every member f expands as
 
-    T(f) = sum_i D^i f * t^i,   0 <= i <= q^2,
+    T_P(f) = sum_i (D^i f)(P) t^i,
 
-a ring homomorphism into series with coefficients in the coordinate ring.
-Tables are sparse dicts {index: element}; an absent index means the
-derivative is exactly zero.  Indices above q^2 are outside the calculus and
-are truncated away.
+with D^i the i-th Hasse derivative with respect to x (Stohr-Voloch).
+``Expansion`` holds these series for one centre.  Its coefficients may lie
+in any algebra whose elements offer +, -, *, is_zero and pow3k, and it is
+evaluated at two centres:
 
-Tables for the fourteen spanning functions are assembled along the shared
-construction DAG.  The y and z tables are Artin-Schreier lifts: a function
-t with t^q - t = h, h = f^q0 (b^q - b), has
+* the generic point (x, y, z) of the coordinate ring, where the
+  coefficients are the exact derivatives D^i f as normal forms:
+  ``HasseCalculus``, the tables of the exact route, kept for i <= q^2;
+* a sampled point over GF(3^m): ``series.PointExpansion``, the series of
+  the points route.
 
-    D^i t = -D^i h + (D^{i/q} t)^q   (the second term only when q | i),
+x is x0 + t.  y and z are their centres plus Artin-Schreier lifts: a
+function t with t^q - t = h, h = f^q0 (b^q - b), has
 
-for i >= 1, since D^i (t^q) is (D^{i/q} t)^q or zero.  y is the lift with
-f = b = x and z the lift with f = x, b = y.  Cubing a table is cheap
-(indices triple, coefficients cube), which keeps the q0-power towers
+    D^i t = -D^i h + (D^{i/q} t)^q   (the second term only when q | i)
+
+for i >= 1, since D^i (t^q) is (D^{i/q} t)^q or zero.  So T(t) - t(P) is
+-sum_j (T(h) - h(P))^(q^j); y is the lift with f = b = x and z the lift
+with f = x, b = y.  The other members fold the construction recipes
+``ring.RECIPES``.  Raising a series to the power 3^k is cheap (exponents
+scale, coefficients go through Frobenius), which keeps the q0-power towers
 inexpensive.
+
+Series are sparse dicts {exponent: coefficient} with zero values omitted,
+a zero centre among them.  An operation taking prec returns every
+coefficient for exponents < prec, and each kept coefficient is the exact
+coefficient of the underlying function, never an artefact of truncation.
+The arithmetic helpers keep only exponents < prec; ``Expansion.series`` may
+return more, since it hands back whatever its cache holds once that covers
+prec.
+
+The exact and sampled routes share this algorithm.  What keeps them
+independent checks of each other, and of the algorithm, is:
+
+* different coefficient arithmetic: normal forms reduced by
+  ``CoordinateRing.reduce`` against GF(3^m) products under Barrett
+  reduction (``gf``);
+* the identity catalog (``identities``), relations between derivatives
+  derived by hand that either route must satisfy;
+* the hard-coded low-order tables in tests/test_hasse.py and
+  tests/test_series.py;
+* ``HasseCalculus.hasse_derivative``, which assembles D^i f monomial by
+  monomial from binomials in x and powers of the y and z tables, with no
+  recipe fold.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from reecurve.params import ReeParams
 from reecurve.ring import (
-    RECIPE_ORDER,
     RECIPES,
     CurveElement,
     FunctionFamily,
@@ -34,6 +64,7 @@ from reecurve.ring import (
     recipe_twist,
 )
 
+Series = dict  # {exponent: coefficient}, coefficients CurveElement or FieldElement
 Table = dict[int, CurveElement]
 
 _C3 = ((1, 0, 0), (1, 1, 0), (1, 2, 1))
@@ -70,67 +101,164 @@ def binom_support(n: int) -> tuple[int, ...]:
     return tuple(sorted(supp))
 
 
-class HasseCalculus:
-    """Derivative tables and single-index derivatives at one parameter level."""
+# ---------------------------------------------------------------------------
+# sparse series arithmetic
+
+
+def ser_add(a: Series, b: Series, sign: int = 1) -> Series:
+    """a + sign*b, dropping cancellations."""
+    out = dict(a)
+    for e, c in b.items():
+        v = out.get(e)
+        if sign != 1:
+            c = -c
+        v = c if v is None else v + c
+        if v.is_zero():
+            out.pop(e, None)
+        else:
+            out[e] = v
+    return out
+
+
+def ser_mul(a: Series, b: Series, prec: int) -> Series:
+    if len(a) > len(b):
+        a, b = b, a
+    out: Series = {}
+    for ea, ca in a.items():
+        if ea >= prec:
+            continue
+        for eb, cb in b.items():
+            e = ea + eb
+            if e >= prec:
+                continue
+            v = ca * cb
+            old = out.get(e)
+            if old is not None:
+                v = old + v
+            if v.is_zero():
+                out.pop(e, None)
+            else:
+                out[e] = v
+    return out
+
+
+def ser_pow3k(a: Series, k: int, prec: int) -> Series:
+    """a**(3**k); exponents scale, coefficients pass through Frobenius."""
+    if k == 0:
+        return {e: c for e, c in a.items() if e < prec}
+    scale = 3**k
+    out: Series = {}
+    for e, c in a.items():
+        es = e * scale
+        if es < prec:
+            out[es] = c.pow3k(k)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the expansion at one centre
+
+
+class Expansion:
+    """Taylor series of the members at the centre (x0, y0, z0).
+
+    Each member's series and each lift is cached at the largest precision
+    asked for so far; a larger request recomputes it.
+    """
+
+    def __init__(self, p: ReeParams, one, x0, y0, z0):
+        self.p = p
+        self.s = p.s
+        self.one = one
+        self.centre = {"x": x0, "y": y0, "z": z0}
+        self._cache: dict[str, tuple[int, Series]] = {}
+        self._lifts: dict[tuple[str, str], tuple[int, Series]] = {}
+
+    def series(self, name: str, prec: int) -> Series:
+        """Expansion of a member, exact on exponents < prec."""
+        cached = self._cache.get(name)
+        if cached is not None and cached[0] >= prec:
+            return cached[1]
+        if name == "one":
+            out: Series = {0: self.one}
+        elif name in self.centre:
+            c0 = self.centre[name]
+            out = {} if c0.is_zero() else {0: c0}
+            if name == "x":
+                out[1] = self.one
+            else:
+                # the base lift, since HasseCalculus.lift fixes prec at q^2 + 1
+                out |= Expansion.lift(self, "x", "x" if name == "y" else "y", prec)
+        else:
+            out = {}
+            for sign, left, right, tag in RECIPES[name]:
+                k = recipe_twist(tag, self.s)
+                sub = self.series(right, -(-prec // 3**k))
+                term = ser_mul(self.series(left, prec), ser_pow3k(sub, k, prec), prec)
+                out = ser_add(out, term, sign)
+        self._cache[name] = (prec, out)
+        return out
+
+    def qpow_series(self, name: str, prec: int) -> Series:
+        """Expansion of f^q, exact on exponents < prec."""
+        return ser_pow3k(self.series(name, -(-prec // self.p.q)), 2 * self.s + 1, prec)
+
+    def shift_series(self, name: str, prec: int) -> Series:
+        """Expansion of f^q - f, exact on exponents < prec."""
+        return ser_add(self.qpow_series(name, prec), self.series(name, prec), -1)
+
+    def lift(self, f: str, b: str, prec: int) -> Series:
+        """Expansion of t with t^q - t = h, h = f^q0 (b^q - b), less t(P).
+
+        The sum -sum_j (h - h(P))^(q^j) telescopes under the q-power, so it
+        solves the equation up to the constant term; exact on exponents
+        < prec, and like series it may return more.
+        """
+        cached = self._lifts.get((f, b))
+        if cached is not None and cached[0] >= prec:
+            return cached[1]
+        fq0 = ser_pow3k(self.series(f, -(-prec // self.p.q0)), self.s, prec)
+        h = ser_mul(fq0, self.shift_series(b, prec), prec)
+        h.pop(0, None)
+        out: Series = {}
+        k = 0
+        while term := ser_pow3k(h, k, prec):
+            out = ser_add(out, term, -1)
+            k += 2 * self.s + 1
+        self._lifts[(f, b)] = (prec, out)
+        return out
+
+
+class HasseCalculus(Expansion):
+    """The expansion at the generic point: exact tables {i: D^i f} for i <= q^2."""
 
     def __init__(self, family: FunctionFamily):
+        ring = family.ring
+        super().__init__(ring.p, ring.one(), ring.x(), ring.y(), ring.z())
         self.fam = family
-        self.ring = family.ring
-        self.p = family.ring.p
+        self.ring = ring
         self.limit = self.p.q**2
-        self._tbl: dict[str, Table] = {}
         self._ypow: dict[int, Table] = {}
         self._zpow: dict[int, Table] = {}
         self._xpow: dict[int, Table] = {}
 
-    # -- table algebra
+    def table(self, name: str) -> Table:
+        return self.series(name, self.limit + 1)
 
-    def t_add(self, a: Table, b: Table, sign: int = 1) -> Table:
-        out = dict(a)
-        for i, v in b.items():
-            w = out.get(i)
-            nv = v.scale(sign) if w is None else w + v.scale(sign)
-            if nv.is_zero():
-                out.pop(i, None)
-            else:
-                out[i] = nv
-        return out
+    def shift_table(self, name: str) -> Table:
+        """Table of f^q - f."""
+        return self.shift_series(name, self.limit + 1)
 
-    def t_mul(self, a: Table, b: Table) -> Table:
-        out: Table = {}
-        lim = self.limit
-        for i1, c1 in a.items():
-            for i2, c2 in b.items():
-                i = i1 + i2
-                if i > lim:
-                    continue
-                prod = c1 * c2
-                if prod.is_zero():
-                    continue
-                w = out.get(i)
-                nv = prod if w is None else w + prod
-                if nv.is_zero():
-                    out.pop(i, None)
-                else:
-                    out[i] = nv
-        return out
+    def lift(self, f: str, b: str) -> Table:
+        """D^i t for 1 <= i <= q^2, where t^q - t = f^q0 (b^q - b); t is never needed."""
+        return super().lift(f, b, self.limit + 1)
 
-    def t_pow3(self, a: Table) -> Table:
-        lim = self.limit
-        return {3 * i: c.pow3() for i, c in a.items() if 3 * i <= lim}
+    # -- derivative access; the monomial-wise path is the tables' reference
 
-    def t_pow3k(self, a: Table, k: int) -> Table:
-        out = a
-        for _ in range(k):
-            out = self.t_pow3(out)
-        return out
-
-    def qshift(self, a: Table) -> Table:
-        """Table of f^q from the table of f."""
-        k = 2 * self.p.s + 1
-        return self.t_pow3k(a, k)
-
-    # -- tables for the family
+    def derivative_of(self, name: str, i: int) -> CurveElement:
+        if not 0 <= i <= self.limit:
+            raise ValueError("derivative index out of range")
+        return self.table(name).get(i, self.ring.zero())
 
     def _x_power_table(self, n: int) -> Table:
         if n not in self._xpow:
@@ -141,67 +269,12 @@ class HasseCalculus:
             self._xpow[n] = tbl
         return self._xpow[n]
 
-    def lift(self, f: str, b: str) -> Table:
-        """D^i t for 1 <= i <= q^2, where t^q - t = f^q0 (b^q - b); t is never needed."""
-        q, zero = self.p.q, self.ring.zero()
-        h = self.t_mul(self.t_pow3k(self.table(f), self.p.s), self.shift_table(b))
-        # D^i t is nonzero only at i = j*q^k with D^j h nonzero; i <= q^2 keeps k <= 2
-        cands = {i * q**k for i in h if i for k in range(3)}
-        out: Table = {}
-        for i in sorted(c for c in cands if c <= self.limit):
-            val = zero - h.get(i, zero)
-            if i % q == 0 and i // q in out:
-                val = val + out[i // q].qpow()
-            if not val.is_zero():
-                out[i] = val
-        return out
-
-    def table(self, name: str) -> Table:
-        if name not in self._tbl:
-            ring = self.ring
-            if name == "one":
-                self._tbl[name] = {0: ring.one()}
-            elif name == "x":
-                self._tbl[name] = {0: ring.x(), 1: ring.one()}
-            elif name == "y":
-                self._tbl[name] = {0: ring.y()} | self.lift("x", "x")
-            elif name == "z":
-                self._tbl[name] = {0: ring.z()} | self.lift("x", "y")
-            else:
-                s = self.p.s
-                for nm in RECIPE_ORDER:
-                    if nm in self._tbl:
-                        continue
-                    total: Table = {}
-                    for sign, left, right, tag in RECIPES[nm]:
-                        piece = self.t_mul(
-                            self.table(left),
-                            self.t_pow3k(self.table(right), recipe_twist(tag, s)),
-                        )
-                        total = self.t_add(total, piece, sign)
-                    self._tbl[nm] = total
-                    if nm == name:
-                        break
-        return self._tbl[name]
-
-    def shift_table(self, name: str) -> Table:
-        """Table of f^q - f."""
-        t = self.table(name)
-        return self.t_add(self.qshift(t), t, sign=-1)
-
-    # -- derivative access
-
-    def derivative_of(self, name: str, i: int) -> CurveElement:
-        if not 0 <= i <= self.limit:
-            raise ValueError("derivative index out of range")
-        return self.table(name).get(i, self.ring.zero())
-
     def _y_power(self, b: int) -> Table:
         if b not in self._ypow:
             if b == 0:
                 self._ypow[b] = {0: self.ring.one()}
             else:
-                self._ypow[b] = self.t_mul(self._y_power(b - 1), self.table("y"))
+                self._ypow[b] = ser_mul(self._y_power(b - 1), self.table("y"), self.limit + 1)
         return self._ypow[b]
 
     def _z_power(self, c: int) -> Table:
@@ -209,7 +282,7 @@ class HasseCalculus:
             if c == 0:
                 self._zpow[c] = {0: self.ring.one()}
             else:
-                self._zpow[c] = self.t_mul(self._z_power(c - 1), self.table("z"))
+                self._zpow[c] = ser_mul(self._z_power(c - 1), self.table("z"), self.limit + 1)
         return self._zpow[c]
 
     def hasse_derivative(self, f: CurveElement, i: int) -> CurveElement:
@@ -239,12 +312,12 @@ class HasseCalculus:
         """Full derivative table of an arbitrary normal form."""
         out: Table = {}
         for (a, b, c), coeff in f.terms.items():
-            part = self._x_power_table(a)
-            part = self.t_mul(part, self._y_power(b))
-            part = self.t_mul(part, self._z_power(c))
+            prec = self.limit + 1
+            part = ser_mul(self._x_power_table(a), self._y_power(b), prec)
+            part = ser_mul(part, self._z_power(c), prec)
             if coeff != 1:
                 part = {i: v.scale(coeff) for i, v in part.items()}
-            out = self.t_add(out, part)
+            out = ser_add(out, part)
         return out
 
 

@@ -1,4 +1,4 @@
-"""Local power-series expansions of the spanning functions at affine points.
+"""Curve points over GF(3^m) and the members' expansions there: the points route.
 
 Every triple over the base field satisfies both defining equations (each
 right-hand side vanishes there), so rational points can be sampled
@@ -7,19 +7,19 @@ points, see random_point; points with non-rational x live over extensions
 of degree six and up and are found by rejection on the two Artin-Schreier
 solvability conditions.
 
-At an affine point the coordinate x - x(P) is a uniformizer, and the i-th
-coefficient of the expansion of f is exactly the i-th Hasse derivative of
-f (taken with respect to x) evaluated at P.  That makes these series the
-point backend for the identity checks and for order computations at
-parameter levels where the symbolic ring is too large: PointBackend, at the
-end of this module, so that only the points route loads it.
+There is one Taylor expansion in the package, ``hasse.Expansion``, with its
+series arithmetic ``ser_add``, ``ser_mul`` and ``ser_pow3k`` (re-exported
+here).  The exact route evaluates it at the generic point of the
+coordinate ring (``hasse.HasseCalculus``); this module evaluates it at a
+sampled point P: ``PointExpansion``.  There x - x(P) is a uniformizer, and
+the i-th coefficient of the expansion of f is the i-th Hasse derivative
+of f (with respect to x) evaluated at P.  Series follow the conventions of
+``hasse``: sparse dicts {exponent: coefficient}, zero values omitted.
 
-Series are sparse dicts {exponent: coefficient} with zero values omitted.
-An operation taking prec returns every coefficient for exponents < prec,
-and each kept coefficient is the exact coefficient of the underlying
-function, never an artefact of truncation.  The arithmetic helpers keep
-only exponents < prec; PointExpansion.series may return more, since it
-hands back whatever its cache holds once that covers prec.
+That makes these series the point backend for the identity checks and for
+order computations at parameter levels where the symbolic ring is too
+large: PointBackend, at the end of this module, so that only the points
+route loads it.
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ from reecurve.gf import (
     frobenius_power,
     solve_artin_schreier,
 )
-from reecurve.hasse import binom_mod3
+from reecurve.hasse import Expansion, binom_mod3, ser_add, ser_mul, ser_pow3k
 from reecurve.params import ReeParams, ree_params
-from reecurve.ring import RECIPES, recipe_twist
 
 __all__ = [
     "CurvePoint",
@@ -57,57 +56,7 @@ Series = dict[int, FieldElement]
 
 
 # ---------------------------------------------------------------------------
-# sparse series arithmetic
-
-
-def ser_add(a: Series, b: Series, sign: int = 1) -> Series:
-    """a + sign*b, dropping cancellations."""
-    out = dict(a)
-    for e, c in b.items():
-        v = out.get(e)
-        if sign != 1:
-            c = -c
-        v = c if v is None else v + c
-        if v.is_zero():
-            out.pop(e, None)
-        else:
-            out[e] = v
-    return out
-
-
-def ser_mul(a: Series, b: Series, prec: int) -> Series:
-    if len(a) > len(b):
-        a, b = b, a
-    out: Series = {}
-    for ea, ca in a.items():
-        if ea >= prec:
-            continue
-        for eb, cb in b.items():
-            e = ea + eb
-            if e >= prec:
-                continue
-            v = ca * cb
-            old = out.get(e)
-            if old is not None:
-                v = old + v
-            if v.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = v
-    return out
-
-
-def ser_pow3k(a: Series, k: int, prec: int) -> Series:
-    """a**(3**k); exponents scale, coefficients pass through Frobenius."""
-    if k == 0:
-        return {e: c for e, c in a.items() if e < prec}
-    scale = 3**k
-    out: Series = {}
-    for e, c in a.items():
-        es = e * scale
-        if es < prec:
-            out[es] = frobenius_power(c, k)
-    return out
+# Hasse derivatives of a series (the series arithmetic itself is in hasse)
 
 
 def hasse_shift(a: Series, i: int, prec: int) -> Series:
@@ -224,27 +173,18 @@ def random_point(s: int, seed: int, extension: int = 1) -> CurvePoint:
 # expansions
 
 
-class PointExpansion:
-    """Truncated expansions of all spanning functions at one point.
-
-    y and z are Artin-Schreier lifts (see lift): y is the centre y(P) plus
-    lift("x", "x") and z is z(P) plus lift("x", "y").  The remaining
-    members fold the construction recipes, so the per-coefficient work
-    stays polynomial in the number of retained terms.
-    """
+class PointExpansion(Expansion):
+    """The members' expansions at one point, coefficients in its residue field."""
 
     def __init__(self, point: CurvePoint):
+        super().__init__(point.params, point.ctx.one(), *point.coords())
         self.point = point
         self.ctx = point.ctx
-        self.p = point.params
-        self.s = point.s
-        self._cache: dict[str, tuple[int, Series]] = {}
-        self._lifts: dict[tuple[str, str], tuple[int, Series]] = {}
 
     # -- exact polynomial ingredients
 
     def x_series(self) -> Series:
-        return {0: self.point.x, 1: self.ctx.one()}
+        return self.series("x", 2)
 
     def ell_series(self) -> Series:
         """x^q - x is a polynomial in t: ell(P) - t + t^q."""
@@ -255,58 +195,6 @@ class PointExpansion:
         return out
 
     # -- members
-
-    def series(self, name: str, prec: int) -> Series:
-        """Expansion of a member, exact on exponents < prec."""
-        cached = self._cache.get(name)
-        if cached is not None and cached[0] >= prec:
-            return cached[1]
-        if name == "one":
-            out: Series = {0: self.ctx.one()}
-        elif name == "x":
-            out = self.x_series()
-        elif name in ("y", "z"):
-            centre = self.point.y if name == "y" else self.point.z
-            out = {} if centre.is_zero() else {0: centre}
-            out |= self.lift("x", "x" if name == "y" else "y", prec)
-        else:
-            out = {}
-            for sign, left, right, tag in RECIPES[name]:
-                k = recipe_twist(tag, self.s)
-                sub = self.series(right, -(-prec // 3**k))
-                term = ser_mul(self.series(left, prec), ser_pow3k(sub, k, prec), prec)
-                out = ser_add(out, term, sign)
-        self._cache[name] = (prec, out)
-        return out
-
-    def qpow_series(self, name: str, prec: int) -> Series:
-        """Expansion of f^q, exact on exponents < prec."""
-        return ser_pow3k(self.series(name, -(-prec // self.p.q)), 2 * self.s + 1, prec)
-
-    def shift_series(self, name: str, prec: int) -> Series:
-        """Expansion of f^q - f, exact on exponents < prec; terms past prec are not."""
-        return ser_add(self.qpow_series(name, prec), self.series(name, prec), -1)
-
-    def lift(self, f: str, b: str, prec: int) -> Series:
-        """Expansion of t with t^q - t = h, h = f^q0 (b^q - b), less t(P).
-
-        The sum -sum_j (h - h(0))^(q^j) telescopes under the q-power, so it
-        solves the equation up to the constant term; exact on exponents
-        < prec, and like series it may return more.
-        """
-        cached = self._lifts.get((f, b))
-        if cached is not None and cached[0] >= prec:
-            return cached[1]
-        fq0 = ser_pow3k(self.series(f, -(-prec // self.p.q0)), self.s, prec)
-        h = ser_mul(fq0, self.shift_series(b, prec), prec)
-        h.pop(0, None)
-        out: Series = {}
-        k = 0
-        while term := ser_pow3k(h, k, prec):
-            out = ser_add(out, term, -1)
-            k += 2 * self.s + 1
-        self._lifts[(f, b)] = (prec, out)
-        return out
 
     def coefficient(self, name: str, i: int) -> FieldElement:
         """i-th Hasse derivative of the member, evaluated at the point."""

@@ -4,6 +4,7 @@ Module lists come from ``python -X importtime`` in a fresh process, which
 names every module the process imports.
 """
 
+import importlib
 import importlib.util
 import os
 import subprocess
@@ -75,6 +76,12 @@ def test_cli_module_loads_every_traced_module():
     targets = {modname for _, modname, _ in tracer.SPAN_TARGETS}
     assert "reecurve.cli" in targets
     assert targets <= loaded_modules("-c", "import reecurve.cli")
+    # a traced name that no longer exists would fail every traced op
+    for _, modname, attr in tracer.SPAN_TARGETS:
+        owner = importlib.import_module(modname)
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (modname, attr)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from reecurve.params import index_value, ree_params
 from reecurve.ring import FAMILY_NAMES, function_family
 from reecurve.series import (
     CurvePoint,
+    PointBackend,
     PointExpansion,
     origin_point,
     random_point,
@@ -75,6 +76,16 @@ def test_origin_expansion_starts_at_the_gap_ladder():
     assert min(ser) == p.q0 + 1
     ser = exp.series("z", 2 * p.q0 + 2)
     assert min(ser) == 2 * p.q0 + 1
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_origin_series_hold_no_zero_coefficient(s):
+    # every coordinate of the origin is 0; a zero centre is dropped, not kept
+    K = PointBackend(origin_point(s))
+    assert K.exp.series("x", 5) == {1: K.point.ctx.one()}
+    for name in FAMILY_NAMES:
+        for ser in (K.exp.series(name, K.window), K.row(name), K.member_d(name, 0)):
+            assert all(not c.is_zero() for c in ser.values()), name
 
 
 @pytest.mark.parametrize("s", [1, 2])

@@ -2,9 +2,10 @@
 
 Useful when comparing backends: prints a per-identity wall-clock table,
 slowest first, plus the overall verdict.  Backends are built once per
-route and then shared, so on the points route the first key's time
-includes sampling the points, and later keys reuse them together with
-the series already expanded.
+route and then shared.  On the points route the first key's time
+includes sampling the points; each point has one expansion, and a key's
+time includes building, once, the member series, shifts and lifts it is
+the first to read, at depth q^2 + 1.  Later keys read them.
 
     python3 scripts/identity_timing.py --s 2 --backend points --trials 3
 """

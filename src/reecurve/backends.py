@@ -50,8 +50,6 @@ class SymbolicBackend:
         self.calc: HasseCalculus = hasse_calculus(s)
         self.p: ReeParams = self.calc.p
         self.s = s
-        self._shift: dict[str, dict] = {}
-        self._qpow: dict[str, dict] = {}
         self._ellpow: dict[int, object] = {}
 
     def zero(self):
@@ -64,14 +62,10 @@ class SymbolicBackend:
         return self.calc.table(name).get(i, self.zero())
 
     def shift_d(self, name: str, i: int):
-        if name not in self._shift:
-            self._shift[name] = self.calc.shift_table(name)
-        return self._shift[name].get(i, self.zero())
+        return self.calc.shift_table(name).get(i, self.zero())
 
     def qpow_d(self, name: str, i: int):
-        if name not in self._qpow:
-            self._qpow[name] = self.calc.qpow_series(name, self.calc.limit + 1)
-        return self._qpow[name].get(i, self.zero())
+        return self.calc.qpow_series(name).get(i, self.zero())
 
     def virtual_d(self, f: str, b: str, i: int):
         """D^i t for t^q - t = f^q0 (b^q - b); t itself is never needed."""
@@ -104,8 +98,6 @@ class SymbolicBackend:
         return self._ellpow[n]
 
     def pow_tag(self, v, tag: str):
-        if tag == "q2":  # two reduced q-powers keep intermediate forms small
-            return v.qpow().qpow()
         return v.pow3k(_pow_count(tag, self.s))
 
     def mul(self, a, b):

@@ -12,7 +12,7 @@ evaluated at two centres:
 
 * the generic point (x, y, z) of the coordinate ring, where the
   coefficients are the exact derivatives D^i f as normal forms:
-  ``HasseCalculus``, the tables of the exact route, kept for i <= q^2;
+  ``HasseCalculus``, the tables of the exact route, for i <= q^2;
 * a sampled point over GF(3^m): ``series.PointExpansion``, the series of
   the points route.
 
@@ -30,11 +30,12 @@ inexpensive.
 
 Series are sparse dicts {exponent: coefficient} with zero values omitted,
 a zero centre among them.  An operation taking prec returns every
-coefficient for exponents < prec, and each kept coefficient is the exact
-coefficient of the underlying function, never an artefact of truncation.
-The arithmetic helpers keep only exponents < prec; ``Expansion.series`` may
-return more, since it hands back whatever its cache holds once that covers
-prec.
+coefficient for exponents < prec and no other, and each kept coefficient
+is the exact coefficient of the underlying function, never an artefact of
+truncation.  An expansion has one precision, fixed when it is made: q^2 + 1
+at the generic point, which holds every order candidate, and the
+backend's depth at a point.  Every series of one expansion is exact below
+it, so each is built once and read many times.
 
 The exact and sampled routes share this algorithm.  What keeps them
 independent checks of each other, and of the algorithm, is:
@@ -160,73 +161,74 @@ def ser_pow3k(a: Series, k: int, prec: int) -> Series:
 
 
 class Expansion:
-    """Taylor series of the members at the centre (x0, y0, z0).
+    """Taylor series of the members at the centre (x0, y0, z0), exact below prec.
 
-    Each member's series and each lift is cached at the largest precision
-    asked for so far; a larger request recomputes it.
+    The precision is fixed when the expansion is made, so each member's
+    series, q-power, shift and lift is built once, on first use, and then
+    read.
     """
 
-    def __init__(self, p: ReeParams, one, x0, y0, z0):
+    def __init__(self, p: ReeParams, one, x0, y0, z0, prec: int):
         self.p = p
         self.s = p.s
         self.one = one
+        self.prec = prec
         self.centre = {"x": x0, "y": y0, "z": z0}
-        self._cache: dict[str, tuple[int, Series]] = {}
-        self._lifts: dict[tuple[str, str], tuple[int, Series]] = {}
+        self._series: dict[str, Series] = {}
+        self._qpow: dict[str, Series] = {}
+        self._shift: dict[str, Series] = {}
+        self._lifts: dict[tuple[str, str], Series] = {}
 
-    def series(self, name: str, prec: int) -> Series:
-        """Expansion of a member, exact on exponents < prec."""
-        cached = self._cache.get(name)
-        if cached is not None and cached[0] >= prec:
-            return cached[1]
-        if name == "one":
-            out: Series = {0: self.one}
-        elif name in self.centre:
-            c0 = self.centre[name]
-            out = {} if c0.is_zero() else {0: c0}
-            if name == "x":
-                out[1] = self.one
+    def series(self, name: str) -> Series:
+        """Expansion of a member."""
+        if name not in self._series:
+            prec = self.prec
+            if name == "one":
+                out: Series = {0: self.one}
+            elif name in self.centre:
+                c0 = self.centre[name]
+                out = {} if c0.is_zero() else {0: c0}
+                if name == "x":
+                    out[1] = self.one
+                else:
+                    out |= self.lift("x", "x" if name == "y" else "y")
             else:
-                # the base lift, since HasseCalculus.lift fixes prec at q^2 + 1
-                out |= Expansion.lift(self, "x", "x" if name == "y" else "y", prec)
-        else:
-            out = {}
-            for sign, left, right, tag in RECIPES[name]:
-                k = recipe_twist(tag, self.s)
-                sub = self.series(right, -(-prec // 3**k))
-                term = ser_mul(self.series(left, prec), ser_pow3k(sub, k, prec), prec)
-                out = ser_add(out, term, sign)
-        self._cache[name] = (prec, out)
-        return out
+                out = {}
+                for sign, left, right, tag in RECIPES[name]:
+                    sub = ser_pow3k(self.series(right), recipe_twist(tag, self.s), prec)
+                    out = ser_add(out, ser_mul(self.series(left), sub, prec), sign)
+            self._series[name] = out
+        return self._series[name]
 
-    def qpow_series(self, name: str, prec: int) -> Series:
-        """Expansion of f^q, exact on exponents < prec."""
-        return ser_pow3k(self.series(name, -(-prec // self.p.q)), 2 * self.s + 1, prec)
+    def qpow_series(self, name: str) -> Series:
+        """Expansion of f^q."""
+        if name not in self._qpow:
+            self._qpow[name] = ser_pow3k(self.series(name), 2 * self.s + 1, self.prec)
+        return self._qpow[name]
 
-    def shift_series(self, name: str, prec: int) -> Series:
-        """Expansion of f^q - f, exact on exponents < prec."""
-        return ser_add(self.qpow_series(name, prec), self.series(name, prec), -1)
+    def shift_series(self, name: str) -> Series:
+        """Expansion of f^q - f."""
+        if name not in self._shift:
+            self._shift[name] = ser_add(self.qpow_series(name), self.series(name), -1)
+        return self._shift[name]
 
-    def lift(self, f: str, b: str, prec: int) -> Series:
+    def lift(self, f: str, b: str) -> Series:
         """Expansion of t with t^q - t = h, h = f^q0 (b^q - b), less t(P).
 
         The sum -sum_j (h - h(P))^(q^j) telescopes under the q-power, so it
-        solves the equation up to the constant term; exact on exponents
-        < prec, and like series it may return more.
+        solves the equation up to the constant term.
         """
-        cached = self._lifts.get((f, b))
-        if cached is not None and cached[0] >= prec:
-            return cached[1]
-        fq0 = ser_pow3k(self.series(f, -(-prec // self.p.q0)), self.s, prec)
-        h = ser_mul(fq0, self.shift_series(b, prec), prec)
-        h.pop(0, None)
-        out: Series = {}
-        k = 0
-        while term := ser_pow3k(h, k, prec):
-            out = ser_add(out, term, -1)
-            k += 2 * self.s + 1
-        self._lifts[(f, b)] = (prec, out)
-        return out
+        if (f, b) not in self._lifts:
+            prec = self.prec
+            h = ser_mul(ser_pow3k(self.series(f), self.s, prec), self.shift_series(b), prec)
+            h.pop(0, None)
+            out: Series = {}
+            k = 0
+            while term := ser_pow3k(h, k, prec):
+                out = ser_add(out, term, -1)
+                k += 2 * self.s + 1
+            self._lifts[(f, b)] = out
+        return self._lifts[(f, b)]
 
 
 class HasseCalculus(Expansion):
@@ -234,24 +236,21 @@ class HasseCalculus(Expansion):
 
     def __init__(self, family: FunctionFamily):
         ring = family.ring
-        super().__init__(ring.p, ring.one(), ring.x(), ring.y(), ring.z())
+        q2 = ring.p.q**2
+        super().__init__(ring.p, ring.one(), ring.x(), ring.y(), ring.z(), q2 + 1)
         self.fam = family
         self.ring = ring
-        self.limit = self.p.q**2
+        self.limit = q2
         self._ypow: dict[int, Table] = {}
         self._zpow: dict[int, Table] = {}
         self._xpow: dict[int, Table] = {}
 
     def table(self, name: str) -> Table:
-        return self.series(name, self.limit + 1)
+        return self.series(name)
 
     def shift_table(self, name: str) -> Table:
         """Table of f^q - f."""
-        return self.shift_series(name, self.limit + 1)
-
-    def lift(self, f: str, b: str) -> Table:
-        """D^i t for 1 <= i <= q^2, where t^q - t = f^q0 (b^q - b); t is never needed."""
-        return super().lift(f, b, self.limit + 1)
+        return self.shift_series(name)
 
     # -- derivative access; the monomial-wise path is the tables' reference
 
@@ -274,7 +273,7 @@ class HasseCalculus(Expansion):
             if b == 0:
                 self._ypow[b] = {0: self.ring.one()}
             else:
-                self._ypow[b] = ser_mul(self._y_power(b - 1), self.table("y"), self.limit + 1)
+                self._ypow[b] = ser_mul(self._y_power(b - 1), self.table("y"), self.prec)
         return self._ypow[b]
 
     def _z_power(self, c: int) -> Table:
@@ -282,7 +281,7 @@ class HasseCalculus(Expansion):
             if c == 0:
                 self._zpow[c] = {0: self.ring.one()}
             else:
-                self._zpow[c] = ser_mul(self._z_power(c - 1), self.table("z"), self.limit + 1)
+                self._zpow[c] = ser_mul(self._z_power(c - 1), self.table("z"), self.prec)
         return self._zpow[c]
 
     def hasse_derivative(self, f: CurveElement, i: int) -> CurveElement:
@@ -312,9 +311,8 @@ class HasseCalculus(Expansion):
         """Full derivative table of an arbitrary normal form."""
         out: Table = {}
         for (a, b, c), coeff in f.terms.items():
-            prec = self.limit + 1
-            part = ser_mul(self._x_power_table(a), self._y_power(b), prec)
-            part = ser_mul(part, self._z_power(c), prec)
+            part = ser_mul(self._x_power_table(a), self._y_power(b), self.prec)
+            part = ser_mul(part, self._z_power(c), self.prec)
             if coeff != 1:
                 part = {i: v.scale(coeff) for i, v in part.items()}
             out = ser_add(out, part)

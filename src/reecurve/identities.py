@@ -1005,18 +1005,19 @@ def check_rank1_remark(
                        None if ok else "ell vanished")
 
 
-def osculating_functions(P: CurvePoint, precision: Optional[int] = None):
+def osculating_functions(P: CurvePoint):
     """Series at P of g_P and h_P built from the seven-function family.
 
     g_P fixes the first slot of the two-point pairing at P and is a
     member of the small linear series; h_P fixes the second slot and is
-    an exact q^2-th power.  Both vanish at P to order at least q^2.
+    an exact q^2-th power.  Both vanish at P to order at least q^2; the
+    series are exact on exponents up to q^2.
     """
     from reecurve.gf import frobenius_power
     from reecurve.series import PointBackend, ser_add
 
     p = P.params
-    K = PointBackend(P, window=p.q**2 + 1 if precision is None else precision)
+    K = PointBackend(P, window=p.q**2 + 1)
     e2 = 2 * (2 * P.s + 1)
     members = [K.member(name) for name in SUBFAMILY_NAMES]
     values = [ser.get(0, P.ctx.zero()) for ser in members]
@@ -1033,12 +1034,10 @@ def osculating_functions(P: CurvePoint, precision: Optional[int] = None):
     return g, h
 
 
-def osculating_vanishing(P: CurvePoint, precision: Optional[int] = None) -> int:
-    """t-adic vanishing order of g_P at P (= precision when it is zero)."""
-    p = P.params
-    prec = p.q**2 + 1 if precision is None else precision
-    g, _ = osculating_functions(P, prec)
-    return min(g) if g else prec
+def osculating_vanishing(P: CurvePoint) -> int:
+    """t-adic vanishing order of g_P at P (q^2 + 1 when it is zero to that order)."""
+    g, _ = osculating_functions(P)
+    return min(g) if g else P.params.q**2 + 1
 
 
 # ---------------------------------------------------------------------------

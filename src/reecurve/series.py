@@ -19,7 +19,12 @@ of f (with respect to x) evaluated at P.  Series follow the conventions of
 That makes these series the point backend for the identity checks and for
 order computations at parameter levels where the symbolic ring is too
 large: PointBackend, at the end of this module, so that only the points
-route loads it.
+route loads it.  A PointBackend makes one expansion, exact below its
+depth: q^2 + 1 by default, which covers every order candidate and every
+catalog read D^i over the window, and m + 1 for a vanishing profile.
+Every member's series is built once at that depth and every read is cut
+from it; a read reaching past the depth raises instead of returning a
+shorter window.
 """
 
 from __future__ import annotations
@@ -176,15 +181,15 @@ def random_point(s: int, seed: int, extension: int = 1) -> CurvePoint:
 class PointExpansion(Expansion):
     """The members' expansions at one point, coefficients in its residue field."""
 
-    def __init__(self, point: CurvePoint):
-        super().__init__(point.params, point.ctx.one(), *point.coords())
+    def __init__(self, point: CurvePoint, prec: int):
+        super().__init__(point.params, point.ctx.one(), *point.coords(), prec)
         self.point = point
         self.ctx = point.ctx
 
     # -- exact polynomial ingredients
 
     def x_series(self) -> Series:
-        return self.series("x", 2)
+        return self.series("x")
 
     def ell_series(self) -> Series:
         """x^q - x is a polynomial in t: ell(P) - t + t^q."""
@@ -198,10 +203,9 @@ class PointExpansion(Expansion):
 
     def coefficient(self, name: str, i: int) -> FieldElement:
         """i-th Hasse derivative of the member, evaluated at the point."""
-        return self.series(name, i + 1).get(i, self.ctx.zero())
-
-    def derivative_series(self, name: str, i: int, prec: int) -> Series:
-        return hasse_shift(self.series(name, i + prec), i, prec)
+        if i >= self.prec:
+            raise ValueError(f"D^{i} lies past the precision {self.prec}")
+        return self.series(name).get(i, self.ctx.zero())
 
     def power(self, a: Series, n: int, prec: int) -> Series:
         """a**n by base-3 splitting, so Frobenius factors stay sparse."""
@@ -230,60 +234,57 @@ class PointBackend:
         self, point: CurvePoint, window: Optional[int] = None, depth: Optional[int] = None
     ):
         self.point = point
-        self.exp = PointExpansion(point)
         self.p = point.params
         self.s = point.s
         self.window = default_window(self.p) if window is None else window
-        # member rows cover the indices below depth: q^2 + 1 holds every
-        # order candidate, a vanishing profile needs m + 1
+        # one expansion, exact below depth: q^2 + 1 holds every order
+        # candidate and every catalog read, a vanishing profile needs m + 1
         self.depth = self.p.q**2 + 1 if depth is None else depth
-        self._rows: dict[str, dict] = {}
-        self._shift_rows: dict[str, dict] = {}
+        self.exp = PointExpansion(point, self.depth)
 
     def zero(self):
         return {}
 
+    def _read(self, ser: Series, i: int) -> Series:
+        """D^i of a series over the window, refused where the window passes the depth."""
+        if i + self.window > self.depth:
+            raise ValueError(
+                f"D^{i} over a window of {self.window} reads past depth {self.depth}"
+            )
+        return hasse_shift(ser, i, self.window)
+
     def member(self, name: str):
-        # the expansion may hold more terms than asked for; residuals
-        # compare this against products cut off at the window
-        ser = self.exp.series(name, self.window)
-        return {e: c for e, c in ser.items() if e < self.window}
+        return self._read(self.exp.series(name), 0)
 
     def member_d(self, name: str, i: int):
-        return self.exp.derivative_series(name, i, self.window)
+        return self._read(self.exp.series(name), i)
 
     def shift_d(self, name: str, i: int):
-        return hasse_shift(self.exp.shift_series(name, i + self.window), i, self.window)
+        return self._read(self.exp.shift_series(name), i)
 
     def qpow_d(self, name: str, i: int):
-        return hasse_shift(self.exp.qpow_series(name, i + self.window), i, self.window)
+        return self._read(self.exp.qpow_series(name), i)
 
     def virtual_d(self, f: str, b: str, i: int):
         """D^i t for t^q - t = f^q0 (b^q - b); t itself is never needed."""
         if i <= 0:
             raise ValueError("virtual functions only expose positive indices")
-        return hasse_shift(self.exp.lift(f, b, i + self.window), i, self.window)
+        return self._read(self.exp.lift(f, b), i)
 
-    # -- rows: the i-th coefficient of a series is D^i at the point; each
-    # member is expanded on first use, once
+    # -- rows: the i-th coefficient of a series is D^i at the point
 
     def row(self, name: str) -> dict:
-        """The member's series below the depth: where its rows are nonzero."""
-        if name not in self._rows:
-            ser = self.exp.series(name, self.depth)
-            self._rows[name] = {e: c for e, c in ser.items() if e < self.depth}
-        return self._rows[name]
+        """The member's series: where its rows are nonzero."""
+        return self.exp.series(name)
 
     def value(self, name: str, i: int):
-        return self.row(name).get(i, self.point.ctx.zero())
+        return self.exp.coefficient(name, i)
 
     def shift_value(self, name: str, i: int):
-        """D^i (f^q - f) at the point for i < q, all the morphism scan reads."""
-        if i >= self.p.q:
-            raise ValueError("shift rows stop below q")
-        if name not in self._shift_rows:
-            self._shift_rows[name] = self.exp.shift_series(name, self.p.q)
-        return self._shift_rows[name].get(i, self.point.ctx.zero())
+        """D^i (f^q - f) at the point."""
+        if i >= self.depth:
+            raise ValueError(f"D^{i} lies past the depth {self.depth}")
+        return self.exp.shift_series(name).get(i, self.point.ctx.zero())
 
     def qpow_value(self, name: str):
         return frobenius_power(self.value(name, 0), 2 * self.s + 1)

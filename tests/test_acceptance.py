@@ -92,7 +92,7 @@ def test_criterion_04_hypersurface_and_osculation():
     res2 = check_hypersurface(2, "points", trials=3, seed=0)
     assert all(r.ok for r in res2)
     orders = [
-        osculating_vanishing(random_point(1, seed=seed, extension=6), precision=730)
+        osculating_vanishing(random_point(1, seed=seed, extension=6))
         for seed in (0, 1, 2)
     ]
     assert all(v >= 729 for v in orders)
@@ -239,7 +239,7 @@ def test_criterion_10_property_suites():
     points = [rational_point(1, seed=k) for k in range(3)]
     points.append(origin_point(1))
     points.append(random_point(1, seed=2, extension=6))
-    expansions = [PointExpansion(P) for P in points]
+    expansions = [PointExpansion(P, p.q**2 + 1) for P in points]
     names = [n for n in FAMILY_NAMES if n != "one"]
     special = [0, 1, p.q0, p.q0 + 1, 3 * p.q0 + 1, p.q, p.q + 1, p.q * p.q0, p.q**2]
     triples = 100

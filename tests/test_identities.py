@@ -7,9 +7,13 @@ evidence that the excluded instances are not quietly true.
 """
 
 import dataclasses
+import sys
+from collections import Counter
 
 import pytest
 
+import reecurve.backends
+import reecurve.hasse as hasse
 import reecurve.identities as identities
 from reecurve.identities import (
     IDENTITY_CATALOG,
@@ -34,8 +38,9 @@ from reecurve.identities import (
     verify_catalog,
 )
 from reecurve.backends import backends
+from reecurve.orders import order_sequence
 from reecurve.params import index_value, ree_params
-from reecurve.ring import FAMILY_NAMES
+from reecurve.ring import FAMILY_NAMES, RECIPES
 from reecurve.series import PointBackend, rational_point
 from reecurve.support import member_support, support_values
 
@@ -286,8 +291,8 @@ def test_osculating_contact_order():
     # ranges over the rational points themselves
     for seed in (0, 1, 2):
         P = rational_point(1, seed=seed)
-        assert osculating_vanishing(P, precision=730) >= 729
-        g, h = osculating_functions(P, 730)
+        assert osculating_vanishing(P) >= 729
+        g, h = osculating_functions(P)
         assert all(e >= 729 for e in g)
         assert all(e % 729 == 0 for e in h)  # an exact q^2-th power
 
@@ -325,8 +330,8 @@ def test_fixed_window_catches_a_wrong_deep_term(monkeypatch, s):
 
 
 def test_point_member_is_cut_at_the_window():
-    # a deeper derivative grows the expansion cache past the window; the
-    # hypersurface pairs compare members with products cut off there
+    # the expansion holds the series far past the window; the hypersurface
+    # pairs compare members with products cut off there
     K = PointBackend(rational_point(1, seed=0))
     K.member_d("w8", 40)
     assert all(e < K.window for e in K.member("w8"))
@@ -345,6 +350,33 @@ def test_checks_do_not_depend_on_call_history():
     res = check_hypersurface(1, backend="points", trials=1, seed=seed)
     assert [(r.instance, r.ok) for r in res] == fresh
     assert all(r.ok for r in res)
+
+
+class _CountingRecipes(dict):
+    """ring.RECIPES, counting each recipe fold by expansion and member."""
+
+    def __init__(self):
+        super().__init__(RECIPES)
+        self.folds = Counter()
+
+    def __getitem__(self, name):
+        # the caller is Expansion.series, folding the member for its self
+        self.folds[(sys._getframe(1).f_locals["self"], name)] += 1
+        return super().__getitem__(name)
+
+
+def test_each_member_is_folded_once_per_expansion(monkeypatch):
+    recipes = _CountingRecipes()
+    monkeypatch.setattr(hasse, "RECIPES", recipes)
+    monkeypatch.setattr(reecurve.backends, "_BACKENDS", {})
+    monkeypatch.setattr(hasse, "_CALC_CACHE", {})
+    verify_catalog(2, "points", seed=3, trials=1)
+    verify_catalog(1)
+    order_sequence("D", s=1)
+    order_sequence("E", s=1)
+    # one expansion per route: the sampled point and a fresh HasseCalculus
+    assert len({exp for exp, _ in recipes.folds}) == 2
+    assert max(recipes.folds.values()) == 1
 
 
 def test_unknown_backend_raises():

@@ -15,6 +15,7 @@ SRC = Path(reecurve.__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("argv", [
     ["identity_timing.py", "--s", "1"],
+    ["identity_timing.py", "--s", "2", "--backend", "points", "--trials", "1"],
     ["weight_survey.py", "--s", "1", "--samples", "1", "--audit-levels", "1"],
 ])
 def test_script_runs(argv):

@@ -54,7 +54,7 @@ def test_low_order_derivatives_at_a_rational_point():
     # first-column entries of the small-derivative table, taken as values
     p = ree_params(1)
     P = rational_point(1, seed=5)
-    exp = PointExpansion(P)
+    exp = PointExpansion(P, 2 * p.q + 1)
     xq0 = frobenius_power(P.x, 1)
     one = P.ctx.one()
     assert exp.coefficient("y", 1) == xq0
@@ -71,10 +71,10 @@ def test_low_order_derivatives_at_a_rational_point():
 
 def test_origin_expansion_starts_at_the_gap_ladder():
     p = ree_params(1)
-    exp = PointExpansion(origin_point(1))
-    ser = exp.series("y", p.q0 + 2)
+    exp = PointExpansion(origin_point(1), 2 * p.q0 + 2)
+    ser = exp.series("y")
     assert min(ser) == p.q0 + 1
-    ser = exp.series("z", 2 * p.q0 + 2)
+    ser = exp.series("z")
     assert min(ser) == 2 * p.q0 + 1
 
 
@@ -82,9 +82,9 @@ def test_origin_expansion_starts_at_the_gap_ladder():
 def test_origin_series_hold_no_zero_coefficient(s):
     # every coordinate of the origin is 0; a zero centre is dropped, not kept
     K = PointBackend(origin_point(s))
-    assert K.exp.series("x", 5) == {1: K.point.ctx.one()}
+    assert K.exp.series("x") == {1: K.point.ctx.one()}
     for name in FAMILY_NAMES:
-        for ser in (K.exp.series(name, K.window), K.row(name), K.member_d(name, 0)):
+        for ser in (K.exp.series(name), K.row(name), K.member_d(name, 0)):
             assert all(not c.is_zero() for c in ser.values()), name
 
 
@@ -92,16 +92,16 @@ def test_origin_series_hold_no_zero_coefficient(s):
 def test_defining_equations_hold_as_series(s):
     p = ree_params(s)
     P = rational_point(s, seed=3)
-    exp = PointExpansion(P)
     e = 2 * s + 1
     prec = p.q**2 // 3 + 17
+    exp = PointExpansion(P, prec)
     xq0 = ser_pow3k(exp.x_series(), s, prec)
     ell = exp.ell_series()
     for name, rhs in (
         ("y", ser_mul(xq0, ell, prec)),
         ("z", ser_mul(ser_mul(xq0, xq0, prec), ell, prec)),
     ):
-        f = exp.series(name, prec)
+        f = exp.series(name)
         lhs = ser_add(ser_pow3k(f, e, prec), f, -1)
         assert ser_add(lhs, rhs, -1) == {}, name
 
@@ -116,16 +116,16 @@ def test_qpower_rules_hold_as_series(s):
         P = rational_point(s, seed=seed) if seed else random_point(
             s, seed=1, extension=6 if s == 1 else 1
         )
-        exp = PointExpansion(P)
         prec = p.q + 3 * p.q0 + 29
+        exp = PointExpansion(P, prec)
         for name, rule in fam.rules.items():
-            f = exp.series(name, prec)
+            f = exp.series(name)
             lhs = ser_add(ser_pow3k(f, e, prec), f, -1)
             rhs = {}
             for sign, cof, twist, base in rule.terms:
-                b = exp.series(base, prec)
+                b = exp.series(base)
                 shift = ser_add(ser_pow3k(b, e, prec), b, -1)
-                cofq = ser_pow3k(exp.series(cof, prec), twist, prec)
+                cofq = ser_pow3k(exp.series(cof), twist, prec)
                 rhs = ser_add(rhs, ser_mul(cofq, shift, prec), sign)
             assert ser_add(lhs, rhs, -1) == {}, (name, seed)
 
@@ -137,7 +137,7 @@ def test_cross_backend_agreement_on_seeded_triples():
     points = [rational_point(1, seed=k) for k in range(3)]
     points.append(origin_point(1))
     points.append(random_point(1, seed=2, extension=6))
-    expansions = [PointExpansion(P) for P in points]
+    expansions = [PointExpansion(P, p.q**2 + 1) for P in points]
     rng = random.Random("cross-backend:1")
     names = [n for n in FAMILY_NAMES if n != "one"]
     special = [0, 1, p.q0, p.q0 + 1, 3 * p.q0 + 1, p.q, p.q + 1, p.q * p.q0, p.q**2]
@@ -161,19 +161,19 @@ def test_cross_backend_agreement_on_seeded_triples():
         for P, exp in zip(points, expansions):
             for i in t_indices:
                 sym = lifted.get(i, zero).evaluate(*P.coords())
-                got = exp.lift(f, b, i + 1).get(i, P.ctx.zero())
+                got = exp.lift(f, b).get(i, P.ctx.zero())
                 assert got == sym, (f, b, i, P.coords())
 
 
 def test_derivative_series_window_matches_coefficients():
-    exp = PointExpansion(rational_point(1, seed=8))
+    K = PointBackend(rational_point(1, seed=8), window=40)
     p = ree_params(1)
     for name in ("y", "w4", "w10"):
         for i in (1, p.q0 + 1, p.q):
-            win = exp.derivative_series(name, i, 40)
+            win = K.member_d(name, i)
             for j in range(40):
-                want = exp.coefficient(name, i + j)
-                got = win.get(j, exp.point.ctx.zero())
+                want = K.exp.coefficient(name, i + j)
+                got = win.get(j, K.point.ctx.zero())
                 bc = binom_mod3(i + j, i)
                 if bc == 0:
                     assert got.is_zero()
@@ -181,9 +181,24 @@ def test_derivative_series_window_matches_coefficients():
                     assert got == (want if bc == 1 else -want)
 
 
+def test_reads_past_the_depth_raise():
+    # one expansion at the depth: a window reaching past it would come back
+    # short, so the read is refused
+    K = PointBackend(rational_point(1, seed=0), depth=100)
+    with pytest.raises(ValueError, match="depth"):
+        K.member_d("w1", 20)
+    with pytest.raises(ValueError, match="depth"):
+        K.shift_value("w1", 100)
+    with pytest.raises(ValueError, match="precision"):
+        K.value("w1", 100)
+    # the deepest read that fits equals the same read at the default depth
+    i = 100 - K.window
+    assert K.member_d("w1", i) == PointBackend(K.point).member_d("w1", i)
+
+
 def test_power_helper_matches_repeated_multiplication():
-    exp = PointExpansion(rational_point(1, seed=2))
     prec = 260
+    exp = PointExpansion(rational_point(1, seed=2), prec)
     ell = exp.ell_series()
     acc = {0: exp.point.ctx.one()}
     for n in range(1, 8):
@@ -193,8 +208,8 @@ def test_power_helper_matches_repeated_multiplication():
 
 
 def test_expansions_are_freed():
-    exp = PointExpansion(rational_point(1, seed=4))
-    exp.series("z", 40)  # builds and keeps the lifts behind y and z
+    exp = PointExpansion(rational_point(1, seed=4), 40)
+    exp.series("z")  # builds and keeps the lifts behind y and z
     ref = weakref.ref(exp)
     del exp
     gc.collect()

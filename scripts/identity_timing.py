@@ -5,7 +5,9 @@ slowest first, plus the overall verdict.  Backends are built once per
 route and then shared.  On the points route the first key's time
 includes sampling the points; each point has one expansion, and a key's
 time includes building, once, the member series, shifts and lifts it is
-the first to read, at depth q^2 + 1.  Later keys read them.
+the first to read, at depth q^2 + 1.  Later keys read them.  Each key
+is its own catalog run, so the per-key runs do not share the memo of
+evaluated terms: a leaf read by several keys is evaluated once in each.
 
     python3 scripts/identity_timing.py --s 2 --backend points --trials 3
 """

@@ -22,13 +22,17 @@ field.
 A residual must evaluate to exactly zero: a ring element in the symbolic
 backend, a truncated series at sampled points in the point backend.  No
 tolerances exist in characteristic 3.
+
+Before evaluation a residual is bound to its instance and level: roles
+become member names and indices integers (_bind).  Equal bound terms are
+one term, so a catalog run evaluates each distinct leaf, ell power and
+Frobenius power once per backend.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from reecurve.backends import SymbolicBackend, backends, default_window, sample_count
 from reecurve.params import SymbolicIndex, index_value, ree_params
@@ -62,8 +66,7 @@ __all__ = [
 # catalog
 
 
-@dataclass(frozen=True)
-class IdentitySpec:
+class IdentitySpec(NamedTuple):
     key: str
     group: str  # "base" | "rejection" | "type1" | "type2"
     description: str
@@ -784,36 +787,65 @@ def collision_exclusions() -> list[tuple[str, str, str]]:
 # evaluation
 
 
-def _evaluate(expr: tuple, K, roles: dict):
+def _bind(expr: tuple, roles: dict, p) -> tuple:
+    """A residual at one instance and level: roles named, indices valued.
+
+    The bound tree is hashable and equal terms bind to equal nodes, so one
+    instance binds once for every backend of a route and a term shared by
+    residuals and instances is recognised as one.  A derivative of the
+    virtual t binds to ("t", f, b, i).
+    """
     op = expr[0]
-    if op == "d":
-        i = index_value(expr[2], K.p)
-        if expr[1] == "t":
-            return K.virtual_d(roles["f"], roles["b"], i)
-        return K.member_d(roles[expr[1]], i)
-    if op == "dshift":
-        return K.shift_d(roles[expr[1]], index_value(expr[2], K.p))
-    if op == "dqpow":
-        return K.qpow_d(roles[expr[1]], index_value(expr[2], K.p))
+    if op == "d" and expr[1] == "t":
+        return ("t", roles["f"], roles["b"], index_value(expr[2], p))
+    if op in ("d", "dshift", "dqpow"):
+        return (op, roles[expr[1]], index_value(expr[2], p))
     if op == "ell":
-        return K.ell_power(index_value(expr[1], K.p))
+        return ("ell", index_value(expr[1], p))
     if op == "pw":
-        return K.pow_tag(_evaluate(expr[1], K, roles), expr[2])
+        return ("pw", _bind(expr[1], roles, p), expr[2])
     if op == "mul":
-        out = _evaluate(expr[1], K, roles)
-        for sub in expr[2:]:
-            out = K.mul(out, _evaluate(sub, K, roles))
-        return out
+        return ("mul",) + tuple(_bind(sub, roles, p) for sub in expr[1:])
     if op == "sum":
-        out = K.zero()
-        for sign, sub in expr[1:]:
-            out = K.add(out, _evaluate(sub, K, roles), sign)
-        return out
+        return ("sum",) + tuple((sign, _bind(sub, roles, p)) for sign, sub in expr[1:])
     raise ValueError(f"unknown expression node {op!r}")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+# the backend read of each bound leaf kind
+_READS = {"d": "member_d", "t": "virtual_d", "dshift": "shift_d", "dqpow": "qpow_d",
+          "ell": "ell_power"}
+
+
+def _evaluate(node: tuple, K, memo: dict):
+    """Value of a bound node on K.
+
+    Leaves, ell powers and Frobenius powers recur across residuals and
+    instances, so they are kept in memo; products and sums are almost all
+    distinct and are not.  Backend operations never change their
+    operands, so a kept value can be shared.
+    """
+    op = node[0]
+    if op == "mul":
+        out = _evaluate(node[1], K, memo)
+        for sub in node[2:]:
+            out = K.mul(out, _evaluate(sub, K, memo))
+        return out
+    if op == "sum":
+        out = K.zero()
+        for sign, sub in node[1:]:
+            out = K.add(out, _evaluate(sub, K, memo), sign)
+        return out
+    val = memo.get(node)
+    if val is None:
+        if op == "pw":
+            val = K.pow_tag(_evaluate(node[1], K, memo), node[2])
+        else:
+            val = getattr(K, _READS[op])(*node[1:])
+        memo[node] = val
+    return val
+
+
+class CheckResult(NamedTuple):
     identity: str
     instance: str
     backend: str
@@ -823,26 +855,39 @@ class CheckResult:
     skipped: bool = False  # outside the asserted scope at this level
 
 
-def _check_on_backend(spec: IdentitySpec, roles: dict, K) -> Optional[str]:
-    """None when every residual vanishes, else a witness string."""
-    for sublabel, expr in spec.residuals:
-        val = _evaluate(expr, K, roles)
+def _witness(key: str, bound: tuple, K, memo: dict) -> Optional[str]:
+    """None when every bound residual vanishes on K, else a witness string."""
+    for sublabel, node in bound:
+        val = _evaluate(node, K, memo)
         if not K.is_zero(val):
             where = f" [{sublabel}]" if sublabel else ""
-            return f"{spec.key}{where}: {K.describe(val)}"
+            return f"{key}{where}: {K.describe(val)}"
     return None
 
 
-def _verdict(spec: IdentitySpec, roles: dict[str, str], Ks: tuple) -> CheckResult:
-    """One instance on every backend of a route; the first witness wins."""
+def _bind_residuals(spec: IdentitySpec, roles: dict, p) -> tuple:
+    return tuple((sub, _bind(expr, roles, p)) for sub, expr in spec.residuals)
+
+
+def _check_on_backend(spec: IdentitySpec, roles: dict, K) -> Optional[str]:
+    """None when every residual vanishes, else a witness string."""
+    return _witness(spec.key, _bind_residuals(spec, roles, K.p), K, {})
+
+
+def _verdict(spec: IdentitySpec, roles: dict[str, str], Ks: tuple, memos: list) -> CheckResult:
+    """One instance on every backend of a route; the first witness wins.
+
+    memos holds one evaluation memo per backend, in the order of Ks.
+    """
     label = _instance_label(roles)
     if Ks[0].s == 1:
         reason = collision_reason(spec, roles)
         if reason is not None:
             return CheckResult(spec.key, label, Ks[0].kind, True, 0, reason, skipped=True)
+    bound = _bind_residuals(spec, roles, Ks[0].p)
     witness = None
-    for K in Ks:
-        witness = _check_on_backend(spec, roles, K)
+    for K, memo in zip(Ks, memos):
+        witness = _witness(spec.key, bound, K, memo)
         if witness is not None:
             break
     return CheckResult(spec.key, label, Ks[0].kind, witness is None, sample_count(Ks), witness)
@@ -870,7 +915,8 @@ def check_identity(
         roles = {"w": subject[0], "f": subject[1]}
     else:
         roles = {"f": subject[0], "b": subject[1]}
-    return _verdict(spec, roles, backends(s, backend, trials, seed))
+    Ks = backends(s, backend, trials, seed)
+    return _verdict(spec, roles, Ks, [{} for _ in Ks])
 
 
 def verify_catalog(
@@ -893,7 +939,10 @@ def verify_catalog(
         if missing:
             raise KeyError(f"unknown identity keys: {sorted(missing)}")
     Ks = backends(s, backend, trials, seed)
-    return [_verdict(spec, roles, Ks) for spec in specs for roles in instances_for(spec)]
+    memos = [{} for _ in Ks]  # one per backend, for this call only
+    return [
+        _verdict(spec, roles, Ks, memos) for spec in specs for roles in instances_for(spec)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -996,8 +1045,9 @@ def check_rank1_remark(
     """
     spec = _catalog_map()["nu1"]
     Ks = backends(s, backend, trials, seed)
+    memos = [{} for _ in Ks]  # one per backend, for this call only
     for name in FAMILY_NAMES:
-        r = _verdict(spec, {"f": name}, Ks)
+        r = _verdict(spec, {"f": name}, Ks, memos)
         if not r.ok:
             return CheckResult("rank1", "2x14", r.backend, False, r.points, r.witness)
     ok = not any(K.is_zero(K.ell()) for K in Ks)

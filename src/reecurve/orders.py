@@ -46,9 +46,9 @@ would return the rational vanishing profile instead of the generic orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .backends import SAMPLE_EXTENSION, backends, sample_count
 from .hasse import binom_support
@@ -120,23 +120,24 @@ def _order_labels(series, p: ReeParams, orders: tuple[int, ...]) -> tuple[str, .
 # results
 
 
-@dataclass(frozen=True)
-class OrderSequence:
-    series: str
-    s: int
-    orders: tuple[int, ...]
-    labels: tuple[str, ...]
-    backend: str
-    points: int
-    witness: tuple[str, ...]
+class OrderSequence(
+    namedtuple("OrderSequence", "series s orders labels backend points witness")
+):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if list(self.orders) != sorted(set(self.orders)):
             raise ValueError("orders must be strictly increasing")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: send both through the checks above
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class FrobeniusOrders:
+class FrobeniusOrders(NamedTuple):
     series: str
     s: int
     nus: tuple[int, ...]

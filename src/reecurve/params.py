@@ -13,7 +13,8 @@ an integer on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 __all__ = [
     "ReeParams",
@@ -25,8 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ReeParams:
+class ReeParams(NamedTuple):
     """Derived constants for one choice of s."""
 
     s: int
@@ -79,29 +79,31 @@ _C_MAX = 3
 _D_MAX = 1
 
 
-@dataclass(frozen=True, order=True)
-class SymbolicIndex:
+class SymbolicIndex(namedtuple("SymbolicIndex", "a b c d is_q2")):
     """Label-exact derivative index a*qq0 + b*q + c*q0 + d, or the atom q^2.
 
     The ordering inherited from the field tuple is only used for stable
     set serialisation; numeric comparisons should go through value().
     """
 
-    a: int = 0
-    b: int = 0
-    c: int = 0
-    d: int = 0
-    is_q2: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.is_q2:
-            if (self.a, self.b, self.c, self.d) != (0, 0, 0, 0):
+    def __new__(cls, a: int = 0, b: int = 0, c: int = 0, d: int = 0, is_q2: bool = False):
+        self = super().__new__(cls, a, b, c, d, is_q2)
+        if is_q2:
+            if (a, b, c, d) != (0, 0, 0, 0):
                 raise ValueError("q^2 atom carries no quadruple part")
-            return
-        if not (0 <= self.a <= _A_MAX and 0 <= self.b <= _B_MAX):
+            return self
+        if not (0 <= a <= _A_MAX and 0 <= b <= _B_MAX):
             raise ValueError(f"quadruple out of range: {self}")
-        if not (0 <= self.c <= _C_MAX and 0 <= self.d <= _D_MAX):
+        if not (0 <= c <= _C_MAX and 0 <= d <= _D_MAX):
             raise ValueError(f"quadruple out of range: {self}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: send both through the checks above
+        return cls(*iterable)
 
     def value(self, p: ReeParams) -> int:
         if self.is_q2:

@@ -28,7 +28,7 @@ pole orders at the point at infinity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from reecurve.params import ReeParams, ree_params
 
@@ -340,8 +340,7 @@ class CoordinateRing:
 # the fourteen-function system
 
 
-@dataclass(frozen=True)
-class QPowerRule:
+class QPowerRule(NamedTuple):
     """w^q - w as a signed sum of cofactor^(3^twist) * (base^q - base).
 
     Each term is (sign, cofactor, twist, base) with sign in {+1, -1}; for

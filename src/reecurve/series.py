@@ -30,7 +30,7 @@ shorter window.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Optional
 
 from reecurve.backends import _pow_count, default_window
@@ -81,26 +81,27 @@ def hasse_shift(a: Series, i: int, prec: int) -> Series:
 # points
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(namedtuple("CurvePoint", "s extension x y z")):
     """Affine point, coordinates in GF(3^((2s+1)*extension))."""
 
-    s: int
-    extension: int
-    x: FieldElement
-    y: FieldElement
-    z: FieldElement
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        e = 2 * self.s + 1
-        xq0 = frobenius_power(self.x, self.s)
-        ell = frobenius_power(self.x, e) - self.x
-        if frobenius_power(self.y, e) - self.y != xq0 * ell:
+    def __new__(
+        cls, s: int, extension: int, x: FieldElement, y: FieldElement, z: FieldElement
+    ):
+        e = 2 * s + 1
+        xq0 = frobenius_power(x, s)
+        ell = frobenius_power(x, e) - x
+        if frobenius_power(y, e) - y != xq0 * ell:
             raise ValueError("first defining equation fails at the point")
-        if frobenius_power(self.z, e) - self.z != xq0 * (
-            frobenius_power(self.y, e) - self.y
-        ):
+        if frobenius_power(z, e) - z != xq0 * (frobenius_power(y, e) - y):
             raise ValueError("second defining equation fails at the point")
+        return super().__new__(cls, s, extension, x, y, z)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: send both through the checks above
+        return cls(*iterable)
 
     @property
     def ctx(self) -> FieldContext:

@@ -14,7 +14,7 @@ the number of rational points, with nothing left over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .orders import _family_names, _scan, order_sequence
 from .params import ReeParams, ree_params
@@ -32,18 +32,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VanishingProfile:
-    series: str
-    s: int
-    extension: int
-    jorders: tuple[int, ...]
-    epsilons: tuple[int, ...]
-    weight: int
+class VanishingProfile(
+    namedtuple("VanishingProfile", "series s extension jorders epsilons weight")
+):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if list(self.jorders) != sorted(set(self.jorders)):
             raise ValueError("profile must be strictly increasing")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: send both through the checks above
+        return cls(*iterable)
 
 
 def expected_rational_profile(p: ReeParams, series: str = "D") -> list[int]:

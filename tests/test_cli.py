@@ -246,6 +246,8 @@ GOLDEN_REPORTS = [
     ("verify_s2_series_seed0_trials3.json",
      ["verify", "--s", "2", "--backend", "series", "--seed", "0", "--trials", "3"]),
     # m = 7
+    ("verify_s3_series_seed0_trials3.json",
+     ["verify", "--s", "3", "--backend", "series", "--seed", "0", "--trials", "3"]),
     ("weierstrass_s3_origin_E.json",
      ["weierstrass", "--s", "3", "--point", "origin", "--series", "E"]),
     ("orders_s1_D_series_seed0_trials2.json",

@@ -6,7 +6,7 @@ asserted scope there; that exclusion list is frozen here, together with
 evidence that the excluded instances are not quietly true.
 """
 
-import dataclasses
+import random
 import sys
 from collections import Counter
 
@@ -40,7 +40,7 @@ from reecurve.identities import (
 from reecurve.backends import backends
 from reecurve.orders import order_sequence
 from reecurve.params import index_value, ree_params
-from reecurve.ring import FAMILY_NAMES, RECIPES
+from reecurve.ring import FAMILY_NAMES, RECIPES, CurveElement
 from reecurve.series import PointBackend, rational_point
 from reecurve.support import member_support, support_values
 
@@ -318,7 +318,7 @@ def test_fixed_window_catches_a_wrong_deep_term(monkeypatch, s):
     # still reads zero; the fixed window reaches past 2q+q0+1
     term = identities._mul(identities._ell(d=1), identities._d("f", a=1, b=2))
     catalog = tuple(
-        dataclasses.replace(spec, residuals=_flip_term(spec.residuals, term))
+        spec._replace(residuals=_flip_term(spec.residuals, term))
         if spec.key == "A10" else spec
         for spec in IDENTITY_CATALOG
     )
@@ -377,6 +377,55 @@ def test_each_member_is_folded_once_per_expansion(monkeypatch):
     # one expansion per route: the sampled point and a fresh HasseCalculus
     assert len({exp for exp, _ in recipes.folds}) == 2
     assert max(recipes.folds.values()) == 1
+
+
+def test_each_leaf_is_read_once_per_backend_per_run(monkeypatch):
+    reads = Counter()
+
+    def counting(name):
+        method = getattr(PointBackend, name)
+
+        def read(self, *args):
+            reads[(self, name, args)] += 1
+            return method(self, *args)
+
+        return read
+
+    for name in ("member_d", "shift_d", "qpow_d", "virtual_d", "ell_power"):
+        monkeypatch.setattr(PointBackend, name, counting(name))
+    monkeypatch.setattr(reecurve.backends, "_BACKENDS", {})
+    verify_catalog(2, "points", seed=3, trials=1)
+    assert len({K for K, _, _ in reads}) == 1
+    assert max(reads.values()) == 1
+
+
+def _contents(v):
+    """A backend value as plain data: a ring element's terms or a series' codes."""
+    if isinstance(v, CurveElement):
+        return dict(v.packed)
+    return {e: c.packed for e, c in v.items()}
+
+
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("backend", ["symbolic", "points"])
+def test_backend_operations_leave_their_operands_unchanged(backend, s):
+    # a catalog run shares each memoized value across residuals, so an
+    # operation that updated an operand in place would corrupt later verdicts
+    (K,) = backends(s, backend, 1, 5)
+    rng = random.Random(f"operands:{backend}:{s}")
+    reads = []
+    for _ in range(3):
+        reads.append(("member_d", rng.choice(FAMILY_NAMES), rng.randrange(2 * K.p.q)))
+        reads.append(("ell_power", rng.randrange(2 * K.p.q + 2)))
+    values = [getattr(K, op)(*args) for op, *args in reads]
+    before = [_contents(v) for v in values]
+    ops = [K.add, lambda a, b: K.add(a, b, -1), K.mul]
+    ops += [lambda a, b, tag=tag: K.pow_tag(a, tag) for tag in ("q0", "3q0", "q", "q2")]
+    for a, b in zip(values, values[1:] + values[:1]):
+        for op in ops:
+            op(a, b)
+            assert [_contents(v) for v in values] == before
+    assert [_contents(getattr(K, op)(*args)) for op, *args in reads] == before
 
 
 def test_unknown_backend_raises():

@@ -3,7 +3,7 @@
 import pytest
 
 from reecurve.orders import OrderSequence, order_sequence
-from reecurve.params import ree_params
+from reecurve.params import SymbolicIndex, ree_params
 from reecurve.series import origin_point, random_point, rational_point
 from reecurve.support import order_values
 from reecurve.weierstrass import (
@@ -106,6 +106,22 @@ def test_precision_shortfall_reported():
 def test_profile_must_increase():
     with pytest.raises(ValueError):
         VanishingProfile("D", 1, 1, (0, 0, 1), (0, 1, 3), 0)
+
+
+def test_replace_runs_the_record_checks():
+    assert SymbolicIndex(a=1)._replace(b=2) == SymbolicIndex(a=1, b=2)
+    with pytest.raises(ValueError):
+        SymbolicIndex(a=1)._replace(a=99)
+    P = random_point(1, seed=9, extension=6)
+    assert P._replace() == P
+    with pytest.raises(ValueError, match="defining equation"):
+        P._replace(y=P.z, z=P.y)
+    seq = OrderSequence("D", 1, (0, 1), (), "synthetic", 0, ())
+    with pytest.raises(ValueError):
+        seq._replace(orders=(1, 0))
+    prof = VanishingProfile("D", 1, 1, (0, 1, 3), (0, 1, 3), 0)
+    with pytest.raises(ValueError):
+        prof._replace(jorders=(0, 0, 1))
 
 
 def test_audit_s1_exact():

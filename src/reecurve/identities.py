@@ -869,11 +869,6 @@ def _bind_residuals(spec: IdentitySpec, roles: dict, p) -> tuple:
     return tuple((sub, _bind(expr, roles, p)) for sub, expr in spec.residuals)
 
 
-def _check_on_backend(spec: IdentitySpec, roles: dict, K) -> Optional[str]:
-    """None when every residual vanishes, else a witness string."""
-    return _witness(spec.key, _bind_residuals(spec, roles, K.p), K, {})
-
-
 def _verdict(spec: IdentitySpec, roles: dict[str, str], Ks: tuple, memos: list) -> CheckResult:
     """One instance on every backend of a route; the first witness wins.
 

@@ -3,35 +3,43 @@
 An index i is an order of a function family exactly when the derivative row
 (D^i f)_f increases the rank of the rows selected at smaller indices; scanning
 candidates in increasing order therefore reproduces the lexicographically
-minimal order sequence (the Stöhr-Voloch method).  Frobenius orders use the
-same scan seeded with the row (f^q)_f, and the vanishing profile at a point
-(weierstrass.vanishing_orders) is the same scan on that point's rows.  Rows
-come from the route's backends (backends.backends, shared with the identity
-checks), one echelon per backend:
+minimal order sequence (the Stöhr-Voloch method).  Frobenius orders are the
+orders of the same scan seeded with the row (f^q)_f, and the vanishing
+profile at a point (weierstrass.vanishing_orders) is the same scan on that
+point's rows.  Rows come from the route's backends (backends.backends,
+shared with the identity checks), one echelon per backend:
 
 * symbolic (any s): fraction-free cross-multiplication elimination over the
   coordinate ring, exact; the pivot column of a reduced row is zero by
-  construction and is set, never computed;
+  construction and is set, never computed, and no product with a zero
+  operand is formed;
 * points (any s): Gaussian elimination over the residue field of sampled
-  points, taking a row as independent when it grows the rank at any sample.
+  points on packed residues, only over the nonzero entries of stored rows,
+  taking a row as independent when it grows the rank at any sample.
   Rank at a point never exceeds the generic rank, so the scan is biased
   towards rejection and never invents an order; under-selection is guarded
   by seed-stability checks in the test suite.
 
-The exact route offers the echelon only rows the theory does not already
-reject, by two rules; both leave every accepted index and pivot unchanged,
-because a rejected insert never changes an echelon's state:
+The exact route skips the rank work the theory already settles, by two
+rules that leave every result unchanged:
 
 * closure: by the p-adic criterion (Stöhr-Voloch, Proc. LMS 52, 1986,
   Cor. 1.9) every mu <=3 eps (digitwise in base 3) of an order eps is an
   order, so the scan over the full candidate pool skips i unless each
-  i - 3^k, for each nonzero base-3 digit k of i, is already accepted;
-* Frobenius pool: the Frobenius scan offers only the computed orders after
-  its seed row.  With V_i the span of the rows D^j f, j <= i, and W_i the
-  span of (f^q)_f and the accepted rows up to i, W_i contains V_i by
-  induction, so the row of a non-order already lies in W_(i-1) (this is
-  also Stöhr-Voloch Prop. 2.1: the Frobenius orders are the orders with
-  one left out).
+  i - 3^k, for each nonzero base-3 digit k of i, is already accepted; a
+  skipped i would be rejected, and a rejected insert never changes an
+  echelon's state, so every accepted index and pivot stays the same;
+* Frobenius pool: there is no seeded scan.  With V_i the span of the rows
+  D^j f, j <= i, and W_i the span of (f^q)_f and the rows the seeded scan
+  accepts up to i, W_i contains V_i by induction, so that scan rejects
+  every non-order and one order (Stöhr-Voloch Prop. 2.1: the Frobenius
+  orders are the orders with one left out): eps_j for the least j with
+  (f^q)_f in the span of the rows of eps_0..eps_j.  The order echelon
+  stores those rows in that order, each zero at the pivots of the rows
+  before it, so reducing (f^q)_f by rows 0..j leaves a remainder zero at
+  their pivots; a nonzero combination of the rows is nonzero at the pivot
+  of its first row, so the remainder is zero exactly when (f^q)_f lies in
+  their span.
 
 The criterion is about generic orders, so vanishing profiles at a point
 keep the full pool, and so does the sampled route, which stays an
@@ -170,26 +178,38 @@ class _SymbolicEchelon:
 
     Reducing vec by a stored row with pivot p replaces each entry k by
     row[p]*vec[k] - vec[p]*row[k].  At k = p that is zero whatever the
-    entries, so the pivot column is set to zero and never multiplied.
+    entries, so the pivot column is set to zero and never multiplied, and
+    a product with a zero operand is skipped.  Each stored row is zero at
+    the pivots of the rows stored before it.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self.rows: list[tuple[int, list[CurveElement]]] = []
 
+    @staticmethod
+    def _reduce(vec: list[CurveElement], pivot: int,
+                row: list[CurveElement]) -> list[CurveElement]:
+        """vec cross-multiplied by one stored row, content stripped."""
+        lead, c = row[pivot], vec[pivot]
+        zero = lead.ring.zero()
+        out = []
+        for k, (a, b) in enumerate(zip(vec, row)):
+            if k == pivot or (a.is_zero() and b.is_zero()):
+                out.append(zero)
+            elif b.is_zero():
+                out.append(lead * a)
+            elif a.is_zero():
+                out.append(-(c * b))
+            else:
+                out.append(lead * a - c * b)
+        return _strip_content(out)
+
     def insert(self, vec: list[CurveElement]) -> int | None:
         """Reduce against stored rows; keep and return pivot if independent."""
         for pivot, row in self.rows:
-            c = vec[pivot]
-            if c.is_zero():
-                continue
-            lead = row[pivot]
-            zero = lead.ring.zero()
-            vec = [
-                zero if k == pivot else lead * vec[k] - c * row[k]
-                for k in range(self.ncols)
-            ]
-            vec = _strip_content(vec)
+            if not vec[pivot].is_zero():
+                vec = self._reduce(vec, pivot, row)
         live = [k for k in range(self.ncols) if not vec[k].is_zero()]
         if not live:
             return None
@@ -198,24 +218,55 @@ class _SymbolicEchelon:
         self.rows.append((pivot, vec))
         return pivot
 
+    def spanned_at(self, vec: list[CurveElement]) -> int | None:
+        """The least j with vec in the span of stored rows 0..j, or None.
+
+        vec is reduced by the stored rows in order, as insert reduces it;
+        as each row is zero at the pivots of the rows before it, the
+        remainder after rows 0..j is zero exactly when vec lies in their
+        span (the Frobenius pool rule of the module docstring).
+        """
+        for j, (pivot, row) in enumerate(self.rows):
+            if not vec[pivot].is_zero():
+                vec = self._reduce(vec, pivot, row)
+            if all(a.is_zero() for a in vec):
+                return j
+        return None
+
 
 class _PointEchelon:
-    """Plain Gaussian elimination over one sample point's field."""
+    """Plain Gaussian elimination over one sample point's field.
+
+    A stored row is scaled to 1 at its pivot, its first nonzero column,
+    and kept as its later nonzero entries, (column, packed int) pairs, so
+    a reduction touches only those columns and sets the pivot column to
+    zero.  The field context is read off the row's first entry, so the
+    exact route never loads the field module.
+    """
 
     def __init__(self):
-        self.rows: list[tuple[int, list[FieldElement]]] = []
+        self.rows: list[tuple[int, list[tuple[int, int]]]] = []
 
     def insert(self, vec: list[FieldElement]) -> int | None:
         """Reduce against stored rows; keep and return pivot if independent."""
+        from .gf import FieldElement, _mod3
+
+        ctx = vec[0].ctx
+        mulmod, threes, m = ctx._mulmod, ctx._threes, ctx.m
+        vals = [a.packed for a in vec]
         for pivot, row in self.rows:
-            c = vec[pivot]
-            if c.is_zero():
+            c = vals[pivot]
+            if not c:
                 continue
-            vec = [a - c * b for a, b in zip(vec, row)]
-        for k, a in enumerate(vec):
-            if not a.is_zero():
-                inv = a.inverse()
-                self.rows.append((k, [v * inv for v in vec]))
+            vals[pivot] = 0
+            for k, b in row:
+                # adding 3 to every byte keeps each byte of the difference >= 0
+                vals[k] = _mod3(vals[k] + threes - mulmod(c, b), m)
+        for k, a in enumerate(vals):
+            if a:
+                inv = ctx.inv(FieldElement(ctx, a)).packed
+                tail = enumerate(vals[k + 1:], k + 1)
+                self.rows.append((k, [(j, mulmod(v, inv)) for j, v in tail if v]))
                 return k
         return None
 
@@ -237,8 +288,18 @@ def _closure_admits(i: int, accepted: set[int]) -> bool:
     return True
 
 
+class _Scan(tuple):
+    """The (i, hits, pivot) entries a scan accepted, hits a tuple, in order.
+
+    echelons holds the scan's echelons, one per backend; each stores its
+    accepted rows in the order of acceptance.
+    """
+
+    echelons: list
+
+
 def _scan(Ks: tuple, names, candidates, row="value", seed_row=None, want=None,
-          closure=False) -> list:
+          closure=False) -> _Scan:
     """The greedy rank scan, the one loop behind order sequences and profiles.
 
     Offers the row (K.<row>(f, i))_f of each candidate i, in increasing
@@ -246,9 +307,10 @@ def _scan(Ks: tuple, names, candidates, row="value", seed_row=None, want=None,
     when a seed accessor is named; i is accepted when the rank grows on
     any backend, that is when some echelon's insert returns a pivot rather
     than None.  Stops after want acceptances.  Returns (i, hits, pivot) per
-    accepted i: the backends whose rank grew and the first pivot taken.
+    accepted i, the backends whose rank grew and the first pivot taken,
+    with the echelons the scan filled.
 
-    The exact route cuts the pool by the two rules of the module
+    The exact route cuts the pool by the closure rule of the module
     docstring; _order_scan sets closure exactly on that route.  With
     closure set, i is offered only when _closure_admits it; that is sound
     for the generic orders over the full candidate pool, where the
@@ -257,11 +319,9 @@ def _scan(Ks: tuple, names, candidates, row="value", seed_row=None, want=None,
     induction, a skipped i is a non-order the echelon would have rejected,
     and a rejected insert leaves the echelon as it was.  The minimal
     non-orders have every proper submask an order, so they still reach the
-    echelon and are rejected by it.  The Frobenius scan is passed only the
-    computed orders: W_i contains V_i, so each non-order's row already lies
-    in W_(i-1).  Profiles at a point and the sampled route offer the full
-    pool, since the criterion is about generic orders and the sampled scan
-    must stay an independent check on the exact one.
+    echelon and are rejected by it.  Profiles at a point and the sampled
+    route offer the full pool, since the criterion is about generic orders
+    and the sampled scan must stay an independent check on the exact one.
     """
     echelons = _echelons(Ks, len(names))
     if seed_row is not None:
@@ -282,28 +342,29 @@ def _scan(Ks: tuple, names, candidates, row="value", seed_row=None, want=None,
                 if pivot is None:
                     pivot = got
         if hits:
-            found.append((i, hits, pivot))
+            found.append((i, tuple(hits), pivot))
             accepted.add(i)
             if len(found) == want:
                 break
-    return found
+    scan = _Scan(found)
+    scan.echelons = echelons
+    return scan
 
 
 @lru_cache(maxsize=None)
-def _order_scan(names: tuple[str, ...], Ks: tuple) -> tuple:
+def _order_scan(names: tuple[str, ...], Ks: tuple) -> _Scan:
     """The order scan of one family over the full pool of one route.
 
     Keyed on the backend tuple, which backends() builds once per route, so
     the scan runs once per family, level and route in a process:
     order_sequence, frobenius_orders, rejection_report and the epsilons of
     a tuple-series profile all read it.  Closure is set exactly on the
-    exact route.  Entries are (i, hits, pivot) as _scan returns them, with
-    hits a tuple, so the shared result cannot be mutated.
+    exact route, whose Frobenius orders read the echelon the scan keeps;
+    callers share it, so they only read it and never insert.
     """
     pool = family_candidate_values(ree_params(Ks[0].s), names)
-    found = _scan(Ks, names, pool, want=len(names),
-                  closure=Ks[0].kind == "symbolic")
-    return tuple((i, tuple(hits), pivot) for i, hits, pivot in found)
+    return _scan(Ks, names, pool, want=len(names),
+                 closure=Ks[0].kind == "symbolic")
 
 
 # ---------------------------------------------------------------------------
@@ -372,20 +433,27 @@ def frobenius_orders(
     trials: int = 3,
     seed: int = 0,
 ) -> FrobeniusOrders:
-    """Greedy scan seeded with the row (f^q)_f; one order drops out.
+    """Orders of the scan seeded with the row (f^q)_f; one order drops out.
 
     The omitted order is found against the route's own order sequence.
-    The exact route offers only those orders after the seed row; the
-    sampled route offers the full pool.
+    The sampled route runs the seeded scan over the full pool.  The exact
+    route runs none: it reduces the seed row by the rows its order echelon
+    stored for eps_0 < eps_1 < ..., in that order, and the omitted order is
+    the first eps_j after which the remainder is zero.
     """
     names = _family_names(series)
     p = ree_params(s)
     Ks = backends(s, backend, trials, seed, SAMPLE_EXTENSION)
     want = len(names) - 1
     eps = list(order_sequence(series, s, backend, trials, seed).orders)
-    pool = eps if Ks[0].kind == "symbolic" else family_candidate_values(p, names)
-    found = _scan(Ks, names, pool, seed_row="qpow_value", want=want)
-    nus = [i for i, _, _ in found]
+    if Ks[0].kind == "symbolic":
+        (echelon,) = _order_scan(names, Ks).echelons
+        j = echelon.spanned_at([Ks[0].qpow_value(f) for f in names])
+        nus = [e for k, e in enumerate(eps) if k != j]
+    else:
+        found = _scan(Ks, names, family_candidate_values(p, names),
+                      seed_row="qpow_value", want=want)
+        nus = [i for i, _, _ in found]
     if len(nus) != want:
         raise ArithmeticError(
             f"rank deficiency not resolved: found {len(nus)} of {want} "

@@ -20,12 +20,13 @@ from reecurve.identities import (
     TYPE1_PAIRS,
     TYPE2_PAIRS,
     SymbolicBackend,
-    _check_on_backend,
+    _bind_residuals,
     _dirty_values,
     _hyper_backend,
     _sym_div_q,
     _t_support,
     _valued_support,
+    _witness,
     check_hypersurface,
     check_identity,
     check_rank1_remark,
@@ -201,6 +202,11 @@ def test_valued_support_matches_a_direct_count_at_every_leaf():
                         checked += 1
                         multiple += carried > 1
     assert checked > 2000 and multiple > 0
+
+
+def _check_on_backend(spec, roles, K):
+    """None when every residual of one instance vanishes on K, else a witness."""
+    return _witness(spec.key, _bind_residuals(spec, roles, K.p), K, {})
 
 
 def test_excluded_instances_fail_honestly_where_predicted():

@@ -5,10 +5,13 @@ reproduce them at extension-6 sample points for several seeds, and at s=2
 the scans must land on the instantiated symbolic lists.
 """
 
+import random
+
 import pytest
 
 import reecurve.orders
 from reecurve.backends import backends
+from reecurve.gf import field_context
 from reecurve.hasse import hasse_calculus
 from reecurve.orders import (
     D_PROOF_COLS,
@@ -218,11 +221,23 @@ class _CrossMultiplyEchelon:
         self.rows.append((pivot, vec))
         return pivot
 
+    def spanned_at(self, vec):
+        for j, (pivot, row) in enumerate(self.rows):
+            c = vec[pivot]
+            if not c.is_zero():
+                lead = row[pivot]
+                vec = [lead * vec[k] - c * row[k] for k in range(self.ncols)]
+                vec = reecurve.orders._strip_content(vec)
+            if all(a.is_zero() for a in vec):
+                return j
+        return None
+
 
 class _TwinEchelon:
     """Feeds each row to both echelons and asserts they store the same."""
 
     inserts = 0
+    spans = 0
 
     def __init__(self, ncols):
         self.fast = _Echelon(ncols)
@@ -233,6 +248,12 @@ class _TwinEchelon:
         assert got == self.ref.insert(vec)
         assert self.fast.rows == self.ref.rows
         _TwinEchelon.inserts += 1
+        return got
+
+    def spanned_at(self, vec):
+        got = self.fast.spanned_at(vec)
+        assert got == self.ref.spanned_at(vec)
+        _TwinEchelon.spans += 1
         return got
 
 
@@ -258,9 +279,10 @@ def test_echelon_stores_what_cross_multiplication_stores(
     # the pivot column is never multiplied; every stored row, pivot and
     # witness must be the one the full cross-multiplication gives
     monkeypatch.setattr(reecurve.orders, "_SymbolicEchelon", _TwinEchelon)
-    _TwinEchelon.inserts = 0
+    _TwinEchelon.inserts = _TwinEchelon.spans = 0
     scan(series, s=s, backend="symbolic")
     assert _TwinEchelon.inserts > len(order_values(ree_params(s), series))
+    assert _TwinEchelon.spans == (scan is frobenius_orders)
 
 
 # -- what the exact route offers the echelon
@@ -313,23 +335,116 @@ def test_minimal_non_orders_reach_the_echelon(s, series):
         assert len(pool) == 121 and len(spy.seen) <= 40
 
 
-@pytest.mark.parametrize("s", [1, 2])
-@pytest.mark.parametrize("series", ["D", "E"])
+@pytest.mark.parametrize("series,s", [
+    ("D", 1), ("D", 2), ("E", 1), ("E", 2), ("E", 3), (("one", "x", "w1"), 1),
+], ids=["D-1", "D-2", "E-1", "E-2", "E-3", "one-x-w1-1"])
 def test_frobenius_pool_equals_the_full_pool(s, series):
-    # the Frobenius scan over the computed orders takes what the full pool
-    # takes, and its omitted order is the one the closed form omits
+    # the Frobenius orders read off the order echelon are what the seeded
+    # scan over the full pool takes, and the omitted order is the one the
+    # closed form omits (for a tuple family, the one its raw scan omits)
     names, pool = _pool(s, series)
     Ks = backends(s, "symbolic", 1, 0)
     full = reecurve.orders._scan(Ks, names, pool, seed_row="qpow_value",
                                  want=len(names) - 1)
     nus = tuple(i for i, _, _ in full)
-    eps = order_values(ree_params(s), series)
+    if series in ("D", "E"):
+        eps = order_values(ree_params(s), series)
+    else:
+        eps = [i for i, _, _ in reecurve.orders._scan(Ks, names, pool)]
     (omitted,) = set(eps) - set(nus)
     fr = frobenius_orders(series, s=s, backend="symbolic")
     assert (fr.nus, fr.omitted_order, fr.omitted_index) == (
         nus, omitted, eps.index(omitted)
     )
     assert fr.below_q == morphism_orders_below_q(series, s=s, backend="symbolic")
+
+
+@pytest.mark.parametrize("series", ["D", "E", ("one", "x", "w1")],
+                         ids=["D", "E", "one-x-w1"])
+def test_exact_frobenius_runs_no_seeded_scan(monkeypatch, series):
+    # once the order scan is cached, the exact Frobenius orders come off
+    # its echelon: the only scan left is the below-q shift scan
+    order_sequence(series, s=1, backend="symbolic")
+    calls = []
+    scan = reecurve.orders._scan
+
+    def spy(*args, **kwargs):
+        calls.append((args[3:], kwargs))
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(reecurve.orders, "_scan", spy)
+    frobenius_orders(series, s=1, backend="symbolic")
+    assert calls == [((), {"row": "shift_value"})]
+
+
+# -- the packed point echelon against the FieldElement elimination it replaces
+
+
+class _FieldElementEchelon:
+    """Reference: every column of every row through FieldElement arithmetic."""
+
+    def __init__(self):
+        self.rows = []
+
+    def insert(self, vec):
+        for pivot, row in self.rows:
+            c = vec[pivot]
+            if c.is_zero():
+                continue
+            vec = [a - c * b for a, b in zip(vec, row)]
+        for k, a in enumerate(vec):
+            if not a.is_zero():
+                inv = a.inverse()
+                self.rows.append((k, [v * inv for v in vec]))
+                return k
+        return None
+
+
+def _packed_rows(ref):
+    """The reference's rows as the packed echelon keeps them: 1 at the
+    pivot, zeros before it, the later nonzero entries as (column, int)."""
+    out = []
+    for pivot, row in ref.rows:
+        assert all(v.is_zero() for v in row[:pivot]) and row[pivot].packed == 1
+        out.append((pivot, [(k, v.packed) for k, v in enumerate(row)
+                            if k > pivot and v.packed]))
+    return out
+
+
+@pytest.mark.parametrize("m", [3, 18])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_point_echelon_stores_what_field_elements_store(m, seed):
+    ctx = field_context(m)
+    rng = random.Random(seed)
+    ncols = 8
+
+    def sparse():
+        return [ctx.random_element(rng) if rng.random() < 0.6 else ctx.zero()
+                for _ in range(ncols)]
+
+    rows = []
+    for _ in range(14):
+        pick = rng.random()
+        if pick < 0.1 or not rows:
+            vec = [ctx.zero()] * ncols
+        elif pick < 0.25:
+            vec = list(rng.choice(rows))
+        elif pick < 0.5:
+            a, b = rng.choice(rows), rng.choice(rows)
+            c = ctx.random_element(rng)
+            vec = [x + c * y for x, y in zip(a, b)]
+        else:
+            vec = sparse()
+        rows.append(vec)
+    fast = reecurve.orders._PointEchelon()
+    ref = _FieldElementEchelon()
+    pivots = []
+    for vec in rows:
+        got = fast.insert(vec)
+        assert got == ref.insert(vec)
+        pivots.append(got)
+        assert fast.rows == _packed_rows(ref)
+    assert None in pivots and 0 < len(fast.rows) <= ncols
 
 
 # -- triangular proof matrices

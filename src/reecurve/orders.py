@@ -50,6 +50,9 @@ their omitted order against that route's own order sequence.
 Sample points live in the degree-6 extension (backends.SAMPLE_EXTENSION),
 the smallest that holds non-rational points; at rational points the scan
 would return the rational vanishing profile instead of the generic orders.
+Rows independent at a point are independent generically, so a sampled
+scan proves upper bounds on the generic orders only; the series module
+docstring says what the sampled points cover.
 """
 
 from __future__ import annotations

@@ -4,8 +4,19 @@ Every triple over the base field satisfies both defining equations (each
 right-hand side vanishes there), so rational points can be sampled
 uniformly.  Extensions of degree two through five carry no further
 points, see random_point; points with non-rational x live over extensions
-of degree six and up and are found by rejection on the two Artin-Schreier
-solvability conditions.
+of degree six and up.  The sampler builds them over degree six directly,
+with no rejection on solvability: x is a trace into GF(q^2) outside GF(q),
+and y and z are two Artin-Schreier solves that Hilbert 90 guarantees.
+
+What a sampled result proves: the rank of the rows at a point never
+exceeds their generic rank, so the j-th vanishing order at any point is
+at least the j-th generic order, and a sampled scan that reproduces
+order_values proves only the upper bounds eps_k <= j_k; the lower bounds
+(the skipped indices are non-orders) come from the exact scan.  The drawn
+points are the slice with x in GF(q^2) but not in GF(q), about 1/q^2 of
+the degree-6 points: a degree-6 point cannot have x in GF(q^3) but not
+in GF(q), since the curve has no points of degree 3.  A generic weight 0
+there is evidence about that slice only.
 
 There is one Taylor expansion in the package, ``hasse.Expansion``, with its
 series arithmetic ``ser_add``, ``ser_mul`` and ``ser_pow3k`` (re-exported
@@ -33,7 +44,7 @@ import random
 from collections import namedtuple
 from typing import Optional
 
-from reecurve.backends import _pow_count, default_window
+from reecurve.backends import SAMPLE_EXTENSION, _pow_count, default_window
 from reecurve.gf import (
     FieldContext,
     FieldElement,
@@ -135,44 +146,66 @@ def rational_point(s: int, seed: int) -> CurvePoint:
     return CurvePoint(s, 1, x0, y0, z0)
 
 
+# x lands in GF(q) with probability 1/q <= 1/27 per draw
+_X_DRAWS = 64
+
+
 def random_point(s: int, seed: int, extension: int = 1) -> CurvePoint:
-    """Seeded point over GF(3^((2s+1)*extension)).
+    """Seeded point over GF(3^((2s+1)*extension)), extension 1 or 6.
 
     extension == 1 draws a uniform rational point.  Extensions two
-    through five are rejected: the numerator of the zeta function is
+    through five are refused: the numerator of the zeta function is
     (1 + 3*q0*T + q*T^2)^a (1 + q*T^2)^b, the only split consistent with
     q^3 + 1 rational points and the genus, and its power sums make the
     point counts over those four extensions collapse to q^3 + 1 again.
-    The smallest non-rational coordinate degree is six, so extension=6
-    is the cheapest source of generic points.  For extension >= 6 the
-    sampler rejects on the two Artin-Schreier conditions.
+    The smallest non-rational coordinate degree is six, so
+    SAMPLE_EXTENSION = 6 is the cheapest source of generic points, and the
+    only other extension served.
+
+    For extension 6 a seeded u in GF(q^6) gives x = u + u^(q^2) + u^(q^4),
+    the trace of u into GF(q^2); x is redrawn only when x^q = x (x in
+    GF(q), probability 1/q).  Then y^q - y = x^q0 (x^q - x) and
+    z^q - z = x^q0 (y^q - y) are solved in turn.  Both right-hand sides w
+    lie in GF(q^2), so Tr_{q^6/q}(w) = 3 Tr_{q^2/q}(w) = 0 and both
+    equations are solvable by additive Hilbert 90 (Lidl-Niederreiter,
+    Finite Fields, Thm 2.25); a solver that finds no solution is an
+    arithmetic fault, not a reason to redraw.
     """
     if extension == 1:
         return rational_point(s, seed)
-    if extension in (2, 3, 4, 5):
+    if extension != SAMPLE_EXTENSION:
         raise ValueError(
-            "extensions of degree two through five carry no new points; "
-            "use extension=1 or extension>=6"
+            f"points are sampled over extension 1 (rational) or {SAMPLE_EXTENSION} "
+            f"(the least degree with non-rational points), not {extension}"
         )
-    p = ree_params(s)
-    deg = (2 * s + 1) * extension
-    ctx = field_context(deg)
-    rng = random.Random(f"ree-point:{s}:{extension}:{seed}")
+    q = ree_params(s).q
     e = 2 * s + 1
-    for _ in range(100 * p.q**2):
-        x0 = ctx.from_code(rng.randrange(3**deg))
+    ctx = field_context(e * extension)
+    rng = random.Random(f"ree-point:{s}:{extension}:{seed}")
+    for _ in range(_X_DRAWS):
+        u = ctx.from_code(rng.randrange(ctx.order))
+        x0 = u + frobenius_power(u, 2 * e) + frobenius_power(u, 4 * e)
         xq = frobenius_power(x0, e)
         if xq == x0:
             continue  # rational x forces a rational point
         xq0 = frobenius_power(x0, s)
-        y0 = solve_artin_schreier(xq0 * (xq - x0), p.q)
-        if y0 is None:
-            continue
-        z0 = solve_artin_schreier(xq0 * (frobenius_power(y0, e) - y0), p.q)
-        if z0 is None:
-            continue
+        y0 = _hilbert90(xq0 * (xq - x0), q)
+        z0 = _hilbert90(xq0 * (frobenius_power(y0, e) - y0), q)
         return CurvePoint(s, extension, x0, y0, z0)
-    raise RuntimeError("point sampling exceeded the attempt budget")
+    raise RuntimeError(
+        f"no x outside GF(q) in {_X_DRAWS} draws "
+        f"(s={s}, seed={seed}, extension={extension})"
+    )
+
+
+def _hilbert90(c: FieldElement, q: int) -> FieldElement:
+    """The solution of u^q - u = c for c in GF(q^2); there always is one."""
+    u = solve_artin_schreier(c, q)
+    if u is None:
+        raise ArithmeticError(
+            "Artin-Schreier equation with a trace-zero right-hand side has no solution"
+        )
+    return u
 
 
 # ---------------------------------------------------------------------------

@@ -300,3 +300,25 @@ def test_criterion_12_exact_route_above_s1():
         f"exact route above s=1: catalog 452/452 at s=2,3, E and D orders at "
         f"s=2,3, Frobenius E at s=3 and D at s=2,3 omit 1, {dt:.2f}s",
     )
+
+
+def test_criterion_13_sampled_route_above_s1():
+    # points over GF(q^6) built directly (a trace into GF(q^2), two
+    # Artin-Schreier solves), so the sampled route runs at s = 2 and 3 too
+    t0 = time.time()
+    for s in (2, 3):
+        for series in ("D", "E"):
+            seq = order_sequence(series, s=s, backend="points", trials=2, seed=0)
+            assert list(seq.orders) == order_values(ree_params(s), series)
+            prof = vanishing_orders(series, random_point(s, seed=5, extension=6))
+            assert prof.weight == 0 and prof.jorders == prof.epsilons
+        sampled = frobenius_orders("D", s=s, backend="points", trials=2, seed=0)
+        exact = frobenius_orders("D", s=s, backend="symbolic")
+        assert sampled.nus == exact.nus and sampled.omitted_order == exact.omitted_order
+    dt = time.time() - t0
+    assert dt < 120
+    _verdict(
+        13,
+        f"sampled route above s=1: D and E orders at 2 points, generic weight 0, "
+        f"Frobenius D equal to the exact ones at s=2,3, {dt:.2f}s",
+    )

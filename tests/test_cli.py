@@ -253,6 +253,12 @@ GOLDEN_REPORTS = [
     ("orders_s1_D_series_seed0_trials2.json",
      ["orders", "--s", "1", "--series", "D", "--backend", "series", "--seed", "0",
       "--trials", "2"]),
+    # m = 42: points over GF(q^6) at s = 3
+    ("orders_s3_E_series_seed0_trials2.json",
+     ["orders", "--s", "3", "--series", "E", "--backend", "series", "--seed", "0",
+      "--trials", "2"]),
+    ("weierstrass_s3_generic_seed5_E.json",
+     ["weierstrass", "--s", "3", "--point", "generic", "--seed", "5", "--series", "E"]),
     # the exact route
     ("verify_s1_symbolic.json", ["verify", "--s", "1"]),
     # the point virtual together with the lowest level's collision skips

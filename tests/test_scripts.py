@@ -17,6 +17,7 @@ SRC = Path(reecurve.__file__).resolve().parent.parent
     ["identity_timing.py", "--s", "1"],
     ["identity_timing.py", "--s", "2", "--backend", "points", "--trials", "1"],
     ["weight_survey.py", "--s", "1", "--samples", "1", "--audit-levels", "1"],
+    ["weight_survey.py", "--s", "2", "--samples", "1", "--audit-levels", "2"],
 ])
 def test_script_runs(argv):
     env = dict(os.environ)

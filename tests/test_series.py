@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reecurve import series
 from reecurve.gf import field_context, frobenius_power
 from reecurve.hasse import binom_mod3, hasse_calculus
 from reecurve.identities import IDENTITY_CATALOG, TYPE2_PAIRS, _d_leaves
@@ -44,10 +45,35 @@ def test_point_sampling_is_deterministic():
     assert not c.is_rational()
 
 
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_degree6_points_have_x_in_gfq2_outside_gfq(s):
+    e = 2 * s + 1
+    for seed in (0, 1, 7):
+        P = random_point(s, seed=seed, extension=6)
+        assert P.coords() == random_point(s, seed=seed, extension=6).coords()
+        assert P.extension == 6 and P.ctx.m == 6 * e
+        assert frobenius_power(P.x, 2 * e) == P.x
+        assert frobenius_power(P.x, e) != P.x
+
+
 def test_small_extensions_carry_no_points():
-    for k in (2, 3, 4, 5):
+    # 2-5 hold no new points; 7 and up are not sampled (6 is the least)
+    for k in (2, 3, 4, 5, 7, 12):
         with pytest.raises(ValueError):
             random_point(1, seed=0, extension=k)
+
+
+def test_exhausted_x_draws_name_the_replay(monkeypatch):
+    monkeypatch.setattr(series, "_X_DRAWS", 0)
+    with pytest.raises(RuntimeError, match="s=2, seed=4, extension=6"):
+        random_point(2, seed=4, extension=6)
+
+
+def test_unsolvable_artin_schreier_is_an_arithmetic_fault(monkeypatch):
+    # Hilbert 90 promises a solution; a solver without one is not redrawn
+    monkeypatch.setattr(series, "solve_artin_schreier", lambda c, q: None)
+    with pytest.raises(ArithmeticError):
+        random_point(1, seed=0, extension=6)
 
 
 def test_low_order_derivatives_at_a_rational_point():

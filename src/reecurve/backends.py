@@ -1,36 +1,45 @@
-"""One backend object per route, shared by identity checks, order scans and profiles.
+"""One backend class, shared by identity checks, order scans and profiles.
 
-A route evaluates Hasse derivatives of the family members in one of two
-ways: exactly, as normal forms in the coordinate ring ("symbolic"), or as
-truncated power series at seeded sample points ("points").  Both routes
-run at every level, and both backend classes expose the same operations
-(SymbolicBackend here, PointBackend in series.py beside the series code, so
-the exact route never loads the field or series modules):
+A Backend reads the Hasse derivatives of the family members off one
+``hasse.Expansion``, through a window of coefficients.  The expansion's
+centre is the route:
 
-* residual arithmetic for the identity catalog: member, member_d, shift_d,
-  qpow_d, virtual_d, ell_power, pow_tag, mul, add, is_zero, describe;
-* row accessors for the rank scans: value(name, i) is D^i of the member,
-  shift_value(name, i) is D^i (f^q - f) and qpow_value(name) is f^q, as
-  ring elements or as values in the residue field of the sample point.
+* exact ("symbolic"): ``Backend(hasse_calculus(s), 1)``, the generic point.
+  At window 1, D^i of a series is {0: D^i f}, and series products, sums
+  and 3^k-th powers at precision 1 are ring operations on normal forms;
+* sampled ("points"): a Backend of ``series.PointExpansion`` at a seeded
+  point, with coefficients in its residue field.
+
+The expansion names the route (kind) and writes the witnesses (describe),
+so no backend method branches on the route, and the exact route loads
+neither the field nor the series module.  A backend offers residual
+arithmetic for the identity catalog (member, member_d, shift_d, qpow_d,
+virtual_d, ell_power, pow_tag, mul, add, is_zero, describe), on series cut
+at the window, and rows for the rank scans at the centre: value(name, i)
+is D^i f, shift_value(name, i) is D^i (f^q - f), qpow_value(name) is f^q.
 
 backends() builds a route's backends and is their only cache, so every
 caller asking for one route gets one tuple: points are sampled, and series
-and derivative tables expanded, once per process.  A vanishing profile or
-the osculating functions at a given point read a PointBackend of that point.
-
-The sampled route has one fixed configuration: the identity catalog runs
-at rational points with the series window default_window(p), the order
-scans and generic profiles at points over GF(q^SAMPLE_EXTENSION).
+expanded, once per process.  Both routes expand to q^2 + 1; the sampled
+route reads the catalog at rational points with the window default_window(p),
+and the order scans at points over GF(q^SAMPLE_EXTENSION).
 """
 
 from __future__ import annotations
 
-from reecurve.hasse import HasseCalculus, hasse_calculus
-from reecurve.params import ReeParams
+from reecurve.hasse import (
+    Expansion,
+    hasse_calculus,
+    hasse_shift,
+    ser_add,
+    ser_mul,
+    ser_pow3k,
+)
+from reecurve.params import ReeParams, ree_params
 
 __all__ = [
     "SAMPLE_EXTENSION",
-    "SymbolicBackend",
+    "Backend",
     "backends",
     "default_window",
     "sample_count",
@@ -41,77 +50,88 @@ def _pow_count(tag: str, s: int) -> int:
     return {"q0": s, "3q0": s + 1, "q": 2 * s + 1, "q2": 2 * (2 * s + 1)}[tag]
 
 
-class SymbolicBackend:
-    """Evaluates residuals as exact normal forms in the coordinate ring."""
+class Backend:
+    """Evaluates residuals as series over a window of one expansion.
 
-    kind = "symbolic"
+    The expansion is exact below its precision, its depth here: a read
+    whose window would reach past the depth raises instead of coming back
+    short.
+    """
 
-    def __init__(self, s: int):
-        self.calc: HasseCalculus = hasse_calculus(s)
-        self.p: ReeParams = self.calc.p
-        self.s = s
-        self._ellpow: dict[int, object] = {}
+    def __init__(self, exp: Expansion, window: int):
+        self.exp = exp
+        self.kind = exp.kind
+        self.p: ReeParams = exp.p
+        self.s = exp.s
+        self.window = window
 
     def zero(self):
-        return self.calc.ring.zero()
+        return {}
+
+    def _read(self, ser: dict, i: int) -> dict:
+        """D^i of a series over the window, refused where the window passes the depth."""
+        if i + self.window > self.exp.prec:
+            raise ValueError(
+                f"D^{i} over a window of {self.window} reads past depth {self.exp.prec}"
+            )
+        return hasse_shift(ser, i, self.window)
 
     def member(self, name: str):
-        return self.calc.fam.element(name)
+        return self._read(self.exp.series(name), 0)
 
     def member_d(self, name: str, i: int):
-        return self.calc.table(name).get(i, self.zero())
+        return self._read(self.exp.series(name), i)
 
     def shift_d(self, name: str, i: int):
-        return self.calc.shift_table(name).get(i, self.zero())
+        return self._read(self.exp.shift_series(name), i)
 
     def qpow_d(self, name: str, i: int):
-        return self.calc.qpow_series(name).get(i, self.zero())
+        return self._read(self.exp.qpow_series(name), i)
 
     def virtual_d(self, f: str, b: str, i: int):
         """D^i t for t^q - t = f^q0 (b^q - b); t itself is never needed."""
         if i <= 0:
             raise ValueError("virtual functions only expose positive indices")
-        return self.calc.lift(f, b).get(i, self.zero())
+        return self._read(self.exp.lift(f, b), i)
 
-    # the order scans' rows are the same exact derivatives
-    value = member_d
-    shift_value = shift_d
+    # -- rows: the i-th coefficient of a series is D^i at the centre
+
+    def row(self, name: str) -> dict:
+        """The member's series: where its rows are nonzero."""
+        return self.exp.series(name)
+
+    def value(self, name: str, i: int):
+        return self.exp.coefficient(name, i)
+
+    def shift_value(self, name: str, i: int):
+        """D^i (f^q - f) at the centre."""
+        if i >= self.exp.prec:
+            raise ValueError(f"D^{i} lies past the depth {self.exp.prec}")
+        return self.exp.shift_series(name).get(i, self.exp.zero)
 
     def qpow_value(self, name: str):
-        return self.member(name).qpow()
+        return self.value(name, 0).pow3k(2 * self.s + 1)
 
     def ell(self):
         return self.ell_power(1)
 
     def ell_power(self, n: int):
-        if n not in self._ellpow:
-            if n == 0:
-                self._ellpow[n] = self.calc.ring.one()
-            elif n == 1:
-                self._ellpow[n] = self.calc.ring.ell()
-            elif n == 2:
-                self._ellpow[n] = self.ell_power(1) * self.ell_power(1)
-            else:
-                # base-3 digits, as PointExpansion.power: ell^(3a+d) = (ell^a)^3 ell^d
-                a, d = divmod(n, 3)
-                self._ellpow[n] = self.ell_power(a).pow3k(1) * self.ell_power(d)
-        return self._ellpow[n]
+        return self.exp.ell_power(n, self.window)
 
     def pow_tag(self, v, tag: str):
-        return v.pow3k(_pow_count(tag, self.s))
+        return ser_pow3k(v, _pow_count(tag, self.s), self.window)
 
     def mul(self, a, b):
-        return a * b
+        return ser_mul(a, b, self.window)
 
     def add(self, a, b, sign: int = 1):
-        return a + b if sign == 1 else a - b
+        return ser_add(a, b, sign)
 
     def is_zero(self, v) -> bool:
-        return v.is_zero()
+        return not v
 
     def describe(self, v) -> str:
-        terms = v.to_sorted_list()
-        return f"{len(terms)} monomials, leading {terms[0] if terms else None}"
+        return self.exp.describe(v)
 
 
 def default_window(p: ReeParams) -> int:
@@ -136,9 +156,9 @@ _BACKENDS: dict[tuple, tuple] = {}
 def backends(s: int, backend: str, trials: int, seed: int, extension: int = 1) -> tuple:
     """The backends of one route, built on first use and then shared.
 
-    "symbolic" gives (SymbolicBackend(s),); "points" gives one PointBackend
-    per seed in seed .. seed+trials-1, at points over the given extension,
-    each with the default series window.
+    "symbolic" gives one Backend at the generic point, window 1; "points"
+    gives one Backend per seed in seed .. seed+trials-1, at points over the
+    given extension, each with the default series window.
     """
     if backend == "symbolic":
         key: tuple = ("symbolic", s)
@@ -150,12 +170,14 @@ def backends(s: int, backend: str, trials: int, seed: int, extension: int = 1) -
         raise ValueError(f"unknown backend {backend!r}")
     if key not in _BACKENDS:
         if backend == "symbolic":
-            _BACKENDS[key] = (SymbolicBackend(s),)
+            _BACKENDS[key] = (Backend(hasse_calculus(s), 1),)
         else:
-            from reecurve.series import PointBackend, random_point
+            from reecurve.series import PointExpansion, random_point
 
+            p = ree_params(s)
             _BACKENDS[key] = tuple(
-                PointBackend(random_point(s, seed + j, extension))
+                Backend(PointExpansion(random_point(s, seed + j, extension), p.q**2 + 1),
+                        default_window(p))
                 for j in range(trials)
             )
     return _BACKENDS[key]

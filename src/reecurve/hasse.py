@@ -32,10 +32,14 @@ Series are sparse dicts {exponent: coefficient} with zero values omitted,
 a zero centre among them.  An operation taking prec returns every
 coefficient for exponents < prec and no other, and each kept coefficient
 is the exact coefficient of the underlying function, never an artefact of
-truncation.  An expansion has one precision, fixed when it is made: q^2 + 1
-at the generic point, which holds every order candidate, and the
-backend's depth at a point.  Every series of one expansion is exact below
-it, so each is built once and read many times.
+truncation.  An expansion has one precision, fixed when it is made: q^2 + 1,
+which holds every order candidate, or m + 1 for a vanishing profile.
+Every series of one expansion is exact below it, so each is built once and
+read many times.  ``hasse_shift`` cuts D^i of a series to a window; it is
+how ``backends.Backend`` reads either centre, and at window 1 it returns
+the one coefficient {0: D^i f}, so the exact route needs no reader of its
+own.  Each centre names its route (``kind``) and writes the witness of a
+nonzero series (``describe``).
 
 The exact and sampled routes share this algorithm.  What keeps them
 independent checks of each other, and of the algorithm, is:
@@ -156,6 +160,19 @@ def ser_pow3k(a: Series, k: int, prec: int) -> Series:
     return out
 
 
+def hasse_shift(a: Series, i: int, prec: int) -> Series:
+    """Series of the i-th Hasse derivative: binomial reindexing mod 3."""
+    out: Series = {}
+    for e, c in a.items():
+        if e < i or e - i >= prec:
+            continue
+        bc = binom_mod3(e, i)
+        if bc == 0:
+            continue
+        out[e - i] = c if bc == 1 else -c
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the expansion at one centre
 
@@ -168,10 +185,13 @@ class Expansion:
     read.
     """
 
+    kind: str  # the route's name, "symbolic" or "points"
+
     def __init__(self, p: ReeParams, one, x0, y0, z0, prec: int):
         self.p = p
         self.s = p.s
         self.one = one
+        self.zero = one - one
         self.prec = prec
         self.centre = {"x": x0, "y": y0, "z": z0}
         self._series: dict[str, Series] = {}
@@ -230,9 +250,43 @@ class Expansion:
             self._lifts[(f, b)] = out
         return self._lifts[(f, b)]
 
+    def coefficient(self, name: str, i: int):
+        """D^i of the member at the centre."""
+        if i >= self.prec:
+            raise ValueError(f"D^{i} lies past the precision {self.prec}")
+        return self.series(name).get(i, self.zero)
+
+    def ell_series(self) -> Series:
+        """x^q - x is a polynomial in t: ell(P) - t + t^q."""
+        x0 = self.centre["x"]
+        l0 = x0.pow3k(2 * self.s + 1) - x0
+        out: Series = {1: -self.one, self.p.q: self.one}
+        if not l0.is_zero():
+            out[0] = l0
+        return out
+
+    def power(self, a: Series, n: int, prec: int) -> Series:
+        """a**n by base-3 splitting, so Frobenius factors stay sparse."""
+        out: Series = {0: self.one}
+        k = 0
+        while n:
+            n, d = divmod(n, 3)
+            if d:
+                piece = ser_pow3k(a, k, prec)
+                out = ser_mul(out, piece, prec)
+                if d == 2:
+                    out = ser_mul(out, piece, prec)
+            k += 1
+        return out
+
+    def ell_power(self, n: int, prec: int) -> Series:
+        return self.power(self.ell_series(), n, prec)
+
 
 class HasseCalculus(Expansion):
     """The expansion at the generic point: exact tables {i: D^i f} for i <= q^2."""
+
+    kind = "symbolic"
 
     def __init__(self, family: FunctionFamily):
         ring = family.ring
@@ -251,6 +305,11 @@ class HasseCalculus(Expansion):
     def shift_table(self, name: str) -> Table:
         """Table of f^q - f."""
         return self.shift_series(name)
+
+    def describe(self, v: Series) -> str:
+        """A nonzero series' lowest coefficient, by its size and leading term."""
+        terms = v[min(v)].to_sorted_list()
+        return f"{len(terms)} monomials, leading {terms[0]}"
 
     # -- derivative access; the monomial-wise path is the tables' reference
 

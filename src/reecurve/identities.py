@@ -19,9 +19,9 @@ D^i t = (D^(i/q) t)^q - D^i(t^q - t), which never needs t itself for
 i >= 1, so both backends can evaluate them without leaving the function
 field.
 
-A residual must evaluate to exactly zero: a ring element in the symbolic
-backend, a truncated series at sampled points in the point backend.  No
-tolerances exist in characteristic 3.
+A residual must evaluate to exactly zero: a series cut at the backend's
+window, one ring element on the exact route, field values at sampled
+points.  No tolerances exist in characteristic 3.
 
 Before evaluation a residual is bound to its instance and level: roles
 become member names and indices integers (_bind).  Equal bound terms are
@@ -34,7 +34,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from reecurve.backends import SymbolicBackend, backends, default_window, sample_count
+from reecurve.backends import Backend, backends, default_window, sample_count
 from reecurve.params import SymbolicIndex, index_value, ree_params
 from reecurve.ring import FAMILY_NAMES, SUBFAMILY_NAMES, function_family
 from reecurve.support import level_uniform, member_support, support_values
@@ -57,7 +57,6 @@ __all__ = [
     "osculating_vanishing",
     "collision_reason",
     "collision_exclusions",
-    "SymbolicBackend",
     "default_window",
 ]
 
@@ -1059,10 +1058,10 @@ def osculating_functions(P: CurvePoint):
     series are exact on exponents up to q^2.
     """
     from reecurve.gf import frobenius_power
-    from reecurve.series import PointBackend, ser_add
+    from reecurve.series import PointExpansion, ser_add
 
-    p = P.params
-    K = PointBackend(P, window=p.q**2 + 1)
+    depth = P.params.q**2 + 1
+    K = Backend(PointExpansion(P, depth), depth)
     e2 = 2 * (2 * P.s + 1)
     members = [K.member(name) for name in SUBFAMILY_NAMES]
     values = [ser.get(0, P.ctx.zero()) for ser in members]

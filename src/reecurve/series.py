@@ -27,24 +27,20 @@ the i-th coefficient of the expansion of f is the i-th Hasse derivative
 of f (with respect to x) evaluated at P.  Series follow the conventions of
 ``hasse``: sparse dicts {exponent: coefficient}, zero values omitted.
 
-That makes these series the point backend for the identity checks and for
-order computations at parameter levels where the symbolic ring is too
-large: PointBackend, at the end of this module, so that only the points
-route loads it.  A PointBackend makes one expansion, exact below its
-depth: q^2 + 1 by default, which covers every order candidate and every
-catalog read D^i over the window, and m + 1 for a vanishing profile.
-Every member's series is built once at that depth and every read is cut
-from it; a read reaching past the depth raises instead of returning a
-shorter window.
+``backends.Backend`` reads either expansion, so this module holds no
+backend: only the points route loads it, when backends() samples a point
+or a profile expands one.  A point's expansion is exact below its
+precision: q^2 + 1 for the sampled route, which covers every order
+candidate and every catalog read D^i over the window, and m + 1 for a
+vanishing profile.
 """
 
 from __future__ import annotations
 
 import random
 from collections import namedtuple
-from typing import Optional
 
-from reecurve.backends import SAMPLE_EXTENSION, _pow_count, default_window
+from reecurve.backends import SAMPLE_EXTENSION
 from reecurve.gf import (
     FieldContext,
     FieldElement,
@@ -52,40 +48,21 @@ from reecurve.gf import (
     frobenius_power,
     solve_artin_schreier,
 )
-from reecurve.hasse import Expansion, binom_mod3, ser_add, ser_mul, ser_pow3k
+from reecurve.hasse import Expansion, ser_add, ser_mul, ser_pow3k
 from reecurve.params import ReeParams, ree_params
 
 __all__ = [
     "CurvePoint",
     "PointExpansion",
-    "PointBackend",
     "origin_point",
     "rational_point",
     "random_point",
     "ser_add",
     "ser_mul",
     "ser_pow3k",
-    "hasse_shift",
 ]
 
 Series = dict[int, FieldElement]
-
-
-# ---------------------------------------------------------------------------
-# Hasse derivatives of a series (the series arithmetic itself is in hasse)
-
-
-def hasse_shift(a: Series, i: int, prec: int) -> Series:
-    """Series of the i-th Hasse derivative: binomial reindexing mod 3."""
-    out: Series = {}
-    for e, c in a.items():
-        if e < i or e - i >= prec:
-            continue
-        bc = binom_mod3(e, i)
-        if bc == 0:
-            continue
-        out[e - i] = c if bc == 1 else -c
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +99,8 @@ class CurvePoint(namedtuple("CurvePoint", "s extension x y z")):
     def params(self) -> ReeParams:
         return ree_params(self.s)
 
-    def ell_value(self) -> FieldElement:
-        return frobenius_power(self.x, 2 * self.s + 1) - self.x
-
     def is_rational(self) -> bool:
-        return self.ell_value().is_zero()
+        return frobenius_power(self.x, 2 * self.s + 1) == self.x
 
     def coords(self) -> tuple[FieldElement, FieldElement, FieldElement]:
         return (self.x, self.y, self.z)
@@ -215,133 +189,13 @@ def _hilbert90(c: FieldElement, q: int) -> FieldElement:
 class PointExpansion(Expansion):
     """The members' expansions at one point, coefficients in its residue field."""
 
+    kind = "points"
+
     def __init__(self, point: CurvePoint, prec: int):
         super().__init__(point.params, point.ctx.one(), *point.coords(), prec)
         self.point = point
-        self.ctx = point.ctx
 
-    # -- exact polynomial ingredients
-
-    def x_series(self) -> Series:
-        return self.series("x")
-
-    def ell_series(self) -> Series:
-        """x^q - x is a polynomial in t: ell(P) - t + t^q."""
-        out: Series = {1: -self.ctx.one(), self.p.q: self.ctx.one()}
-        l0 = self.point.ell_value()
-        if not l0.is_zero():
-            out[0] = l0
-        return out
-
-    # -- members
-
-    def coefficient(self, name: str, i: int) -> FieldElement:
-        """i-th Hasse derivative of the member, evaluated at the point."""
-        if i >= self.prec:
-            raise ValueError(f"D^{i} lies past the precision {self.prec}")
-        return self.series(name).get(i, self.ctx.zero())
-
-    def power(self, a: Series, n: int, prec: int) -> Series:
-        """a**n by base-3 splitting, so Frobenius factors stay sparse."""
-        out: Series = {0: self.ctx.one()}
-        k = 0
-        while n:
-            n, d = divmod(n, 3)
-            if d:
-                piece = ser_pow3k(a, k, prec)
-                out = ser_mul(out, piece, prec)
-                if d == 2:
-                    out = ser_mul(out, piece, prec)
-            k += 1
-        return out
-
-    def ell_power(self, n: int, prec: int) -> Series:
-        return self.power(self.ell_series(), n, prec)
-
-
-class PointBackend:
-    """Evaluates residuals as truncated series at one sampled point."""
-
-    kind = "points"
-
-    def __init__(
-        self, point: CurvePoint, window: Optional[int] = None, depth: Optional[int] = None
-    ):
-        self.point = point
-        self.p = point.params
-        self.s = point.s
-        self.window = default_window(self.p) if window is None else window
-        # one expansion, exact below depth: q^2 + 1 holds every order
-        # candidate and every catalog read, a vanishing profile needs m + 1
-        self.depth = self.p.q**2 + 1 if depth is None else depth
-        self.exp = PointExpansion(point, self.depth)
-
-    def zero(self):
-        return {}
-
-    def _read(self, ser: Series, i: int) -> Series:
-        """D^i of a series over the window, refused where the window passes the depth."""
-        if i + self.window > self.depth:
-            raise ValueError(
-                f"D^{i} over a window of {self.window} reads past depth {self.depth}"
-            )
-        return hasse_shift(ser, i, self.window)
-
-    def member(self, name: str):
-        return self._read(self.exp.series(name), 0)
-
-    def member_d(self, name: str, i: int):
-        return self._read(self.exp.series(name), i)
-
-    def shift_d(self, name: str, i: int):
-        return self._read(self.exp.shift_series(name), i)
-
-    def qpow_d(self, name: str, i: int):
-        return self._read(self.exp.qpow_series(name), i)
-
-    def virtual_d(self, f: str, b: str, i: int):
-        """D^i t for t^q - t = f^q0 (b^q - b); t itself is never needed."""
-        if i <= 0:
-            raise ValueError("virtual functions only expose positive indices")
-        return self._read(self.exp.lift(f, b), i)
-
-    # -- rows: the i-th coefficient of a series is D^i at the point
-
-    def row(self, name: str) -> dict:
-        """The member's series: where its rows are nonzero."""
-        return self.exp.series(name)
-
-    def value(self, name: str, i: int):
-        return self.exp.coefficient(name, i)
-
-    def shift_value(self, name: str, i: int):
-        """D^i (f^q - f) at the point."""
-        if i >= self.depth:
-            raise ValueError(f"D^{i} lies past the depth {self.depth}")
-        return self.exp.shift_series(name).get(i, self.point.ctx.zero())
-
-    def qpow_value(self, name: str):
-        return frobenius_power(self.value(name, 0), 2 * self.s + 1)
-
-    def ell(self):
-        return self.ell_power(1)
-
-    def ell_power(self, n: int):
-        return self.exp.ell_power(n, self.window)
-
-    def pow_tag(self, v, tag: str):
-        return ser_pow3k(v, _pow_count(tag, self.s), self.window)
-
-    def mul(self, a, b):
-        return ser_mul(a, b, self.window)
-
-    def add(self, a, b, sign: int = 1):
-        return ser_add(a, b, sign)
-
-    def is_zero(self, v) -> bool:
-        return not v
-
-    def describe(self, v) -> str:
-        e = min(v)
+    def describe(self, v: Series) -> str:
+        """A nonzero series' lowest exponent, with the point to replay it at."""
         x, y, z = (c.code() for c in self.point.coords())
-        return f"t^{e} coefficient nonzero at point codes ({x},{y},{z})"
+        return f"t^{min(v)} coefficient nonzero at point codes ({x},{y},{z})"

@@ -4,8 +4,8 @@ The profile of a family at a point P lists the orders of vanishing
 achievable by linear combinations of the family members at P.  An exponent
 i is one of them exactly when the row of i-th Hasse derivatives at P grows
 the rank of the rows below it (Stöhr-Voloch), so the profile is the greedy
-scan of orders.py run on the rows of a PointBackend at P.  Away from
-finitely many points the profile is the order sequence; the excess weight
+scan of orders.py run on a Backend of P's expansion.  Away from finitely
+many points the profile is the order sequence; the excess weight
 sum(j_i - eps_i) is positive exactly at the special points, and the
 rational points carry all of it: the degree of the ramification divisor,
 (2g-2)*sum(eps) + (r+1)*m, equals the shared rational-point weight times
@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from .backends import Backend
 from .orders import _family_names, _scan, order_sequence
 from .params import ReeParams, ree_params
-from .series import CurvePoint, PointBackend
+from .series import CurvePoint, PointExpansion
 from .support import order_values
 
 __all__ = [
@@ -93,13 +94,13 @@ def vanishing_orders(series="D", point: CurvePoint | None = None) -> VanishingPr
         raise ValueError("a point is required")
     names = _family_names(series)
     p = point.params
-    K = PointBackend(point, depth=p.m_value + 1)
+    K = Backend(PointExpansion(point, p.m_value + 1), 1)
     candidates = set().union(*(K.row(f) for f in names))
     js = [i for i, _, _ in _scan((K,), names, candidates, want=len(names))]
     if len(js) != len(names):
         raise ArithmeticError(
             f"precision shortfall: only {len(js)} of {len(names)} pivots "
-            f"below precision {K.depth}"
+            f"below precision {K.exp.prec}"
         )
     if isinstance(series, str):
         eps = order_values(p, series)

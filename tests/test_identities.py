@@ -19,7 +19,6 @@ from reecurve.identities import (
     IDENTITY_CATALOG,
     TYPE1_PAIRS,
     TYPE2_PAIRS,
-    SymbolicBackend,
     _bind_residuals,
     _dirty_values,
     _hyper_backend,
@@ -38,15 +37,26 @@ from reecurve.identities import (
     osculating_vanishing,
     verify_catalog,
 )
-from reecurve.backends import backends
+from reecurve.backends import Backend, backends
 from reecurve.orders import order_sequence
 from reecurve.params import index_value, ree_params
 from reecurve.ring import FAMILY_NAMES, RECIPES, CurveElement
-from reecurve.series import PointBackend, rational_point
+from reecurve.series import PointExpansion, rational_point
 from reecurve.support import member_support, support_values
 
 P1 = ree_params(1)
 P2 = ree_params(2)
+
+
+def _exact_backend(s):
+    """The exact route's backend: the generic point, one coefficient wide."""
+    return Backend(hasse.hasse_calculus(s), 1)
+
+
+def _point_backend(P):
+    """The sampled route's backend at P, with its depth and default window."""
+    return Backend(PointExpansion(P, P.params.q**2 + 1), default_window(P.params))
+
 
 ALL_KEYS = (
     "nu1", "kq0-1", "kq0-2", "kq0-3", "dq-shift",
@@ -125,7 +135,7 @@ def test_applicability_pairs():
 
 
 def test_shift_identity_for_x_is_the_separating_element():
-    K = SymbolicBackend(1)
+    K = _exact_backend(1)
     assert K.shift_d("x", 0) == K.ell()
     r = check_identity("nu1", "x")
     assert r.ok and not r.skipped
@@ -136,7 +146,7 @@ def test_a5_terms_vanish_individually_above_the_lowest_level():
     vals = support_values("y", P2)
     for i in (3 * P2.q, 2 * P2.q, P2.q + 1):
         assert i not in vals
-    K = PointBackend(rational_point(2, seed=11))
+    K = _point_backend(rational_point(2, seed=11))
     for i in (3 * P2.q, 2 * P2.q, P2.q + 1):
         assert K.member_d("y", i) == {}
 
@@ -213,7 +223,7 @@ def test_excluded_instances_fail_honestly_where_predicted():
     """The skip rule is not hiding true identities: outside the four
     structurally-dirty-but-numerically-true rows, excluded instances
     have nonzero residuals when checked anyway."""
-    K = SymbolicBackend(1)
+    K = _exact_backend(1)
     by_key = {sp.key: sp for sp in IDENTITY_CATALOG}
     probes = [
         ("A5", {"f": "y"}, False),
@@ -229,7 +239,7 @@ def test_excluded_instances_fail_honestly_where_predicted():
 
 
 def test_full_exclusion_set_splits_37_to_4():
-    K = SymbolicBackend(1)
+    K = _exact_backend(1)
     by_key = {sp.key: sp for sp in IDENTITY_CATALOG}
     passing = set()
     for key, inst, _reason in collision_exclusions():
@@ -317,6 +327,15 @@ def test_window_clears_the_deepest_ell_power():
     assert default_window(P2) > 2 * P2.q + 1
 
 
+# the first witness of the sign-flipped A10 below, as each route writes it
+_A10_WITNESSES = {
+    1: {"symbolic": "A10: 12 monomials, leading (58, 0, 0, 2)",
+        "points": "A10: t^58 coefficient nonzero at point codes (2,26,22)"},
+    2: {"symbolic": "A10: 12 monomials, leading (496, 0, 0, 2)",
+        "points": "A10: t^496 coefficient nonzero at point codes (196,106,21)"},
+}
+
+
 @pytest.mark.parametrize("s", [1, 2])
 def test_fixed_window_catches_a_wrong_deep_term(monkeypatch, s):
     # A10 with the sign of its ell^(2q+1) term flipped: the derivative it
@@ -333,12 +352,14 @@ def test_fixed_window_catches_a_wrong_deep_term(monkeypatch, s):
     for backend in ("points", "symbolic"):
         rows = verify_catalog(s, backend, keys=["A10"], seed=0)
         assert any(not r.ok and not r.skipped for r in rows), backend
+        first = next(r.witness for r in rows if not r.ok and not r.skipped)
+        assert first == _A10_WITNESSES[s][backend]
 
 
 def test_point_member_is_cut_at_the_window():
     # the expansion holds the series far past the window; the hypersurface
     # pairs compare members with products cut off there
-    K = PointBackend(rational_point(1, seed=0))
+    K = _point_backend(rational_point(1, seed=0))
     K.member_d("w8", 40)
     assert all(e < K.window for e in K.member("w8"))
     assert [label for label, v in _hyper_backend(K) if not K.is_zero(v)] == []
@@ -347,7 +368,7 @@ def test_point_member_is_cut_at_the_window():
 def test_checks_do_not_depend_on_call_history():
     seed = 23
     fresh = [(label, not v)
-             for label, v in _hyper_backend(PointBackend(rational_point(1, seed)))]
+             for label, v in _hyper_backend(_point_backend(rational_point(1, seed)))]
     (K,) = backends(1, "points", 1, seed)
     K.member_d("w8", 40)
     K.shift_d("w6", 200)
@@ -389,7 +410,7 @@ def test_each_leaf_is_read_once_per_backend_per_run(monkeypatch):
     reads = Counter()
 
     def counting(name):
-        method = getattr(PointBackend, name)
+        method = getattr(Backend, name)
 
         def read(self, *args):
             reads[(self, name, args)] += 1
@@ -398,18 +419,25 @@ def test_each_leaf_is_read_once_per_backend_per_run(monkeypatch):
         return read
 
     for name in ("member_d", "shift_d", "qpow_d", "virtual_d", "ell_power"):
-        monkeypatch.setattr(PointBackend, name, counting(name))
-    monkeypatch.setattr(reecurve.backends, "_BACKENDS", {})
-    verify_catalog(2, "points", seed=3, trials=1)
-    assert len({K for K, _, _ in reads}) == 1
-    assert max(reads.values()) == 1
+        monkeypatch.setattr(Backend, name, counting(name))
+    # both routes share the one class, so each run is counted on its own
+    for backend in ("points", "symbolic"):
+        reads.clear()
+        monkeypatch.setattr(reecurve.backends, "_BACKENDS", {})
+        verify_catalog(2, backend, seed=3, trials=1)
+        assert len({K for K, _, _ in reads}) == 1, backend
+        assert max(reads.values()) == 1, backend
+        assert len(reads) == 608, backend  # the distinct leaves at s = 2
 
 
 def _contents(v):
-    """A backend value as plain data: a ring element's terms or a series' codes."""
-    if isinstance(v, CurveElement):
-        return dict(v.packed)
-    return {e: c.packed for e, c in v.items()}
+    """A backend value, a series, as plain data.
+
+    A ring coefficient's packed form is a mutable dict, so it is copied:
+    a snapshot that shared it would change along with the operand.
+    """
+    return {e: dict(c.packed) if isinstance(c, CurveElement) else c.packed
+            for e, c in v.items()}
 
 
 @pytest.mark.parametrize("s", [1, 2])
@@ -427,7 +455,10 @@ def test_backend_operations_leave_their_operands_unchanged(backend, s):
     before = [_contents(v) for v in values]
     ops = [K.add, lambda a, b: K.add(a, b, -1), K.mul]
     ops += [lambda a, b, tag=tag: K.pow_tag(a, tag) for tag in ("q0", "3q0", "q", "q2")]
-    for a, b in zip(values, values[1:] + values[:1]):
+    # each value with its neighbour and with itself: on the exact route most
+    # sparse member reads are zero, and only ell powers meet nonzero operands
+    pairs = list(zip(values, values[1:] + values[:1])) + list(zip(values, values))
+    for a, b in pairs:
         for op in ops:
             op(a, b)
             assert [_contents(v) for v in values] == before

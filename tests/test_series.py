@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reecurve import series
+from reecurve.backends import Backend, default_window
 from reecurve.gf import field_context, frobenius_power
 from reecurve.hasse import binom_mod3, hasse_calculus
 from reecurve.identities import IDENTITY_CATALOG, TYPE2_PAIRS, _d_leaves
@@ -16,7 +17,6 @@ from reecurve.params import index_value, ree_params
 from reecurve.ring import FAMILY_NAMES, function_family
 from reecurve.series import (
     CurvePoint,
-    PointBackend,
     PointExpansion,
     origin_point,
     random_point,
@@ -25,6 +25,13 @@ from reecurve.series import (
     ser_mul,
     ser_pow3k,
 )
+
+
+def _point_backend(P, window=None, depth=None):
+    """The sampled route's backend at P: depth q^2 + 1, the default window."""
+    p = P.params
+    depth = p.q**2 + 1 if depth is None else depth
+    return Backend(PointExpansion(P, depth), default_window(p) if window is None else window)
 
 
 @settings(max_examples=300, deadline=None)
@@ -107,8 +114,8 @@ def test_origin_expansion_starts_at_the_gap_ladder():
 @pytest.mark.parametrize("s", [1, 2])
 def test_origin_series_hold_no_zero_coefficient(s):
     # every coordinate of the origin is 0; a zero centre is dropped, not kept
-    K = PointBackend(origin_point(s))
-    assert K.exp.series("x") == {1: K.point.ctx.one()}
+    K = _point_backend(origin_point(s))
+    assert K.exp.series("x") == {1: K.exp.one}
     for name in FAMILY_NAMES:
         for ser in (K.exp.series(name), K.row(name), K.member_d(name, 0)):
             assert all(not c.is_zero() for c in ser.values()), name
@@ -121,7 +128,7 @@ def test_defining_equations_hold_as_series(s):
     e = 2 * s + 1
     prec = p.q**2 // 3 + 17
     exp = PointExpansion(P, prec)
-    xq0 = ser_pow3k(exp.x_series(), s, prec)
+    xq0 = ser_pow3k(exp.series("x"), s, prec)
     ell = exp.ell_series()
     for name, rhs in (
         ("y", ser_mul(xq0, ell, prec)),
@@ -192,14 +199,14 @@ def test_cross_backend_agreement_on_seeded_triples():
 
 
 def test_derivative_series_window_matches_coefficients():
-    K = PointBackend(rational_point(1, seed=8), window=40)
+    K = _point_backend(rational_point(1, seed=8), window=40)
     p = ree_params(1)
     for name in ("y", "w4", "w10"):
         for i in (1, p.q0 + 1, p.q):
             win = K.member_d(name, i)
             for j in range(40):
                 want = K.exp.coefficient(name, i + j)
-                got = win.get(j, K.point.ctx.zero())
+                got = win.get(j, K.exp.zero)
                 bc = binom_mod3(i + j, i)
                 if bc == 0:
                     assert got.is_zero()
@@ -210,7 +217,7 @@ def test_derivative_series_window_matches_coefficients():
 def test_reads_past_the_depth_raise():
     # one expansion at the depth: a window reaching past it would come back
     # short, so the read is refused
-    K = PointBackend(rational_point(1, seed=0), depth=100)
+    K = _point_backend(rational_point(1, seed=0), depth=100)
     with pytest.raises(ValueError, match="depth"):
         K.member_d("w1", 20)
     with pytest.raises(ValueError, match="depth"):
@@ -219,7 +226,7 @@ def test_reads_past_the_depth_raise():
         K.value("w1", 100)
     # the deepest read that fits equals the same read at the default depth
     i = 100 - K.window
-    assert K.member_d("w1", i) == PointBackend(K.point).member_d("w1", i)
+    assert K.member_d("w1", i) == _point_backend(K.exp.point).member_d("w1", i)
 
 
 def test_power_helper_matches_repeated_multiplication():

@@ -112,9 +112,6 @@ class Backend:
     def qpow_value(self, name: str):
         return self.value(name, 0).pow3k(2 * self.s + 1)
 
-    def ell(self):
-        return self.ell_power(1)
-
     def ell_power(self, n: int):
         return self.exp.ell_power(n, self.window)
 

@@ -293,21 +293,6 @@ class FieldContext(_Quotient):
     def one(self) -> FieldElement:
         return FieldElement(self, 1)
 
-    def scalar(self, n: int) -> FieldElement:
-        return FieldElement(self, n % 3)
-
-    def gen(self) -> FieldElement:
-        if self.m == 1:
-            # modulus is t itself, so the generator image is 0
-            return self.zero()
-        return FieldElement(self, 1 << 8)
-
-    def from_coeffs(self, coeffs: Sequence[int]) -> FieldElement:
-        c = [x % 3 for x in coeffs]
-        if len(c) > self.m:
-            c = _pmod(c, self.modulus)
-        return FieldElement(self, _pack(c))
-
     def from_code(self, code: int) -> FieldElement:
         if not 0 <= code < self.order:
             raise ValueError("code out of range")
@@ -390,9 +375,6 @@ class FieldContext(_Quotient):
 
     def frobenius(self, a: FieldElement, k: int) -> FieldElement:
         return FieldElement(self, self._frob(a.packed, k))
-
-    def cube(self, a: FieldElement) -> FieldElement:
-        return self.frobenius(a, 1)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"FieldContext(GF(3^{self.m}))"

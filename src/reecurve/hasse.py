@@ -51,9 +51,9 @@ independent checks of each other, and of the algorithm, is:
   derived by hand that either route must satisfy;
 * the hard-coded low-order tables in tests/test_hasse.py and
   tests/test_series.py;
-* ``HasseCalculus.hasse_derivative``, which assembles D^i f monomial by
-  monomial from binomials in x and powers of the y and z tables, with no
-  recipe fold.
+* the reference ``hasse_derivative`` in tests/reference.py, which
+  assembles D^i f monomial by monomial from binomials in x and the
+  derivatives of y^b z^c, with no recipe fold.
 """
 
 from __future__ import annotations
@@ -61,13 +61,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from reecurve.params import ReeParams
-from reecurve.ring import (
-    RECIPES,
-    CurveElement,
-    FunctionFamily,
-    function_family,
-    recipe_twist,
-)
+from reecurve.ring import RECIPES, CoordinateRing, CurveElement, coordinate_ring, recipe_twist
 
 Series = dict  # {exponent: coefficient}, coefficients CurveElement or FieldElement
 Table = dict[int, CurveElement]
@@ -115,9 +109,10 @@ def ser_add(a: Series, b: Series, sign: int = 1) -> Series:
     out = dict(a)
     for e, c in b.items():
         v = out.get(e)
-        if sign != 1:
-            c = -c
-        v = c if v is None else v + c
+        if v is None:
+            v = c if sign == 1 else -c
+        else:
+            v = v + c if sign == 1 else v - c
         if v.is_zero():
             out.pop(e, None)
         else:
@@ -288,16 +283,10 @@ class HasseCalculus(Expansion):
 
     kind = "symbolic"
 
-    def __init__(self, family: FunctionFamily):
-        ring = family.ring
+    def __init__(self, ring: CoordinateRing):
         q2 = ring.p.q**2
         super().__init__(ring.p, ring.one(), ring.x(), ring.y(), ring.z(), q2 + 1)
-        self.fam = family
         self.ring = ring
-        self.limit = q2
-        self._ypow: dict[int, Table] = {}
-        self._zpow: dict[int, Table] = {}
-        self._xpow: dict[int, Table] = {}
 
     def table(self, name: str) -> Table:
         return self.series(name)
@@ -311,77 +300,11 @@ class HasseCalculus(Expansion):
         terms = v[min(v)].to_sorted_list()
         return f"{len(terms)} monomials, leading {terms[0]}"
 
-    # -- derivative access; the monomial-wise path is the tables' reference
-
-    def derivative_of(self, name: str, i: int) -> CurveElement:
-        if not 0 <= i <= self.limit:
-            raise ValueError("derivative index out of range")
-        return self.table(name).get(i, self.ring.zero())
-
-    def _x_power_table(self, n: int) -> Table:
-        if n not in self._xpow:
-            ring = self.ring
-            tbl: Table = {}
-            for k in binom_support(n):
-                tbl[k] = ring.monomial(n - k, 0, 0, binom_mod3(n, k))
-            self._xpow[n] = tbl
-        return self._xpow[n]
-
-    def _y_power(self, b: int) -> Table:
-        if b not in self._ypow:
-            if b == 0:
-                self._ypow[b] = {0: self.ring.one()}
-            else:
-                self._ypow[b] = ser_mul(self._y_power(b - 1), self.table("y"), self.prec)
-        return self._ypow[b]
-
-    def _z_power(self, c: int) -> Table:
-        if c not in self._zpow:
-            if c == 0:
-                self._zpow[c] = {0: self.ring.one()}
-            else:
-                self._zpow[c] = ser_mul(self._z_power(c - 1), self.table("z"), self.prec)
-        return self._zpow[c]
-
-    def hasse_derivative(self, f: CurveElement, i: int) -> CurveElement:
-        """D^i f for an arbitrary normal form, assembled monomial by monomial."""
-        if not 0 <= i <= self.limit:
-            raise ValueError("derivative index out of range")
-        ring = self.ring
-        total = ring.zero()
-        for (a, b, c), coeff in f.terms.items():
-            yb = self._y_power(b)
-            zc = self._z_power(c)
-            for i2, cy in yb.items():
-                if i2 > i:
-                    continue
-                for i3, cz in zc.items():
-                    i1 = i - i2 - i3
-                    if i1 < 0 or i1 > a:
-                        continue
-                    cb = binom_mod3(a, i1)
-                    if not cb:
-                        continue
-                    piece = ring.monomial(a - i1, 0, 0, (coeff * cb) % 3) * cy * cz
-                    total = total + piece
-        return total
-
-    def element_table(self, f: CurveElement) -> Table:
-        """Full derivative table of an arbitrary normal form."""
-        out: Table = {}
-        for (a, b, c), coeff in f.terms.items():
-            part = ser_mul(self._x_power_table(a), self._y_power(b), self.prec)
-            part = ser_mul(part, self._z_power(c), self.prec)
-            if coeff != 1:
-                part = {i: v.scale(coeff) for i, v in part.items()}
-            out = ser_add(out, part)
-        return out
-
 
 _CALC_CACHE: dict[int, HasseCalculus] = {}
 
 
 def hasse_calculus(s: int) -> HasseCalculus:
     if s not in _CALC_CACHE:
-        _CALC_CACHE[s] = HasseCalculus(function_family(s))
+        _CALC_CACHE[s] = HasseCalculus(coordinate_ring(s))
     return _CALC_CACHE[s]

@@ -34,7 +34,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from reecurve.backends import Backend, backends, default_window, sample_count
+from reecurve.backends import Backend, backends, sample_count
 from reecurve.params import SymbolicIndex, index_value, ree_params
 from reecurve.ring import FAMILY_NAMES, SUBFAMILY_NAMES, function_family
 from reecurve.support import level_uniform, member_support, support_values
@@ -48,16 +48,10 @@ __all__ = [
     "IDENTITY_CATALOG",
     "TYPE1_PAIRS",
     "TYPE2_PAIRS",
-    "identity_catalog",
-    "check_identity",
     "verify_catalog",
-    "check_hypersurface",
-    "check_rank1_remark",
     "osculating_functions",
     "osculating_vanishing",
     "collision_reason",
-    "collision_exclusions",
-    "default_window",
 ]
 
 
@@ -626,14 +620,6 @@ def _type2_pairs() -> tuple[tuple[str, str], ...]:
 TYPE2_PAIRS = _type2_pairs()
 
 
-def identity_catalog() -> list[IdentitySpec]:
-    return list(IDENTITY_CATALOG)
-
-
-def _catalog_map() -> dict[str, IdentitySpec]:
-    return {spec.key: spec for spec in IDENTITY_CATALOG}
-
-
 def instances_for(spec: IdentitySpec) -> list[dict[str, str]]:
     """Role bindings the identity is asserted for."""
     if spec.group in ("base", "rejection"):
@@ -771,17 +757,6 @@ def collision_reason(spec: IdentitySpec, roles: dict[str, str]) -> Optional[str]
     return None
 
 
-def collision_exclusions() -> list[tuple[str, str, str]]:
-    """(identity, instance, reason) rows not asserted at the lowest level."""
-    out = []
-    for spec in IDENTITY_CATALOG:
-        for roles in instances_for(spec):
-            reason = collision_reason(spec, roles)
-            if reason is not None:
-                out.append((spec.key, _instance_label(roles), reason))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -887,32 +862,6 @@ def _verdict(spec: IdentitySpec, roles: dict[str, str], Ks: tuple, memos: list) 
     return CheckResult(spec.key, label, Ks[0].kind, witness is None, sample_count(Ks), witness)
 
 
-def check_identity(
-    spec: IdentitySpec | str,
-    subject,
-    backend: str = "symbolic",
-    s: int = 1,
-    trials: int = 3,
-    seed: int = 0,
-) -> CheckResult:
-    """Verdict for one identity instance.
-
-    subject is a member name for the base groups, a (w, f) pair for the
-    twisted-multiple group, and an (f, b) pair for the shifted-product
-    group.  The point backend re-checks at `trials` independent points.
-    """
-    if isinstance(spec, str):
-        spec = _catalog_map()[spec]
-    if spec.group in ("base", "rejection"):
-        roles = {"f": subject}
-    elif spec.group == "type1":
-        roles = {"w": subject[0], "f": subject[1]}
-    else:
-        roles = {"f": subject[0], "b": subject[1]}
-    Ks = backends(s, backend, trials, seed)
-    return _verdict(spec, roles, Ks, [{} for _ in Ks])
-
-
 def verify_catalog(
     s: int,
     backend: str = "symbolic",
@@ -925,7 +874,7 @@ def verify_catalog(
     The points route checks at `trials` rational points, seeds seed on,
     with the series window default_window(p).
     """
-    specs = identity_catalog()
+    specs = IDENTITY_CATALOG
     if keys is not None:
         wanted = set(keys)
         specs = [sp for sp in specs if sp.key in wanted]
@@ -940,113 +889,7 @@ def verify_catalog(
 
 
 # ---------------------------------------------------------------------------
-# hypersurface, osculating family, rank remark
-
-
-def _hyper_backend(K):
-    """The four grouped pair identities plus the direct full sum."""
-    ell, ellq = K.ell_power(1), K.pow_tag(K.ell_power(1), "q")
-
-    def m(name):
-        return K.member(name)
-
-    def q2(name):
-        return K.pow_tag(K.member(name), "q2")
-
-    def tw(name):  # f^(3q0)
-        return K.pow_tag(K.member(name), "3q0")
-
-    def twq(name):  # (f^(3q0))^q
-        return K.pow_tag(tw(name), "q")
-
-    out = []
-    lhs = K.add(q2("w8"), m("w8"))
-    rhs = K.add(
-        K.add(K.mul(twq("w7"), ellq), K.mul(tw("w7"), ell)), m("w8"), -1
-    )
-    out.append(("pair-w8", K.add(lhs, rhs, -1)))
-
-    lhs = K.add(K.mul(m("x"), q2("w6")), K.mul(q2("x"), m("w6")))
-    rhs = K.add(
-        K.add(
-            K.mul(K.add(K.mul(twq("w4"), m("x")), m("w6")), ellq),
-            K.mul(K.add(K.mul(tw("w4"), m("x")), m("w6")), ell),
-        ),
-        K.mul(m("x"), m("w6")),
-        -1,
-    )
-    out.append(("pair-xw6", K.add(lhs, rhs, -1)))
-
-    lhs = K.add(K.mul(m("w1"), q2("w3")), K.mul(q2("w1"), m("w3")))
-    rhs = K.add(
-        K.add(
-            K.mul(K.add(K.mul(twq("z"), m("w1")), K.mul(twq("x"), m("w3"))), ellq),
-            K.mul(K.add(K.mul(tw("z"), m("w1")), K.mul(tw("x"), m("w3"))), ell),
-        ),
-        K.mul(m("w1"), m("w3")),
-        -1,
-    )
-    out.append(("pair-w1w3", K.add(lhs, rhs, -1)))
-
-    lhs = K.mul(q2("w2"), m("w2"))
-    rhs = K.add(
-        K.add(
-            K.mul(K.mul(twq("y"), m("w2")), ellq),
-            K.mul(K.mul(tw("y"), m("w2")), ell),
-        ),
-        K.mul(m("w2"), m("w2")),
-    )
-    out.append(("pair-w2", K.add(lhs, rhs, -1)))
-
-    total = K.zero()
-    names = SUBFAMILY_NAMES
-    for i, name in enumerate(names):
-        total = K.add(total, K.mul(q2(name), K.member(names[6 - i])))
-    out.append(("sum", total))
-    return out
-
-
-def check_hypersurface(
-    s: int,
-    backend: str = "symbolic",
-    trials: int = 3,
-    seed: int = 0,
-) -> list[CheckResult]:
-    Ks = backends(s, backend, trials, seed)
-    results: dict[str, CheckResult] = {}
-    for K in Ks:
-        for label, v in _hyper_backend(K):
-            ok = K.is_zero(v)
-            prev = results.get(label)
-            if prev is None or (prev.ok and not ok):
-                results[label] = CheckResult(
-                    "hypersurface", label, K.kind, ok, sample_count(Ks),
-                    None if ok else K.describe(v),
-                )
-    return list(results.values())
-
-
-def check_rank1_remark(
-    s: int,
-    backend: str = "symbolic",
-    trials: int = 3,
-    seed: int = 0,
-) -> CheckResult:
-    """The two rows (f^q - f) and (D^1 f) over the family have rank one.
-
-    Equivalent to the shift identity holding for every member with the
-    shared factor ell nonzero, which is how it is checked.
-    """
-    spec = _catalog_map()["nu1"]
-    Ks = backends(s, backend, trials, seed)
-    memos = [{} for _ in Ks]  # one per backend, for this call only
-    for name in FAMILY_NAMES:
-        r = _verdict(spec, {"f": name}, Ks, memos)
-        if not r.ok:
-            return CheckResult("rank1", "2x14", r.backend, False, r.points, r.witness)
-    ok = not any(K.is_zero(K.ell()) for K in Ks)
-    return CheckResult("rank1", "2x14", Ks[0].kind, ok, sample_count(Ks),
-                       None if ok else "ell vanished")
+# osculating family
 
 
 def osculating_functions(P: CurvePoint):
@@ -1082,22 +925,3 @@ def osculating_vanishing(P: CurvePoint) -> int:
     """t-adic vanishing order of g_P at P (q^2 + 1 when it is zero to that order)."""
     g, _ = osculating_functions(P)
     return min(g) if g else P.params.q**2 + 1
-
-
-# ---------------------------------------------------------------------------
-# catalog leaves
-
-
-def _d_leaves(expr: tuple, out: list):
-    """Append the (role, index) of every derivative leaf of expr to out."""
-    op = expr[0]
-    if op == "d":
-        out.append((expr[1], expr[2]))
-    elif op == "pw":
-        _d_leaves(expr[1], out)
-    elif op == "mul":
-        for sub in expr[1:]:
-            _d_leaves(sub, out)
-    elif op == "sum":
-        for _sign, sub in expr[1:]:
-            _d_leaves(sub, out)

@@ -21,7 +21,6 @@ __all__ = [
     "SymbolicIndex",
     "ree_params",
     "index_value",
-    "indices_injective",
     "Q2",
 ]
 
@@ -155,14 +154,3 @@ def symbolic_from_value(value: int, p: ReeParams) -> SymbolicIndex:
     if idx.value(p) != value:
         raise ValueError(f"{value} is not representable as a quadruple at s={p.s}")
     return idx
-
-
-def indices_injective(indices, p: ReeParams) -> bool:
-    """True when value() is injective on the given collection at this s."""
-    seen = {}
-    for idx in indices:
-        v = index_value(idx, p)
-        if v in seen and seen[v] != idx:
-            return False
-        seen[v] = idx
-    return True

@@ -144,9 +144,6 @@ class CurveElement:
             out = out.pow3()
         return out
 
-    def q0pow(self) -> "CurveElement":
-        return self.pow3k(self.ring.p.s)
-
     def qpow(self) -> "CurveElement":
         return self.pow3k(2 * self.ring.p.s + 1)
 
@@ -176,29 +173,6 @@ class CurveElement:
         # key order is (a, b, c) order: the fields have fixed width
         unpack = self.ring.unpack
         return [(*unpack(k), v) for k, v in sorted(self.packed.items())]
-
-    def evaluate(self, vx, vy, vz):
-        """Value at a point with coordinates in some GF(3^m) context."""
-        ctx = vx.ctx
-        pw: dict[tuple[int, int], object] = {}
-
-        def power(base_tag, base, e):
-            key = (base_tag, e)
-            if key not in pw:
-                pw[key] = ctx.pow(base, e)
-            return pw[key]
-
-        total = ctx.zero()
-        for (a, b, c), v in self.terms.items():
-            term = ctx.scalar(v)
-            if a:
-                term = term * power(0, vx, a)
-            if b:
-                term = term * power(1, vy, b)
-            if c:
-                term = term * power(2, vz, c)
-            total = total + term
-        return total
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if not self.packed:
@@ -247,10 +221,6 @@ class CoordinateRing:
     def one(self) -> CurveElement:
         return CurveElement(self, {0: 1})
 
-    def const(self, c: int) -> CurveElement:
-        c %= 3
-        return CurveElement(self, {0: c} if c else {})
-
     def monomial(self, a: int, b: int, c: int, coeff: int = 1) -> CurveElement:
         coeff %= 3
         if not coeff:
@@ -267,10 +237,6 @@ class CoordinateRing:
 
     def z(self) -> CurveElement:
         return self.monomial(0, 0, 1)
-
-    def ell(self) -> CurveElement:
-        """x^q - x, the separating element of the calculus."""
-        return CurveElement(self, {self.key(self.q, 0, 0): 1, self.key(1, 0, 0): 2})
 
     # -- reduction
 
@@ -391,8 +357,6 @@ RECIPES: dict[str, tuple[tuple[int, str, str, str | int], ...]] = {
     "w10": ((1, "z", "w6", "s"), (-1, "w4", "w3", "s")),
 }
 
-RECIPE_ORDER = ("w1", "w2", "w3", "w4", "v", "w5", "w6", "w7", "w8", "w9", "w10")
-
 
 def recipe_twist(tag: str | int, s: int) -> int:
     """Cube count for a recipe twist tag at parameter level s."""
@@ -404,22 +368,15 @@ def recipe_twist(tag: str | int, s: int) -> int:
 
 
 class FunctionFamily:
-    """The 14 spanning functions, the auxiliary v, and their q-power rules.
+    """The q-power rules of the 14 spanning functions and the auxiliary v.
 
-    Normal forms are built lazily along RECIPES, so small-index members stay
-    cheap at higher parameter levels.
+    The members themselves are the recipes RECIPES; ``hasse.Expansion``
+    builds their series.
     """
 
     def __init__(self, ring: CoordinateRing):
         self.ring = ring
         s = ring.p.s
-        self._elems: dict[str, CurveElement] = {
-            "one": ring.one(),
-            "x": ring.x(),
-            "y": ring.y(),
-            "z": ring.z(),
-        }
-
         t1 = s + 1  # exponent 3*q0 as a cube count
         t0 = s  # exponent q0
         self.rules: dict[str, QPowerRule] = {
@@ -437,42 +394,6 @@ class FunctionFamily:
             "w10": QPowerRule("mixed", ((1, "w6", t0, "z"), (-1, "w3", t0, "w4"))),
             "v": QPowerRule("mixed", ((1, "w3", t0, "x"), (-1, "w1", t0, "z"))),
         }
-
-    def element(self, name: str) -> CurveElement:
-        if name not in self._elems:
-            s = self.ring.p.s
-            for nm in RECIPE_ORDER:
-                if nm in self._elems:
-                    continue
-                total = self.ring.zero()
-                for sign, left, right, tag in RECIPES[nm]:
-                    piece = self._elems[left] * self._elems[right].pow3k(
-                        recipe_twist(tag, s)
-                    )
-                    total = total + (piece if sign == 1 else -piece)
-                self._elems[nm] = total
-                if nm == name:
-                    break
-        return self._elems[name]
-
-    def names(self) -> tuple[str, ...]:
-        return FAMILY_NAMES
-
-    def q_shift(self, name: str) -> CurveElement:
-        """w^q - w assembled from the rule (not by direct q-th powering)."""
-        if name == "x":
-            return self.ring.ell()
-        rule = self.rules[name]
-        total = self.ring.zero()
-        for sign, cof, twist, base in rule.terms:
-            piece = self.element(cof).pow3k(twist) * self.q_shift(base)
-            total = total + (piece if sign == 1 else -piece)
-        return total
-
-    def rule_residual(self, name: str) -> CurveElement:
-        """Exact check of the q-power rule: (w^q - w) - rule expansion."""
-        w = self.element(name)
-        return (w.qpow() - w) - self.q_shift(name)
 
 
 # ---------------------------------------------------------------------------
@@ -518,28 +439,6 @@ def pole_order(f: CurveElement, depth: int = 8) -> int:
     if sub % p.q:
         raise ArithmeticError("recursive pole order not divisible by q")
     return sub // p.q
-
-
-def expected_pole_orders(p: ReeParams) -> dict[str, int]:
-    """Closed forms for the family's pole orders at infinity."""
-    q, q0 = p.q, p.q0
-    qq = q * q
-    return {
-        "one": 0,
-        "x": qq,
-        "y": qq + q * q0,
-        "z": qq + 2 * q * q0,
-        "w1": qq + 3 * q * q0,
-        "w2": qq + 3 * q * q0 + q,
-        "w3": qq + 3 * q * q0 + 2 * q,
-        "w4": qq + 2 * q * q0 + q,
-        "w5": qq + 3 * q * q0 + q + q0,
-        "w6": qq + 3 * q * q0 + 2 * q + 3 * q0,
-        "w7": qq + 2 * q * q0 + q + q0,
-        "w8": p.m_value,
-        "w9": qq + 3 * q * q0 + 2 * q + q0,
-        "w10": qq + 3 * q * q0 + 2 * q + 2 * q0,
-    }
 
 
 _RING_CACHE: dict[int, CoordinateRing] = {}

@@ -99,9 +99,6 @@ class CurvePoint(namedtuple("CurvePoint", "s extension x y z")):
     def params(self) -> ReeParams:
         return ree_params(self.s)
 
-    def is_rational(self) -> bool:
-        return frobenius_power(self.x, 2 * self.s + 1) == self.x
-
     def coords(self) -> tuple[FieldElement, FieldElement, FieldElement]:
         return (self.x, self.y, self.z)
 

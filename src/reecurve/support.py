@@ -307,18 +307,3 @@ def support_soundness(calc) -> tuple[int, list[tuple[str, int]]]:
             if i in table and not table[i].is_zero():
                 violations.append((name, i))
     return checked, violations
-
-
-def inclusion_chains_hold() -> bool:
-    """The two support towers reported alongside the appendix tables."""
-    chain1 = ("x", "w1", "w2", "w3", "w6")
-    for a, b in zip(chain1, chain1[1:]):
-        if not set(member_support(a)) <= set(member_support(b)):
-            return False
-    if set(member_support("w6")) != set(member_support("w8")):
-        return False
-    chain2 = ("y", "z", "w4", "w7", "w5", "w9", "w10")
-    for a, b in zip(chain2, chain2[1:]):
-        if not set(member_support(a)) <= set(member_support(b)):
-            return False
-    return True

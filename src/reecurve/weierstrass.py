@@ -25,8 +25,6 @@ from .support import order_values
 __all__ = [
     "VanishingProfile",
     "vanishing_orders",
-    "weierstrass_weight",
-    "is_weierstrass",
     "divisor_degree_audit",
     "expected_rational_profile",
     "rational_weight",
@@ -114,14 +112,6 @@ def vanishing_orders(series="D", point: CurvePoint | None = None) -> VanishingPr
         epsilons=tuple(eps),
         weight=sum(j - e for j, e in zip(js, eps)),
     )
-
-
-def weierstrass_weight(series, point: CurvePoint) -> int:
-    return vanishing_orders(series, point).weight
-
-
-def is_weierstrass(series, point: CurvePoint) -> bool:
-    return weierstrass_weight(series, point) > 0
 
 
 def divisor_degree_audit(p, eps="D") -> dict:

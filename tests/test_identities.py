@@ -21,28 +21,25 @@ from reecurve.identities import (
     TYPE2_PAIRS,
     _bind_residuals,
     _dirty_values,
-    _hyper_backend,
+    _instance_label,
     _sym_div_q,
     _t_support,
     _valued_support,
     _witness,
-    check_hypersurface,
-    check_identity,
-    check_rank1_remark,
-    collision_exclusions,
-    default_window,
-    identity_catalog,
+    collision_reason,
     instances_for,
     osculating_functions,
     osculating_vanishing,
     verify_catalog,
 )
-from reecurve.backends import Backend, backends
+from reecurve.backends import Backend, backends, default_window
 from reecurve.orders import order_sequence
 from reecurve.params import index_value, ree_params
 from reecurve.ring import FAMILY_NAMES, RECIPES, CurveElement
 from reecurve.series import PointExpansion, rational_point
 from reecurve.support import member_support, support_values
+
+from reference import check_hypersurface, hyper_residuals
 
 P1 = ree_params(1)
 P2 = ree_params(2)
@@ -56,6 +53,35 @@ def _exact_backend(s):
 def _point_backend(P):
     """The sampled route's backend at P, with its depth and default window."""
     return Backend(PointExpansion(P, P.params.q**2 + 1), default_window(P.params))
+
+
+def _row(key, instance, s=1, backend="symbolic", **kw):
+    """The verdict on one catalog instance, as verify_catalog reports it."""
+    (row,) = [r for r in verify_catalog(s, backend, keys=[key], **kw) if r.instance == instance]
+    return row
+
+
+def _exclusions():
+    """(identity, instance, reason) of each instance not asserted at s=1."""
+    out = []
+    for spec in IDENTITY_CATALOG:
+        for roles in instances_for(spec):
+            reason = collision_reason(spec, roles)
+            if reason is not None:
+                out.append((spec.key, _instance_label(roles), reason))
+    return out
+
+
+def _check_rank_one(s, backend="symbolic", trials=3, seed=0):
+    """The rows (f^q - f) and (D^1 f) over the family have rank one.
+
+    That is the shift identity nu1 on every member, with the shared factor
+    ell nonzero on each backend.
+    """
+    rows = verify_catalog(s, backend, keys=["nu1"], trials=trials, seed=seed)
+    assert len(rows) == len(FAMILY_NAMES)
+    assert all(r.ok and not r.skipped for r in rows)
+    assert not any(K.is_zero(K.ell_power(1)) for K in backends(s, backend, trials, seed))
 
 
 ALL_KEYS = (
@@ -136,8 +162,8 @@ def test_applicability_pairs():
 
 def test_shift_identity_for_x_is_the_separating_element():
     K = _exact_backend(1)
-    assert K.shift_d("x", 0) == K.ell()
-    r = check_identity("nu1", "x")
+    assert K.shift_d("x", 0) == K.ell_power(1)
+    r = _row("nu1", "f=x")
     assert r.ok and not r.skipped
 
 
@@ -163,7 +189,7 @@ def test_symbolic_catalog_at_lowest_level():
 
 
 def test_exclusion_list_is_frozen():
-    excl = collision_exclusions()
+    excl = _exclusions()
     assert {(k, inst) for k, inst, _ in excl} == EXPECTED_EXCLUSIONS
     assert all("carries" in reason or "q-power route" in reason
                for _, _, reason in excl)
@@ -242,7 +268,7 @@ def test_full_exclusion_set_splits_37_to_4():
     K = _exact_backend(1)
     by_key = {sp.key: sp for sp in IDENTITY_CATALOG}
     passing = set()
-    for key, inst, _reason in collision_exclusions():
+    for key, inst, _reason in _exclusions():
         roles = dict(part.split("=") for part in inst.split(","))
         if _check_on_backend(by_key[key], roles, K) is None:
             passing.add((key, inst))
@@ -272,12 +298,11 @@ def test_key_filter_and_unknown_key():
 
 
 def test_single_check_verdicts():
-    r = check_identity("A9", "w4", backend="symbolic", s=1)
+    r = _row("A9", "f=w4", s=1, backend="symbolic")
     assert r.ok and r.backend == "symbolic" and r.points == 0
-    r = check_identity("t1d-q", ("w6", "w4"), backend="points", s=2,
-                       trials=2, seed=4)
+    r = _row("t1d-q", "f=w4,w=w6", s=2, backend="points", trials=2, seed=4)
     assert r.ok and r.points == 2
-    r = check_identity("A5", "y", backend="symbolic", s=1)
+    r = _row("A5", "f=y", s=1, backend="symbolic")
     assert r.ok and r.skipped and "D^81" in r.witness
 
 
@@ -298,8 +323,8 @@ def test_hypersurface_exact_and_at_points():
 
 
 def test_rank_one_pairing():
-    assert check_rank1_remark(1).ok
-    assert check_rank1_remark(2, backend="points", trials=3, seed=0).ok
+    _check_rank_one(1)
+    _check_rank_one(2, backend="points", trials=3, seed=0)
 
 
 def test_osculating_contact_order():
@@ -362,18 +387,18 @@ def test_point_member_is_cut_at_the_window():
     K = _point_backend(rational_point(1, seed=0))
     K.member_d("w8", 40)
     assert all(e < K.window for e in K.member("w8"))
-    assert [label for label, v in _hyper_backend(K) if not K.is_zero(v)] == []
+    assert [label for label, v in hyper_residuals(K) if not K.is_zero(v)] == []
 
 
 def test_checks_do_not_depend_on_call_history():
     seed = 23
     fresh = [(label, not v)
-             for label, v in _hyper_backend(_point_backend(rational_point(1, seed)))]
+             for label, v in hyper_residuals(_point_backend(rational_point(1, seed)))]
     (K,) = backends(1, "points", 1, seed)
     K.member_d("w8", 40)
     K.shift_d("w6", 200)
     verify_catalog(1, backend="points", trials=1, seed=seed)
-    assert check_rank1_remark(1, backend="points", trials=1, seed=seed).ok
+    _check_rank_one(1, backend="points", trials=1, seed=seed)
     res = check_hypersurface(1, backend="points", trials=1, seed=seed)
     assert [(r.instance, r.ok) for r in res] == fresh
     assert all(r.ok for r in res)
@@ -467,8 +492,8 @@ def test_backend_operations_leave_their_operands_unchanged(backend, s):
 
 def test_unknown_backend_raises():
     with pytest.raises(ValueError, match="unknown backend"):
-        check_identity("nu1", "x", backend="magic")
+        verify_catalog(1, backend="magic", keys=["nu1"])
     with pytest.raises(ValueError, match="unknown backend"):
         verify_catalog(1, backend="magic")
     with pytest.raises(ValueError, match="at least one trial"):
-        check_identity("nu1", "x", backend="points", trials=0)
+        verify_catalog(1, backend="points", keys=["nu1"], trials=0)

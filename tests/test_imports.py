@@ -1,9 +1,11 @@
 """Cold start: each command loads only its modules, the package exports lazily.
 
 Module lists come from ``python -X importtime`` in a fresh process, which
-names every module the process imports.
+names every module the process imports.  The benchmark and the scripts are
+parsed, not run: every name they take from reecurve must exist.
 """
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -17,7 +19,9 @@ import reecurve
 
 SRC = Path(reecurve.__file__).resolve().parent.parent
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = TRACER.parent.parent
 ENTRY = {"reecurve", "reecurve.commands"}
+MODULES = {"reecurve"} | {f"reecurve.{p.stem}" for p in (SRC / "reecurve").glob("*.py")}
 
 
 def imported_modules(*args: str) -> set[str]:
@@ -102,6 +106,65 @@ def test_cli_module_loads_every_traced_module():
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), (modname, attr)
+
+
+def reecurve_reads(tree: ast.AST) -> set[tuple[str, str]]:
+    """(module, name) for each name a file takes from reecurve.
+
+    That is every ``from reecurve... import name`` and every attribute read
+    off a reecurve module: one bound by ``import``, or ``sys.modules[...]``
+    under a module name.  A chain such as ``reecurve.cli.main`` walks
+    through submodules to the first name that is not one.
+    """
+    bound: dict[str, str] = {}
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in MODULES:
+            for alias in node.names:
+                reads.add((node.module, alias.name))
+                if f"{node.module}.{alias.name}" in MODULES:
+                    bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name in MODULES:
+                    if alias.asname:
+                        bound[alias.asname] = alias.name
+                    else:
+                        bound["reecurve"] = "reecurve"
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        chain = []
+        root = node
+        while isinstance(root, ast.Attribute):
+            chain.append(root.attr)
+            root = root.value
+        if isinstance(root, ast.Name) and root.id in bound:
+            module = bound[root.id]
+        elif (isinstance(root, ast.Subscript) and ast.unparse(root.value) == "sys.modules"
+              and isinstance(root.slice, ast.Constant) and root.slice.value in MODULES):
+            module = root.slice.value
+        else:
+            continue
+        for attr in reversed(chain):
+            if f"{module}.{attr}" not in MODULES:
+                reads.add((module, attr))
+                break
+            module = f"{module}.{attr}"
+    return reads
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")),
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_benchmark_and_scripts_find_what_they_read(path):
+    # a deletion from src/ that the benchmark or a script still needs
+    # fails here, not in a benchmark run
+    for module, name in sorted(reecurve_reads(ast.parse(path.read_text()))):
+        found = f"{module}.{name}" in MODULES or hasattr(importlib.import_module(module), name)
+        assert found, f"{path.name}: {module}.{name}"
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,14 @@ from reecurve.ring import (
     FAMILY_NAMES,
     CurveElement,
     coordinate_ring,
-    expected_pole_orders,
     function_family,
     pole_order,
 )
 
+from reference import ell_of, evaluate, expected_pole_orders, recipe_fold, rule_residual
+
 R1 = coordinate_ring(1)
-F1 = function_family(1)
+F1 = recipe_fold(1)
 
 
 # -- tuple-keyed reference for the int-key kernel
@@ -135,7 +136,7 @@ def test_reduction_matches_curve_equations():
 def test_q_shift_of_coordinates():
     # y^q - y = x^q0 * (x^q - x), z^q - z = x^q0 * (y^q - y)
     x_q0 = R1.monomial(R1.q0, 0, 0)
-    ell = R1.ell()
+    ell = ell_of(R1)
     y = R1.y()
     z = R1.z()
     assert y.qpow() - y == x_q0 * ell
@@ -180,23 +181,22 @@ def test_cube_is_ring_hom(ta, tb):
 def test_derived_q0_normal_forms():
     # these reductions hold at every level; check s=1 and s=2
     for s in (1, 2):
-        fam = function_family(s)
+        fam = recipe_fold(s)
         ring = fam.ring
         q0 = ring.q0
-        assert fam.element("w1").q0pow() == ring.monomial(q0 + 1, 0, 0) - ring.y()
-        assert fam.element("w2").q0pow() == ring.monomial(q0, 1, 0) - ring.z()
+        assert fam.element("w1").pow3k(s) == ring.monomial(q0 + 1, 0, 0) - ring.y()
+        assert fam.element("w2").pow3k(s) == ring.monomial(q0, 1, 0) - ring.z()
         assert fam.element("w4") == ring.y() * ring.y() - ring.x() * ring.z()
 
 
-@pytest.mark.parametrize("name", sorted(F1.rules))
+@pytest.mark.parametrize("name", sorted(function_family(1).rules))
 def test_q_power_rules_exact_s1(name):
-    assert F1.rule_residual(name).is_zero()
+    assert rule_residual(1, name).is_zero()
 
 
 @pytest.mark.parametrize("name", ["y", "z", "w1", "w2", "w3", "w4", "v", "w5", "w7"])
 def test_q_power_rules_exact_s2(name):
-    fam = function_family(2)
-    assert fam.rule_residual(name).is_zero()
+    assert rule_residual(2, name).is_zero()
 
 
 def test_pole_orders_match_closed_forms_s1():
@@ -215,7 +215,7 @@ def test_pole_orders_s1_values():
 
 def test_pole_orders_closed_forms_s2_small_members():
     p = ree_params(2)
-    fam = function_family(2)
+    fam = recipe_fold(2)
     expected = expected_pole_orders(p)
     for name in ("one", "x", "y", "z", "w1", "w2", "w3", "w4", "w5", "w7"):
         assert pole_order(fam.element(name)) == expected[name]
@@ -230,7 +230,7 @@ def test_pole_order_of_monomials():
     assert pole_order(R1.monomial(2, 1, 1)) == 2 * q * q + (q * q + q * q0) + (
         q * q + 2 * q * q0
     )
-    assert pole_order(R1.const(2)) == 0
+    assert pole_order(-R1.one()) == 0
     with pytest.raises(ValueError):
         pole_order(R1.zero())
 
@@ -245,11 +245,11 @@ def test_evaluate_is_ring_hom_on_rational_points():
         for _ in range(4):
             f = f + R1.monomial(rng.randrange(50), rng.randrange(40), rng.randrange(40))
             g = g + R1.monomial(rng.randrange(50), rng.randrange(40), rng.randrange(40))
-        lhs = (f * g).evaluate(vx, vy, vz)
-        rhs = f.evaluate(vx, vy, vz) * g.evaluate(vx, vy, vz)
+        lhs = evaluate(f * g, vx, vy, vz)
+        rhs = evaluate(f, vx, vy, vz) * evaluate(g, vx, vy, vz)
         assert lhs == rhs
-        assert (f + g).evaluate(vx, vy, vz) == f.evaluate(vx, vy, vz) + g.evaluate(
-            vx, vy, vz
+        assert evaluate(f + g, vx, vy, vz) == evaluate(f, vx, vy, vz) + evaluate(
+            g, vx, vy, vz
         )
 
 

@@ -246,12 +246,6 @@ class FieldElement:
         self._check(other)
         return FieldElement(self.ctx, self.ctx._mulmod(self.packed, other.packed))
 
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        return self * other.inverse()
-
-    def __pow__(self, n: int) -> "FieldElement":
-        return self.ctx.pow(self, n)
-
     def inverse(self) -> "FieldElement":
         return self.ctx.inv(self)
 
@@ -325,18 +319,6 @@ class FieldContext(_Quotient):
                 j += 1
         b = self._frob(b, 1)
         return FieldElement(self, b if self._mulmod(b, x) == 1 else _neg3(b, self.m))
-
-    def pow(self, a: FieldElement, n: int) -> FieldElement:
-        if n < 0:
-            return self.pow(a.inverse(), -n)
-        result = self.one()
-        base = a
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     # -- GF(3)-linear maps as sums of packed columns
 

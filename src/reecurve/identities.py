@@ -1,16 +1,29 @@
 """Differential identity catalog and its verification backends.
 
-Each identity is stored as a small expression tree over five leaf kinds:
+Each identity is written as text in the paper's notation, one residual
+per text:
 
-    ("d",      role, idx)   D^idx applied to the function bound to role
-    ("dshift", role, idx)   D^idx of (f^q - f) for that function
-    ("dqpow",  role, idx)   D^idx of f^q
-    ("ell",    idx)         (x^q - x)^idx
-    ("pw", expr, tag)       expr ** 3^k, tag in {"q0", "3q0", "q", "q2"}
-    ("mul", e...), ("sum", (sign, e)...)
+    Df[q0+1]    D^(q0+1) of the function bound to role f
+    Sf[q]       D^q (f^q - f)
+    Qb[qq0]     D^(qq0) of b^q
+    L[3q0]      ell^(3q0), where ell = x^q - x
+    X^q0        the Frobenius power X^(q0); likewise ^3q0, ^q and ^q2
+    X Y         a product; + and - join a signed sum; (...) groups
 
-Indices and ell exponents are SymbolicIndex values, so one catalog serves
-every parameter level.  Roles: "f" is the function under test (or the
+Indices are written as orders.symbolic_label prints them (qq0+q+q0,
+3q0+1, 0), so one catalog serves every parameter level.  A1, for example,
+reads
+
+    L[q0] Df[q0+1] + L[2q0] Df[2q0+1] + L[3q0] Df[3q0+1] - Df[q] - L[1] Df[q+1]
+
+An identity with several residuals separates them by ';', each opening
+with its sublabel ("k=1: ...").  At import _parse reads each text into the
+internal form, a tuple tree: leaves ("d" | "dshift" | "dqpow", role, idx)
+and ("ell", idx), with ("pw", e, tag), ("mul", e...) and
+("sum", (sign, e)...) above them.  A malformed text is a ValueError that
+names its identity.
+
+Roles: "f" is the function under test (or the
 twisted cofactor for the two structured groups), "w" a function whose
 q-shift is a twisted multiple of ell, "b" the base of a shifted product,
 and "t" a virtual function defined only through t^q - t = f^q0 (b^q - b).
@@ -31,11 +44,12 @@ Frobenius power once per backend.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from reecurve.backends import Backend, backends, sample_count
-from reecurve.params import SymbolicIndex, index_value, ree_params
+from reecurve.params import Q2, SymbolicIndex, index_value, ree_params
 from reecurve.ring import FAMILY_NAMES, SUBFAMILY_NAMES, function_family
 from reecurve.support import level_uniform, member_support, support_values
 
@@ -66,535 +80,221 @@ class IdentitySpec(NamedTuple):
     residuals: tuple[tuple[str, tuple], ...]  # (sublabel, expression)
 
 
-def _ix(a: int = 0, b: int = 0, c: int = 0, d: int = 0) -> SymbolicIndex:
-    return SymbolicIndex(a=a, b=b, c=c, d=d)
+# One token: a leaf D<role>[index], S<role>[index], Q<role>[index] or
+# L[index]; a Frobenius tag; or one of ( ) + -.
+_TOKEN = re.compile(r"\s*(?:([DSQ][a-z]|L)\[([^\]]*)\]|(\^(?:3q0|q0|q2|q)|[()+-]))")
+_INDEX_PART = re.compile(r"(\d*)(qq0|q0|q|)")
+_UNITS = ("qq0", "q", "q0", "")
+_LEAVES = {"D": "d", "S": "dshift", "Q": "dqpow"}
 
 
-def _d(role: str, **k) -> tuple:
-    return ("d", role, _ix(**k))
+def _read_index(text: str) -> SymbolicIndex:
+    """The index that orders.symbolic_label prints as text, e.g. qq0+3q0+1."""
+    if text == "q2":
+        return Q2
+    coeffs = [0, 0, 0, 0]
+    for part in [] if text == "0" else text.split("+"):
+        m = _INDEX_PART.fullmatch(part)
+        if not part or m is None or coeffs[_UNITS.index(m[2])]:
+            raise ValueError(f"bad index {text!r}")
+        coeffs[_UNITS.index(m[2])] = int(m[1] or 1)
+    return SymbolicIndex(*coeffs)
 
 
-def _ds(role: str, **k) -> tuple:
-    return ("dshift", role, _ix(**k))
+def _tokens(text: str) -> list:
+    """Leaves as tree nodes, everything else as its string."""
+    out: list = []
+    pos, text = 0, text.strip()
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            raise ValueError(f"unknown token at {text[pos:pos + 12]!r}")
+        leaf, index, other = m.groups()
+        if leaf == "L":
+            out.append(("ell", _read_index(index)))
+        elif leaf:
+            out.append((_LEAVES[leaf[0]], leaf[1], _read_index(index)))
+        else:
+            out.append(other)
+        pos = m.end()
+    return out
 
 
-def _dq(role: str, **k) -> tuple:
-    return ("dqpow", role, _ix(**k))
+def _read(text: str) -> tuple:
+    """The expression tree of one residual text, by recursive descent.
+
+    A sum is terms joined by + and -, a term is juxtaposed factors, and a
+    factor is a leaf or a parenthesised sum, raised to any Frobenius tags
+    that follow it.  A sum or product of one member is that member, so a
+    parenthesised single term is the term itself.
+    """
+    toks = _tokens(text)[::-1]
+
+    def peek():
+        return toks[-1] if toks else None
+
+    def total() -> tuple:
+        terms = [(1, product())]
+        while peek() in ("+", "-"):
+            terms.append((1 if toks.pop() == "+" else -1, product()))
+        return terms[0][1] if len(terms) == 1 else ("sum",) + tuple(terms)
+
+    def product() -> tuple:
+        factors = [factor()]
+        while peek() == "(" or isinstance(peek(), tuple):
+            factors.append(factor())
+        return factors[0] if len(factors) == 1 else ("mul",) + tuple(factors)
+
+    def factor() -> tuple:
+        if not toks:
+            raise ValueError("a term is missing at the end")
+        tok = toks.pop()
+        if tok == "(":
+            node = total()
+            if peek() != ")":
+                raise ValueError("unbalanced '('")
+            toks.pop()
+        elif isinstance(tok, tuple):
+            node = tok
+        else:
+            raise ValueError(f"a term is missing before {tok!r}")
+        while isinstance(peek(), str) and peek()[0] == "^":
+            node = ("pw", node, toks.pop()[1:])
+        return node
+
+    node = total()
+    if toks:
+        raise ValueError("unbalanced ')'")
+    return node
 
 
-def _ell(**k) -> tuple:
-    return ("ell", _ix(**k))
+def _parse(key: str, text: str) -> tuple:
+    """Residual text to expression tree; a malformed text names its identity."""
+    try:
+        return _read(text)
+    except ValueError as err:
+        raise ValueError(f"identity {key}: {err} in {text.strip()!r}") from None
 
 
-def _pw(expr: tuple, tag: str) -> tuple:
-    return ("pw", expr, tag)
+def _residuals(key: str, text: str) -> tuple[tuple[str, tuple], ...]:
+    """Residuals separated by ';', each opening with 'sublabel:' when it has one."""
+    out = []
+    for part in text.split(";"):
+        sub, _, body = part.rpartition(":")
+        out.append((sub.strip(), _parse(key, body)))
+    return tuple(out)
 
 
-def _mul(*exprs: tuple) -> tuple:
-    return ("mul",) + exprs
-
-
-def _sum(*terms: tuple) -> tuple:
-    return ("sum",) + terms
-
-
-_ELL_MINUS = _sum((1, _ell(b=1)), (-1, _ell(d=1)))  # ell^q - ell
-
-
-def _spec(key, group, description, expr, sub="") -> IdentitySpec:
-    return IdentitySpec(key, group, description, ((sub, expr),))
-
-
-IDENTITY_CATALOG: tuple[IdentitySpec, ...] = (
+# (key, group, description, residual text)
+_CATALOG_ROWS = (
     # -- the base relations every family member satisfies
-    _spec(
-        "nu1",
-        "base",
-        "the q-shift of f is ell times the first derivative",
-        _sum((1, _ds("f")), (-1, _mul(_ell(d=1), _d("f", d=1)))),
-    ),
-    _spec(
-        "kq0-1",
-        "base",
-        "derivative at q0 folds into the next index",
-        _sum((1, _d("f", c=1)), (1, _mul(_ell(d=1), _d("f", c=1, d=1)))),
-    ),
-    _spec(
-        "kq0-2",
-        "base",
-        "derivative at 2q0 folds into the next index",
-        _sum((1, _d("f", c=2)), (1, _mul(_ell(d=1), _d("f", c=2, d=1)))),
-    ),
-    _spec(
-        "kq0-3",
-        "base",
-        "derivative at 3q0 folds into the next index",
-        _sum((1, _d("f", c=3)), (1, _mul(_ell(d=1), _d("f", c=3, d=1)))),
-    ),
-    _spec(
-        "dq-shift",
-        "base",
-        "the q-th derivative of the q-shift",
-        _sum(
-            (1, _ds("f", b=1)),
-            (-1, _d("f", d=1)),
-            (-1, _mul(_ell(d=1), _d("f", b=1, d=1))),
-        ),
-    ),
+    ("nu1", "base", "the q-shift of f is ell times the first derivative",
+     "Sf[0] - L[1] Df[1]"),
+    ("kq0-1", "base", "derivative at q0 folds into the next index",
+     "Df[q0] + L[1] Df[q0+1]"),
+    ("kq0-2", "base", "derivative at 2q0 folds into the next index",
+     "Df[2q0] + L[1] Df[2q0+1]"),
+    ("kq0-3", "base", "derivative at 3q0 folds into the next index",
+     "Df[3q0] + L[1] Df[3q0+1]"),
+    ("dq-shift", "base", "the q-th derivative of the q-shift",
+     "Sf[q] - Df[1] - L[1] Df[q+1]"),
     # -- the ten level-q relations
-    _spec(
-        "A1",
-        "rejection",
-        "three twisted low derivatives resolve D^q",
-        _sum(
-            (1, _mul(_ell(c=1), _d("f", c=1, d=1))),
-            (1, _mul(_ell(c=2), _d("f", c=2, d=1))),
-            (1, _mul(_ell(c=3), _d("f", c=3, d=1))),
-            (-1, _d("f", b=1)),
-            (-1, _mul(_ell(d=1), _d("f", b=1, d=1))),
-        ),
-    ),
-    _spec(
-        "A2",
-        "rejection",
-        "pairing of the q+2q0 and 2q0+1 indices",
-        _sum(
-            (1, _mul(_ell(c=1), _sum((1, _d("f", b=1, c=2)), (1, _d("f", c=2, d=1))))),
-            (-1, _d("f", b=1, c=1)),
-            (-1, _d("f", c=1, d=1)),
-        ),
-    ),
-    _spec(
-        "A3",
-        "rejection",
-        "the four q-block derivatives sum to zero",
-        _sum(
-            (1, _d("f", b=1)),
-            (1, _mul(_ell(c=1), _d("f", b=1, c=1))),
-            (1, _mul(_ell(c=2), _d("f", b=1, c=2))),
-            (1, _mul(_ell(c=3), _d("f", b=1, c=3))),
-        ),
-    ),
-    _spec(
-        "A4",
-        "rejection",
-        "D^(2q+q0) reduces to two lower indices",
-        _sum(
-            (1, _mul(_ell(d=1), _d("f", b=2, c=1))),
-            (-1, _d("f", c=1, d=1)),
-            (-1, _d("f", b=1, c=1)),
-        ),
-    ),
-    _spec(
-        "A5",
-        "rejection",
-        "D^(3q) reduces to D^(2q) and D^(q+1)",
-        _sum(
-            (1, _mul(_ell(d=1), _d("f", b=3))),
-            (-1, _d("f", b=2)),
-            (-1, _d("f", b=1, d=1)),
-        ),
-    ),
-    _spec(
-        "A6",
-        "rejection",
-        "the qq0 pair against the twisted 2q0 pair",
-        _sum(
-            (1, _mul(_ell(d=1), _d("f", a=1, d=1))),
-            (1, _d("f", a=1)),
-            (
-                -1,
-                _mul(
-                    _ell(b=1),
-                    _sum(
-                        (1, _mul(_ell(c=1), _d("f", c=2, d=1))),
-                        (-1, _d("f", c=1, d=1)),
-                    ),
-                ),
-            ),
-        ),
-    ),
-    _spec(
-        "A7",
-        "rejection",
-        "twisted difference at qq0+2q0 and qq0+q0",
-        _sum(
-            (1, _mul(_ell(c=2), _d("f", a=1, c=2))),
-            (-1, _mul(_ell(c=1), _d("f", a=1, c=1))),
-            (-1, _mul(_ell(b=1), _sum((1, _d("f", c=1, d=1)), (1, _d("f", b=1, c=1))))),
-        ),
-    ),
-    _spec(
-        "A8",
-        "rejection",
-        "three twisted qq0 derivatives resolve D^(qq0+1)",
-        _sum(
-            (1, _mul(_ell(c=1), _d("f", a=1, c=1))),
-            (1, _mul(_ell(c=2), _d("f", a=1, c=2))),
-            (1, _mul(_ell(c=3), _d("f", a=1, c=3))),
-            (-1, _mul(_ell(d=1), _d("f", a=1, d=1))),
-        ),
-    ),
-    _spec(
-        "A9",
-        "rejection",
-        "the qq0+q+q0 derivative against the Frobenius gap of ell",
-        _sum(
-            (1, _mul(_ell(b=1, c=1, d=1), _d("f", a=1, b=1, c=1))),
-            (-1, _mul(_ELL_MINUS, _ell(c=1), _d("f", a=1, c=1))),
-        ),
-    ),
-    _spec(
-        "A10",
-        "rejection",
-        "the qq0+2q derivative against the Frobenius gap of ell",
-        _sum(
-            (
-                1,
-                _mul(
-                    _ell(b=2),
-                    _sum(
-                        (1, _mul(_ell(d=1), _d("f", a=1, b=2))),
-                        (-1, _d("f", a=1, d=1)),
-                    ),
-                ),
-            ),
-            (
-                -1,
-                _mul(
-                    _ELL_MINUS,
-                    _sum((1, _mul(_ell(b=1), _d("f", a=1, b=1))), (1, _d("f", a=1))),
-                ),
-            ),
-        ),
-    ),
+    ("A1", "rejection", "three twisted low derivatives resolve D^q",
+     "L[q0] Df[q0+1] + L[2q0] Df[2q0+1] + L[3q0] Df[3q0+1] - Df[q] - L[1] Df[q+1]"),
+    ("A2", "rejection", "pairing of the q+2q0 and 2q0+1 indices",
+     "L[q0] (Df[q+2q0] + Df[2q0+1]) - Df[q+q0] - Df[q0+1]"),
+    ("A3", "rejection", "the four q-block derivatives sum to zero",
+     "Df[q] + L[q0] Df[q+q0] + L[2q0] Df[q+2q0] + L[3q0] Df[q+3q0]"),
+    ("A4", "rejection", "D^(2q+q0) reduces to two lower indices",
+     "L[1] Df[2q+q0] - Df[q0+1] - Df[q+q0]"),
+    ("A5", "rejection", "D^(3q) reduces to D^(2q) and D^(q+1)",
+     "L[1] Df[3q] - Df[2q] - Df[q+1]"),
+    ("A6", "rejection", "the qq0 pair against the twisted 2q0 pair",
+     "L[1] Df[qq0+1] + Df[qq0] - L[q] (L[q0] Df[2q0+1] - Df[q0+1])"),
+    ("A7", "rejection", "twisted difference at qq0+2q0 and qq0+q0",
+     "L[2q0] Df[qq0+2q0] - L[q0] Df[qq0+q0] - L[q] (Df[q0+1] + Df[q+q0])"),
+    ("A8", "rejection", "three twisted qq0 derivatives resolve D^(qq0+1)",
+     "L[q0] Df[qq0+q0] + L[2q0] Df[qq0+2q0] + L[3q0] Df[qq0+3q0] - L[1] Df[qq0+1]"),
+    ("A9", "rejection", "the qq0+q+q0 derivative against the Frobenius gap of ell",
+     "L[q+q0+1] Df[qq0+q+q0] - (L[q] - L[1]) L[q0] Df[qq0+q0]"),
+    ("A10", "rejection", "the qq0+2q derivative against the Frobenius gap of ell",
+     "L[2q] (L[1] Df[qq0+2q] - Df[qq0+1]) - (L[q] - L[1]) (L[q] Df[qq0+q] + Df[qq0])"),
     # -- closed forms for w with w^q - w = f^(3q0) * ell
-    _spec(
-        "t1d-3q0+1",
-        "type1",
-        "closed form at 3q0+1",
-        _sum((1, _d("w", c=3, d=1)), (-1, _pw(_d("f", d=1), "3q0"))),
-    ),
-    _spec(
-        "t1d-q",
-        "type1",
-        "closed form at q",
-        _sum(
-            (1, _d("w", b=1)),
-            (-1, _pw(_ds("f"), "3q0")),
-            (1, _mul(_ell(d=1), _pw(_d("f", c=1), "3q0"))),
-        ),
-    ),
-    _spec(
-        "t1d-q+1",
-        "type1",
-        "closed form at q+1",
-        _sum((1, _d("w", b=1, d=1)), (-1, _pw(_d("f", c=1), "3q0"))),
-    ),
-    _spec(
-        "t1d-q+3q0",
-        "type1",
-        "closed form at q+3q0",
-        _sum(
-            (1, _d("w", b=1, c=3)),
-            (1, _pw(_d("f", d=1), "3q0")),
-            (1, _mul(_ell(d=1), _pw(_d("f", c=1, d=1), "3q0"))),
-        ),
-    ),
-    _spec(
-        "t1d-2q",
-        "type1",
-        "closed form at 2q",
-        _sum(
-            (1, _d("w", b=2)),
-            (1, _pw(_d("f", c=1), "3q0")),
-            (1, _mul(_ell(d=1), _pw(_d("f", c=2), "3q0"))),
-        ),
-    ),
-    _spec(
-        "t1d-3q",
-        "type1",
-        "closed form at 3q",
-        _sum((1, _d("w", b=3)), (1, _pw(_d("f", c=2), "3q0"))),
-    ),
-    _spec(
-        "t1d-2q+1",
-        "type1",
-        "closed form at 2q+1",
-        _sum((1, _d("w", b=2, d=1)), (-1, _pw(_d("f", c=2), "3q0"))),
-    ),
-    _spec(
-        "t1sum-2q+1",
-        "type1",
-        "the 2q+1, 2q, q+1 derivatives cancel",
-        _sum(
-            (1, _mul(_ell(d=1), _d("w", b=2, d=1))),
-            (1, _d("w", b=2)),
-            (1, _d("w", b=1, d=1)),
-        ),
-    ),
-    _spec(
-        "t1sum-q+1",
-        "type1",
-        "the q+1 pair telescopes to the twisted 3q0+1 entry",
-        _sum(
-            (1, _mul(_ell(d=1), _d("w", b=1, d=1))),
-            (1, _d("w", b=1)),
-            (-1, _mul(_ell(c=3), _d("w", c=3, d=1))),
-        ),
-    ),
-    _spec(
-        "t1sum-q+3q0",
-        "type1",
-        "the twisted q+3q0 entry cancels D^q",
-        _sum((1, _mul(_ell(c=3), _d("w", b=1, c=3))), (1, _d("w", b=1))),
-    ),
-    _spec(
-        "t1sum-3q",
-        "type1",
-        "the 3q ladder closes over 2q and q+1",
-        _sum(
-            (1, _mul(_ell(d=1), _d("w", b=3))),
-            (-1, _d("w", b=2)),
-            (-1, _d("w", b=1, d=1)),
-        ),
-    ),
+    ("t1d-3q0+1", "type1", "closed form at 3q0+1",
+     "Dw[3q0+1] - Df[1]^3q0"),
+    ("t1d-q", "type1", "closed form at q",
+     "Dw[q] - Sf[0]^3q0 + L[1] Df[q0]^3q0"),
+    ("t1d-q+1", "type1", "closed form at q+1",
+     "Dw[q+1] - Df[q0]^3q0"),
+    ("t1d-q+3q0", "type1", "closed form at q+3q0",
+     "Dw[q+3q0] + Df[1]^3q0 + L[1] Df[q0+1]^3q0"),
+    ("t1d-2q", "type1", "closed form at 2q",
+     "Dw[2q] + Df[q0]^3q0 + L[1] Df[2q0]^3q0"),
+    ("t1d-3q", "type1", "closed form at 3q",
+     "Dw[3q] + Df[2q0]^3q0"),
+    ("t1d-2q+1", "type1", "closed form at 2q+1",
+     "Dw[2q+1] - Df[2q0]^3q0"),
+    ("t1sum-2q+1", "type1", "the 2q+1, 2q, q+1 derivatives cancel",
+     "L[1] Dw[2q+1] + Dw[2q] + Dw[q+1]"),
+    ("t1sum-q+1", "type1", "the q+1 pair telescopes to the twisted 3q0+1 entry",
+     "L[1] Dw[q+1] + Dw[q] - L[3q0] Dw[3q0+1]"),
+    ("t1sum-q+3q0", "type1", "the twisted q+3q0 entry cancels D^q",
+     "L[3q0] Dw[q+3q0] + Dw[q]"),
+    ("t1sum-3q", "type1", "the 3q ladder closes over 2q and q+1",
+     "L[1] Dw[3q] - Dw[2q] - Dw[q+1]"),
     # -- closed forms for virtual t with t^q - t = f^q0 (b^q - b)
-    IdentitySpec(
-        "t2d-kq0+1",
-        "type2",
-        "shifted-product derivatives along the q0 ladder",
-        tuple(
-            (
-                f"k={k}",
-                _sum(
-                    (1, _d("t", c=k, d=1)),
-                    (-1, _mul(_pw(_d("f"), "q0"), _d("b", c=k, d=1))),
-                    (-1, _mul(_pw(_d("f", d=1), "q0"), _d("b", c=k - 1, d=1))),
-                ),
-            )
-            for k in (1, 2, 3)
-        ),
-    ),
-    _spec(
-        "t2d-q",
-        "type2",
-        "shifted-product derivative at q",
-        _sum(
-            (1, _d("t", b=1)),
-            (-1, _mul(_pw(_d("f"), "q0"), _d("b", b=1))),
-            (-1, _mul(_pw(_d("f", d=1), "q0"), _ell(c=1), _dq("b", b=1))),
-            (-1, _mul(_pw(_d("f", c=3, d=1), "q0"), _ell(c=1, d=1), _d("b", d=1))),
-        ),
-    ),
-    _spec(
-        "t2d-q+1",
-        "type2",
-        "shifted-product derivative at q+1",
-        _sum(
-            (1, _d("t", b=1, d=1)),
-            (-1, _mul(_pw(_d("f"), "q0"), _d("b", b=1, d=1))),
-            (1, _mul(_pw(_d("f", c=3, d=1), "q0"), _ell(c=1), _d("b", d=1))),
-        ),
-    ),
-    _spec(
-        "t2d-q+q0",
-        "type2",
-        "shifted-product derivative at q+q0",
-        _sum(
-            (1, _d("t", b=1, c=1)),
-            (-1, _mul(_pw(_d("f"), "q0"), _d("b", b=1, c=1))),
-            (1, _mul(_pw(_d("f", d=1), "q0"), _ds("b", b=1))),
-            (
-                -1,
-                _mul(
-                    _pw(_d("f", c=3, d=1), "q0"),
-                    _sum(
-                        (1, _mul(_ell(c=1, d=1), _d("b", c=1, d=1))),
-                        (-1, _mul(_ell(d=1), _d("b", d=1))),
-                    ),
-                ),
-            ),
-        ),
-    ),
-    _spec(
-        "t2d-q+2q0",
-        "type2",
-        "shifted-product derivative at q+2q0",
-        _sum(
-            (1, _d("t", b=1, c=2)),
-            (-1, _mul(_pw(_d("f"), "q0"), _d("b", b=1, c=2))),
-            (-1, _mul(_pw(_d("f", d=1), "q0"), _d("b", b=1, c=1))),
-            (
-                -1,
-                _mul(
-                    _pw(_d("f", c=3, d=1), "q0"),
-                    _sum(
-                        (1, _mul(_ell(c=1, d=1), _d("b", c=2, d=1))),
-                        (-1, _mul(_ell(d=1), _d("b", c=1, d=1))),
-                    ),
-                ),
-            ),
-        ),
-    ),
-    _spec(
-        "t2d-q+3q0",
-        "type2",
-        "shifted-product derivative at q+3q0",
-        _sum(
-            (1, _d("t", b=1, c=3)),
-            (-1, _mul(_pw(_d("f"), "q0"), _d("b", b=1, c=3))),
-            (-1, _mul(_pw(_d("f", d=1), "q0"), _d("b", b=1, c=2))),
-            (1, _mul(_pw(_d("f", c=3, d=1), "q0"), _ell(d=1), _d("b", c=2, d=1))),
-        ),
-    ),
-    _spec(
-        "t2d-2q",
-        "type2",
-        "shifted-product derivative at 2q",
-        _sum(
-            (1, _d("t", b=2)),
-            (-1, _mul(_pw(_d("f"), "q0"), _d("b", b=2))),
-            (-1, _mul(_pw(_d("f", c=3, d=1), "q0"), _ell(c=1), _ds("b", b=1))),
-        ),
-    ),
-    _spec(
-        "t2d-2q+q0",
-        "type2",
-        "shifted-product derivative at 2q+q0",
-        _sum(
-            (1, _d("t", b=2, c=1)),
-            (-1, _mul(_pw(_d("f"), "q0"), _d("b", b=2, c=1))),
-            (-1, _mul(_pw(_d("f", d=1), "q0"), _d("b", b=2))),
-            (
-                1,
-                _mul(
-                    _pw(_d("f", c=3, d=1), "q0"),
-                    _sum((1, _mul(_ell(c=1), _d("b", b=1, c=1))), (1, _ds("b", b=1))),
-                ),
-            ),
-        ),
-    ),
-    _spec(
-        "t2d-3q",
-        "type2",
-        "shifted-product derivative at 3q",
-        _sum(
-            (1, _d("t", b=3)),
-            (-1, _mul(_pw(_d("f"), "q0"), _d("b", b=3))),
-            (1, _mul(_pw(_d("f", c=3, d=1), "q0"), _ell(c=1), _d("b", b=2))),
-        ),
-    ),
-    _spec(
-        "t2d-qq0",
-        "type2",
-        "shifted-product derivative at qq0",
-        _sum(
-            (1, _d("t", a=1)),
-            (-1, _mul(_pw(_d("f"), "q0"), _d("b", a=1))),
-            (-1, _mul(_pw(_d("f", d=1), "q0"), _ell(c=1), _dq("b", a=1))),
-            (1, _mul(_pw(_d("f", b=1), "q0"), _ell(d=1), _d("b", d=1))),
-            (1, _mul(_pw(_dq("f", b=1), "q0"), _ell(b=1), _dq("b", b=1))),
-        ),
-    ),
-    _spec(
-        "t2d-qq0+1",
-        "type2",
-        "shifted-product derivative at qq0+1",
-        _sum(
-            (1, _d("t", a=1, d=1)),
-            (-1, _mul(_pw(_d("f"), "q0"), _d("b", a=1, d=1))),
-            (-1, _mul(_pw(_d("f", b=1), "q0"), _d("b", d=1))),
-        ),
-    ),
-    _spec(
-        "t2d-qq0+q0",
-        "type2",
-        "shifted-product derivative at qq0+q0",
-        _sum(
-            (1, _d("t", a=1, c=1)),
-            (-1, _mul(_pw(_d("f"), "q0"), _d("b", a=1, c=1))),
-            (1, _mul(_pw(_d("f", d=1), "q0"), _ds("b", a=1))),
-            (1, _mul(_pw(_d("f", b=1), "q0"), _ell(d=1), _d("b", c=1, d=1))),
-            (1, _mul(_pw(_d("f", b=1, d=1), "q0"), _ell(d=1), _d("b", d=1))),
-        ),
-    ),
-    _spec(
-        "t2d-qq0+2q0",
-        "type2",
-        "shifted-product derivative at qq0+2q0",
-        _sum(
-            (1, _d("t", a=1, c=2)),
-            (-1, _mul(_pw(_d("f"), "q0"), _d("b", a=1, c=2))),
-            (-1, _mul(_pw(_d("f", d=1), "q0"), _d("b", a=1, c=1))),
-            (1, _mul(_pw(_d("f", b=1), "q0"), _ell(d=1), _d("b", c=2, d=1))),
-            (1, _mul(_pw(_d("f", b=1, d=1), "q0"), _ell(d=1), _d("b", c=1, d=1))),
-        ),
-    ),
-    _spec(
-        "t2d-qq0+3q0",
-        "type2",
-        "shifted-product derivative at qq0+3q0",
-        _sum(
-            (1, _d("t", a=1, c=3)),
-            (-1, _mul(_pw(_d("f"), "q0"), _d("b", a=1, c=3))),
-            (1, _mul(_pw(_d("f", b=1, d=1), "q0"), _ell(d=1), _d("b", c=2, d=1))),
-        ),
-    ),
-    _spec(
-        "t2d-qq0+q",
-        "type2",
-        "shifted-product derivative at qq0+q",
-        _sum(
-            (1, _d("t", a=1, b=1)),
-            (-1, _mul(_pw(_d("f"), "q0"), _d("b", a=1, b=1))),
-            (-1, _mul(_pw(_d("f", d=1), "q0"), _ell(c=1), _dq("b", a=1, b=1))),
-            (
-                1,
-                _mul(
-                    _pw(_d("f", c=3, d=1), "q0"),
-                    _ell(c=1),
-                    _sum((1, _d("b", a=1)), (-1, _dq("b", a=1))),
-                ),
-            ),
-            (1, _mul(_pw(_d("f", b=1), "q0"), _ds("b", b=1))),
-            (1, _mul(_pw(_d("f", b=1, c=3), "q0"), _ell(d=1), _d("b", d=1))),
-            (-1, _mul(_pw(_dq("f", b=1), "q0"), _dq("b", b=1))),
-        ),
-    ),
-    _spec(
-        "t2d-qq0+q+q0",
-        "type2",
-        "shifted-product derivative at qq0+q+q0",
-        _sum(
-            (1, _d("t", a=1, b=1, c=1)),
-            (-1, _mul(_pw(_d("f"), "q0"), _d("b", a=1, b=1, c=1))),
-            (1, _mul(_pw(_d("f", d=1), "q0"), _ds("b", a=1, b=1))),
-            (
-                1,
-                _mul(
-                    _pw(_d("f", c=3, d=1), "q0"),
-                    _sum((1, _mul(_ell(c=1), _d("b", a=1, c=1))), (1, _ds("b", a=1))),
-                ),
-            ),
-            (-1, _mul(_pw(_d("f", b=1), "q0"), _d("b", b=1, c=1))),
-            (1, _mul(_pw(_d("f", b=1, d=1), "q0"), _ds("b", b=1))),
-            (-1, _mul(_pw(_d("f", b=1, c=3), "q0"), _d("b", c=1))),
-            (1, _mul(_pw(_d("f", b=1, c=3, d=1), "q0"), _ell(d=1), _d("b", d=1))),
-        ),
-    ),
-    _spec(
-        "t2d-qq0+2q",
-        "type2",
-        "shifted-product derivative at qq0+2q",
-        _sum(
-            (1, _d("t", a=1, b=2)),
-            (-1, _mul(_pw(_d("f"), "q0"), _d("b", a=1, b=2))),
-            (-1, _mul(_pw(_d("f", c=3, d=1), "q0"), _ell(c=1), _ds("b", a=1, b=1))),
-            (1, _mul(_pw(_d("f", b=1), "q0"), _ds("b", b=2))),
-            (1, _mul(_pw(_d("f", b=1, c=3), "q0"), _ds("b", b=1))),
-        ),
-    ),
+    ("t2d-kq0+1", "type2", "shifted-product derivatives along the q0 ladder",
+     "k=1: Dt[q0+1] - Df[0]^q0 Db[q0+1] - Df[1]^q0 Db[1]; "
+     "k=2: Dt[2q0+1] - Df[0]^q0 Db[2q0+1] - Df[1]^q0 Db[q0+1]; "
+     "k=3: Dt[3q0+1] - Df[0]^q0 Db[3q0+1] - Df[1]^q0 Db[2q0+1]"),
+    ("t2d-q", "type2", "shifted-product derivative at q",
+     "Dt[q] - Df[0]^q0 Db[q] - Df[1]^q0 L[q0] Qb[q] - Df[3q0+1]^q0 L[q0+1] Db[1]"),
+    ("t2d-q+1", "type2", "shifted-product derivative at q+1",
+     "Dt[q+1] - Df[0]^q0 Db[q+1] + Df[3q0+1]^q0 L[q0] Db[1]"),
+    ("t2d-q+q0", "type2", "shifted-product derivative at q+q0",
+     "Dt[q+q0] - Df[0]^q0 Db[q+q0] + Df[1]^q0 Sb[q] "
+     "- Df[3q0+1]^q0 (L[q0+1] Db[q0+1] - L[1] Db[1])"),
+    ("t2d-q+2q0", "type2", "shifted-product derivative at q+2q0",
+     "Dt[q+2q0] - Df[0]^q0 Db[q+2q0] - Df[1]^q0 Db[q+q0] "
+     "- Df[3q0+1]^q0 (L[q0+1] Db[2q0+1] - L[1] Db[q0+1])"),
+    ("t2d-q+3q0", "type2", "shifted-product derivative at q+3q0",
+     "Dt[q+3q0] - Df[0]^q0 Db[q+3q0] - Df[1]^q0 Db[q+2q0] + Df[3q0+1]^q0 L[1] Db[2q0+1]"),
+    ("t2d-2q", "type2", "shifted-product derivative at 2q",
+     "Dt[2q] - Df[0]^q0 Db[2q] - Df[3q0+1]^q0 L[q0] Sb[q]"),
+    ("t2d-2q+q0", "type2", "shifted-product derivative at 2q+q0",
+     "Dt[2q+q0] - Df[0]^q0 Db[2q+q0] - Df[1]^q0 Db[2q] "
+     "+ Df[3q0+1]^q0 (L[q0] Db[q+q0] + Sb[q])"),
+    ("t2d-3q", "type2", "shifted-product derivative at 3q",
+     "Dt[3q] - Df[0]^q0 Db[3q] + Df[3q0+1]^q0 L[q0] Db[2q]"),
+    ("t2d-qq0", "type2", "shifted-product derivative at qq0",
+     "Dt[qq0] - Df[0]^q0 Db[qq0] - Df[1]^q0 L[q0] Qb[qq0] + Df[q]^q0 L[1] Db[1] "
+     "+ Qf[q]^q0 L[q] Qb[q]"),
+    ("t2d-qq0+1", "type2", "shifted-product derivative at qq0+1",
+     "Dt[qq0+1] - Df[0]^q0 Db[qq0+1] - Df[q]^q0 Db[1]"),
+    ("t2d-qq0+q0", "type2", "shifted-product derivative at qq0+q0",
+     "Dt[qq0+q0] - Df[0]^q0 Db[qq0+q0] + Df[1]^q0 Sb[qq0] + Df[q]^q0 L[1] Db[q0+1] "
+     "+ Df[q+1]^q0 L[1] Db[1]"),
+    ("t2d-qq0+2q0", "type2", "shifted-product derivative at qq0+2q0",
+     "Dt[qq0+2q0] - Df[0]^q0 Db[qq0+2q0] - Df[1]^q0 Db[qq0+q0] + Df[q]^q0 L[1] Db[2q0+1] "
+     "+ Df[q+1]^q0 L[1] Db[q0+1]"),
+    ("t2d-qq0+3q0", "type2", "shifted-product derivative at qq0+3q0",
+     "Dt[qq0+3q0] - Df[0]^q0 Db[qq0+3q0] + Df[q+1]^q0 L[1] Db[2q0+1]"),
+    ("t2d-qq0+q", "type2", "shifted-product derivative at qq0+q",
+     "Dt[qq0+q] - Df[0]^q0 Db[qq0+q] - Df[1]^q0 L[q0] Qb[qq0+q] "
+     "+ Df[3q0+1]^q0 L[q0] (Db[qq0] - Qb[qq0]) + Df[q]^q0 Sb[q] + Df[q+3q0]^q0 L[1] Db[1] "
+     "- Qf[q]^q0 Qb[q]"),
+    ("t2d-qq0+q+q0", "type2", "shifted-product derivative at qq0+q+q0",
+     "Dt[qq0+q+q0] - Df[0]^q0 Db[qq0+q+q0] + Df[1]^q0 Sb[qq0+q] "
+     "+ Df[3q0+1]^q0 (L[q0] Db[qq0+q0] + Sb[qq0]) - Df[q]^q0 Db[q+q0] + Df[q+1]^q0 Sb[q] "
+     "- Df[q+3q0]^q0 Db[q0] + Df[q+3q0+1]^q0 L[1] Db[1]"),
+    ("t2d-qq0+2q", "type2", "shifted-product derivative at qq0+2q",
+     "Dt[qq0+2q] - Df[0]^q0 Db[qq0+2q] - Df[3q0+1]^q0 L[q0] Sb[qq0+q] + Df[q]^q0 Sb[2q] "
+     "+ Df[q+3q0]^q0 Sb[q]"),
+)
+
+IDENTITY_CATALOG: tuple[IdentitySpec, ...] = tuple(
+    IdentitySpec(key, group, description, _residuals(key, text))
+    for key, group, description, text in _CATALOG_ROWS
 )
 
 TYPE1_PAIRS: tuple[tuple[str, str], ...] = (

@@ -121,18 +121,6 @@ class CurveElement:
                 raw[e] = get(e, 0) + v * w
         return CurveElement(self.ring, self.ring.reduce(raw))
 
-    def __pow__(self, n: int) -> "CurveElement":
-        if n < 0:
-            raise ValueError("negative powers are not ring elements")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def pow3(self) -> "CurveElement":
         # Frobenius cube; GF(3) coefficients are fixed by it.
         raw = {3 * k: v for k, v in self.packed.items()}

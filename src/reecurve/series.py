@@ -19,8 +19,8 @@ in GF(q), since the curve has no points of degree 3.  A generic weight 0
 there is evidence about that slice only.
 
 There is one Taylor expansion in the package, ``hasse.Expansion``, with its
-series arithmetic ``ser_add``, ``ser_mul`` and ``ser_pow3k`` (re-exported
-here).  The exact route evaluates it at the generic point of the
+series arithmetic ``ser_add``, ``ser_mul`` (both re-exported here) and
+``ser_pow3k``.  The exact route evaluates it at the generic point of the
 coordinate ring (``hasse.HasseCalculus``); this module evaluates it at a
 sampled point P: ``PointExpansion``.  There x - x(P) is a uniformizer, and
 the i-th coefficient of the expansion of f is the i-th Hasse derivative
@@ -48,7 +48,7 @@ from reecurve.gf import (
     frobenius_power,
     solve_artin_schreier,
 )
-from reecurve.hasse import Expansion, ser_add, ser_mul, ser_pow3k
+from reecurve.hasse import Expansion, ser_add, ser_mul
 from reecurve.params import ReeParams, ree_params
 
 __all__ = [
@@ -59,7 +59,6 @@ __all__ = [
     "random_point",
     "ser_add",
     "ser_mul",
-    "ser_pow3k",
 ]
 
 Series = dict[int, FieldElement]

@@ -11,11 +11,14 @@ computes by another route, so that agreement is evidence:
   recipes in the ring, against which the expansion at the generic point
   is checked;
 * ``evaluate`` reads a normal form at a point, for comparing exact
-  derivatives with series coefficients;
+  derivatives with series coefficients, raising coordinates to powers by
+  ``power``, the square and multiply that the package itself never needs;
 * ``expected_pole_orders`` gives the family's pole orders in closed form;
 * ``rule_residual`` checks each member's q-power rule in the ring;
 * ``hyper_residuals`` and ``check_hypersurface`` state the hypersurface
-  relations of the seven-function family on a backend.
+  relations of the seven-function family on a backend;
+* ``show`` prints a catalog expression tree in the catalog's text
+  notation, the inverse of ``identities._parse``.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from reecurve.hasse import (
     ser_mul,
 )
 from reecurve.identities import CheckResult
+from reecurve.orders import symbolic_label
 from reecurve.params import ReeParams
 from reecurve.ring import (
     RECIPES,
@@ -195,26 +199,40 @@ def hasse_reference(s: int) -> HasseReference:
 # values at points
 
 
+def power(a, n: int):
+    """a^n for n >= 1 by square and multiply, for ring and field elements."""
+    if n < 1:
+        raise ValueError("power needs an exponent n >= 1")
+    result = None
+    while True:
+        if n & 1:
+            result = a if result is None else result * a
+        n >>= 1
+        if not n:
+            return result
+        a = a * a
+
+
 def evaluate(f: CurveElement, vx, vy, vz):
     """Value of a normal form at a point with coordinates in some GF(3^m) context."""
     ctx = vx.ctx
     pw: dict[tuple[int, int], object] = {}
 
-    def power(base_tag, base, e):
+    def cached(base_tag, base, e):
         key = (base_tag, e)
         if key not in pw:
-            pw[key] = ctx.pow(base, e)
+            pw[key] = power(base, e)
         return pw[key]
 
     total = ctx.zero()
     for (a, b, c), v in f.terms.items():
         term = ctx.from_code(v)
         if a:
-            term = term * power(0, vx, a)
+            term = term * cached(0, vx, a)
         if b:
-            term = term * power(1, vy, b)
+            term = term * cached(1, vy, b)
         if c:
-            term = term * power(2, vz, c)
+            term = term * cached(2, vz, c)
         total = total + term
     return total
 
@@ -349,3 +367,38 @@ def check_hypersurface(
                     None if ok else K.describe(v),
                 )
     return list(results.values())
+
+
+# ---------------------------------------------------------------------------
+# the catalog notation
+
+_LEAF_LETTERS = {"d": "D", "dshift": "S", "dqpow": "Q"}
+
+
+def show(expr: tuple) -> str:
+    """An expression tree of the identity catalog, written as catalog text.
+
+    A sum is parenthesised inside a product or a sum, a product or sum
+    under a Frobenius tag; nothing else is, so parsing the text gives the
+    tree back.
+    """
+    op = expr[0]
+    if op in _LEAF_LETTERS:
+        return f"{_LEAF_LETTERS[op]}{expr[1]}[{symbolic_label(expr[2])}]"
+    if op == "ell":
+        return f"L[{symbolic_label(expr[1])}]"
+    if op == "pw":
+        return f"{_grouped(expr[1], ('mul', 'sum'))}^{expr[2]}"
+    if op == "mul":
+        return " ".join(_grouped(sub, ("sum",)) for sub in expr[1:])
+    assert op == "sum", op
+    text = ""
+    for sign, sub in expr[1:]:
+        if text or sign < 0:
+            text += " - " if sign < 0 else " + "
+        text += _grouped(sub, ("sum",))
+    return text.strip()
+
+
+def _grouped(expr: tuple, ops: tuple[str, ...]) -> str:
+    return f"({show(expr)})" if expr[0] in ops else show(expr)

@@ -10,7 +10,7 @@ from reecurve.hasse import binom_mod3, binom_support, hasse_calculus, ser_add
 from reecurve.params import ree_params
 from reecurve.ring import FAMILY_NAMES, coordinate_ring
 
-from reference import ell_of, hasse_reference, recipe_fold
+from reference import ell_of, hasse_reference, power, recipe_fold
 
 H1 = hasse_calculus(1)
 REF1 = hasse_reference(1)
@@ -24,12 +24,21 @@ def test_binom_mod3_against_math_comb(n, k):
     assert binom_mod3(n, k) == math.comb(n, k) % 3 if k <= n else binom_mod3(n, k) == 0
 
 
+# base-3 digit sums up to 2000
+_S3 = [0] * 2001
+for _i in range(1, 2001):
+    _S3[_i] = _S3[_i // 3] + _i % 3
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2000))
 def test_binom_support_is_exact(n):
+    # Legendre's formula: 3 divides C(n, k) exactly (s(k) + s(n-k) - s(n)) / 2
+    # times, s the base-3 digit sum, so C(n, k) is nonzero mod 3 iff the
+    # digit sums add up
     supp = set(binom_support(n))
     for k in range(n + 1):
-        assert (k in supp) == (math.comb(n, k) % 3 != 0)
+        assert (k in supp) == (_S3[k] + _S3[n - k] == _S3[n])
 
 
 def test_derivatives_of_x():
@@ -82,16 +91,16 @@ def _expected_table():
             "w4": R1.monomial(q0 + 1, 0, 0) - y,
         },
         2 * q0 + 1: {"x": zero, "y": zero, "z": one, "w4": -R1.monomial(q, 0, 0)},
-        q + 1: {"x": zero, "y": zero, "z": zero, "w4": -(ell ** (2 * q0))},
+        q + 1: {"x": zero, "y": zero, "z": zero, "w4": -power(ell, 2 * q0)},
         q + q0: {
             "x": zero,
             "y": -one,
             "z": xq0,
-            "w4": ell ** (q0 + 1) - R1.monomial(q0 + 1, 0, 0) + y,
+            "w4": power(ell, q0 + 1) - R1.monomial(q0 + 1, 0, 0) + y,
         },
-        2 * q: {"x": zero, "y": zero, "z": zero, "w4": ell ** (2 * q0)},
-        q * q0 + 1: {"x": zero, "y": zero, "z": zero, "w4": -(ell ** (q + q0))},
-        q * q0 + q0: {"x": zero, "y": zero, "z": zero, "w4": -(ell ** (q + 1))},
+        2 * q: {"x": zero, "y": zero, "z": zero, "w4": power(ell, 2 * q0)},
+        q * q0 + 1: {"x": zero, "y": zero, "z": zero, "w4": -power(ell, q + q0)},
+        q * q0 + q0: {"x": zero, "y": zero, "z": zero, "w4": -power(ell, q + 1)},
     }
     return rows
 

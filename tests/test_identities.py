@@ -22,6 +22,9 @@ from reecurve.identities import (
     _bind_residuals,
     _dirty_values,
     _instance_label,
+    _parse,
+    _read_index,
+    _residuals,
     _sym_div_q,
     _t_support,
     _valued_support,
@@ -33,13 +36,22 @@ from reecurve.identities import (
     verify_catalog,
 )
 from reecurve.backends import Backend, backends, default_window
-from reecurve.orders import order_sequence
-from reecurve.params import index_value, ree_params
+from reecurve.orders import order_sequence, symbolic_label
+from reecurve.params import (
+    _A_MAX,
+    _B_MAX,
+    _C_MAX,
+    _D_MAX,
+    Q2,
+    SymbolicIndex,
+    index_value,
+    ree_params,
+)
 from reecurve.ring import FAMILY_NAMES, RECIPES, CurveElement
 from reecurve.series import PointExpansion, rational_point
 from reecurve.support import member_support, support_values
 
-from reference import check_hypersurface, hyper_residuals
+from reference import check_hypersurface, hyper_residuals, show
 
 P1 = ree_params(1)
 P2 = ree_params(2)
@@ -121,7 +133,7 @@ def test_catalog_shape():
         groups[sp.group] = groups.get(sp.group, 0) + 1
     assert groups == {"base": 5, "rejection": 10, "type1": 11, "type2": 17}
     by_key = {sp.key: sp for sp in IDENTITY_CATALOG}
-    assert len(by_key["t2d-kq0+1"].residuals) == 3
+    assert [sub for sub, _ in by_key["t2d-kq0+1"].residuals] == ["k=1", "k=2", "k=3"]
     for sp in IDENTITY_CATALOG:
         assert instances_for(sp), sp.key
 
@@ -147,6 +159,57 @@ def test_catalog_indices_stay_in_range():
             for ix in walk(expr):
                 for p in (P1, P2):
                     assert 0 <= index_value(ix, p) <= p.q**2
+
+
+def test_catalog_text_round_trips():
+    # the printed text of every residual parses back to the same tree
+    residuals = [(sp.key, expr) for sp in IDENTITY_CATALOG for _sub, expr in sp.residuals]
+    assert len(residuals) == 45
+    for key, expr in residuals:
+        assert _parse(key, show(expr)) == expr, key
+
+
+def test_index_reader_inverts_symbolic_label():
+    grammar = [Q2] + [
+        SymbolicIndex(a, b, c, d)
+        for a in range(_A_MAX + 1) for b in range(_B_MAX + 1)
+        for c in range(_C_MAX + 1) for d in range(_D_MAX + 1)
+    ]
+    for ix in grammar:
+        assert _read_index(symbolic_label(ix)) == ix
+
+
+# the roles each group's residuals may name: those instances_for binds,
+# and the virtual t, read through f and b and only as D^i t
+GROUP_ROLES = {"base": {"f"}, "rejection": {"f"}, "type1": {"w", "f"}, "type2": {"f", "b", "t"}}
+
+
+def test_residuals_use_only_the_roles_their_group_binds():
+    for sp in IDENTITY_CATALOG:
+        roles = GROUP_ROLES[sp.group]
+        assert {frozenset(r) for r in instances_for(sp)} == {frozenset(roles - {"t"})}
+        for _sub, expr in sp.residuals:
+            for op, role, _ix in _leaves(expr):
+                assert role in roles, (sp.key, role)
+                assert role != "t" or op == "d", (sp.key, op)
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("L[q0] (Df[q0+1] - Df[1]", "unbalanced '('"),
+        ("L[q0] Df[q0+1]) - Df[1]", "unbalanced ')'"),
+        ("Xf[1] - Df[1]", "unknown token at 'Xf[1]"),
+        ("Df[7qq0] - Df[1]", "quadruple out of range"),
+        ("Df[q] - L[1] Df[q+1] -", "a term is missing at the end"),
+    ],
+    ids=["open-paren", "close-paren", "unknown-leaf", "index-range", "trailing-sign"],
+)
+def test_malformed_text_is_an_error_that_names_the_identity(text, problem):
+    with pytest.raises(ValueError) as err:
+        _residuals("A1", text)
+    assert str(err.value).startswith("identity A1: ")
+    assert problem in str(err.value)
 
 
 def test_applicability_pairs():
@@ -366,7 +429,7 @@ def test_fixed_window_catches_a_wrong_deep_term(monkeypatch, s):
     # A10 with the sign of its ell^(2q+1) term flipped: the derivative it
     # multiplies starts at t^q0 at rational points, so a window of 2q+2
     # still reads zero; the fixed window reaches past 2q+q0+1
-    term = identities._mul(identities._ell(d=1), identities._d("f", a=1, b=2))
+    term = identities._parse("A10", "L[1] Df[qq0+2q]")
     catalog = tuple(
         spec._replace(residuals=_flip_term(spec.residuals, term))
         if spec.key == "A10" else spec

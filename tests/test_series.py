@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from reecurve import series
 from reecurve.backends import Backend, default_window
 from reecurve.gf import field_context, frobenius_power
-from reecurve.hasse import binom_mod3, hasse_calculus
+from reecurve.hasse import binom_mod3, hasse_calculus, ser_pow3k
 from reecurve.identities import IDENTITY_CATALOG, TYPE2_PAIRS
 from reecurve.params import index_value, ree_params
 from reecurve.ring import FAMILY_NAMES, function_family
@@ -23,7 +23,6 @@ from reecurve.series import (
     rational_point,
     ser_add,
     ser_mul,
-    ser_pow3k,
 )
 
 from reference import evaluate

@@ -35,7 +35,7 @@ from reecurve.hasse import (
     ser_mul,
     ser_pow3k,
 )
-from reecurve.params import ReeParams, ree_params
+from reecurve.params import ReeParams, cube_count, ree_params
 
 __all__ = [
     "SAMPLE_EXTENSION",
@@ -44,10 +44,6 @@ __all__ = [
     "default_window",
     "sample_count",
 ]
-
-
-def _pow_count(tag: str, s: int) -> int:
-    return {"q0": s, "3q0": s + 1, "q": 2 * s + 1, "q2": 2 * (2 * s + 1)}[tag]
 
 
 class Backend:
@@ -116,7 +112,7 @@ class Backend:
         return self.exp.ell_power(n, self.window)
 
     def pow_tag(self, v, tag: str):
-        return ser_pow3k(v, _pow_count(tag, self.s), self.window)
+        return ser_pow3k(v, cube_count(tag, self.s), self.window)
 
     def mul(self, a, b):
         return ser_mul(a, b, self.window)

@@ -60,8 +60,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from reecurve.params import ReeParams
-from reecurve.ring import RECIPES, CoordinateRing, CurveElement, coordinate_ring, recipe_twist
+from reecurve.params import ReeParams, cube_count
+from reecurve.ring import RECIPES, CoordinateRing, CurveElement, coordinate_ring
 
 Series = dict  # {exponent: coefficient}, coefficients CurveElement or FieldElement
 Table = dict[int, CurveElement]
@@ -210,7 +210,7 @@ class Expansion:
             else:
                 out = {}
                 for sign, left, right, tag in RECIPES[name]:
-                    sub = ser_pow3k(self.series(right), recipe_twist(tag, self.s), prec)
+                    sub = ser_pow3k(self.series(right), cube_count(tag, self.s), prec)
                     out = ser_add(out, ser_mul(self.series(left), sub, prec), sign)
             self._series[name] = out
         return self._series[name]

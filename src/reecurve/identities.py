@@ -27,6 +27,9 @@ Roles: "f" is the function under test (or the
 twisted cofactor for the two structured groups), "w" a function whose
 q-shift is a twisted multiple of ell, "b" the base of a shifted product,
 and "t" a virtual function defined only through t^q - t = f^q0 (b^q - b).
+The type-1 bindings (w, f) and the type-2 bindings (f, b) are read off
+the q-power rules ring.QPOWER_RULES (TYPE1_PAIRS, TYPE2_PAIRS), and the
+derivative support of t is support.virtual_support.
 Derivatives of t are obtained from the recursion
 D^i t = (D^(i/q) t)^q - D^i(t^q - t), which never needs t itself for
 i >= 1, so both backends can evaluate them without leaving the function
@@ -50,8 +53,8 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from reecurve.backends import Backend, backends, sample_count
 from reecurve.params import Q2, SymbolicIndex, index_value, ree_params
-from reecurve.ring import FAMILY_NAMES, SUBFAMILY_NAMES, function_family
-from reecurve.support import level_uniform, member_support, support_values
+from reecurve.ring import FAMILY_NAMES, QPOWER_RULES, SUBFAMILY_NAMES, is_deep, is_plain
+from reecurve.support import member_support, virtual_support
 
 if TYPE_CHECKING:
     from reecurve.series import CurvePoint
@@ -297,27 +300,16 @@ IDENTITY_CATALOG: tuple[IdentitySpec, ...] = tuple(
     for key, group, description, text in _CATALOG_ROWS
 )
 
-TYPE1_PAIRS: tuple[tuple[str, str], ...] = (
-    ("w1", "x"),
-    ("w2", "y"),
-    ("w3", "z"),
-    ("w6", "w4"),
-    ("w8", "w7"),
+# (member, cofactor) of each plain q-power rule, and the distinct
+# (cofactor, base) of the deep ones, both in rule order
+TYPE1_PAIRS: tuple[tuple[str, str], ...] = tuple(
+    (name, rule[0][1]) for name, rule in QPOWER_RULES.items() if is_plain(name)
 )
-
-
-def _type2_pairs() -> tuple[tuple[str, str], ...]:
-    """(cofactor, base) pairs of the mixed q-power rules, in rule order."""
-    rules = function_family(1).rules
-    seen: list[tuple[str, str]] = []
-    for name in ("w4", "v", "w5", "w7", "w9", "w10"):
-        for _sign, cof, _twist, base in rules[name].terms:
-            if (cof, base) not in seen:
-                seen.append((cof, base))
-    return tuple(seen)
-
-
-TYPE2_PAIRS = _type2_pairs()
+TYPE2_PAIRS: tuple[tuple[str, str], ...] = tuple(dict.fromkeys(
+    (cof, base)
+    for name, rule in QPOWER_RULES.items() if is_deep(name)
+    for _sign, cof, _tag, base in rule
+))
 
 
 def instances_for(spec: IdentitySpec) -> list[dict[str, str]]:
@@ -346,32 +338,6 @@ def _instance_label(roles: dict[str, str]) -> str:
 # no claim is made about them there.  Levels s >= 2 are collision free.
 
 
-@lru_cache(maxsize=None)
-def _t_support(f: str, b: str) -> tuple[SymbolicIndex, ...]:
-    """Structural derivative support of the virtual t, level-uniform.
-
-    Follows the recursion D^i t = -D^i h + (D^(i/q) t)^q with
-    h = f^q0 (b^q - b): the q0-dilated support of f convolved with the
-    shift support of b, closed under multiplication by q, capped at q^2.
-    """
-
-    def values(s: int) -> frozenset[int]:
-        p = ree_params(s)
-        lim = p.q**2
-        fs = support_values(f, p)
-        bs = support_values(b, p, "shift")
-        h = {p.q0 * a + j for a in fs for j in bs if p.q0 * a + j <= lim}
-        h.discard(0)
-        out: set[int] = set()
-        frontier = h
-        while frontier:
-            out |= frontier
-            frontier = {p.q * v for v in frontier if p.q * v <= lim} - out
-        return frozenset(out)
-
-    return level_uniform(values(2), values(3), f"virtual support of ({f},{b})")
-
-
 def _sym_div_q(ix: SymbolicIndex) -> bool:
     return ix.c == 0 and ix.d == 0 and not ix.is_q2
 
@@ -385,7 +351,7 @@ def _valued_support(
     Returns the value of each support slot at s=1, repeats kept, and the
     set of values at s=2: all that the collision check reads of a support.
     """
-    sup = member_support(f) if b is None else _t_support(f, b)
+    sup = member_support(f) if b is None else virtual_support(f, b)
     p1, p2 = ree_params(1), ree_params(2)
     return (
         tuple(index_value(jx, p1) for jx in sup),

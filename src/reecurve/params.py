@@ -130,6 +130,11 @@ class SymbolicIndex(namedtuple("SymbolicIndex", "a b c d is_q2")):
 Q2 = SymbolicIndex(is_q2=True)
 
 
+def cube_count(tag: str, s: int) -> int:
+    """k with 3^k the Frobenius power a tag names: 1, q0, 3q0, q or q2 at level s."""
+    return {"1": 0, "q0": s, "3q0": s + 1, "q": 2 * s + 1, "q2": 4 * s + 2}[tag]
+
+
 def index_value(idx: SymbolicIndex | int, p: ReeParams) -> int:
     """Numeric value of a symbolic index (plain integers pass through)."""
     if isinstance(idx, SymbolicIndex):

@@ -20,15 +20,16 @@ one int add and one dict update per term pair; the mod 3 and the fold of
 y- and z-degrees >= q are left to ``CoordinateRing.reduce``.  The
 {(a, b, c): coeff} view ``terms`` is derived on demand.
 
-The module also builds the fourteen-function linear system spanning the
-canonical very ample series, each function tagged with its q-power
-recurrence (w^q - w expressed through smaller members), and computes exact
-pole orders at the point at infinity.
+The fourteen functions spanning the canonical very ample series are stated
+by two level-free tables: RECIPES builds each member from earlier ones,
+and QPOWER_RULES gives its q-power rule, w^q - w through smaller members.
+Both write a Frobenius power as a tag, "1", "q0" or "3q0", in the
+vocabulary of the identity catalog, which adds "q" and "q2";
+params.cube_count turns a tag into a cube count at a level.  The module also computes exact pole orders at the point at
+infinity.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 from reecurve.params import ReeParams, ree_params
 
@@ -97,14 +98,6 @@ class CurveElement:
 
     def __neg__(self) -> "CurveElement":
         return CurveElement(self.ring, {k: (-v) % 3 for k, v in self.packed.items()})
-
-    def scale(self, c: int) -> "CurveElement":
-        c %= 3
-        if c == 0:
-            return self.ring.zero()
-        if c == 1:
-            return self
-        return -self
 
     def __mul__(self, other: "CurveElement") -> "CurveElement":
         if not isinstance(other, CurveElement):
@@ -294,20 +287,6 @@ class CoordinateRing:
 # the fourteen-function system
 
 
-class QPowerRule(NamedTuple):
-    """w^q - w as a signed sum of cofactor^(3^twist) * (base^q - base).
-
-    Each term is (sign, cofactor, twist, base) with sign in {+1, -1}; for
-    base "x" the factor base^q - base is the separating element itself.
-    Members built from a single term with twist s+1 are the 'plain' kind,
-    the rest are 'mixed'; the distinction drives the two derivative-support
-    table shapes.
-    """
-
-    kind: str  # "plain" | "mixed"
-    terms: tuple[tuple[int, str, int, str], ...]
-
-
 # member -> definition order; each definition only uses earlier names
 FAMILY_NAMES = (
     "one",
@@ -329,59 +308,53 @@ FAMILY_NAMES = (
 SUBFAMILY_NAMES = ("one", "x", "w1", "w2", "w3", "w6", "w8")
 
 # Construction DAG shared by every backend.  Each member is a signed sum of
-# terms  left * (right ^ 3^twist)  with twist given as "s" (exponent q0),
-# "s1" (exponent 3*q0) or 0, and each term referring only to earlier names.
-RECIPES: dict[str, tuple[tuple[int, str, str, str | int], ...]] = {
-    "w1": ((1, "x", "x", "s1"), (-1, "one", "y", "s1")),
-    "w2": ((1, "x", "y", "s1"), (-1, "one", "z", "s1")),
-    "w3": ((1, "x", "z", "s1"), (-1, "one", "w1", "s1")),
-    "w4": ((1, "x", "w2", "s"), (-1, "y", "w1", "s")),
-    "v": ((1, "x", "w3", "s"), (-1, "z", "w1", "s")),
-    "w5": ((1, "y", "w3", "s"), (-1, "z", "w2", "s")),
-    "w6": ((1, "one", "v", "s1"), (-1, "one", "w2", "s1"), (1, "x", "w4", "s1")),
-    "w7": ((1, "one", "w2", 0), (1, "one", "v", 0)),
-    "w8": ((1, "one", "w5", "s1"), (1, "x", "w7", "s1")),
-    "w9": ((1, "w4", "w2", "s"), (-1, "y", "w6", "s")),
-    "w10": ((1, "z", "w6", "s"), (-1, "w4", "w3", "s")),
+# terms  left * right^e,  e the Frobenius power its tag names
+# (params.cube_count), each term referring only to earlier names.
+RECIPES: dict[str, tuple[tuple[int, str, str, str], ...]] = {
+    "w1": ((1, "x", "x", "3q0"), (-1, "one", "y", "3q0")),
+    "w2": ((1, "x", "y", "3q0"), (-1, "one", "z", "3q0")),
+    "w3": ((1, "x", "z", "3q0"), (-1, "one", "w1", "3q0")),
+    "w4": ((1, "x", "w2", "q0"), (-1, "y", "w1", "q0")),
+    "v": ((1, "x", "w3", "q0"), (-1, "z", "w1", "q0")),
+    "w5": ((1, "y", "w3", "q0"), (-1, "z", "w2", "q0")),
+    "w6": ((1, "one", "v", "3q0"), (-1, "one", "w2", "3q0"), (1, "x", "w4", "3q0")),
+    "w7": ((1, "one", "w2", "1"), (1, "one", "v", "1")),
+    "w8": ((1, "one", "w5", "3q0"), (1, "x", "w7", "3q0")),
+    "w9": ((1, "w4", "w2", "q0"), (-1, "y", "w6", "q0")),
+    "w10": ((1, "z", "w6", "q0"), (-1, "w4", "w3", "q0")),
+}
+
+# The q-power rules, the same at every level: w^q - w is the signed sum of
+# cofactor^e * (base^q - base) over the terms (sign, cofactor, tag, base),
+# e named by the tag as in RECIPES; for base "x" the factor is the
+# separating element x^q - x itself.  In y, z, then RECIPES order.
+QPOWER_RULES: dict[str, tuple[tuple[int, str, str, str], ...]] = {
+    "y": ((1, "x", "q0", "x"),),
+    "z": ((1, "x", "q0", "y"),),
+    "w1": ((1, "x", "3q0", "x"),),
+    "w2": ((1, "y", "3q0", "x"),),
+    "w3": ((1, "z", "3q0", "x"),),
+    "w4": ((1, "w2", "q0", "x"), (-1, "w1", "q0", "y")),
+    "v": ((1, "w3", "q0", "x"), (-1, "w1", "q0", "z")),
+    "w5": ((1, "w3", "q0", "y"), (-1, "w2", "q0", "z")),
+    "w6": ((1, "w4", "3q0", "x"),),
+    "w7": ((1, "w2", "q0", "y"), (-1, "w3", "q0", "x")),
+    "w8": ((1, "w7", "3q0", "x"),),
+    "w9": ((1, "w2", "q0", "w4"), (-1, "w6", "q0", "y")),
+    "w10": ((1, "w6", "q0", "z"), (-1, "w3", "q0", "w4")),
 }
 
 
-def recipe_twist(tag: str | int, s: int) -> int:
-    """Cube count for a recipe twist tag at parameter level s."""
-    if tag == "s":
-        return s
-    if tag == "s1":
-        return s + 1
-    return int(tag)
+def is_plain(name: str) -> bool:
+    """One term twisted by 3q0: the rule shape of the appendix's plain table."""
+    rule = QPOWER_RULES[name]
+    return len(rule) == 1 and rule[0][2] == "3q0"
 
 
-class FunctionFamily:
-    """The q-power rules of the 14 spanning functions and the auxiliary v.
-
-    The members themselves are the recipes RECIPES; ``hasse.Expansion``
-    builds their series.
-    """
-
-    def __init__(self, ring: CoordinateRing):
-        self.ring = ring
-        s = ring.p.s
-        t1 = s + 1  # exponent 3*q0 as a cube count
-        t0 = s  # exponent q0
-        self.rules: dict[str, QPowerRule] = {
-            "y": QPowerRule("mixed", ((1, "x", t0, "x"),)),
-            "z": QPowerRule("mixed", ((1, "x", t0, "y"),)),
-            "w1": QPowerRule("plain", ((1, "x", t1, "x"),)),
-            "w2": QPowerRule("plain", ((1, "y", t1, "x"),)),
-            "w3": QPowerRule("plain", ((1, "z", t1, "x"),)),
-            "w4": QPowerRule("mixed", ((1, "w2", t0, "x"), (-1, "w1", t0, "y"))),
-            "w5": QPowerRule("mixed", ((1, "w3", t0, "y"), (-1, "w2", t0, "z"))),
-            "w6": QPowerRule("plain", ((1, "w4", t1, "x"),)),
-            "w7": QPowerRule("mixed", ((1, "w2", t0, "y"), (-1, "w3", t0, "x"))),
-            "w8": QPowerRule("plain", ((1, "w7", t1, "x"),)),
-            "w9": QPowerRule("mixed", ((1, "w2", t0, "w4"), (-1, "w6", t0, "y"))),
-            "w10": QPowerRule("mixed", ((1, "w6", t0, "z"), (-1, "w3", t0, "w4"))),
-            "v": QPowerRule("mixed", ((1, "w3", t0, "x"), (-1, "w1", t0, "z"))),
-        }
+def is_deep(name: str) -> bool:
+    """Every term twisted by q0, none with cofactor x: a shifted-product rule."""
+    rule = QPOWER_RULES.get(name, ())
+    return bool(rule) and all(tag == "q0" and cof != "x" for _sign, cof, tag, _base in rule)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +403,6 @@ def pole_order(f: CurveElement, depth: int = 8) -> int:
 
 
 _RING_CACHE: dict[int, CoordinateRing] = {}
-_FAMILY_CACHE: dict[int, FunctionFamily] = {}
 
 
 def coordinate_ring(s: int) -> CoordinateRing:
@@ -438,8 +410,3 @@ def coordinate_ring(s: int) -> CoordinateRing:
         _RING_CACHE[s] = CoordinateRing(ree_params(s))
     return _RING_CACHE[s]
 
-
-def function_family(s: int) -> FunctionFamily:
-    if s not in _FAMILY_CACHE:
-        _FAMILY_CACHE[s] = FunctionFamily(coordinate_ring(s))
-    return _FAMILY_CACHE[s]

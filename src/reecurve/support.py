@@ -1,19 +1,22 @@
 """Derivative supports of the spanning functions.
 
 S_f is a set of indices guaranteed to contain every i in [0, q^2] with
-D^i f nonzero.  The sets are assembled from the q-power rules:
+D^i f nonzero.  The sets are assembled from the level-free q-power rules
+ring.QPOWER_RULES:
 
     S(w^q - w) = union over rule terms of  e * S(cofactor) + S(base^q - base)
     S_w        = S(w^q - w)  union  q * S(w^q - w)
 
 with e the twist exponent (q0 or 3q0), all sums and dilations truncated to
 [0, q^2].  The generators are S(x^q - x) = {0, 1, q} and S_x = {0, 1}.
+Every level, s = 1 included, computes its sets by these same rules.
 
-Index sets are level-uniform for s >= 2: each is computed numerically at
-s = 2, decoded into the symbolic index grammar, and revalidated at s = 3
-(level_uniform, which the identity catalog's virtual supports use too).
-The two appendix tables, the candidate sets for the order scans, and the
-digitwise-minimal non-order sets are all derived here.
+Index sets are level-uniform: each is computed numerically at s = 2,
+decoded into the symbolic index grammar, and rechecked at s = 3 and s = 4,
+the first level of the stable regime (level_uniform).  The member
+supports, the virtual supports of the identity catalog's shifted
+products, the two appendix tables, the candidate sets for the order scans,
+and the digitwise-minimal non-order sets are all derived here.
 """
 
 from __future__ import annotations
@@ -25,11 +28,12 @@ from reecurve.params import (
     Q2,
     ReeParams,
     SymbolicIndex,
+    cube_count,
     index_value,
     ree_params,
     symbolic_from_value,
 )
-from reecurve.ring import FAMILY_NAMES, function_family
+from reecurve.ring import FAMILY_NAMES, QPOWER_RULES, is_deep
 
 PLAIN_COLUMNS = ("x", "w1", "w2", "w3", "w6", "w8")
 MIXED_COLUMNS = ("y", "z", "w4", "w7", "w5", "w9", "w10")
@@ -115,26 +119,16 @@ def _ladder_values(base: str, s: int) -> tuple[frozenset[int], frozenset[int]]:
 
 @lru_cache(maxsize=None)
 def _shift_values(name: str, s: int) -> frozenset[int]:
-    if s == 1:
-        # base level has index collisions; evaluate the uniform symbolic set
-        p1 = ree_params(1)
-        sym = _symbolic_set(_shift_values(name, 2))
-        return frozenset(index_value(ix, p1) for ix in sym)
     p = ree_params(s)
     lim = p.q**2
     if name == "x":
         return frozenset({0, 1, p.q})
-    fam = function_family(s)
-    rule = fam.rules[name]
     out: set[int] = set()
-    for _sign, cof, twist, base in rule.terms:
-        e = 3**twist
+    for _sign, cof, tag, base in QPOWER_RULES[name]:
+        e = 3 ** cube_count(tag, s)
         cof_sup = _member_values(cof, s)
         base_sup = _shift_values(base, s)
-        deep = base in fam.rules and fam.rules[base].kind == "mixed" and all(
-            t[1] != "x" for t in fam.rules[base].terms
-        )
-        if deep:
+        if is_deep(base):
             plain, carry = _ladder_values(base, s)
             wings = (3 * p.q0, p.q + 3 * p.q0)
         else:
@@ -156,24 +150,6 @@ def _shift_values(name: str, s: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _symbolic_set(values) -> tuple[SymbolicIndex, ...]:
-    p2 = ree_params(2)
-    return tuple(symbolic_from_value(v, p2) for v in sorted(values))
-
-
-def level_uniform(values2, values3, what: str) -> tuple[SymbolicIndex, ...]:
-    """Decode a value set at s = 2 into symbolic indices, checked at s = 3.
-
-    The indices, in ascending order of their s = 2 values, must value to
-    the s = 3 set in ascending order; otherwise what is not level-uniform.
-    """
-    symbolic = _symbolic_set(values2)
-    p3 = ree_params(3)
-    if [index_value(ix, p3) for ix in symbolic] != sorted(values3):
-        raise ArithmeticError(f"{what} is not level-uniform")
-    return symbolic
-
-
 @lru_cache(maxsize=None)
 def _member_values(name: str, s: int) -> frozenset[int]:
     p = ree_params(s)
@@ -182,28 +158,55 @@ def _member_values(name: str, s: int) -> frozenset[int]:
         return frozenset({0})
     if name == "x":
         return frozenset({0, 1})
-    if s == 1:
-        sym = _symbolic_set(_member_values(name, 2))
-        return frozenset(index_value(ix, p) for ix in sym)
     sh = _shift_values(name, s)
     return frozenset(sh | {p.q * v for v in sh if p.q * v <= lim})
 
 
-def support_values(name: str, p: ReeParams, kind: str = "member") -> frozenset[int]:
-    """Numeric support set at one parameter level."""
-    if kind == "member":
-        return _member_values(name, p.s)
-    if kind == "shift":
-        return _shift_values(name, p.s)
-    raise ValueError("kind must be 'member' or 'shift'")
+def level_uniform(values, what: str) -> tuple[SymbolicIndex, ...]:
+    """Decode values(2), a value set at s = 2, into symbolic indices.
+
+    The indices, in ascending order of their s = 2 values, must value to
+    values(3) and values(4) in ascending order; otherwise what is not
+    level-uniform.
+    """
+    p2 = ree_params(2)
+    symbolic = tuple(symbolic_from_value(v, p2) for v in sorted(values(2)))
+    for s in (3, 4):
+        p = ree_params(s)
+        if [index_value(ix, p) for ix in symbolic] != sorted(values(s)):
+            raise ArithmeticError(f"{what} is not level-uniform")
+    return symbolic
 
 
 @lru_cache(maxsize=None)
 def member_support(name: str) -> tuple[SymbolicIndex, ...]:
-    """Level-uniform symbolic support, validated at two reference levels."""
-    return level_uniform(
-        _member_values(name, 2), _member_values(name, 3), f"support of {name}"
-    )
+    """Level-uniform symbolic support of a member."""
+    return level_uniform(lambda s: _member_values(name, s), f"support of {name}")
+
+
+@lru_cache(maxsize=None)
+def virtual_support(f: str, b: str) -> tuple[SymbolicIndex, ...]:
+    """Level-uniform derivative support of the virtual t with t^q - t = f^q0 (b^q - b).
+
+    Follows the recursion D^i t = -D^i h + (D^(i/q) t)^q with
+    h = f^q0 (b^q - b): the q0-dilated support of f convolved with the
+    shift support of b, closed under multiplication by q, capped at q^2.
+    """
+
+    def values(s: int) -> frozenset[int]:
+        p = ree_params(s)
+        lim = p.q**2
+        bs = _shift_values(b, s)
+        h = {p.q0 * a + j for a in _member_values(f, s) for j in bs if p.q0 * a + j <= lim}
+        h.discard(0)
+        out: set[int] = set()
+        frontier = h
+        while frontier:
+            out |= frontier
+            frontier = {p.q * v for v in frontier if p.q * v <= lim} - out
+        return frozenset(out)
+
+    return level_uniform(values, f"virtual support of ({f},{b})")
 
 
 def family_candidate_values(p: ReeParams, names=FAMILY_NAMES) -> list[int]:
@@ -224,20 +227,19 @@ def minimal_non_orders(series: str) -> tuple[SymbolicIndex, ...]:
 
     For the full family these are the minimal elements of
     (S \\ I) ∩ [0, 2qq0+3q0+1]; for the subfamily, of S_w8 \\ I.
-    Computed at s=2 and revalidated at s=3.
+    Level-uniform, like the supports.
     """
-    out = {}
-    for s in (2, 3):
+
+    def values(s: int) -> list[int]:
         p = ree_params(s)
         if series == "D":
-            pool = set(family_candidate_values(p))
             bound = 2 * p.q * p.q0 + 3 * p.q0 + 1
-            pool = {v for v in pool if v <= bound}
+            pool = {v for v in family_candidate_values(p) if v <= bound}
         else:
             pool = set(_member_values("w8", s))
-        pool -= set(order_values(p, series))
-        out[s] = minimal_elements(pool)
-    return level_uniform(out[2], out[3], "minimal non-orders")
+        return minimal_elements(pool - set(order_values(p, series)))
+
+    return level_uniform(values, "minimal non-orders")
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +300,7 @@ def support_soundness(calc) -> tuple[int, list[tuple[str, int]]]:
     checked = 0
     violations = []
     for name in FAMILY_NAMES:
-        claimed = support_values(name, p)
+        claimed = _member_values(name, p.s)
         table = calc.table(name)
         for i in range(p.q**2 + 1):
             if i in claimed:

@@ -36,18 +36,22 @@ from reecurve.hasse import (
 )
 from reecurve.identities import CheckResult
 from reecurve.orders import symbolic_label
-from reecurve.params import ReeParams
+from reecurve.params import ReeParams, cube_count
 from reecurve.ring import (
+    QPOWER_RULES,
     RECIPES,
     SUBFAMILY_NAMES,
     CoordinateRing,
     CurveElement,
     coordinate_ring,
-    function_family,
-    recipe_twist,
 )
 
 Table = dict[int, CurveElement]
+
+
+def scale(v: CurveElement, c: int) -> CurveElement:
+    """c v for c in GF(3)."""
+    return (v.ring.zero(), v, -v)[c % 3]
 
 
 def ell_of(ring: CoordinateRing) -> CurveElement:
@@ -84,7 +88,7 @@ class RecipeFold:
                 total = self.ring.zero()
                 for sign, left, right, tag in RECIPES[nm]:
                     piece = self._elems[left] * self._elems[right].pow3k(
-                        recipe_twist(tag, s)
+                        cube_count(tag, s)
                     )
                     total = total + (piece if sign == 1 else -piece)
                 self._elems[nm] = total
@@ -185,7 +189,7 @@ class HasseReference:
             part = ser_mul(self._x_power_table(a), self._y_power(b), self.prec)
             part = ser_mul(part, self._z_power(c), self.prec)
             if coeff != 1:
-                part = {i: v.scale(coeff) for i, v in part.items()}
+                part = {i: scale(v, coeff) for i, v in part.items()}
             out = ser_add(out, part)
         return out
 
@@ -268,10 +272,9 @@ def q_shift(s: int, name: str) -> CurveElement:
     fold = recipe_fold(s)
     if name == "x":
         return ell_of(fold.ring)
-    rule = function_family(s).rules[name]
     total = fold.ring.zero()
-    for sign, cof, twist, base in rule.terms:
-        piece = fold.element(cof).pow3k(twist) * q_shift(s, base)
+    for sign, cof, tag, base in QPOWER_RULES[name]:
+        piece = fold.element(cof).pow3k(cube_count(tag, s)) * q_shift(s, base)
         total = total + (piece if sign == 1 else -piece)
     return total
 

@@ -26,7 +26,6 @@ from reecurve.identities import (
     _read_index,
     _residuals,
     _sym_div_q,
-    _t_support,
     _valued_support,
     _witness,
     collision_reason,
@@ -49,7 +48,7 @@ from reecurve.params import (
 )
 from reecurve.ring import FAMILY_NAMES, RECIPES, CurveElement
 from reecurve.series import PointExpansion, rational_point
-from reecurve.support import member_support, support_values
+from reecurve.support import _member_values, member_support, virtual_support
 
 from reference import check_hypersurface, hyper_residuals, show
 
@@ -232,7 +231,7 @@ def test_shift_identity_for_x_is_the_separating_element():
 
 def test_a5_terms_vanish_individually_above_the_lowest_level():
     # 3q, 2q, q+1 all sit outside the support of y once the slots split
-    vals = support_values("y", P2)
+    vals = _member_values("y", P2.s)
     for i in (3 * P2.q, 2 * P2.q, P2.q + 1):
         assert i not in vals
     K = _point_backend(rational_point(2, seed=11))
@@ -282,7 +281,7 @@ def test_valued_support_matches_a_direct_count_at_every_leaf():
             for _sub, expr in sp.residuals:
                 for op, role, ix in _leaves(expr):
                     if role == "t":
-                        support = _t_support(roles["f"], roles["b"])
+                        support = virtual_support(roles["f"], roles["b"])
                         valued = _valued_support(roles["f"], roles["b"])
                     else:
                         support = member_support(roles[role])

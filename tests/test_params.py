@@ -3,6 +3,7 @@ import pytest
 from reecurve.params import (
     Q2,
     SymbolicIndex,
+    cube_count,
     index_value,
     ree_params,
     symbolic_from_value,
@@ -34,6 +35,13 @@ def test_q_is_3q0_squared():
         p = ree_params(s)
         assert p.q == 3 * p.q0**2
         assert p.q0 == 3**s
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_cube_count_names_the_frobenius_powers(s):
+    p = ree_params(s)
+    powers = {tag: 3 ** cube_count(tag, s) for tag in ("1", "q0", "3q0", "q", "q2")}
+    assert powers == {"1": 1, "q0": p.q0, "3q0": 3 * p.q0, "q": p.q, "q2": p.q**2}
 
 
 def test_l_exponents_sum_to_genus():

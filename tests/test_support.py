@@ -8,20 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reecurve.hasse import hasse_calculus
-from reecurve.params import index_value, ree_params
+from reecurve.params import SymbolicIndex, index_value, ree_params
+from reecurve.ring import FAMILY_NAMES, QPOWER_RULES, is_plain
 from reecurve.support import (
     D_ORDER_INDICES,
     E_ORDER_INDICES,
     MIXED_COLUMNS,
     PLAIN_COLUMNS,
+    _member_values,
+    _shift_values,
     appendix_csv,
     appendix_rows,
     leq3,
+    level_uniform,
     member_support,
     minimal_elements,
     minimal_non_orders,
     support_soundness,
-    support_values,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -55,15 +58,15 @@ def test_minimal_elements():
 
 def test_support_of_x():
     p = ree_params(2)
-    assert support_values("x", p, "shift") == {0, 1, p.q}
-    assert support_values("x", p) == {0, 1}
+    assert _shift_values("x", p.s) == {0, 1, p.q}
+    assert _member_values("x", p.s) == {0, 1}
     assert labels(member_support("x")) == {"0", "1"}
 
 
 def test_support_of_y():
     p = ree_params(2)
     q0, q = p.q0, p.q
-    assert support_values("y", p, "shift") == {0, 1, q0, q0 + 1, q, q + q0}
+    assert _shift_values("y", p.s) == {0, 1, q0, q0 + 1, q, q + q0}
     assert labels(member_support("y")) == {
         "0", "1", "q_0", "q_0+1", "q", "q+q_0", "qq_0", "qq_0+q", "q^2",
     }
@@ -73,7 +76,7 @@ def test_support_of_z():
     p = ree_params(2)
     q0, q = p.q0, p.q
     shift = {0, 1, q0, q0 + 1, 2 * q0, 2 * q0 + 1, q, q + q0, q + 2 * q0}
-    assert support_values("z", p, "shift") == shift
+    assert _shift_values("z", p.s) == shift
     assert labels(member_support("z")) == {
         "0", "1", "q_0", "q_0+1", "2q_0", "2q_0+1", "q", "q+q_0", "q+2q_0",
         "qq_0", "qq_0+q", "2qq_0", "2qq_0+q", "q^2",
@@ -88,9 +91,37 @@ def test_support_of_w1():
 
 
 def test_supports_are_level_uniform():
-    # member_support raises if the s=2 decode fails to re-evaluate at s=3
+    # member_support raises if the s=2 decode fails to re-evaluate at s=3 or 4
     for name in PLAIN_COLUMNS + MIXED_COLUMNS:
         assert member_support(name)
+
+
+def test_level_uniform_rechecks_the_first_stable_level():
+    def values(s):
+        return {1, ree_params(s).q0}
+
+    assert level_uniform(values, "probe") == (SymbolicIndex(d=1), SymbolicIndex(c=1))
+    # agrees at s = 3, not at s = 4
+    with pytest.raises(ArithmeticError, match="probe is not level-uniform"):
+        level_uniform(lambda s: values(s) | ({5} if s == 4 else set()), "probe")
+
+
+@pytest.mark.parametrize("kind", ["member", "shift"])
+def test_base_level_sets_are_the_uniform_supports_valued(kind):
+    # s = 1 runs the same rules as every other level; its sets are the
+    # level-uniform symbolic supports valued at s = 1
+    values = _member_values if kind == "member" else _shift_values
+    names = (FAMILY_NAMES if kind == "member" else ("x",)) + tuple(QPOWER_RULES)
+    p1 = ree_params(1)
+    for name in dict.fromkeys(names):
+        symbolic = level_uniform(lambda s: values(name, s), name)
+        assert values(name, 1) == {index_value(ix, p1) for ix in symbolic}, name
+
+
+def test_table_columns_follow_the_rule_shapes():
+    plain = {name for name in QPOWER_RULES if is_plain(name)}
+    assert set(PLAIN_COLUMNS) == {"x"} | plain
+    assert set(MIXED_COLUMNS) == set(QPOWER_RULES) - plain - {"v"}
 
 
 def test_inclusion_chains():
@@ -209,5 +240,5 @@ def test_claimed_supports_exact_in_window():
     for name in ("w4", "w5", "w9", "w10"):
         table = calc.table(name)
         true_sup = {i for i, v in table.items() if i <= bound and not v.is_zero()}
-        claimed = {v for v in support_values(name, p1) if v <= bound}
+        claimed = {v for v in _member_values(name, p1.s) if v <= bound}
         assert claimed == true_sup, name

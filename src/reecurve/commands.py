@@ -109,11 +109,11 @@ def _emit(args, payload: dict, text_lines: list[str], csv_text: Optional[str]) -
         sys.stdout.write(out)
 
 
-def cmd_params(args, parser) -> int:
+def _params_fields(s: int) -> dict:
     from . import params
 
-    p = params.ree_params(args.s)
-    fields = {
+    p = params.ree_params(s)
+    return {
         "s": p.s,
         "q0": p.q0,
         "q": p.q,
@@ -121,6 +121,35 @@ def cmd_params(args, parser) -> int:
         "n_rational": p.n_rational,
         "m": p.m_value,
     }
+
+
+def _params_fit(s: int, limit: int) -> bool:
+    """Whether every number of the params report at s has at most limit digits.
+
+    n_rational = q^3 + 1 > 10^(2s), so no s >= limit fits, and no such s
+    has its numbers built.
+    """
+    return s < limit and max(_params_fields(s).values()) < 10**limit
+
+
+def cmd_params(args, parser) -> int:
+    # the report writes each number in decimal, which Python refuses past
+    # sys.get_int_max_str_digits() digits (0: no limit)
+    limit = sys.get_int_max_str_digits()
+    if limit and not _params_fit(args.s, limit):
+        fits, too_long = 1, min(args.s, limit)
+        while too_long - fits > 1:
+            mid = (fits + too_long) // 2
+            if _params_fit(mid, limit):
+                fits = mid
+            else:
+                too_long = mid
+        parser.error(
+            f"--s {args.s} gives numbers longer than {limit} digits, Python's limit "
+            f"for writing an int (sys.get_int_max_str_digits()); the largest s "
+            f"whose report fits is {fits}"
+        )
+    fields = _params_fields(args.s)
     payload = {"command": "params", **fields}
     lines = [f"{k} = {v}" for k, v in fields.items()]
     csv_text = "field,value\n" + "".join(f"{k},{v}\n" for k, v in fields.items())

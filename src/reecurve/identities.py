@@ -53,7 +53,9 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from reecurve.backends import Backend, backends, sample_count
 from reecurve.params import Q2, SymbolicIndex, index_value, ree_params
-from reecurve.ring import FAMILY_NAMES, QPOWER_RULES, SUBFAMILY_NAMES, is_deep, is_plain
+from reecurve.ring import (
+    FAMILY_NAMES, PAIRING, QPOWER_RULES, SUBFAMILY_NAMES, is_deep, is_plain,
+)
 from reecurve.support import member_support, virtual_support
 
 if TYPE_CHECKING:
@@ -368,13 +370,35 @@ def _dirty_values(valued, v1: int, v2: int) -> Optional[str]:
     return None
 
 
-def _dirty_leaf(valued, ix: SymbolicIndex, p1, p2) -> Optional[str]:
-    return _dirty_values(valued, index_value(ix, p1), index_value(ix, p2))
+@lru_cache(maxsize=None)
+def _valued_leaves(spec: IdentitySpec) -> tuple[tuple[str, str, int, int, bool], ...]:
+    """The derivative leaves of an identity, indices valued once.
+
+    One (op, role, value at s=1, value at s=2, whether the index is a
+    symbolic multiple of q) per leaf, in the order collision_reason checks
+    them; none of it depends on the instance.
+    """
+    p1, p2 = ree_params(1), ree_params(2)
+    out = []
+    stack = [expr for _sub, expr in spec.residuals]
+    while stack:
+        e = stack.pop()
+        op = e[0]
+        if op in ("d", "dshift", "dqpow"):
+            ix = e[2]
+            out.append((op, e[1], index_value(ix, p1), index_value(ix, p2), _sym_div_q(ix)))
+        elif op == "pw":
+            stack.append(e[1])
+        elif op == "mul":
+            stack.extend(e[1:])
+        elif op == "sum":
+            stack.extend(sub for _sign, sub in e[1:])
+    return tuple(out)
 
 
 def collision_reason(spec: IdentitySpec, roles: dict[str, str]) -> Optional[str]:
     """Why the instance is outside the asserted scope at s=1, or None."""
-    p1, p2 = ree_params(1), ree_params(2)
+    q1, q2 = ree_params(1).q, ree_params(2).q
 
     def valued_of(role: str):
         if role == "t":
@@ -386,40 +410,24 @@ def collision_reason(spec: IdentitySpec, roles: dict[str, str]) -> Optional[str]
             return f"t({roles['f']},{roles['b']})"
         return roles[role]
 
-    stack = [expr for _sub, expr in spec.residuals]
-    while stack:
-        e = stack.pop()
-        op = e[0]
-        if op == "d":
-            r = _dirty_leaf(valued_of(e[1]), e[2], p1, p2)
+    for op, role, v1, v2, div_q in _valued_leaves(spec):
+        valued = valued_of(role)
+        if op != "dqpow":
+            r = _dirty_values(valued, v1, v2)
             if r:
-                return f"{label_of(e[1])}: {r}"
-        elif op in ("dshift", "dqpow"):
-            ix = e[2]
-            valued = valued_of(e[1])
-            if op == "dshift":
-                r = _dirty_leaf(valued, ix, p1, p2)
-                if r:
-                    return f"{label_of(e[1])}^q-{label_of(e[1])}: {r}"
-            if _sym_div_q(ix):
-                r = _dirty_values(
-                    valued, index_value(ix, p1) // p1.q, index_value(ix, p2) // p2.q
-                )
-                if r:
-                    return f"{label_of(e[1])} under the q-power route: {r}"
-            else:
-                v1 = index_value(ix, p1)
-                if v1 and v1 % p1.q == 0:
-                    return (
-                        f"{label_of(e[1])}: D^{v1} gains a q-power route "
-                        "that the formula does not name"
-                    )
-        elif op == "pw":
-            stack.append(e[1])
-        elif op == "mul":
-            stack.extend(e[1:])
-        elif op == "sum":
-            stack.extend(sub for _sign, sub in e[1:])
+                where = label_of(role)
+                return f"{where}: {r}" if op == "d" else f"{where}^q-{where}: {r}"
+        if op == "d":
+            continue
+        if div_q:
+            r = _dirty_values(valued, v1 // q1, v2 // q2)
+            if r:
+                return f"{label_of(role)} under the q-power route: {r}"
+        elif v1 and v1 % q1 == 0:
+            return (
+                f"{label_of(role)}: D^{v1} gains a q-power route "
+                "that the formula does not name"
+            )
     return None
 
 
@@ -572,15 +580,16 @@ def osculating_functions(P: CurvePoint):
     depth = P.params.q**2 + 1
     K = Backend(PointExpansion(P, depth), depth)
     e2 = 2 * (2 * P.s + 1)
-    members = [K.member(name) for name in SUBFAMILY_NAMES]
-    values = [ser.get(0, P.ctx.zero()) for ser in members]
+    members = {name: K.member(name) for name in SUBFAMILY_NAMES}
+    values = {name: ser.get(0, P.ctx.zero()) for name, ser in members.items()}
     g: dict = {}
     h: dict = {}
-    for i, ser in enumerate(members):
-        cg = frobenius_power(values[i], e2)
-        g = ser_add(g, {e: cg * c for e, c in members[6 - i].items()}, 1)
+    for name, ser in members.items():
+        partner = PAIRING[name]
+        cg = frobenius_power(values[name], e2)
+        g = ser_add(g, {e: cg * c for e, c in members[partner].items()}, 1)
         fq2 = K.pow_tag(ser, "q2")
-        cv = values[6 - i]
+        cv = values[partner]
         h = ser_add(h, {e: cv * c for e, c in fq2.items()}, 1)
     g = {e: c for e, c in g.items() if not c.is_zero()}
     h = {e: c for e, c in h.items() if not c.is_zero()}

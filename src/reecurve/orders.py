@@ -20,7 +20,7 @@ shared with the identity checks), one echelon per backend:
   towards rejection and never invents an order; under-selection is guarded
   by seed-stability checks in the test suite.
 
-The exact route skips the rank work the theory already settles, by two
+The exact route skips the rank work the theory already settles, by three
 rules that leave every result unchanged:
 
 * closure: by the p-adic criterion (Stöhr-Voloch, Proc. LMS 52, 1986,
@@ -39,7 +39,24 @@ rules that leave every result unchanged:
   before it, so reducing (f^q)_f by rows 0..j leaves a remainder zero at
   their pivots; a nonzero combination of the rows is nonzero at the pivot
   of its first row, so the remainder is zero exactly when (f^q)_f lies in
-  their span.
+  their span;
+* closing: once the echelon holds n - 1 rows, n the family's size, the
+  scan builds the pairing row c (ring.PAIRING): c[f_(6-i)] = f_i^(q^2)
+  over the seven-function family, zero elsewhere, the coefficients of the
+  paper's hyperplane osculating at the generic point (for D and E, c
+  annihilates the row of every order below the last, q^2, and not the
+  last; Stöhr-Voloch for the link between osculation and rank).  When c
+  is nonzero and every stored row has dot product zero with it, checked
+  exactly, the n - 1 independent rows have a kernel of dimension one,
+  spanned by c, so a row lies in their span exactly when its dot product
+  with c is zero: each later candidate is one dot product, not a
+  reduction through n - 1 rows.  The first that is not zero is the last
+  order; its reduced row would be zero at every stored pivot, so its
+  pivot is the one column no stored row has.  That row is not stored:
+  the echelon is marked full, and a row that survives every stored row
+  lies in the span of all n.  A family whose row fails the check keeps
+  the reduction; the check alone decides, so the rule holds for any
+  family.
 
 The criterion is about generic orders, so vanishing profiles at a point
 keep the full pool, and so does the sampled route, which stays an
@@ -63,8 +80,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .backends import SAMPLE_EXTENSION, backends, sample_count
 from .hasse import binom_support
-from .params import ReeParams, SymbolicIndex, index_value, ree_params
-from .ring import FAMILY_NAMES, SUBFAMILY_NAMES, CurveElement
+from .params import ReeParams, SymbolicIndex, cube_count, index_value, ree_params
+from .ring import FAMILY_NAMES, PAIRING, SUBFAMILY_NAMES, CurveElement
 from .support import family_candidate_values, minimal_non_orders, order_values
 
 if TYPE_CHECKING:
@@ -176,6 +193,15 @@ def _strip_content(vec: list[CurveElement]) -> list[CurveElement]:
     return [el if el.is_zero() else el.divide_monomial(mins) for el in vec]
 
 
+def _dot(vec: list[CurveElement], kernel: list[CurveElement]) -> CurveElement:
+    """sum_k vec[k] * kernel[k], no product formed with a zero operand."""
+    out = vec[0].ring.zero()
+    for a, b in zip(vec, kernel):
+        if not (a.is_zero() or b.is_zero()):
+            out = out + a * b
+    return out
+
+
 class _SymbolicEchelon:
     """Fraction-free echelon of rows of normal-form ring elements.
 
@@ -184,11 +210,17 @@ class _SymbolicEchelon:
     entries, so the pivot column is set to zero and never multiplied, and
     a product with a zero operand is skipped.  Each stored row is zero at
     the pivots of the rows stored before it.
+
+    Closed by close(kernel), an echelon of ncols - 1 rows decides a row
+    by one dot product with the kernel instead; the row that completes
+    the rank is not stored, and full is set.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self.rows: list[tuple[int, list[CurveElement]]] = []
+        self.kernel: list[CurveElement] | None = None
+        self.full = False
 
     @staticmethod
     def _reduce(vec: list[CurveElement], pivot: int,
@@ -208,8 +240,31 @@ class _SymbolicEchelon:
                 out.append(lead * a - c * b)
         return _strip_content(out)
 
+    def close(self, kernel: list[CurveElement]) -> bool:
+        """Decide later rows by one dot product with kernel, where that is exact.
+
+        It is when kernel is nonzero and has dot product zero with each of
+        the ncols - 1 stored rows, which are independent: kernel then spans
+        their kernel (the closing rule of the module docstring).  Returns
+        whether the echelon closed.
+        """
+        if (len(self.rows) != self.ncols - 1
+                or all(a.is_zero() for a in kernel)
+                or any(not _dot(row, kernel).is_zero() for _, row in self.rows)):
+            return False
+        self.kernel = kernel
+        return True
+
     def insert(self, vec: list[CurveElement]) -> int | None:
         """Reduce against stored rows; keep and return pivot if independent."""
+        if self.kernel is not None:
+            if self.full or _dot(vec, self.kernel).is_zero():
+                return None
+            # the reduced row would be zero at every stored pivot: its pivot
+            # is the one column left
+            self.full = True
+            taken = {pivot for pivot, _ in self.rows}
+            return next(k for k in range(self.ncols) if k not in taken)
         for pivot, row in self.rows:
             if not vec[pivot].is_zero():
                 vec = self._reduce(vec, pivot, row)
@@ -222,19 +277,21 @@ class _SymbolicEchelon:
         return pivot
 
     def spanned_at(self, vec: list[CurveElement]) -> int | None:
-        """The least j with vec in the span of stored rows 0..j, or None.
+        """The least j with vec in the span of rows 0..j, or None.
 
         vec is reduced by the stored rows in order, as insert reduces it;
         as each row is zero at the pivots of the rows before it, the
         remainder after rows 0..j is zero exactly when vec lies in their
-        span (the Frobenius pool rule of the module docstring).
+        span (the Frobenius pool rule of the module docstring).  A full
+        echelon has one row more than it stores, and every vec lies in the
+        span of all its rows.
         """
         for j, (pivot, row) in enumerate(self.rows):
             if not vec[pivot].is_zero():
                 vec = self._reduce(vec, pivot, row)
             if all(a.is_zero() for a in vec):
                 return j
-        return None
+        return len(self.rows) if self.full else None
 
 
 class _PointEchelon:
@@ -280,6 +337,23 @@ def _echelons(Ks: tuple, ncols: int) -> list:
     return [_PointEchelon() for _ in Ks]
 
 
+def _pairing_row(K, names) -> list[CurveElement]:
+    """The osculating pairing as a row over names, at the generic point.
+
+    A member g of the seven-function family gets PAIRING[g]^(q^2)
+    (ring.PAIRING), every other member zero.
+    """
+    zero = K.value(names[0], 0).ring.zero()
+    row = []
+    for f in names:
+        if f in PAIRING:
+            v = K.value(PAIRING[f], 0)
+            row.append(v.pow3k(cube_count("q2", v.ring.p.s)))
+        else:
+            row.append(zero)
+    return row
+
+
 def _closure_admits(i: int, accepted: set[int]) -> bool:
     """Whether every i - 3^k, for each nonzero base-3 digit k of i, is accepted."""
     v, power = i, 1
@@ -314,13 +388,15 @@ def _scan(Ks: tuple, names, candidates, row="value", seed_row=None, want=None,
     with the echelons the scan filled.
 
     The exact route cuts the pool by the closure rule of the module
-    docstring; _order_scan sets closure exactly on that route.  With
-    closure set, i is offered only when _closure_admits it; that is sound
-    for the generic orders over the full candidate pool, where the
-    accepted set is the order set below i: closed under digitwise
-    base-3 domination (Stöhr-Voloch Cor. 1.9), it stays a down-set by
-    induction, a skipped i is a non-order the echelon would have rejected,
-    and a rejected insert leaves the echelon as it was.  The minimal
+    docstring, and after n - 1 acceptances closes its echelon on the
+    pairing row (the closing rule there); _order_scan sets closure
+    exactly on that route.  With closure set, i is offered only when
+    _closure_admits it; that is sound for the generic orders over the full
+    candidate pool, where the accepted set is the order set below i:
+    closed under digitwise base-3 domination (Stöhr-Voloch Cor. 1.9), it
+    stays a down-set by induction, a skipped i is a non-order the echelon
+    would have rejected, and a rejected insert leaves the echelon as it
+    was.  The minimal
     non-orders have every proper submask an order, so they still reach the
     echelon and are rejected by it.  Profiles at a point and the sampled
     route offer the full pool, since the criterion is about generic orders
@@ -349,6 +425,8 @@ def _scan(Ks: tuple, names, candidates, row="value", seed_row=None, want=None,
             accepted.add(i)
             if len(found) == want:
                 break
+            if closure and len(found) == len(names) - 1:
+                echelons[0].close(_pairing_row(Ks[0], names))
     scan = _Scan(found)
     scan.echelons = echelons
     return scan

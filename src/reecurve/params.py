@@ -14,6 +14,7 @@ an integer on demand.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 from typing import NamedTuple
 
 __all__ = [
@@ -39,8 +40,9 @@ class ReeParams(NamedTuple):
     l_exp_2: int
 
 
+@lru_cache(maxsize=None, typed=True)
 def ree_params(s: int) -> ReeParams:
-    """Evaluate all curve invariants for q = 3^(2s+1)."""
+    """Evaluate all curve invariants for q = 3^(2s+1), once per level."""
     if not isinstance(s, int) or s < 1:
         raise ValueError("s must be an integer >= 1")
     q0 = 3**s

@@ -307,6 +307,12 @@ FAMILY_NAMES = (
 
 SUBFAMILY_NAMES = ("one", "x", "w1", "w2", "w3", "w6", "w8")
 
+# The pairing of the seven-function family: with f_i the i-th member of
+# SUBFAMILY_NAMES, the hyperplane osculating at a point P is
+# g_P = sum_i f_i(P)^(q^2) f_(6-i).  PAIRING[f_i] is f_(6-i); the map is
+# its own inverse.
+PAIRING = dict(zip(SUBFAMILY_NAMES, reversed(SUBFAMILY_NAMES)))
+
 # Construction DAG shared by every backend.  Each member is a signed sum of
 # terms  left * right^e,  e the Frobenius power its tag names
 # (params.cube_count), each term referring only to earlier names.

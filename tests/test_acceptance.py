@@ -15,6 +15,8 @@ import sys
 import time
 from pathlib import Path
 
+import reecurve.orders
+from reecurve.backends import backends
 from reecurve.cli import main
 from reecurve.gf import field_context
 from reecurve.hasse import binom_mod3, hasse_calculus
@@ -319,4 +321,30 @@ def test_criterion_13_sampled_route_above_s1():
         13,
         f"sampled route above s=1: D and E orders at 2 points, generic weight 0, "
         f"Frobenius D equal to the exact ones at s=2,3, {dt:.2f}s",
+    )
+
+
+def test_criterion_14_exact_route_at_s4_and_s5():
+    # s = 4 is the first level at which every level-uniform claim is
+    # stable; the closing stage keeps the exact D scan there to a fraction
+    # of a second
+    t0 = time.time()
+    for s in (4, 5):
+        res = verify_catalog(s, "symbolic")
+        assert len(res) == 452 and all(r.ok and not r.skipped for r in res)
+        for series in ("D", "E"):
+            eps = order_values(ree_params(s), series)
+            assert list(order_sequence(series, s=s, backend="symbolic").orders) == eps
+            fr = frobenius_orders(series, s=s, backend="symbolic")
+            assert fr.omitted_order == 1 and fr.omitted_index == 1
+            assert list(fr.nus) == [v for v in eps if v != 1]
+            names = reecurve.orders._family_names(series)
+            (echelon,) = reecurve.orders._order_scan(
+                names, backends(s, "symbolic", 1, 0)).echelons
+            assert echelon.full and len(echelon.rows) == len(names) - 1
+    dt = time.time() - t0
+    _verdict(
+        14,
+        f"exact route at s=4,5: catalog 452/452, D and E orders equal the closed "
+        f"form, Frobenius D and E omit 1, closing stage taken, {dt:.2f}s",
     )

@@ -1,6 +1,7 @@
 """Command-line behavior: payload shape, exit codes, determinism."""
 
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -39,6 +40,25 @@ def test_s_zero_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["params", "--s", "0"])
     assert exc.value.code == 2
+
+
+def test_params_past_the_int_string_limit_is_usage_error(capsys):
+    # the report writes n_rational = q^3 + 1, its longest number, in
+    # decimal; the named bound is the last level whose report Python writes
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(SystemExit) as exc:
+        main(["params", "--s", "3000"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    bound = int(re.search(r"the largest s whose report fits is (\d+)", err)[1])
+    assert len(str(ree_params(bound).n_rational)) <= limit
+    assert ree_params(bound + 1).n_rational >= 10**limit
+    code, doc = run_json(capsys, ["params", "--s", str(bound)])
+    assert code == 0 and doc["s"] == str(bound)
+    with pytest.raises(SystemExit) as exc:
+        main(["params", "--s", str(bound + 1)])
+    assert exc.value.code == 2
+    assert f"is {bound}" in capsys.readouterr().err
 
 
 def test_symbolic_backend_runs_above_s1(capsys):

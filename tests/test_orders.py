@@ -28,6 +28,7 @@ from reecurve.orders import (
     triangular_check,
 )
 from reecurve.params import index_value, ree_params
+from reecurve.ring import CurveElement
 from reecurve.support import (
     family_candidate_values,
     leq3,
@@ -258,6 +259,10 @@ class _TwinEchelon:
         _TwinEchelon.spans += 1
         return got
 
+    def close(self, kernel):
+        # both twins keep reducing; the closing stage has its own twin below
+        return False
+
 
 @pytest.fixture
 def fresh_order_scan():
@@ -285,6 +290,122 @@ def test_echelon_stores_what_cross_multiplication_stores(
     scan(series, s=s, backend="symbolic")
     assert _TwinEchelon.inserts > len(order_values(ree_params(s), series))
     assert _TwinEchelon.spans == (scan is frobenius_orders)
+
+
+# -- the closing stage against the reduction it replaces
+
+
+class _ClosingTwin(_Echelon):
+    """Checks each row the closing stage decides against a reducing copy."""
+
+    decided = []
+
+    def insert(self, vec):
+        if self.kernel is None:
+            return super().insert(vec)
+        assert not self.full
+        copy = _Echelon(self.ncols)
+        copy.rows = list(self.rows)
+        want = copy.insert(vec)
+        got = super().insert(vec)
+        assert got == want
+        _ClosingTwin.decided.append(got)
+        return got
+
+
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("series", ["D", "E"])
+def test_closing_verdicts_are_the_reduction_verdicts(monkeypatch, s, series):
+    # every candidate past the (n-1)-th order gets the verdict, and the
+    # last order the pivot, that a reduction through the stored rows gives
+    monkeypatch.setattr(reecurve.orders, "_SymbolicEchelon", _ClosingTwin)
+    _ClosingTwin.decided = []
+    names, pool = _pool(s, series)
+    found = reecurve.orders._scan(backends(s, "symbolic", 1, 0), names, pool,
+                                  want=len(names), closure=True)
+    assert [i for i, _, _ in found] == order_values(ree_params(s), series)
+    (echelon,) = found.echelons
+    assert echelon.full and len(echelon.rows) == len(names) - 1
+    *rejected, last = _ClosingTwin.decided
+    assert rejected and set(rejected) == {None}
+    assert last == found[-1][2]
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+@pytest.mark.parametrize("series", ["D", "E"])
+def test_pairing_row_annihilates_the_rows_below_the_last_order(s, series):
+    # the osculating hyperplane at the generic point, exactly: it meets
+    # the rows of the first n-1 orders and not the row of q^2
+    names = reecurve.orders._family_names(series)
+    (K,) = backends(s, "symbolic", 1, 0)
+    c = reecurve.orders._pairing_row(K, names)
+    eps = order_values(ree_params(s), series)
+    assert eps[-1] == ree_params(s).q ** 2
+    dots = [reecurve.orders._dot([K.value(f, i) for f in names], c) for i in eps]
+    assert [d.is_zero() for d in dots] == [True] * (len(names) - 1) + [False]
+
+
+def test_family_without_the_seven_keeps_the_reduction():
+    names, pool = _pool(1, ("one", "x", "w1"))
+    Ks = backends(1, "symbolic", 1, 0)
+    raw = reecurve.orders._scan(Ks, names, pool, want=len(names))
+    closed = reecurve.orders._order_scan(names, Ks)
+    (echelon,) = closed.echelons
+    assert echelon.kernel is None and not echelon.full
+    assert len(echelon.rows) == len(names)
+    assert list(closed) == list(raw) == [(0, (0,), 0), (1, (0,), 1), (9, (0,), 2)]
+
+
+def test_close_takes_only_an_exact_kernel():
+    # an E echelon of six rows closes on the pairing row, and on nothing
+    # that is zero or fails to annihilate a stored row
+    names, pool = _pool(1, "E")
+    (K,) = Ks = backends(1, "symbolic", 1, 0)
+    c = reecurve.orders._pairing_row(K, names)
+    six = reecurve.orders._scan(Ks, names, pool, want=len(names) - 1)
+    (echelon,) = six.echelons
+    zero = K.value("one", 0).ring.zero()
+    assert not echelon.close([zero] * len(names))
+    assert not echelon.close(c[:-1] + [c[-1] + K.value("one", 0)])
+    assert echelon.kernel is None
+    assert echelon.close(c) and echelon.kernel is c
+    short = reecurve.orders._scan(Ks, names, pool, want=len(names) - 2)
+    assert not short.echelons[0].close(c)
+
+
+@pytest.mark.parametrize("series", ["D", "E"])
+def test_full_echelon_spans_every_row(series):
+    # no family reaches it (the seed row lies in the span of the first two
+    # rows), but a row outside the stored rows' span lies in the span of
+    # all n rows of a closed scan, the last one unstored
+    names = reecurve.orders._family_names(series)
+    Ks = backends(1, "symbolic", 1, 0)
+    (echelon,) = reecurve.orders._order_scan(names, Ks).echelons
+    assert echelon.full
+    last = [Ks[0].value(f, ree_params(1).q ** 2) for f in names]
+    assert echelon.spanned_at(last) == len(names) - 1
+    partial = _Echelon(len(names))
+    partial.rows = list(echelon.rows)
+    assert partial.spanned_at(last) is None
+
+
+def test_closing_bounds_the_d_scan_work(monkeypatch, fresh_order_scan):
+    # tooling: the term-pair products of the exact D scan at s = 2, with
+    # the expansion warm; the full reduction past the 13th order takes
+    # about 1.49 million, the closing stage about 0.24 million
+    order_sequence("D", s=2, backend="symbolic")
+    reecurve.orders._order_scan.cache_clear()
+    pairs = [0]
+    mul = CurveElement.__mul__
+
+    def counting(a, b):
+        pairs[0] += len(a.packed) * len(b.packed)
+        return mul(a, b)
+
+    monkeypatch.setattr(CurveElement, "__mul__", counting)
+    seq = order_sequence("D", s=2, backend="symbolic")
+    assert list(seq.orders) == order_values(ree_params(2), "D")
+    assert 0 < pairs[0] < 500_000
 
 
 # -- what the exact route offers the echelon

@@ -276,7 +276,7 @@ def _collision_warnings(s: int) -> list[str]:
             v = params.index_value(ix, p)
             if v in orders:
                 notes.append(
-                    f"series {series}: non-order index {ix} has value {v}, "
+                    f"series {series}: non-order index {ix!r} has value {v}, "
                     f"which collides with an order at s={s}"
                 )
     return notes

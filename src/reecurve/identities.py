@@ -10,9 +10,9 @@ per text:
     X^q0        the Frobenius power X^(q0); likewise ^3q0, ^q and ^q2
     X Y         a product; + and - join a signed sum; (...) groups
 
-Indices are written as orders.symbolic_label prints them (qq0+q+q0,
-3q0+1, 0), so one catalog serves every parameter level.  A1, for example,
-reads
+Indices are written as str(SymbolicIndex) prints them (qq0+q+q0, 3q0+1,
+0) and read by SymbolicIndex.parse, so one catalog serves every parameter
+level.  A1, for example, reads
 
     L[q0] Df[q0+1] + L[2q0] Df[2q0+1] + L[3q0] Df[3q0+1] - Df[q] - L[1] Df[q+1]
 
@@ -52,7 +52,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from reecurve.backends import Backend, backends, sample_count
-from reecurve.params import Q2, SymbolicIndex, index_value, ree_params
+from reecurve.params import SymbolicIndex, index_value, ree_params
 from reecurve.ring import (
     FAMILY_NAMES, PAIRING, QPOWER_RULES, SUBFAMILY_NAMES, is_deep, is_plain,
 )
@@ -88,22 +88,7 @@ class IdentitySpec(NamedTuple):
 # One token: a leaf D<role>[index], S<role>[index], Q<role>[index] or
 # L[index]; a Frobenius tag; or one of ( ) + -.
 _TOKEN = re.compile(r"\s*(?:([DSQ][a-z]|L)\[([^\]]*)\]|(\^(?:3q0|q0|q2|q)|[()+-]))")
-_INDEX_PART = re.compile(r"(\d*)(qq0|q0|q|)")
-_UNITS = ("qq0", "q", "q0", "")
 _LEAVES = {"D": "d", "S": "dshift", "Q": "dqpow"}
-
-
-def _read_index(text: str) -> SymbolicIndex:
-    """The index that orders.symbolic_label prints as text, e.g. qq0+3q0+1."""
-    if text == "q2":
-        return Q2
-    coeffs = [0, 0, 0, 0]
-    for part in [] if text == "0" else text.split("+"):
-        m = _INDEX_PART.fullmatch(part)
-        if not part or m is None or coeffs[_UNITS.index(m[2])]:
-            raise ValueError(f"bad index {text!r}")
-        coeffs[_UNITS.index(m[2])] = int(m[1] or 1)
-    return SymbolicIndex(*coeffs)
 
 
 def _tokens(text: str) -> list:
@@ -116,9 +101,9 @@ def _tokens(text: str) -> list:
             raise ValueError(f"unknown token at {text[pos:pos + 12]!r}")
         leaf, index, other = m.groups()
         if leaf == "L":
-            out.append(("ell", _read_index(index)))
+            out.append(("ell", SymbolicIndex.parse(index)))
         elif leaf:
-            out.append((_LEAVES[leaf[0]], leaf[1], _read_index(index)))
+            out.append((_LEAVES[leaf[0]], leaf[1], SymbolicIndex.parse(index)))
         else:
             out.append(other)
         pos = m.end()

@@ -80,7 +80,9 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .backends import SAMPLE_EXTENSION, backends, sample_count
 from .hasse import binom_support
-from .params import ReeParams, SymbolicIndex, cube_count, index_value, ree_params
+from .params import (
+    ReeParams, SymbolicIndex, cube_count, index_value, indices, ree_params,
+)
 from .ring import FAMILY_NAMES, PAIRING, SUBFAMILY_NAMES, CurveElement
 from .support import family_candidate_values, minimal_non_orders, order_values
 
@@ -98,7 +100,6 @@ __all__ = [
     "padic_closure_check",
     "rejection_witnesses",
     "rejection_report",
-    "symbolic_label",
     "D_PROOF_ROWS",
     "D_PROOF_COLS",
     "E_PROOF_ROWS",
@@ -115,32 +116,15 @@ def _family_names(series) -> tuple[str, ...]:
     raise ValueError(f"unknown series {series!r}")
 
 
-def symbolic_label(ix: SymbolicIndex) -> str:
-    """Human-readable index label, e.g. qq0+q0 or q2."""
-    if ix.is_q2:
-        return "q2"
-    parts = []
-    for coeff, unit in ((ix.a, "qq0"), (ix.b, "q"), (ix.c, "q0"), (ix.d, "1")):
-        if coeff == 0:
-            continue
-        if unit == "1":
-            parts.append(str(coeff))
-        elif coeff == 1:
-            parts.append(unit)
-        else:
-            parts.append(f"{coeff}{unit}")
-    return "+".join(parts) if parts else "0"
-
-
 def _order_labels(series, p: ReeParams, orders: tuple[int, ...]) -> tuple[str, ...]:
     """Label scan output against the theory list where it matches."""
     from .support import D_ORDER_INDICES, E_ORDER_INDICES
 
     if series not in ("D", "E"):
         return tuple(str(v) for v in orders)
-    indices = D_ORDER_INDICES if series == "D" else E_ORDER_INDICES
+    table = D_ORDER_INDICES if series == "D" else E_ORDER_INDICES
     if list(orders) == order_values(p, series):
-        return tuple(symbolic_label(ix) for ix in indices)
+        return tuple(map(str, table))
     return tuple(str(v) for v in orders)
 
 
@@ -180,19 +164,6 @@ class FrobeniusOrders(NamedTuple):
 # rank engines
 
 
-def _strip_content(vec: list[CurveElement]) -> list[CurveElement]:
-    """Divide a row by the monomial content shared by its entries."""
-    mins = None
-    for el in vec:
-        if el.is_zero():
-            continue
-        m = el.monomial_mins()
-        mins = m if mins is None else tuple(min(a, b) for a, b in zip(mins, m))
-    if mins is None or not any(mins):
-        return vec
-    return [el if el.is_zero() else el.divide_monomial(mins) for el in vec]
-
-
 def _dot(vec: list[CurveElement], kernel: list[CurveElement]) -> CurveElement:
     """sum_k vec[k] * kernel[k], no product formed with a zero operand."""
     out = vec[0].ring.zero()
@@ -225,7 +196,7 @@ class _SymbolicEchelon:
     @staticmethod
     def _reduce(vec: list[CurveElement], pivot: int,
                 row: list[CurveElement]) -> list[CurveElement]:
-        """vec cross-multiplied by one stored row, content stripped."""
+        """vec cross-multiplied by one stored row."""
         lead, c = row[pivot], vec[pivot]
         zero = lead.ring.zero()
         out = []
@@ -238,7 +209,7 @@ class _SymbolicEchelon:
                 out.append(-(c * b))
             else:
                 out.append(lead * a - c * b)
-        return _strip_content(out)
+        return out
 
     def close(self, kernel: list[CurveElement]) -> bool:
         """Decide later rows by one dot product with kernel, where that is exact.
@@ -561,29 +532,13 @@ def frobenius_orders(
 # ---------------------------------------------------------------------------
 # triangular proof matrices
 
-D_PROOF_ROWS = (
-    SymbolicIndex(0, 0, 0, 0),
-    SymbolicIndex(0, 0, 0, 1),
-    SymbolicIndex(0, 0, 1, 1),
-    SymbolicIndex(0, 0, 2, 1),
-    SymbolicIndex(0, 0, 3, 1),
-    SymbolicIndex(0, 1, 3, 1),
-    SymbolicIndex(0, 2, 3, 1),
-    SymbolicIndex(1, 2, 1, 0),
-    SymbolicIndex(1, 1, 2, 1),
-    SymbolicIndex(1, 2, 3, 0),
-    SymbolicIndex(1, 3, 3, 0),
-    SymbolicIndex(2, 0, 3, 1),
+D_PROOF_ROWS = indices(
+    "0 1 q0+1 2q0+1 3q0+1 q+3q0+1 2q+3q0+1 qq0+2q+q0 qq0+q+2q0+1 qq0+2q+3q0 "
+    "qq0+3q+3q0 2qq0+3q0+1"
 )
 D_PROOF_COLS = ("one", "x", "y", "z", "w1", "w2", "w3", "w4", "w7", "w5", "w9", "w10")
 
-E_PROOF_ROWS = (
-    SymbolicIndex(0, 0, 0, 0),
-    SymbolicIndex(0, 0, 0, 1),
-    SymbolicIndex(0, 0, 3, 1),
-    SymbolicIndex(0, 1, 3, 1),
-    SymbolicIndex(0, 2, 3, 1),
-)
+E_PROOF_ROWS = indices("0 1 3q0+1 q+3q0+1 2q+3q0+1")
 E_PROOF_COLS = ("one", "x", "w1", "w2", "w3")
 
 
@@ -646,40 +601,24 @@ def padic_closure_check(orders) -> list[tuple[int, int]]:
     return sorted(set(bad))
 
 
-# Minimal non-orders and how the proofs reject each one.  Entries name the
-# identity catalog key whose vanishing statement kills the index, or
-# "counting" where the rejection follows from the closure property plus the
-# count of orders already certified below the bound.
+# Minimal non-orders and how the proofs reject each one, as entries "index
+# key": the key names the identity catalog entry whose vanishing statement
+# kills the index, or is "counting" where the rejection follows from the
+# closure property plus the count of orders already certified below the bound.
 _D_REJECTIONS = (
-    (SymbolicIndex(0, 0, 1, 1), "kq0-1"),
-    (SymbolicIndex(0, 0, 3, 1), "kq0-3"),
-    (SymbolicIndex(0, 1, 0, 1), "A1"),
-    (SymbolicIndex(0, 1, 2, 0), "A2"),
-    (SymbolicIndex(0, 1, 3, 0), "A3"),
-    (SymbolicIndex(0, 2, 1, 0), "A4"),
-    (SymbolicIndex(0, 3, 0, 0), "A5"),
-    (SymbolicIndex(1, 0, 0, 1), "A6"),
-    (SymbolicIndex(1, 0, 2, 0), "A7"),
-    (SymbolicIndex(1, 0, 3, 0), "A8"),
-    (SymbolicIndex(1, 1, 1, 0), "A9"),
-    (SymbolicIndex(1, 2, 0, 0), "A10"),
-    (SymbolicIndex(2, 0, 1, 0), "counting"),
+    "q0+1 kq0-1, 3q0+1 kq0-3, q+1 A1, q+2q0 A2, q+3q0 A3, 2q+q0 A4, 3q A5, "
+    "qq0+1 A6, qq0+2q0 A7, qq0+3q0 A8, qq0+q+q0 A9, qq0+2q A10, 2qq0+q0 counting"
 )
 _E_REJECTIONS = (
-    (SymbolicIndex(0, 0, 3, 1), "kq0-3"),
-    (SymbolicIndex(0, 1, 0, 1), "t1sum-q+1"),
-    (SymbolicIndex(0, 1, 3, 0), "t1sum-q+3q0"),
-    (SymbolicIndex(0, 3, 0, 0), "t1sum-3q"),
-    (SymbolicIndex(3, 0, 0, 1), "counting"),
-    (SymbolicIndex(3, 0, 3, 0), "counting"),
-    (SymbolicIndex(3, 1, 0, 0), "counting"),
-    (SymbolicIndex(6, 0, 0, 0), "counting"),
+    "3q0+1 kq0-3, q+1 t1sum-q+1, q+3q0 t1sum-q+3q0, 3q t1sum-3q, "
+    "3qq0+1 counting, 3qq0+3q0 counting, 3qq0+q counting, 6qq0 counting"
 )
 
 
 def rejection_witnesses(series: str = "D") -> dict[SymbolicIndex, str]:
     table = _D_REJECTIONS if series == "D" else _E_REJECTIONS
-    return dict(table)
+    pairs = map(str.split, table.split(", "))
+    return {SymbolicIndex.parse(ix): key for ix, key in pairs}
 
 
 def rejection_report(
@@ -715,7 +654,7 @@ def rejection_report(
         value = index_value(ix, p)
         row = {
             "index": value,
-            "label": symbolic_label(ix),
+            "label": str(ix),
             "witness": key,
             "scan_rejected": value not in scan,
             # at s=1 a non-order index can share its value with an order

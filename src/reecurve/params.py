@@ -8,11 +8,14 @@ Derivative indices that appear in closed formulas are integer combinations
 a*q*q0 + b*q + c*q0 + d together with the isolated top index q^2.  At s = 1
 distinct combinations can collide numerically (3q = q*q0 = 81), so the
 combination itself is kept as a label-exact quadruple and only evaluated to
-an integer on demand.
+an integer on demand.  Every table of indices in the package is text in the
+paper's notation, qq0+2q+q0+1 or q2: str(SymbolicIndex) prints it and
+SymbolicIndex.parse (one index) and indices (a row) read it.
 """
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from functools import lru_cache
 from typing import NamedTuple
@@ -21,6 +24,7 @@ __all__ = [
     "ReeParams",
     "SymbolicIndex",
     "ree_params",
+    "indices",
     "index_value",
     "Q2",
 ]
@@ -78,13 +82,18 @@ _A_MAX = 6
 _B_MAX = 3
 _C_MAX = 3
 _D_MAX = 1
+# the units of a, b, c and d as str writes them; a term is coefficient, unit
+_UNITS = ("qq0", "q", "q0", "")
+_PART = re.compile(r"(\d*)(qq0|q0|q|)")
 
 
 class SymbolicIndex(namedtuple("SymbolicIndex", "a b c d is_q2")):
     """Label-exact derivative index a*qq0 + b*q + c*q0 + d, or the atom q^2.
 
-    The ordering inherited from the field tuple is only used for stable
-    set serialisation; numeric comparisons should go through value().
+    str prints the paper's notation, qq0+2q+1 or q2, and parse reads it
+    back; label() is the appendix tables' form of the same text.  The
+    ordering inherited from the field tuple is only used for stable set
+    serialisation; numeric comparisons should go through value().
     """
 
     __slots__ = ()
@@ -106,26 +115,39 @@ class SymbolicIndex(namedtuple("SymbolicIndex", "a b c d is_q2")):
         # _replace builds through _make: send both through the checks above
         return cls(*iterable)
 
+    @classmethod
+    def parse(cls, text: str) -> "SymbolicIndex":
+        """The index str prints as text, e.g. qq0+3q0+1; other text is a ValueError."""
+        if text == "q2":
+            return Q2
+        coeffs = [0, 0, 0, 0]
+        for part in text.split("+"):
+            m = _PART.fullmatch(part)
+            if m is None:
+                raise ValueError(f"bad index {text!r}")
+            coeffs[_UNITS.index(m[2])] += int(m[1] or 1)
+        ix = cls(*coeffs)
+        if str(ix) != text:
+            raise ValueError(f"bad index {text!r}")
+        return ix
+
     def value(self, p: ReeParams) -> int:
         if self.is_q2:
             return p.q * p.q
         return self.a * p.q * p.q0 + self.b * p.q + self.c * p.q0 + self.d
 
-    def label(self) -> str:
+    def __str__(self) -> str:
         if self.is_q2:
-            return "q^2"
-        parts = []
-        if self.a:
-            parts.append("qq_0" if self.a == 1 else f"{self.a}qq_0")
-        if self.b:
-            parts.append("q" if self.b == 1 else f"{self.b}q")
-        if self.c:
-            parts.append("q_0" if self.c == 1 else f"{self.c}q_0")
-        if self.d:
-            parts.append(str(self.d))
-        return "+".join(parts) if parts else "0"
+            return "q2"
+        parts = [unit if k == 1 and unit else f"{k}{unit}"
+                 for k, unit in zip(self[:4], _UNITS) if k]
+        return "+".join(parts) or "0"
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def label(self) -> str:
+        """The appendix tables' form: qq_0+q_0 or q^2."""
+        return str(self).replace("q0", "q_0").replace("q2", "q^2")
+
+    def __repr__(self) -> str:
         return f"SymbolicIndex({self.label()})"
 
 
@@ -137,11 +159,14 @@ def cube_count(tag: str, s: int) -> int:
     return {"1": 0, "q0": s, "3q0": s + 1, "q": 2 * s + 1, "q2": 4 * s + 2}[tag]
 
 
-def index_value(idx: SymbolicIndex | int, p: ReeParams) -> int:
-    """Numeric value of a symbolic index (plain integers pass through)."""
-    if isinstance(idx, SymbolicIndex):
-        return idx.value(p)
-    return int(idx)
+def indices(row: str) -> tuple[SymbolicIndex, ...]:
+    """The indices of a space-separated row of text, e.g. "0 1 q0 q+q0"."""
+    return tuple(map(SymbolicIndex.parse, row.split()))
+
+
+def index_value(idx: SymbolicIndex, p: ReeParams) -> int:
+    """Numeric value of a symbolic index at one level."""
+    return idx.value(p)
 
 
 def symbolic_from_value(value: int, p: ReeParams) -> SymbolicIndex:

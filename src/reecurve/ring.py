@@ -25,8 +25,9 @@ by two level-free tables: RECIPES builds each member from earlier ones,
 and QPOWER_RULES gives its q-power rule, w^q - w through smaller members.
 Both write a Frobenius power as a tag, "1", "q0" or "3q0", in the
 vocabulary of the identity catalog, which adds "q" and "q2";
-params.cube_count turns a tag into a cube count at a level.  The module also computes exact pole orders at the point at
-infinity.
+params.cube_count turns a tag into a cube count at a level.
+
+The module also computes exact pole orders at the point at infinity.
 """
 
 from __future__ import annotations
@@ -129,26 +130,6 @@ class CurveElement:
         return self.pow3k(2 * self.ring.p.s + 1)
 
     # -- structure
-
-    def monomial_mins(self) -> Monomial:
-        """Componentwise minimum exponent over all terms."""
-        if not self.packed:
-            raise ValueError("zero element has no monomial content")
-        S, M = self.ring.width, self.ring.mask
-        return (
-            min(self.packed) >> 2 * S,
-            min((k >> S) & M for k in self.packed),
-            min(k & M for k in self.packed),
-        )
-
-    def divide_monomial(self, mono: Monomial) -> "CurveElement":
-        ga, gb, gc = mono
-        S, M = self.ring.width, self.ring.mask
-        for k in self.packed:
-            if k >> 2 * S < ga or (k >> S) & M < gb or k & M < gc:
-                raise ValueError("monomial does not divide every term")
-        g = self.ring.key(ga, gb, gc)
-        return CurveElement(self.ring, {k - g: v for k, v in self.packed.items()})
 
     def to_sorted_list(self) -> list[tuple[int, int, int, int]]:
         # key order is (a, b, c) order: the fields have fixed width

@@ -69,7 +69,11 @@ Series = dict[int, FieldElement]
 
 
 class CurvePoint(namedtuple("CurvePoint", "s extension x y z")):
-    """Affine point, coordinates in GF(3^((2s+1)*extension))."""
+    """Affine point of degree extension over GF(q), q = 3^(2s+1).
+
+    Its coordinates lie in GF(q^extension) and are held in the field of
+    their context ctx, which may be a subfield: the origin's is GF(3).
+    """
 
     __slots__ = ()
 
@@ -103,7 +107,12 @@ class CurvePoint(namedtuple("CurvePoint", "s extension x y z")):
 
 
 def origin_point(s: int) -> CurvePoint:
-    ctx = field_context(2 * s + 1)
+    """The rational point (0, 0, 0), held over GF(3).
+
+    Its coordinates and the members' coefficients lie in GF(3), so its
+    expansion builds no field of degree 2s + 1.
+    """
+    ctx = field_context(1)
     return CurvePoint(s, 1, ctx.zero(), ctx.zero(), ctx.zero())
 
 

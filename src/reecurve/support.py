@@ -25,11 +25,11 @@ from functools import lru_cache
 
 from reecurve.hasse import binom_mod3
 from reecurve.params import (
-    Q2,
     ReeParams,
     SymbolicIndex,
     cube_count,
     index_value,
+    indices,
     ree_params,
     symbolic_from_value,
 )
@@ -40,32 +40,8 @@ MIXED_COLUMNS = ("y", "z", "w4", "w7", "w5", "w9", "w10")
 
 # proposed order sequences; the scans in the orders module must reproduce
 # exactly these
-D_ORDER_INDICES = (
-    SymbolicIndex(),
-    SymbolicIndex(d=1),
-    SymbolicIndex(c=1),
-    SymbolicIndex(c=2),
-    SymbolicIndex(c=3),
-    SymbolicIndex(b=1),
-    SymbolicIndex(b=1, c=1),
-    SymbolicIndex(b=2),
-    SymbolicIndex(a=1),
-    SymbolicIndex(a=1, c=1),
-    SymbolicIndex(a=1, b=1),
-    SymbolicIndex(a=2),
-    SymbolicIndex(a=3),
-    Q2,
-)
-
-E_ORDER_INDICES = (
-    SymbolicIndex(),
-    SymbolicIndex(d=1),
-    SymbolicIndex(c=3),
-    SymbolicIndex(b=1),
-    SymbolicIndex(b=2),
-    SymbolicIndex(a=3),
-    Q2,
-)
+D_ORDER_INDICES = indices("0 1 q0 2q0 3q0 q q+q0 2q qq0 qq0+q0 qq0+q 2qq0 3qq0 q2")
+E_ORDER_INDICES = indices("0 1 3q0 q 2q 3qq0 q2")
 
 
 def leq3(i: int, j: int) -> bool:

@@ -18,7 +18,7 @@ from collections import namedtuple
 
 from .backends import Backend
 from .orders import _family_names, _scan, order_sequence
-from .params import ReeParams, ree_params
+from .params import ReeParams, indices, ree_params
 from .series import CurvePoint, PointExpansion
 from .support import order_values
 
@@ -48,37 +48,21 @@ class VanishingProfile(
         return cls(*iterable)
 
 
+# the profile shared by the rational points: these indices, then m
+_RATIONAL_PROFILES = {
+    "D": indices(
+        "0 1 q0+1 2q0+1 3q0+1 q+2q0+1 q+3q0+1 2q+3q0+1 qq0+q+2q0+1 qq0+q+3q0+1 "
+        "qq0+2q+3q0+1 2qq0+2q+3q0+1 3qq0+2q+3q0+1"
+    ),
+    "E": indices("0 1 3q0+1 q+3q0+1 2q+3q0+1 3qq0+2q+3q0+1"),
+}
+
+
 def expected_rational_profile(p: ReeParams, series: str = "D") -> list[int]:
     """The profile shared by every rational point (automorphism-uniform)."""
-    q0, q, qq0 = p.q0, p.q, p.q * p.q0
-    if series == "D":
-        return [
-            0,
-            1,
-            1 + q0,
-            1 + 2 * q0,
-            1 + 3 * q0,
-            1 + q + 2 * q0,
-            1 + q + 3 * q0,
-            1 + 2 * q + 3 * q0,
-            1 + q + 2 * q0 + qq0,
-            1 + q + 3 * q0 + qq0,
-            1 + 2 * q + 3 * q0 + qq0,
-            1 + 2 * q + 3 * q0 + 2 * qq0,
-            1 + 2 * q + 3 * q0 + 3 * qq0,
-            p.m_value,
-        ]
-    if series == "E":
-        return [
-            0,
-            1,
-            1 + 3 * q0,
-            1 + q + 3 * q0,
-            1 + 2 * q + 3 * q0,
-            1 + 2 * q + 3 * q0 + 3 * qq0,
-            p.m_value,
-        ]
-    raise ValueError(f"unknown series {series!r}")
+    if series not in _RATIONAL_PROFILES:
+        raise ValueError(f"unknown series {series!r}")
+    return [ix.value(p) for ix in _RATIONAL_PROFILES[series]] + [p.m_value]
 
 
 def vanishing_orders(series="D", point: CurvePoint | None = None) -> VanishingProfile:

@@ -35,7 +35,6 @@ from reecurve.hasse import (
     ser_mul,
 )
 from reecurve.identities import CheckResult
-from reecurve.orders import symbolic_label
 from reecurve.params import ReeParams, cube_count
 from reecurve.ring import (
     QPOWER_RULES,
@@ -387,9 +386,9 @@ def show(expr: tuple) -> str:
     """
     op = expr[0]
     if op in _LEAF_LETTERS:
-        return f"{_LEAF_LETTERS[op]}{expr[1]}[{symbolic_label(expr[2])}]"
+        return f"{_LEAF_LETTERS[op]}{expr[1]}[{expr[2]}]"
     if op == "ell":
-        return f"L[{symbolic_label(expr[1])}]"
+        return f"L[{expr[1]}]"
     if op == "pw":
         return f"{_grouped(expr[1], ('mul', 'sum'))}^{expr[2]}"
     if op == "mul":

@@ -207,13 +207,17 @@ def test_orders_deterministic_bytes(tmp_path):
 
 def test_support_writes_tables(tmp_path, capsys):
     code = main(["support", "--s", "1", "--out", str(tmp_path)])
-    out, err = capsys.readouterr().out, capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code == 0
     doc = json.loads(out)
     assert doc["files"]["appendix_plain.csv"]["rows"] == "36"
     assert doc["files"]["appendix_mixed.csv"]["rows"] == "56"
     assert any("collides" in w for w in doc["warnings"])
+    assert err == "".join(f"warning: {w}\n" for w in doc["warnings"])
     golden = __file__.rsplit("/", 1)[0] + "/golden"
+    # the report, its collision warning included, is pinned byte for byte
+    with open(f"{golden}/support_s1.json") as fh:
+        assert out == fh.read()
     for name in ("appendix_plain.csv", "appendix_mixed.csv"):
         emitted = (tmp_path / name).read_text()
         with open(f"{golden}/{name}") as fh:

@@ -23,7 +23,6 @@ from reecurve.identities import (
     _dirty_values,
     _instance_label,
     _parse,
-    _read_index,
     _residuals,
     _sym_div_q,
     _valued_support,
@@ -35,17 +34,8 @@ from reecurve.identities import (
     verify_catalog,
 )
 from reecurve.backends import Backend, backends, default_window
-from reecurve.orders import order_sequence, symbolic_label
-from reecurve.params import (
-    _A_MAX,
-    _B_MAX,
-    _C_MAX,
-    _D_MAX,
-    Q2,
-    SymbolicIndex,
-    index_value,
-    ree_params,
-)
+from reecurve.orders import order_sequence
+from reecurve.params import index_value, ree_params
 from reecurve.ring import FAMILY_NAMES, RECIPES, CurveElement
 from reecurve.series import PointExpansion, rational_point
 from reecurve.support import _member_values, member_support, virtual_support
@@ -166,16 +156,6 @@ def test_catalog_text_round_trips():
     assert len(residuals) == 45
     for key, expr in residuals:
         assert _parse(key, show(expr)) == expr, key
-
-
-def test_index_reader_inverts_symbolic_label():
-    grammar = [Q2] + [
-        SymbolicIndex(a, b, c, d)
-        for a in range(_A_MAX + 1) for b in range(_B_MAX + 1)
-        for c in range(_C_MAX + 1) for d in range(_D_MAX + 1)
-    ]
-    for ix in grammar:
-        assert _read_index(symbolic_label(ix)) == ix
 
 
 # the roles each group's residuals may name: those instances_for binds,

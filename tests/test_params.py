@@ -1,13 +1,25 @@
 import pytest
 
 from reecurve.params import (
+    _A_MAX,
+    _B_MAX,
+    _C_MAX,
+    _D_MAX,
     Q2,
     SymbolicIndex,
     cube_count,
     index_value,
+    indices,
     ree_params,
     symbolic_from_value,
 )
+
+# every index of the grammar: a*qq0 + b*q + c*q0 + d within the bounds, and q2
+GRAMMAR = [Q2] + [
+    SymbolicIndex(a, b, c, d)
+    for a in range(_A_MAX + 1) for b in range(_B_MAX + 1)
+    for c in range(_C_MAX + 1) for d in range(_D_MAX + 1)
+]
 
 
 # Invariants for the two smallest parameter levels, computed by hand from
@@ -68,7 +80,6 @@ def test_index_values_s1():
     assert index_value(SymbolicIndex(a=1), p) == 81
     assert index_value(Q2, p) == 729
     assert index_value(SymbolicIndex(a=3, b=2, c=3, d=1), p) == 307
-    assert index_value(500, p) == 500
 
 
 def test_labels():
@@ -80,6 +91,32 @@ def test_labels():
     assert SymbolicIndex(a=1).label() == "qq_0"
     assert SymbolicIndex(a=3, b=2, c=3, d=1).label() == "3qq_0+2q+3q_0+1"
     assert Q2.label() == "q^2"
+
+
+def test_str_and_repr():
+    assert str(SymbolicIndex(3, 2, 3, 1)) == "3qq0+2q+3q0+1"
+    # the debugging form, which the support report's collision warning quotes
+    assert repr(SymbolicIndex(b=3)) == "SymbolicIndex(3q)"
+
+
+def test_parse_inverts_str():
+    assert len(GRAMMAR) == 225
+    for ix in GRAMMAR:
+        assert SymbolicIndex.parse(str(ix)) == ix
+        assert ix.label() == str(ix).replace("q0", "q_0").replace("q2", "q^2")
+
+
+@pytest.mark.parametrize("text", ["q0+q0", "+q", "q3", "2", ""])
+def test_parse_rejects_off_grammar_text(text):
+    with pytest.raises(ValueError):
+        SymbolicIndex.parse(text)
+
+
+def test_indices_reads_a_row():
+    assert indices("0 1 q0 qq0+q q2") == (
+        SymbolicIndex(), SymbolicIndex(d=1), SymbolicIndex(c=1), SymbolicIndex(a=1, b=1), Q2,
+    )
+    assert indices("") == ()
 
 
 def test_symbolic_round_trip():

@@ -96,14 +96,6 @@ def _check_kernel(s, ta, tb):
     assert (f + g).terms == _ref_add(tf, tg, 1)
     assert (f - g).terms == _ref_add(tf, tg, -1)
     assert (-f).terms == _ref_add({}, tf, -1)
-    if tf:
-        ga, gb, gc = f.monomial_mins()
-        assert (ga, gb, gc) == tuple(min(m[i] for m in tf) for i in range(3))
-        quot = {(a - ga, b - gb, c - gc): v for (a, b, c), v in tf.items()}
-        assert f.divide_monomial((ga, gb, gc)).terms == quot
-        for bump in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-            with pytest.raises(ValueError):
-                f.divide_monomial((ga + bump[0], gb + bump[1], gc + bump[2]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -251,15 +243,6 @@ def test_evaluate_is_ring_hom_on_rational_points():
         assert evaluate(f + g, vx, vy, vz) == evaluate(f, vx, vy, vz) + evaluate(
             g, vx, vy, vz
         )
-
-
-def test_monomial_content_helpers():
-    f = R1.monomial(3, 2, 1) + R1.monomial(5, 2, 2)
-    assert f.monomial_mins() == (3, 2, 1)
-    g = f.divide_monomial((3, 2, 1))
-    assert g == R1.one() + R1.monomial(2, 0, 1)
-    with pytest.raises(ValueError):
-        f.divide_monomial((4, 0, 0))
 
 
 def test_family_independence_via_distinct_poles():

@@ -2,10 +2,10 @@
 
 import pytest
 
-from reecurve.gf import frobenius_power
+from reecurve.gf import field_context, frobenius_power
 from reecurve.orders import OrderSequence, order_sequence
 from reecurve.params import SymbolicIndex, ree_params
-from reecurve.series import origin_point, random_point, rational_point
+from reecurve.series import CurvePoint, origin_point, random_point, rational_point
 from reecurve.support import order_values
 from reecurve.weierstrass import (
     VanishingProfile,
@@ -36,6 +36,17 @@ def test_origin_profile_e():
     prof = vanishing_orders("E", origin_point(1))
     assert prof.jorders == E_PROFILE_S1
     assert prof.weight == E_WEIGHT_S1
+
+
+@pytest.mark.parametrize("fam", ["D", "E"])
+def test_origin_over_gf3_matches_the_origin_over_gf_q(fam):
+    # origin_point holds the origin over GF(3); held over GF(q), q = 3^5,
+    # the same point has the same profile
+    s = 2
+    assert origin_point(s).ctx.m == 1
+    zero = field_context(2 * s + 1).zero()
+    over_q = CurvePoint(s, 1, zero, zero, zero)
+    assert vanishing_orders(fam, origin_point(s)) == vanishing_orders(fam, over_q)
 
 
 @pytest.mark.parametrize("fam,frozen", [("D", D_PROFILE_S1), ("E", E_PROFILE_S1)])

@@ -7,8 +7,10 @@ centre is the route:
 * exact ("symbolic"): ``Backend(hasse_calculus(s), 1)``, the generic point.
   At window 1, D^i of a series is {0: D^i f}, and series products, sums
   and 3^k-th powers at precision 1 are ring operations on normal forms;
-* sampled ("points"): a Backend of ``series.PointExpansion`` at a seeded
-  point, with coefficients in its residue field.
+* sampled ("points"): a Backend of ``series.PointExpansion`` at the
+  seeded points, held side by side as the lanes of each coefficient
+  (``gf.Lanes``), so a residual is one series whose lane j is its value
+  at the j-th point.
 
 The expansion names the route (kind) and writes the witnesses (describe),
 so no backend method branches on the route, and the exact route loads
@@ -18,11 +20,12 @@ virtual_d, ell_power, pow_tag, mul, add, is_zero, describe), on series cut
 at the window, and rows for the rank scans at the centre: value(name, i)
 is D^i f, shift_value(name, i) is D^i (f^q - f), qpow_value(name) is f^q.
 
-backends() builds a route's backends and is their only cache, so every
-caller asking for one route gets one tuple: points are sampled, and series
-expanded, once per process.  Both routes expand to q^2 + 1; the sampled
-route reads the catalog at rational points with the window default_window(p),
-and the order scans at points over GF(q^SAMPLE_EXTENSION).
+backends() builds one Backend per route and is their only cache, so every
+caller asking for one route gets one object: points are sampled, and
+series expanded, once per process.  Both routes expand to q^2 + 1; the
+sampled route reads the catalog at rational points with the window
+default_window(p), and the order scans at points over
+GF(q^SAMPLE_EXTENSION).
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ class Backend:
     def __init__(self, exp: Expansion, window: int):
         self.exp = exp
         self.kind = exp.kind
+        self.lanes = exp.lanes
         self.p: ReeParams = exp.p
         self.s = exp.s
         self.window = window
@@ -123,8 +127,9 @@ class Backend:
     def is_zero(self, v) -> bool:
         return not v
 
-    def describe(self, v) -> str:
-        return self.exp.describe(v)
+    def describe(self, v, lane: int) -> str | None:
+        """Where the lane of v is nonzero, to replay it; None when it is zero."""
+        return self.exp.describe(v, lane)
 
 
 def default_window(p: ReeParams) -> int:
@@ -143,15 +148,16 @@ def default_window(p: ReeParams) -> int:
 # with x in GF(q^2) but not in GF(q): about 1/q^2 of the degree-6 points.
 SAMPLE_EXTENSION = 6
 
-_BACKENDS: dict[tuple, tuple] = {}
+_BACKENDS: dict[tuple, Backend] = {}
 
 
-def backends(s: int, backend: str, trials: int, seed: int, extension: int = 1) -> tuple:
-    """The backends of one route, built on first use and then shared.
+def backends(s: int, backend: str, trials: int, seed: int, extension: int = 1) -> Backend:
+    """The Backend of one route, built on first use and then shared.
 
-    "symbolic" gives one Backend at the generic point, window 1; "points"
-    gives one Backend per seed in seed .. seed+trials-1, at points over the
-    given extension, each with the default series window.
+    "symbolic" gives the Backend at the generic point, window 1; "points"
+    gives the Backend of one expansion at the points of seeds
+    seed .. seed+trials-1 over the given extension, lane j at seed + j,
+    with the default series window.
     """
     if backend == "symbolic":
         key: tuple = ("symbolic", s)
@@ -163,19 +169,16 @@ def backends(s: int, backend: str, trials: int, seed: int, extension: int = 1) -
         raise ValueError(f"unknown backend {backend!r}")
     if key not in _BACKENDS:
         if backend == "symbolic":
-            _BACKENDS[key] = (Backend(hasse_calculus(s), 1),)
+            _BACKENDS[key] = Backend(hasse_calculus(s), 1)
         else:
             from reecurve.series import PointExpansion, random_point
 
             p = ree_params(s)
-            _BACKENDS[key] = tuple(
-                Backend(PointExpansion(random_point(s, seed + j, extension), p.q**2 + 1),
-                        default_window(p))
-                for j in range(trials)
-            )
+            points = tuple(random_point(s, seed + j, extension) for j in range(trials))
+            _BACKENDS[key] = Backend(PointExpansion(points, p.q**2 + 1), default_window(p))
     return _BACKENDS[key]
 
 
-def sample_count(Ks: tuple) -> int:
+def sample_count(K: Backend) -> int:
     """Sample points behind a route's verdicts: none on the exact route."""
-    return 0 if Ks[0].kind == "symbolic" else len(Ks)
+    return 0 if K.kind == "symbolic" else K.lanes

@@ -10,6 +10,20 @@ polynomial made of two more packed products.  Frobenius powers and the
 Artin-Schreier solver are GF(3)-linear maps, applied as sums of packed
 columns built on first use; inverses use the Itoh-Tsujii norm trick.
 
+A field of order at most 3^7 (the rational points at s <= 3, and GF(3))
+multiplies, inverts and raises to 3^k-th powers through discrete-log and
+exp tables instead (Zech logarithms; Lidl-Niederreiter, Finite Fields,
+ch. 9), built on the field's least primitive element by code.  The
+choice depends on the field order only, and both give the same elements.
+
+``Lanes(field, T)`` holds T elements of one field side by side in one
+packed int, lane j in bytes j*m .. j*m + m - 1, so one FieldElement of
+the lanes context carries T values.  Sums, differences, negation and the
+zero test act on every lane at once through the same byte tricks;
+products and Frobenius powers go lane by lane through the field.  The
+sampled route expands the members at all its points as lanes of one
+series, so each term is computed once for every point.
+
 The modulus for each degree is pinned so that any two runs (and any two
 machines) agree on element encodings: it is the monic irreducible whose
 non-leading coefficient vector, read as a base-3 integer with the constant
@@ -28,6 +42,7 @@ from typing import Optional, Sequence
 __all__ = [
     "FieldContext",
     "FieldElement",
+    "Lanes",
     "field_context",
     "frobenius_power",
     "solve_artin_schreier",
@@ -267,6 +282,18 @@ class FieldElement:
         return f"GF(3^{self.ctx.m}):{self.code()}"
 
 
+# fields up to this order multiply through log and exp tables
+_TABLE_ORDER = 3**7
+
+
+def _from_code(code: int, m: int) -> int:
+    """The packed element whose base-3 code is code."""
+    trits = bytearray(m)
+    for i in range(m):
+        code, trits[i] = divmod(code, 3)
+    return _from_bytes(trits, "little")
+
+
 class FieldContext(_Quotient):
     """GF(3^m) with the deterministic degree-m modulus."""
 
@@ -278,6 +305,49 @@ class FieldContext(_Quotient):
         self._threes = _pack([3] * m)
         self._frob_cols: dict[int, list] = {}
         self._as_cache: dict[int, list] = {}
+        self._log: dict[int, int] | None = None
+        if self.order <= _TABLE_ORDER:
+            self._build_tables()
+
+    def _build_tables(self) -> None:
+        """Log and exp tables on the least primitive element by code.
+
+        exp[i] is g^i for 0 <= i < 2(order - 1), so a product is one read
+        at the sum of two logs; the table methods replace the packed ones
+        on this context.
+        """
+        n = self.order - 1
+        mul = self._mulmod
+
+        def power(x: int, e: int) -> int:
+            out = 1
+            for bit in bin(e)[2:]:
+                out = mul(out, out)
+                if bit == "1":
+                    out = mul(out, x)
+            return out
+
+        tests = [n // p for p in _prime_factors(n)]
+        g = next(x for x in (_from_code(c, self.m) for c in range(1, self.order))
+                 if all(power(x, e) != 1 for e in tests))
+        exp = [1] * n
+        for i in range(1, n):
+            exp[i] = mul(exp[i - 1], g)
+        self._log = {x: i for i, x in enumerate(exp)}
+        self._exp = exp + exp
+        self._mulmod = self._table_mulmod
+        self._frob = self._table_frob
+
+    def _table_mulmod(self, a: int, b: int) -> int:
+        if a and b:
+            log = self._log
+            return self._exp[log[a] + log[b]]
+        return 0
+
+    def _table_frob(self, v: int, k: int) -> int:
+        if v:
+            return self._exp[self._log[v] * 3 ** (k % self.m) % (self.order - 1)]
+        return 0
 
     # -- constructors
 
@@ -290,10 +360,7 @@ class FieldContext(_Quotient):
     def from_code(self, code: int) -> FieldElement:
         if not 0 <= code < self.order:
             raise ValueError("code out of range")
-        trits = bytearray(self.m)
-        for i in range(self.m):
-            code, trits[i] = divmod(code, 3)
-        return FieldElement(self, _from_bytes(trits, "little"))
+        return FieldElement(self, _from_code(code, self.m))
 
     def random_element(self, rng) -> FieldElement:
         return self.from_code(rng.randrange(self.order))
@@ -303,6 +370,8 @@ class FieldContext(_Quotient):
     def inv(self, a: FieldElement) -> FieldElement:
         if a.is_zero():
             raise ZeroDivisionError("inverse of zero")
+        if self._log is not None:
+            return FieldElement(self, self._exp[self.order - 1 - self._log[a.packed]])
         # Itoh-Tsujii: r = (3^m - 1)/2 = 1 + 3 + ... + 3^(m-1), so a^r is the
         # norm of a.  It lies in GF(3)^* = {1, 2}, so it is its own inverse
         # and 1/a = a^(r-1) * a^r.  With b_j = a^((3^j - 1)/2) and
@@ -370,6 +439,63 @@ def field_context(m: int) -> FieldContext:
     if m not in _CTX_CACHE:
         _CTX_CACHE[m] = FieldContext(m)
     return _CTX_CACHE[m]
+
+
+class Lanes:
+    """T elements of one field side by side in one packed int, lane j in
+    bytes j*m .. j*m + m - 1; its elements are FieldElements, so series
+    arithmetic runs on them unchanged."""
+
+    def __init__(self, field: FieldContext, T: int):
+        self.field = field
+        self.lanes = T
+        self.m = T * field.m
+        self._threes = _pack([3] * self.m)
+        self._shifts = tuple(8 * field.m * j for j in range(T))
+        self._lane_mask = (1 << 8 * field.m) - 1
+
+    def one(self) -> FieldElement:
+        return FieldElement(self, sum(1 << sh for sh in self._shifts))
+
+    def pack(self, elements: Sequence[FieldElement]) -> FieldElement:
+        """The element whose lane j is elements[j]."""
+        if len(elements) != self.lanes or any(a.ctx is not self.field for a in elements):
+            raise ValueError(f"pack takes {self.lanes} elements of {self.field!r}")
+        return FieldElement(self, sum(a.packed << sh for a, sh in zip(elements, self._shifts)))
+
+    def split(self, a: FieldElement) -> list[FieldElement]:
+        """The lanes of a, as elements of the field."""
+        return [FieldElement(self.field, v) for v in self._split(a.packed)]
+
+    def _split(self, v: int) -> list[int]:
+        mask = self._lane_mask
+        return [(v >> sh) & mask for sh in self._shifts]
+
+    def _mulmod(self, a: int, b: int) -> int:
+        mul, mask = self.field._mulmod, self._lane_mask
+        out = 0
+        for sh in self._shifts:
+            x = (a >> sh) & mask
+            if x:
+                y = (b >> sh) & mask
+                if y:
+                    out |= mul(x, y) << sh
+        return out
+
+    def _frob(self, v: int, k: int) -> int:
+        frob, mask = self.field._frob, self._lane_mask
+        out = 0
+        for sh in self._shifts:
+            x = (v >> sh) & mask
+            if x:
+                out |= frob(x, k) << sh
+        return out
+
+    def frobenius(self, a: FieldElement, k: int) -> FieldElement:
+        return FieldElement(self, self._frob(a.packed, k))
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"Lanes(GF(3^{self.field.m}), {self.lanes})"
 
 
 # ---------------------------------------------------------------------------

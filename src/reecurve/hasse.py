@@ -39,7 +39,9 @@ read many times.  ``hasse_shift`` cuts D^i of a series to a window; it is
 how ``backends.Backend`` reads either centre, and at window 1 it returns
 the one coefficient {0: D^i f}, so the exact route needs no reader of its
 own.  Each centre names its route (``kind``) and writes the witness of a
-nonzero series (``describe``).
+nonzero series (``describe``).  A sampled expansion may hold several
+centres at once, as lanes of each coefficient (``lanes``, ``split``); the
+generic point is one.
 
 The exact and sampled routes share this algorithm.  What keeps them
 independent checks of each other, and of the algorithm, is:
@@ -181,6 +183,11 @@ class Expansion:
     """
 
     kind: str  # the route's name, "symbolic" or "points"
+    lanes = 1  # centres held side by side in each coefficient
+
+    def split(self, c) -> list:
+        """A coefficient's value at each centre."""
+        return [c]
 
     def __init__(self, p: ReeParams, one, x0, y0, z0, prec: int):
         self.p = p
@@ -295,8 +302,11 @@ class HasseCalculus(Expansion):
         """Table of f^q - f."""
         return self.shift_series(name)
 
-    def describe(self, v: Series) -> str:
-        """A nonzero series' lowest coefficient, by its size and leading term."""
+    def describe(self, v: Series, lane: int) -> str | None:
+        """A nonzero series' lowest coefficient, by its size and leading term;
+        None for the zero series."""
+        if not v:
+            return None
         terms = v[min(v)].to_sorted_list()
         return f"{len(terms)} monomials, leading {terms[0]}"
 

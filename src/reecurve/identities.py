@@ -42,7 +42,11 @@ points.  No tolerances exist in characteristic 3.
 Before evaluation a residual is bound to its instance and level: roles
 become member names and indices integers (_bind).  Equal bound terms are
 one term, so a catalog run evaluates each distinct leaf, ell power and
-Frobenius power once per backend.
+Frobenius power once.  A route has one backend; on the sampled route its
+values hold every sample point as a lane, so each bound residual is
+evaluated once for all points.  The witness of a failed instance is the
+one of its first lane in seed order with a nonzero residual, at that
+lane's first nonzero residual in sublabel order.
 """
 
 from __future__ import annotations
@@ -423,10 +427,9 @@ def collision_reason(spec: IdentitySpec, roles: dict[str, str]) -> Optional[str]
 def _bind(expr: tuple, roles: dict, p) -> tuple:
     """A residual at one instance and level: roles named, indices valued.
 
-    The bound tree is hashable and equal terms bind to equal nodes, so one
-    instance binds once for every backend of a route and a term shared by
-    residuals and instances is recognised as one.  A derivative of the
-    virtual t binds to ("t", f, b, i).
+    The bound tree is hashable and equal terms bind to equal nodes, so a
+    term shared by residuals and instances is recognised as one.  A
+    derivative of the virtual t binds to ("t", f, b, i).
     """
     op = expr[0]
     if op == "d" and expr[1] == "t":
@@ -489,12 +492,21 @@ class CheckResult(NamedTuple):
 
 
 def _witness(key: str, bound: tuple, K, memo: dict) -> Optional[str]:
-    """None when every bound residual vanishes on K, else a witness string."""
-    for sublabel, node in bound:
-        val = _evaluate(node, K, memo)
-        if not K.is_zero(val):
-            where = f" [{sublabel}]" if sublabel else ""
-            return f"{key}{where}: {K.describe(val)}"
+    """None when every bound residual vanishes on K, else a witness string.
+
+    Each residual is evaluated once, for every lane.  The witness is the
+    first lane's, in seed order, whose value of some residual is nonzero,
+    at its first such residual in sublabel order.
+    """
+    values = [(sub, _evaluate(node, K, memo)) for sub, node in bound]
+    if all(K.is_zero(val) for _sub, val in values):
+        return None
+    for lane in range(K.lanes):
+        for sublabel, val in values:
+            text = K.describe(val, lane)
+            if text is not None:
+                where = f" [{sublabel}]" if sublabel else ""
+                return f"{key}{where}: {text}"
     return None
 
 
@@ -502,23 +514,15 @@ def _bind_residuals(spec: IdentitySpec, roles: dict, p) -> tuple:
     return tuple((sub, _bind(expr, roles, p)) for sub, expr in spec.residuals)
 
 
-def _verdict(spec: IdentitySpec, roles: dict[str, str], Ks: tuple, memos: list) -> CheckResult:
-    """One instance on every backend of a route; the first witness wins.
-
-    memos holds one evaluation memo per backend, in the order of Ks.
-    """
+def _verdict(spec: IdentitySpec, roles: dict[str, str], K: Backend, memo: dict) -> CheckResult:
+    """One instance on the route's backend, each residual evaluated once."""
     label = _instance_label(roles)
-    if Ks[0].s == 1:
+    if K.s == 1:
         reason = collision_reason(spec, roles)
         if reason is not None:
-            return CheckResult(spec.key, label, Ks[0].kind, True, 0, reason, skipped=True)
-    bound = _bind_residuals(spec, roles, Ks[0].p)
-    witness = None
-    for K, memo in zip(Ks, memos):
-        witness = _witness(spec.key, bound, K, memo)
-        if witness is not None:
-            break
-    return CheckResult(spec.key, label, Ks[0].kind, witness is None, sample_count(Ks), witness)
+            return CheckResult(spec.key, label, K.kind, True, 0, reason, skipped=True)
+    witness = _witness(spec.key, _bind_residuals(spec, roles, K.p), K, memo)
+    return CheckResult(spec.key, label, K.kind, witness is None, sample_count(K), witness)
 
 
 def verify_catalog(
@@ -540,10 +544,10 @@ def verify_catalog(
         missing = wanted - {sp.key for sp in specs}
         if missing:
             raise KeyError(f"unknown identity keys: {sorted(missing)}")
-    Ks = backends(s, backend, trials, seed)
-    memos = [{} for _ in Ks]  # one per backend, for this call only
+    K = backends(s, backend, trials, seed)
+    memo: dict = {}  # for this call only
     return [
-        _verdict(spec, roles, Ks, memos) for spec in specs for roles in instances_for(spec)
+        _verdict(spec, roles, K, memo) for spec in specs for roles in instances_for(spec)
     ]
 
 

@@ -6,8 +6,8 @@ candidates in increasing order therefore reproduces the lexicographically
 minimal order sequence (the Stöhr-Voloch method).  Frobenius orders are the
 orders of the same scan seeded with the row (f^q)_f, and the vanishing
 profile at a point (weierstrass.vanishing_orders) is the same scan on that
-point's rows.  Rows come from the route's backends (backends.backends,
-shared with the identity checks), one echelon per backend:
+point's rows.  Rows come from the route's one backend (backends.backends,
+shared with the identity checks):
 
 * symbolic (any s): fraction-free cross-multiplication elimination over the
   coordinate ring, exact; the pivot column of a reduced row is zero by
@@ -15,7 +15,9 @@ shared with the identity checks), one echelon per backend:
   operand is formed;
 * points (any s): Gaussian elimination over the residue field of sampled
   points on packed residues, only over the nonzero entries of stored rows,
-  taking a row as independent when it grows the rank at any sample.
+  one echelon per sample point: lane j of each row (gf.Lanes) goes to
+  echelon j, and a row is independent when it grows the rank at any
+  sample.
   Rank at a point never exceeds the generic rank, so the scan is biased
   towards rejection and never invents an order; under-selection is guarded
   by seed-stability checks in the test suite.
@@ -87,7 +89,7 @@ from .ring import FAMILY_NAMES, PAIRING, SUBFAMILY_NAMES, CurveElement
 from .support import family_candidate_values, minimal_non_orders, order_values
 
 if TYPE_CHECKING:
-    from .gf import FieldElement
+    from .gf import FieldContext
 
 __all__ = [
     "OrderSequence",
@@ -268,23 +270,23 @@ class _SymbolicEchelon:
 class _PointEchelon:
     """Plain Gaussian elimination over one sample point's field.
 
-    A stored row is scaled to 1 at its pivot, its first nonzero column,
-    and kept as its later nonzero entries, (column, packed int) pairs, so
-    a reduction touches only those columns and sets the pivot column to
-    zero.  The field context is read off the row's first entry, so the
-    exact route never loads the field module.
+    Rows are lists of packed residues of the field.  A stored row is
+    scaled to 1 at its pivot, its first nonzero column, and kept as its
+    later nonzero entries, (column, packed int) pairs, so a reduction
+    touches only those columns and sets the pivot column to zero.
     """
 
-    def __init__(self):
+    def __init__(self, ctx: FieldContext):
+        self.ctx = ctx
         self.rows: list[tuple[int, list[tuple[int, int]]]] = []
 
-    def insert(self, vec: list[FieldElement]) -> int | None:
+    def insert(self, vals) -> int | None:
         """Reduce against stored rows; keep and return pivot if independent."""
         from .gf import FieldElement, _mod3
 
-        ctx = vec[0].ctx
+        ctx = self.ctx
         mulmod, threes, m = ctx._mulmod, ctx._threes, ctx.m
-        vals = [a.packed for a in vec]
+        vals = list(vals)
         for pivot, row in self.rows:
             c = vals[pivot]
             if not c:
@@ -302,10 +304,25 @@ class _PointEchelon:
         return None
 
 
-def _echelons(Ks: tuple, ncols: int) -> list:
-    if Ks[0].kind == "symbolic":
+def _echelons(K, ncols: int) -> list:
+    """One echelon on the exact route, else one per lane."""
+    if K.kind == "symbolic":
         return [_SymbolicEchelon(ncols)]
-    return [_PointEchelon() for _ in Ks]
+    return [_PointEchelon(K.exp.field) for _ in range(K.lanes)]
+
+
+def _lane_rows(K):
+    """The map from a row of K's values to the rows its echelons take.
+
+    The exact route keeps the row; the points route gives echelon j the
+    packed residues of lane j, building no element per lane.
+    """
+    if K.kind == "symbolic":
+        return lambda vec: (vec,)
+    if K.lanes == 1:
+        return lambda vec: ([a.packed for a in vec],)
+    split = K.exp.ctx._split
+    return lambda vec: zip(*[split(a.packed) for a in vec])
 
 
 def _pairing_row(K, names) -> list[CurveElement]:
@@ -339,24 +356,24 @@ def _closure_admits(i: int, accepted: set[int]) -> bool:
 class _Scan(tuple):
     """The (i, hits, pivot) entries a scan accepted, hits a tuple, in order.
 
-    echelons holds the scan's echelons, one per backend; each stores its
+    echelons holds the scan's echelons, one per lane; each stores its
     accepted rows in the order of acceptance.
     """
 
     echelons: list
 
 
-def _scan(Ks: tuple, names, candidates, row="value", seed_row=None, want=None,
+def _scan(K, names, candidates, row="value", seed_row=None, want=None,
           closure=False) -> _Scan:
     """The greedy rank scan, the one loop behind order sequences and profiles.
 
     Offers the row (K.<row>(f, i))_f of each candidate i, in increasing
-    order, to one echelon per backend, after the row (K.<seed_row>(f))_f
-    when a seed accessor is named; i is accepted when the rank grows on
-    any backend, that is when some echelon's insert returns a pivot rather
+    order, to one echelon per lane of K, after the row (K.<seed_row>(f))_f
+    when a seed accessor is named; i is accepted when the rank grows in
+    any lane, that is when some echelon's insert returns a pivot rather
     than None.  Stops after want acceptances.  Returns (i, hits, pivot) per
-    accepted i, the backends whose rank grew and the first pivot taken,
-    with the echelons the scan filled.
+    accepted i, the lanes whose rank grew and the first pivot taken, with
+    the echelons the scan filled.
 
     The exact route cuts the pool by the closure rule of the module
     docstring, and after n - 1 acceptances closes its echelon on the
@@ -373,11 +390,13 @@ def _scan(Ks: tuple, names, candidates, row="value", seed_row=None, want=None,
     route offer the full pool, since the criterion is about generic orders
     and the sampled scan must stay an independent check on the exact one.
     """
-    echelons = _echelons(Ks, len(names))
+    echelons = _echelons(K, len(names))
+    lanes = _lane_rows(K)
     if seed_row is not None:
-        for ech, K in zip(echelons, Ks):
-            ech.insert([getattr(K, seed_row)(f) for f in names])
-    accessors = [getattr(K, row) for K in Ks]
+        seed_of = getattr(K, seed_row)
+        for ech, vals in zip(echelons, lanes([seed_of(f) for f in names])):
+            ech.insert(vals)
+    value = getattr(K, row)
     found = []
     accepted: set[int] = set()
     for i in sorted(candidates):
@@ -385,8 +404,8 @@ def _scan(Ks: tuple, names, candidates, row="value", seed_row=None, want=None,
             continue
         hits = []
         pivot = None
-        for j, (ech, value) in enumerate(zip(echelons, accessors)):
-            got = ech.insert([value(f, i) for f in names])
+        for j, (ech, vals) in enumerate(zip(echelons, lanes([value(f, i) for f in names]))):
+            got = ech.insert(vals)
             if got is not None:
                 hits.append(j)
                 if pivot is None:
@@ -397,26 +416,25 @@ def _scan(Ks: tuple, names, candidates, row="value", seed_row=None, want=None,
             if len(found) == want:
                 break
             if closure and len(found) == len(names) - 1:
-                echelons[0].close(_pairing_row(Ks[0], names))
+                echelons[0].close(_pairing_row(K, names))
     scan = _Scan(found)
     scan.echelons = echelons
     return scan
 
 
 @lru_cache(maxsize=None)
-def _order_scan(names: tuple[str, ...], Ks: tuple) -> _Scan:
+def _order_scan(names: tuple[str, ...], K) -> _Scan:
     """The order scan of one family over the full pool of one route.
 
-    Keyed on the backend tuple, which backends() builds once per route, so
+    Keyed on the backend, which backends() builds once per route, so
     the scan runs once per family, level and route in a process:
     order_sequence, frobenius_orders, rejection_report and the epsilons of
     a tuple-series profile all read it.  Closure is set exactly on the
     exact route, whose Frobenius orders read the echelon the scan keeps;
     callers share it, so they only read it and never insert.
     """
-    pool = family_candidate_values(ree_params(Ks[0].s), names)
-    return _scan(Ks, names, pool, want=len(names),
-                 closure=Ks[0].kind == "symbolic")
+    pool = family_candidate_values(ree_params(K.s), names)
+    return _scan(K, names, pool, want=len(names), closure=K.kind == "symbolic")
 
 
 # ---------------------------------------------------------------------------
@@ -433,11 +451,11 @@ def order_sequence(
     """Greedy lexicographic order scan over the candidate index pool."""
     names = _family_names(series)
     p = ree_params(s)
-    Ks = backends(s, backend, trials, seed, SAMPLE_EXTENSION)
-    found = _order_scan(names, Ks)
+    K = backends(s, backend, trials, seed, SAMPLE_EXTENSION)
+    found = _order_scan(names, K)
     orders = [i for i, _, _ in found]
     witness = [
-        f"pivot-col={pivot}" if Ks[0].kind == "symbolic"
+        f"pivot-col={pivot}" if K.kind == "symbolic"
         else "points=" + ",".join(str(h) for h in hits)
         for _, hits, pivot in found
     ]
@@ -452,7 +470,7 @@ def order_sequence(
         orders=tuple(orders),
         labels=_order_labels(series, p, tuple(orders)),
         backend=backend,
-        points=sample_count(Ks),
+        points=sample_count(K),
         witness=tuple(witness),
     )
 
@@ -473,9 +491,9 @@ def morphism_orders_below_q(
     """
     names = _family_names(series)[1:]
     p = ree_params(s)
-    Ks = backends(s, backend, trials, seed, SAMPLE_EXTENSION)
+    K = backends(s, backend, trials, seed, SAMPLE_EXTENSION)
     pool = [v for v in family_candidate_values(p, _family_names(series)) if v < p.q]
-    return tuple(i for i, _, _ in _scan(Ks, names, pool, row="shift_value"))
+    return tuple(i for i, _, _ in _scan(K, names, pool, row="shift_value"))
 
 
 def frobenius_orders(
@@ -495,15 +513,15 @@ def frobenius_orders(
     """
     names = _family_names(series)
     p = ree_params(s)
-    Ks = backends(s, backend, trials, seed, SAMPLE_EXTENSION)
+    K = backends(s, backend, trials, seed, SAMPLE_EXTENSION)
     want = len(names) - 1
     eps = list(order_sequence(series, s, backend, trials, seed).orders)
-    if Ks[0].kind == "symbolic":
-        (echelon,) = _order_scan(names, Ks).echelons
-        j = echelon.spanned_at([Ks[0].qpow_value(f) for f in names])
+    if K.kind == "symbolic":
+        (echelon,) = _order_scan(names, K).echelons
+        j = echelon.spanned_at([K.qpow_value(f) for f in names])
         nus = [e for k, e in enumerate(eps) if k != j]
     else:
-        found = _scan(Ks, names, family_candidate_values(p, names),
+        found = _scan(K, names, family_candidate_values(p, names),
                       seed_row="qpow_value", want=want)
         nus = [i for i, _, _ in found]
     if len(nus) != want:
@@ -525,7 +543,7 @@ def frobenius_orders(
         omitted_order=missing[0],
         below_q=below,
         backend=backend,
-        points=sample_count(Ks),
+        points=sample_count(K),
     )
 
 
@@ -562,23 +580,23 @@ def triangular_check(
     """Assert the matrix [D^rows[i] cols[j]] is upper triangular.
 
     Returns the diagonal: ring elements for the symbolic backend, one list
-    of field values per sample point otherwise.  Point checks certify the
-    diagonal exactly but can only sample the below-diagonal vanishing.
+    of field values per sample point (per lane) otherwise.  Point checks
+    certify the diagonal exactly but can only sample the below-diagonal
+    vanishing.
     """
     if len(rows) != len(cols):
         raise ValueError("rows and cols must have equal length")
-    Ks = backends(s, backend, trials, seed, SAMPLE_EXTENSION)
+    K = backends(s, backend, trials, seed, SAMPLE_EXTENSION)
     n = len(rows)
-    entries = [[[K.value(f, i) for f in cols] for K in Ks] for i in rows]
+    entries = [[K.value(f, i) for f in cols] for i in rows]
     for i in range(n):
         for j in range(i):
-            for sample in entries[i]:
-                if not sample[j].is_zero():
-                    raise ArithmeticError(
-                        f"not triangular: D^{rows[i]} {cols[j]} is nonzero"
-                    )
-    samples = len(entries[0])
-    diag = [[entries[i][t][i] for i in range(n)] for t in range(samples)]
+            # zero in every lane
+            if not entries[i][j].is_zero():
+                raise ArithmeticError(
+                    f"not triangular: D^{rows[i]} {cols[j]} is nonzero"
+                )
+    diag = [list(d) for d in zip(*(K.exp.split(entries[i][i]) for i in range(n)))]
     return diag[0] if backend == "symbolic" else diag
 
 

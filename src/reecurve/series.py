@@ -27,8 +27,15 @@ the i-th coefficient of the expansion of f is the i-th Hasse derivative
 of f (with respect to x) evaluated at P.  Series follow the conventions of
 ``hasse``: sparse dicts {exponent: coefficient}, zero values omitted.
 
+A PointExpansion may also hold several points of one field at once, as
+the lanes of ``gf.Lanes``: lane j of each coefficient is the coefficient
+at the j-th point, so one series operation serves every point.  A
+coefficient is omitted only when it is zero in every lane, and each lane
+equals that point's own expansion.  The sampled route expands its trial
+points this way; a profile expands one point.
+
 ``backends.Backend`` reads either expansion, so this module holds no
-backend: only the points route loads it, when backends() samples a point
+backend: only the points route loads it, when backends() samples points
 or a profile expands one.  A point's expansion is exact below its
 precision: q^2 + 1 for the sampled route, which covers every order
 candidate and every catalog read D^i over the window, and m + 1 for a
@@ -44,6 +51,7 @@ from reecurve.backends import SAMPLE_EXTENSION
 from reecurve.gf import (
     FieldContext,
     FieldElement,
+    Lanes,
     field_context,
     frobenius_power,
     solve_artin_schreier,
@@ -192,15 +200,39 @@ def _hilbert90(c: FieldElement, q: int) -> FieldElement:
 
 
 class PointExpansion(Expansion):
-    """The members' expansions at one point, coefficients in its residue field."""
+    """The members' expansions at one point or at several points of one field.
+
+    One point's expansion has coefficients in that point's field.  With a
+    tuple of points the coefficients lie in Lanes(field, T): lane j of
+    every coefficient belongs to points[j], so one series operation
+    serves every point, and each lane equals that point's own expansion.
+    """
 
     kind = "points"
 
-    def __init__(self, point: CurvePoint, prec: int):
-        super().__init__(point.params, point.ctx.one(), *point.coords(), prec)
-        self.point = point
+    def __init__(self, points: CurvePoint | tuple[CurvePoint, ...], prec: int):
+        if isinstance(points, CurvePoint):
+            points = (points,)
+        first = points[0]
+        self.points = points
+        self.field = first.ctx
+        self.lanes = len(points)
+        if self.lanes == 1:
+            self.ctx, coords = self.field, first.coords()
+        else:
+            self.ctx = Lanes(self.field, self.lanes)
+            coords = (self.ctx.pack(cs) for cs in zip(*(P.coords() for P in points)))
+        super().__init__(first.params, self.ctx.one(), *coords, prec)
 
-    def describe(self, v: Series) -> str:
-        """A nonzero series' lowest exponent, with the point to replay it at."""
-        x, y, z = (c.code() for c in self.point.coords())
-        return f"t^{min(v)} coefficient nonzero at point codes ({x},{y},{z})"
+    def split(self, c: FieldElement) -> list[FieldElement]:
+        """A coefficient's lanes, one element of the field per point."""
+        return [c] if self.lanes == 1 else self.ctx.split(c)
+
+    def describe(self, v: Series, lane: int) -> str | None:
+        """The lowest exponent at which the lane is nonzero, with its point's
+        codes to replay it at; None when the lane of v is zero."""
+        low = [e for e, c in v.items() if not self.split(c)[lane].is_zero()]
+        if not low:
+            return None
+        x, y, z = (c.code() for c in self.points[lane].coords())
+        return f"t^{min(low)} coefficient nonzero at point codes ({x},{y},{z})"

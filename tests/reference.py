@@ -357,18 +357,22 @@ def check_hypersurface(
     trials: int = 3,
     seed: int = 0,
 ) -> list[CheckResult]:
-    Ks = backends(s, backend, trials, seed)
-    results: dict[str, CheckResult] = {}
-    for K in Ks:
-        for label, v in hyper_residuals(K):
-            ok = K.is_zero(v)
-            prev = results.get(label)
-            if prev is None or (prev.ok and not ok):
-                results[label] = CheckResult(
-                    "hypersurface", label, K.kind, ok, sample_count(Ks),
-                    None if ok else K.describe(v),
-                )
-    return list(results.values())
+    """Each hypersurface residual on the route's backend.
+
+    A failing residual's witness names the first lane, in seed order,
+    where it is nonzero.
+    """
+    K = backends(s, backend, trials, seed)
+    results = []
+    for label, v in hyper_residuals(K):
+        ok = K.is_zero(v)
+        witness = None
+        if not ok:
+            lane = next(j for j in range(K.lanes) if K.describe(v, j) is not None)
+            witness = f"lane {lane}: {K.describe(v, lane)}"
+        results.append(
+            CheckResult("hypersurface", label, K.kind, ok, sample_count(K), witness))
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -348,3 +348,26 @@ def test_criterion_14_exact_route_at_s4_and_s5():
         f"exact route at s=4,5: catalog 452/452, D and E orders equal the closed "
         f"form, Frobenius D and E omit 1, closing stage taken, {dt:.2f}s",
     )
+
+
+def test_criterion_15_sampled_route_at_s4_and_s5():
+    # the sampled route past the levels the decoders were written at:
+    # lanes at m = 54 and 66 in the order scans, and the catalog at
+    # rational points of GF(3^9), the first field past the log tables
+    t0 = time.time()
+    for s in (4, 5):
+        for series in ("D", "E"):
+            seq = order_sequence(series, s=s, backend="points", trials=2, seed=0)
+            assert list(seq.orders) == order_values(ree_params(s), series)
+            assert seq.points == 2
+            prof = vanishing_orders(series, random_point(s, seed=5, extension=6))
+            assert prof.weight == 0 and prof.jorders == prof.epsilons
+    res = verify_catalog(4, "points", trials=3, seed=0)
+    assert len(res) == 452 and all(r.ok and not r.skipped and r.points == 3 for r in res)
+    dt = time.time() - t0
+    assert dt < 120
+    _verdict(
+        15,
+        f"sampled route at s=4,5: D and E orders at 2 points, generic weight 0, "
+        f"catalog 452/452 at 3 rational points of s=4, {dt:.2f}s",
+    )

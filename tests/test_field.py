@@ -5,7 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reecurve.gf import (
+    FieldElement,
+    Lanes,
     _pmod,
+    _Quotient,
     field_context,
     frobenius_power,
     solve_artin_schreier,
@@ -260,3 +263,100 @@ def test_mixed_contexts_raise():
         with pytest.raises(ValueError):
             op()
     assert a != b
+
+
+# ---------------------------------------------------------------------------
+# lanes: T elements of one field in one packed int
+
+
+@pytest.mark.parametrize("T", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 3, 5, 7, 18, 66])
+def test_lanes_match_per_element_arithmetic(m, T):
+    # m = 7 multiplies through tables, 18 and 66 through Kronecker; at
+    # m = 66 the Kronecker kernel works in 63-trit chunks
+    field = field_context(m)
+    lanes = Lanes(field, T)
+    rng = random.Random(f"lanes:{m}:{T}")
+
+    def draw():
+        # zero lanes and all-2 lanes among random ones
+        return [rng.choice([field.zero(), field.from_code(field.order - 1)])
+                if rng.random() < 0.25 else field.random_element(rng) for _ in range(T)]
+
+    assert lanes.m == T * m
+    assert lanes.split(lanes.one()) == [field.one()] * T
+    for _ in range(12):
+        xs, ys = draw(), draw()
+        a, b = lanes.pack(xs), lanes.pack(ys)
+        assert a.ctx is lanes
+        assert lanes.split(a) == xs
+        assert lanes.split(a + b) == [x + y for x, y in zip(xs, ys)]
+        assert lanes.split(a - b) == [x - y for x, y in zip(xs, ys)]
+        assert lanes.split(-a) == [-x for x in xs]
+        assert lanes.split(a * b) == [x * y for x, y in zip(xs, ys)]
+        for k in (1, 2, m - 1, m, m + 3):
+            assert lanes.split(a.pow3k(k)) == [frobenius_power(x, k) for x in xs]
+        assert a.is_zero() == all(x.is_zero() for x in xs)
+        assert (a - a).is_zero()
+    zero_but_one = [field.zero()] * T
+    zero_but_one[-1] = field.one()
+    assert not lanes.pack(zero_but_one).is_zero()
+    with pytest.raises(ValueError):
+        lanes.pack(draw()[:-1] + [field_context(m + 1).one()])
+
+
+# ---------------------------------------------------------------------------
+# log and exp tables of the small fields
+
+
+def _cube(ctx, v):
+    return _Quotient._mulmod(ctx, _Quotient._mulmod(ctx, v, v), v)
+
+
+def test_tables_exactly_for_small_orders():
+    for m in range(1, 10):
+        assert (field_context(m)._log is not None) == (3**m <= 3**7)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_table_products_on_every_pair(m):
+    ctx = field_context(m)
+    for a in range(ctx.order):
+        x = ctx.from_code(a).packed
+        for b in range(ctx.order):
+            y = ctx.from_code(b).packed
+            assert ctx._mulmod(x, y) == _Quotient._mulmod(ctx, x, y)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7])
+def test_table_inverse_and_frobenius(m):
+    ctx = field_context(m)
+    rng = random.Random(f"tables:{m}")
+    if m == 7:
+        pairs = [(ctx.random_element(rng), ctx.random_element(rng)) for _ in range(2000)]
+        for a, b in pairs:
+            assert ctx._mulmod(a.packed, b.packed) == _Quotient._mulmod(ctx, a.packed, b.packed)
+        elements = [a for a, _ in pairs[:200]]
+    else:
+        elements = [ctx.from_code(c) for c in range(ctx.order)]
+    for a in elements:
+        if not a.is_zero():
+            assert _Quotient._mulmod(ctx, a.packed, a.inverse().packed) == 1
+        v = a.packed
+        for k in range(2 * m + 1):
+            assert ctx.frobenius(a, k).packed == v
+            v = _cube(ctx, v)
+    # the tables are built on the least primitive element by code
+    n = ctx.order - 1
+    assert len(set(_powers(ctx, ctx._exp[1]))) == n
+    g = FieldElement(ctx, ctx._exp[1]).code()
+    assert all(len(set(_powers(ctx, ctx.from_code(c).packed))) < n for c in range(1, g))
+
+
+def _powers(ctx, x):
+    """x^1 .. x^(order-1), by the packed product."""
+    out, v = [], 1
+    for _ in range(ctx.order - 1):
+        v = _Quotient._mulmod(ctx, v, x)
+        out.append(v)
+    return out

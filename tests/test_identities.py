@@ -37,7 +37,7 @@ from reecurve.backends import Backend, backends, default_window
 from reecurve.orders import order_sequence
 from reecurve.params import index_value, ree_params
 from reecurve.ring import FAMILY_NAMES, RECIPES, CurveElement
-from reecurve.series import PointExpansion, rational_point
+from reecurve.series import PointExpansion, random_point, rational_point
 from reecurve.support import _member_values, member_support, virtual_support
 
 from reference import check_hypersurface, hyper_residuals, show
@@ -82,7 +82,9 @@ def _check_rank_one(s, backend="symbolic", trials=3, seed=0):
     rows = verify_catalog(s, backend, keys=["nu1"], trials=trials, seed=seed)
     assert len(rows) == len(FAMILY_NAMES)
     assert all(r.ok and not r.skipped for r in rows)
-    assert not any(K.is_zero(K.ell_power(1)) for K in backends(s, backend, trials, seed))
+    K = backends(s, backend, trials, seed)
+    ell = K.ell_power(1)
+    assert all(K.describe(ell, lane) is not None for lane in range(K.lanes))
 
 
 ALL_KEYS = (
@@ -389,6 +391,56 @@ def _flip_term(expr, term):
     return expr
 
 
+def test_witness_comes_from_the_first_failing_lane(monkeypatch):
+    # w1 tampered in lane 1 only: lane 0, the seed point, still passes, so
+    # the witness is the seed + 1 point's, byte for byte as the one-point
+    # route writes it with the same tampering
+    s, seed, e = 1, 3, 5
+    monkeypatch.setattr(reecurve.backends, "_BACKENDS", {})
+
+    def tamper(K, bump):
+        ser = K.exp.series("w1")
+        v = ser.get(e, K.exp.zero) + bump
+        if v.is_zero():
+            ser.pop(e)
+        else:
+            ser[e] = v
+
+    K = backends(s, "points", 2, seed)
+    field = K.exp.field
+    tamper(K, K.exp.ctx.pack([field.zero(), field.one()]))
+    tamper(backends(s, "points", 1, seed + 1), field.one())
+
+    def w1_row(trials, at):
+        (row,) = [r for r in verify_catalog(s, "points", keys=["nu1"], trials=trials, seed=at)
+                  if r.instance == "f=w1"]
+        return row
+
+    both, alone = w1_row(2, seed), w1_row(1, seed + 1)
+    assert not both.ok and not alone.ok and both.points == 2
+    assert both.witness == alone.witness
+    x, y, z = (c.code() for c in random_point(s, seed + 1).coords())
+    assert both.witness.endswith(f"at point codes ({x},{y},{z})")
+    assert w1_row(1, seed).ok
+
+
+def test_sampled_catalog_multiplies_once_for_all_points(monkeypatch):
+    # tooling: Backend.mul calls of the sampled catalog at s = 2 on three
+    # points; a backend per point made 4,269, one backend with the points
+    # as lanes makes a third of that
+    calls = [0]
+    mul = Backend.mul
+
+    def counting(self, a, b):
+        calls[0] += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(Backend, "mul", counting)
+    rows = verify_catalog(2, "points", trials=3, seed=0)
+    assert all(r.ok and r.points == 3 for r in rows)
+    assert 0 < calls[0] < 2000
+
+
 def test_window_clears_the_deepest_ell_power():
     assert default_window(P1) > 2 * P1.q + 1
     assert default_window(P2) > 2 * P2.q + 1
@@ -436,7 +488,7 @@ def test_checks_do_not_depend_on_call_history():
     seed = 23
     fresh = [(label, not v)
              for label, v in hyper_residuals(_point_backend(rational_point(1, seed)))]
-    (K,) = backends(1, "points", 1, seed)
+    K = backends(1, "points", 1, seed)
     K.member_d("w8", 40)
     K.shift_d("w6", 200)
     verify_catalog(1, backend="points", trials=1, seed=seed)
@@ -512,7 +564,7 @@ def _contents(v):
 def test_backend_operations_leave_their_operands_unchanged(backend, s):
     # a catalog run shares each memoized value across residuals, so an
     # operation that updated an operand in place would corrupt later verdicts
-    (K,) = backends(s, backend, 1, 5)
+    K = backends(s, backend, 1, 5)
     rng = random.Random(f"operands:{backend}:{s}")
     reads = []
     for _ in range(3):

@@ -28,6 +28,7 @@ from reecurve.orders import (
 )
 from reecurve.params import index_value, ree_params
 from reecurve.ring import CurveElement
+from reecurve.series import random_point
 from reecurve.support import (
     family_candidate_values,
     leq3,
@@ -176,24 +177,27 @@ def test_frobenius_s2_exact_equals_points(series):
     assert [getattr(exact, f) for f in fields] == [getattr(pts, f) for f in fields]
 
 
-def test_scans_share_one_backend_tuple(monkeypatch):
+def test_scans_share_one_backend(monkeypatch):
     seen = []
 
     def spy(*args, **kwargs):
-        Ks = backends(*args, **kwargs)
-        seen.append(Ks)
-        return Ks
+        K = backends(*args, **kwargs)
+        seen.append(K)
+        return K
 
     monkeypatch.setattr(reecurve.orders, "backends", spy)
     order_sequence("E", s=1, backend="points", trials=2, seed=8)
-    (K0, _K1) = seen[0]
-    exp = K0.exp
+    K = seen[0]
+    exp = K.exp
+    # one backend holds both points, lane j at seed 8 + j
+    assert K.lanes == 2
+    assert exp.points == (random_point(1, 8, 6), random_point(1, 9, 6))
     frobenius_orders("E", s=1, backend="points", trials=2, seed=8)
     # the scan; the Frobenius scan, its order sequence and its shift scan
     assert len(seen) == 4
-    assert all(Ks is seen[0] for Ks in seen)
-    assert K0.exp is exp  # member series expanded once per point
-    assert seen[0] is backends(1, "points", 2, 8, 6)
+    assert all(K2 is K for K2 in seen)
+    assert K.exp is exp  # member series expanded once, for both points
+    assert K is backends(1, "points", 2, 8, 6)
 
 
 # -- the exact echelon against the full cross-multiplication it replaces
@@ -334,7 +338,7 @@ def test_pairing_row_annihilates_the_rows_below_the_last_order(s, series):
     # the osculating hyperplane at the generic point, exactly: it meets
     # the rows of the first n-1 orders and not the row of q^2
     names = reecurve.orders._family_names(series)
-    (K,) = backends(s, "symbolic", 1, 0)
+    K = backends(s, "symbolic", 1, 0)
     c = reecurve.orders._pairing_row(K, names)
     eps = order_values(ree_params(s), series)
     assert eps[-1] == ree_params(s).q ** 2
@@ -344,9 +348,9 @@ def test_pairing_row_annihilates_the_rows_below_the_last_order(s, series):
 
 def test_family_without_the_seven_keeps_the_reduction():
     names, pool = _pool(1, ("one", "x", "w1"))
-    Ks = backends(1, "symbolic", 1, 0)
-    raw = reecurve.orders._scan(Ks, names, pool, want=len(names))
-    closed = reecurve.orders._order_scan(names, Ks)
+    K = backends(1, "symbolic", 1, 0)
+    raw = reecurve.orders._scan(K, names, pool, want=len(names))
+    closed = reecurve.orders._order_scan(names, K)
     (echelon,) = closed.echelons
     assert echelon.kernel is None and not echelon.full
     assert len(echelon.rows) == len(names)
@@ -357,16 +361,16 @@ def test_close_takes_only_an_exact_kernel():
     # an E echelon of six rows closes on the pairing row, and on nothing
     # that is zero or fails to annihilate a stored row
     names, pool = _pool(1, "E")
-    (K,) = Ks = backends(1, "symbolic", 1, 0)
+    K = backends(1, "symbolic", 1, 0)
     c = reecurve.orders._pairing_row(K, names)
-    six = reecurve.orders._scan(Ks, names, pool, want=len(names) - 1)
+    six = reecurve.orders._scan(K, names, pool, want=len(names) - 1)
     (echelon,) = six.echelons
     zero = K.value("one", 0).ring.zero()
     assert not echelon.close([zero] * len(names))
     assert not echelon.close(c[:-1] + [c[-1] + K.value("one", 0)])
     assert echelon.kernel is None
     assert echelon.close(c) and echelon.kernel is c
-    short = reecurve.orders._scan(Ks, names, pool, want=len(names) - 2)
+    short = reecurve.orders._scan(K, names, pool, want=len(names) - 2)
     assert not short.echelons[0].close(c)
 
 
@@ -376,10 +380,10 @@ def test_full_echelon_spans_every_row(series):
     # rows), but a row outside the stored rows' span lies in the span of
     # all n rows of a closed scan, the last one unstored
     names = reecurve.orders._family_names(series)
-    Ks = backends(1, "symbolic", 1, 0)
-    (echelon,) = reecurve.orders._order_scan(names, Ks).echelons
+    K = backends(1, "symbolic", 1, 0)
+    (echelon,) = reecurve.orders._order_scan(names, K).echelons
     assert echelon.full
-    last = [Ks[0].value(f, ree_params(1).q ** 2) for f in names]
+    last = [K.value(f, ree_params(1).q ** 2) for f in names]
     assert echelon.spanned_at(last) == len(names) - 1
     partial = _Echelon(len(names))
     partial.rows = list(echelon.rows)
@@ -434,9 +438,9 @@ def test_closure_scan_equals_the_raw_scan(s, series):
     # skipping the candidates closure rejects changes no accepted index,
     # no pivot and no hit list
     names, pool = _pool(s, series)
-    Ks = backends(s, "symbolic", 1, 0)
-    raw = reecurve.orders._scan(Ks, names, pool, want=len(names))
-    closed = reecurve.orders._order_scan(names, Ks)
+    K = backends(s, "symbolic", 1, 0)
+    raw = reecurve.orders._scan(K, names, pool, want=len(names))
+    closed = reecurve.orders._order_scan(names, K)
     assert [(i, tuple(hits), pivot) for i, hits, pivot in raw] == list(closed)
 
 
@@ -446,8 +450,8 @@ def test_minimal_non_orders_reach_the_echelon(s, series):
     # the echelon itself still rejects every minimal non-order in the pool
     names, pool = _pool(s, series)
     p = ree_params(s)
-    spy = _Offered(backends(s, "symbolic", 1, 0)[0])
-    found = reecurve.orders._scan((spy,), names, pool, want=len(names), closure=True)
+    spy = _Offered(backends(s, "symbolic", 1, 0))
+    found = reecurve.orders._scan(spy, names, pool, want=len(names), closure=True)
     assert [i for i, _, _ in found] == order_values(p, series)
     minimal = {index_value(ix, p) for ix in minimal_non_orders(series)} & set(pool)
     assert minimal and minimal <= spy.seen
@@ -463,14 +467,14 @@ def test_frobenius_pool_equals_the_full_pool(s, series):
     # scan over the full pool takes, and the omitted order is the one the
     # closed form omits (for a tuple family, the one its raw scan omits)
     names, pool = _pool(s, series)
-    Ks = backends(s, "symbolic", 1, 0)
-    full = reecurve.orders._scan(Ks, names, pool, seed_row="qpow_value",
+    K = backends(s, "symbolic", 1, 0)
+    full = reecurve.orders._scan(K, names, pool, seed_row="qpow_value",
                                  want=len(names) - 1)
     nus = tuple(i for i, _, _ in full)
     if series in ("D", "E"):
         eps = order_values(ree_params(s), series)
     else:
-        eps = [i for i, _, _ in reecurve.orders._scan(Ks, names, pool)]
+        eps = [i for i, _, _ in reecurve.orders._scan(K, names, pool)]
     (omitted,) = set(eps) - set(nus)
     fr = frobenius_orders(series, s=s, backend="symbolic")
     assert (fr.nus, fr.omitted_order, fr.omitted_index) == (
@@ -556,11 +560,11 @@ def test_point_echelon_stores_what_field_elements_store(m, seed):
         else:
             vec = sparse()
         rows.append(vec)
-    fast = reecurve.orders._PointEchelon()
+    fast = reecurve.orders._PointEchelon(ctx)
     ref = _FieldElementEchelon()
     pivots = []
     for vec in rows:
-        got = fast.insert(vec)
+        got = fast.insert([a.packed for a in vec])
         assert got == ref.insert(vec)
         pivots.append(got)
         assert fast.rows == _packed_rows(ref)

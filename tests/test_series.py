@@ -241,14 +241,14 @@ def test_reads_past_the_depth_raise():
         K.value("w1", 100)
     # the deepest read that fits equals the same read at the default depth
     i = 100 - K.window
-    assert K.member_d("w1", i) == _point_backend(K.exp.point).member_d("w1", i)
+    assert K.member_d("w1", i) == _point_backend(K.exp.points[0]).member_d("w1", i)
 
 
 def test_power_helper_matches_repeated_multiplication():
     prec = 260
     exp = PointExpansion(rational_point(1, seed=2), prec)
     ell = exp.ell_series()
-    acc = {0: exp.point.ctx.one()}
+    acc = {0: exp.points[0].ctx.one()}
     for n in range(1, 8):
         acc = ser_mul(acc, ell, prec)
         assert exp.power(ell, n, prec) == acc

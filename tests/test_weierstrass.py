@@ -1,7 +1,10 @@
 """Vanishing profiles, point weights, and the degree audit."""
 
+from functools import lru_cache
+
 import pytest
 
+import reecurve.weierstrass as weierstrass
 from reecurve.gf import field_context, frobenius_power
 from reecurve.orders import OrderSequence, order_sequence
 from reecurve.params import SymbolicIndex, ree_params
@@ -173,3 +176,22 @@ def test_s2_rational_profile():
     eprof = vanishing_orders("E", rational_point(2, seed=1))
     assert eprof.jorders == tuple(expected_rational_profile(p2, "E"))
     assert eprof.weight == rational_weight(p2, "E")
+
+
+def test_profiles_at_one_point_share_one_expansion(monkeypatch):
+    # D and E at a point, and D again at an equal point built afresh, read
+    # one expansion, and give the profiles a warm cache gives
+    built = []
+
+    class Counted(weierstrass.PointExpansion):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    separate = [vanishing_orders(name, rational_point(2, seed=41)) for name in ("D", "E")]
+    monkeypatch.setattr(weierstrass, "PointExpansion", Counted)
+    monkeypatch.setattr(weierstrass, "_profile_backend",
+                        lru_cache(maxsize=None)(weierstrass._profile_backend.__wrapped__))
+    shared = [vanishing_orders(name, rational_point(2, seed=41)) for name in ("D", "E", "D")]
+    assert len(built) == 1
+    assert shared == separate + separate[:1]

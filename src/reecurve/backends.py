@@ -17,8 +17,9 @@ so no backend method branches on the route, and the exact route loads
 neither the field nor the series module.  A backend offers residual
 arithmetic for the identity catalog (member, member_d, shift_d, qpow_d,
 virtual_d, ell_power, pow_tag, mul, add, is_zero, describe), on series cut
-at the window, and rows for the rank scans at the centre: value(name, i)
-is D^i f, shift_value(name, i) is D^i (f^q - f), qpow_value(name) is f^q.
+at the window, and the two row accessors of the rank scans, read at the
+centre: value(name, i) is D^i f, and qpow_value(name) is f^q, the seed row
+whose place in the order echelons names the omitted Frobenius order.
 
 backends() builds one Backend per route and is their only cache, so every
 caller asking for one route gets one object: points are sampled, and
@@ -102,12 +103,6 @@ class Backend:
 
     def value(self, name: str, i: int):
         return self.exp.coefficient(name, i)
-
-    def shift_value(self, name: str, i: int):
-        """D^i (f^q - f) at the centre."""
-        if i >= self.exp.prec:
-            raise ValueError(f"D^{i} lies past the depth {self.exp.prec}")
-        return self.exp.shift_series(name).get(i, self.exp.zero)
 
     def qpow_value(self, name: str):
         return self.value(name, 0).pow3k(2 * self.s + 1)

@@ -3,11 +3,11 @@
 An index i is an order of a function family exactly when the derivative row
 (D^i f)_f increases the rank of the rows selected at smaller indices; scanning
 candidates in increasing order therefore reproduces the lexicographically
-minimal order sequence (the Stöhr-Voloch method).  Frobenius orders are the
-orders of the same scan seeded with the row (f^q)_f, and the vanishing
-profile at a point (weierstrass.vanishing_orders) is the same scan on that
-point's rows.  Rows come from the route's one backend (backends.backends,
-shared with the identity checks):
+minimal order sequence (the Stöhr-Voloch method).  The Frobenius orders are
+read off the echelons that scan fills (the Frobenius pool rule below), and
+the vanishing profile at a point (weierstrass.vanishing_orders) is the same
+scan on that point's rows.  Rows come from the route's one backend
+(backends.backends, shared with the identity checks):
 
 * symbolic (any s): fraction-free cross-multiplication elimination over the
   coordinate ring, exact; the pivot column of a reduced row is zero by
@@ -22,8 +22,8 @@ shared with the identity checks):
   towards rejection and never invents an order; under-selection is guarded
   by seed-stability checks in the test suite.
 
-The exact route skips the rank work the theory already settles, by three
-rules that leave every result unchanged:
+The exact order scan skips the rank work the theory already settles, by
+two rules that leave every result unchanged:
 
 * closure: by the p-adic criterion (Stöhr-Voloch, Proc. LMS 52, 1986,
   Cor. 1.9) every mu <=3 eps (digitwise in base 3) of an order eps is an
@@ -31,17 +31,6 @@ rules that leave every result unchanged:
   i - 3^k, for each nonzero base-3 digit k of i, is already accepted; a
   skipped i would be rejected, and a rejected insert never changes an
   echelon's state, so every accepted index and pivot stays the same;
-* Frobenius pool: there is no seeded scan.  With V_i the span of the rows
-  D^j f, j <= i, and W_i the span of (f^q)_f and the rows the seeded scan
-  accepts up to i, W_i contains V_i by induction, so that scan rejects
-  every non-order and one order (Stöhr-Voloch Prop. 2.1: the Frobenius
-  orders are the orders with one left out): eps_j for the least j with
-  (f^q)_f in the span of the rows of eps_0..eps_j.  The order echelon
-  stores those rows in that order, each zero at the pivots of the rows
-  before it, so reducing (f^q)_f by rows 0..j leaves a remainder zero at
-  their pivots; a nonzero combination of the rows is nonzero at the pivot
-  of its first row, so the remainder is zero exactly when (f^q)_f lies in
-  their span;
 * closing: once the echelon holds n - 1 rows, n the family's size, the
   scan builds the pairing row c (ring.PAIRING): c[f_(6-i)] = f_i^(q^2)
   over the seven-function family, zero elsewhere, the coefficients of the
@@ -59,6 +48,33 @@ rules that leave every result unchanged:
   lies in the span of all n.  A family whose row fails the check keeps
   the reduction; the check alone decides, so the rule holds for any
   family.
+
+The Frobenius orders run no scan on either route, by two more rules:
+
+* Frobenius pool: with V_i the span of the rows D^j f, j <= i, and W_i
+  the span of (f^q)_f and the rows the scan seeded with (f^q)_f accepts up
+  to i, W_i contains V_i by induction, so that scan rejects every
+  non-order and one order (Stöhr-Voloch Prop. 2.1: the Frobenius orders
+  are the orders with one left out): eps_j for the least j with (f^q)_f in
+  the span of the rows of eps_0..eps_j.  An echelon stores those rows in
+  that order, each zero at the pivots of the rows before it, so reducing
+  (f^q)_f by rows 0..j leaves a remainder zero at their pivots; a nonzero
+  combination of the rows is nonzero at the pivot of its first row, so the
+  remainder is zero exactly when (f^q)_f lies in their span (spanned_at).
+  So each lane omits one of its orders, and the seeded scan, which accepts
+  i when any lane's rank grows, takes the first n - 1 of the union of the
+  lanes' orders less the ones they omit, once every lane reached rank n
+  (at points with x not in GF(q) the paper's theorem says each does; a
+  lane that did not is reported).  The exact route has one lane;
+* below q: below_q, the orders below q of the morphism (f^q - f)_f over
+  the members other than the constant `one`, is nus below q.  For
+  0 < i < q, D^i (f^q) = 0, so the morphism's row at i is -(D^i f)_f.  Its
+  row at 0 and every order row past 0 are zero in the `one` column, which
+  the morphism leaves out, and (f)_f and (f^q)_f hold 1 there; so for R
+  the rows accepted in (0, i), a row zero there lies in span((f^q)_f,
+  (f)_f, R) exactly when it lies in span((f^q - f)_f, R) (in
+  r = a f^q + b f + ..., a + b = 0).  Lane by lane, the two scans accept
+  the same i in (0, q), and both accept 0, as x^q != x.
 
 The criterion is about generic orders, so vanishing profiles at a point
 keep the full pool, and so does the sampled route, which stays an
@@ -96,7 +112,6 @@ __all__ = [
     "FrobeniusOrders",
     "order_sequence",
     "frobenius_orders",
-    "morphism_orders_below_q",
     "triangular_check",
     "proof_matrix",
     "padic_closure_check",
@@ -280,14 +295,13 @@ class _PointEchelon:
         self.ctx = ctx
         self.rows: list[tuple[int, list[tuple[int, int]]]] = []
 
-    def insert(self, vals) -> int | None:
-        """Reduce against stored rows; keep and return pivot if independent."""
-        from .gf import FieldElement, _mod3
+    def _reduce(self, vals: list[int], rows) -> None:
+        """Reduce vals in place by the given stored rows, in order."""
+        from .gf import _mod3
 
         ctx = self.ctx
         mulmod, threes, m = ctx._mulmod, ctx._threes, ctx.m
-        vals = list(vals)
-        for pivot, row in self.rows:
+        for pivot, row in rows:
             c = vals[pivot]
             if not c:
                 continue
@@ -295,12 +309,30 @@ class _PointEchelon:
             for k, b in row:
                 # adding 3 to every byte keeps each byte of the difference >= 0
                 vals[k] = _mod3(vals[k] + threes - mulmod(c, b), m)
+
+    def insert(self, vals) -> int | None:
+        """Reduce against stored rows; keep and return pivot if independent."""
+        ctx = self.ctx
+        mulmod = ctx._mulmod
+        vals = list(vals)
+        self._reduce(vals, self.rows)
         for k, a in enumerate(vals):
             if a:
+                from .gf import FieldElement
+
                 inv = ctx.inv(FieldElement(ctx, a)).packed
                 tail = enumerate(vals[k + 1:], k + 1)
                 self.rows.append((k, [(j, mulmod(v, inv)) for j, v in tail if v]))
                 return k
+        return None
+
+    def spanned_at(self, vals) -> int | None:
+        """As _SymbolicEchelon.spanned_at, by the same rule."""
+        vals = list(vals)
+        for j, stored in enumerate(self.rows):
+            self._reduce(vals, (stored,))
+            if not any(vals):
+                return j
         return None
 
 
@@ -363,17 +395,15 @@ class _Scan(tuple):
     echelons: list
 
 
-def _scan(K, names, candidates, row="value", seed_row=None, want=None,
-          closure=False) -> _Scan:
+def _scan(K, names, candidates, want=None, closure=False) -> _Scan:
     """The greedy rank scan, the one loop behind order sequences and profiles.
 
-    Offers the row (K.<row>(f, i))_f of each candidate i, in increasing
-    order, to one echelon per lane of K, after the row (K.<seed_row>(f))_f
-    when a seed accessor is named; i is accepted when the rank grows in
-    any lane, that is when some echelon's insert returns a pivot rather
+    Offers the row (K.value(f, i))_f of each candidate i, in increasing
+    order, to one echelon per lane of K; i is accepted when the rank grows
+    in any lane, that is when some echelon's insert returns a pivot rather
     than None.  Stops after want acceptances.  Returns (i, hits, pivot) per
     accepted i, the lanes whose rank grew and the first pivot taken, with
-    the echelons the scan filled.
+    the echelons the scan filled, which the Frobenius orders read.
 
     The exact route cuts the pool by the closure rule of the module
     docstring, and after n - 1 acceptances closes its echelon on the
@@ -384,19 +414,14 @@ def _scan(K, names, candidates, row="value", seed_row=None, want=None,
     closed under digitwise base-3 domination (Stöhr-Voloch Cor. 1.9), it
     stays a down-set by induction, a skipped i is a non-order the echelon
     would have rejected, and a rejected insert leaves the echelon as it
-    was.  The minimal
-    non-orders have every proper submask an order, so they still reach the
-    echelon and are rejected by it.  Profiles at a point and the sampled
-    route offer the full pool, since the criterion is about generic orders
-    and the sampled scan must stay an independent check on the exact one.
+    was.  The minimal non-orders have every proper submask an order, so
+    they still reach the echelon and are rejected by it.  Profiles at a
+    point and the sampled route offer the full pool, since the criterion is
+    about generic orders and the sampled scan must stay an independent
+    check on the exact one.
     """
     echelons = _echelons(K, len(names))
     lanes = _lane_rows(K)
-    if seed_row is not None:
-        seed_of = getattr(K, seed_row)
-        for ech, vals in zip(echelons, lanes([seed_of(f) for f in names])):
-            ech.insert(vals)
-    value = getattr(K, row)
     found = []
     accepted: set[int] = set()
     for i in sorted(candidates):
@@ -404,7 +429,7 @@ def _scan(K, names, candidates, row="value", seed_row=None, want=None,
             continue
         hits = []
         pivot = None
-        for j, (ech, vals) in enumerate(zip(echelons, lanes([value(f, i) for f in names]))):
+        for j, (ech, vals) in enumerate(zip(echelons, lanes([K.value(f, i) for f in names]))):
             got = ech.insert(vals)
             if got is not None:
                 hits.append(j)
@@ -429,9 +454,9 @@ def _order_scan(names: tuple[str, ...], K) -> _Scan:
     Keyed on the backend, which backends() builds once per route, so
     the scan runs once per family, level and route in a process:
     order_sequence, frobenius_orders, rejection_report and the epsilons of
-    a tuple-series profile all read it.  Closure is set exactly on the
-    exact route, whose Frobenius orders read the echelon the scan keeps;
-    callers share it, so they only read it and never insert.
+    a tuple-series profile all read it, and the Frobenius orders its
+    echelons.  Closure is set exactly on the exact route.  Callers share
+    the scan, so they only read it and never insert.
     """
     pool = family_candidate_values(ree_params(K.s), names)
     return _scan(K, names, pool, want=len(names), closure=K.kind == "symbolic")
@@ -475,27 +500,6 @@ def order_sequence(
     )
 
 
-def morphism_orders_below_q(
-    series: str = "D",
-    s: int = 1,
-    backend: str = "symbolic",
-    trials: int = 3,
-    seed: int = 0,
-) -> tuple[int, ...]:
-    """Orders below q of the morphism with coordinates (f^q - f).
-
-    The constant member drops out (its shift is zero); projectively the
-    remaining coordinates start (1 : x^q0 : x^2q0 : x^3q0 : ...) after
-    dividing by x^q - x, which pins the small orders without any rank work
-    on the full family.  We keep the honest scan anyway.
-    """
-    names = _family_names(series)[1:]
-    p = ree_params(s)
-    K = backends(s, backend, trials, seed, SAMPLE_EXTENSION)
-    pool = [v for v in family_candidate_values(p, _family_names(series)) if v < p.q]
-    return tuple(i for i, _, _ in _scan(K, names, pool, row="shift_value"))
-
-
 def frobenius_orders(
     series: str = "D",
     s: int = 1,
@@ -505,43 +509,39 @@ def frobenius_orders(
 ) -> FrobeniusOrders:
     """Orders of the scan seeded with the row (f^q)_f; one order drops out.
 
-    The omitted order is found against the route's own order sequence.
-    The sampled route runs the seeded scan over the full pool.  The exact
-    route runs none: it reduces the seed row by the rows its order echelon
-    stored for eps_0 < eps_1 < ..., in that order, and the omitted order is
-    the first eps_j after which the remainder is zero.
+    Read off the route's order echelons by the Frobenius pool and below-q
+    rules of the module docstring, with no scan of its own; the omitted
+    order is named against the route's own order sequence.
     """
     names = _family_names(series)
+    if "one" not in names:
+        raise ValueError(
+            f"{series} lacks the constant member 'one', whose column below_q reads")
     p = ree_params(s)
     K = backends(s, backend, trials, seed, SAMPLE_EXTENSION)
-    want = len(names) - 1
     eps = list(order_sequence(series, s, backend, trials, seed).orders)
-    if K.kind == "symbolic":
-        (echelon,) = _order_scan(names, K).echelons
-        j = echelon.spanned_at([K.qpow_value(f) for f in names])
-        nus = [e for k, e in enumerate(eps) if k != j]
-    else:
-        found = _scan(K, names, family_candidate_values(p, names),
-                      seed_row="qpow_value", want=want)
-        nus = [i for i, _, _ in found]
-    if len(nus) != want:
-        raise ArithmeticError(
-            f"rank deficiency not resolved: found {len(nus)} of {want} "
-            f"Frobenius orders for {series} at s={s} ({backend})"
-        )
-    missing = sorted(set(eps) - set(nus))
-    if len(missing) != 1:
-        raise ArithmeticError(
-            f"expected exactly one omitted order, got {missing} for {series} at s={s}"
-        )
-    below = morphism_orders_below_q(series, s, backend, trials, seed)
+    scan = _order_scan(names, K)
+    seed_rows = _lane_rows(K)([K.qpow_value(f) for f in names])
+    union: set[int] = set()
+    for j, (echelon, vals) in enumerate(zip(scan.echelons, seed_rows)):
+        lane = [i for i, hits, _ in scan if j in hits]
+        if len(lane) != len(names):
+            raise ArithmeticError(
+                f"lane {j} (seed {seed + j}) reached rank {len(lane)} of {len(names)}, "
+                f"so its echelon names no Frobenius orders of {series} at s={s}")
+        # a full echelon spans every row, so spanned_at names an order
+        k = echelon.spanned_at(vals)
+        union.update(lane[:k] + lane[k + 1:])
+    nus = sorted(union)[:len(names) - 1]
+    # every lane is full, so each lane's orders are eps, and nus is eps less one
+    omitted = next(k for k, e in enumerate(eps) if e not in nus)
     return FrobeniusOrders(
         series=series,
         s=s,
         nus=tuple(nus),
-        omitted_index=eps.index(missing[0]),
-        omitted_order=missing[0],
-        below_q=below,
+        omitted_index=omitted,
+        omitted_order=eps[omitted],
+        below_q=tuple(v for v in nus if v < p.q),
         backend=backend,
         points=sample_count(K),
     )

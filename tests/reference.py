@@ -18,7 +18,12 @@ computes by another route, so that agreement is evidence:
 * ``hyper_residuals`` and ``check_hypersurface`` state the hypersurface
   relations of the seven-function family on a backend;
 * ``show`` prints a catalog expression tree in the catalog's text
-  notation, the inverse of ``identities._parse``.
+  notation, the inverse of ``identities._parse``;
+* ``seeded_scan`` and ``morphism_scan`` find the Frobenius orders and
+  their part below q by rank scans, where the package reads them off the
+  order echelons: the greedy scan seeded with the row (f^q)_f over the
+  full pool, and the scan below q of the morphism (f^q - f)_f over the
+  members other than ``one``.
 """
 
 from __future__ import annotations
@@ -35,7 +40,8 @@ from reecurve.hasse import (
     ser_mul,
 )
 from reecurve.identities import CheckResult
-from reecurve.params import ReeParams, cube_count
+from reecurve.orders import _echelons, _lane_rows
+from reecurve.params import ReeParams, cube_count, ree_params
 from reecurve.ring import (
     QPOWER_RULES,
     RECIPES,
@@ -373,6 +379,50 @@ def check_hypersurface(
         results.append(
             CheckResult("hypersurface", label, K.kind, ok, sample_count(K), witness))
     return results
+
+
+# ---------------------------------------------------------------------------
+# the Frobenius orders by scans
+
+
+def _greedy(K, names, row, pool, seed=None, want=None) -> tuple[int, ...]:
+    """The i of pool whose row (row(f, i))_f grows the rank in some lane.
+
+    One echelon per lane, first given the seed row when there is one; no
+    closure, no closing, stopping after want acceptances.
+    """
+    echelons = _echelons(K, len(names))
+    lanes = _lane_rows(K)
+    if seed is not None:
+        for ech, vals in zip(echelons, lanes([seed(f) for f in names])):
+            ech.insert(vals)
+    found = []
+    for i in sorted(pool):
+        grew = [ech.insert(vals) is not None
+                for ech, vals in zip(echelons, lanes([row(f, i) for f in names]))]
+        if any(grew):
+            found.append(i)
+            if len(found) == want:
+                break
+    return tuple(found)
+
+
+def seeded_scan(K, names, pool) -> tuple[int, ...]:
+    """The Frobenius orders: the scan seeded with (f^q)_f, n - 1 acceptances."""
+    return _greedy(K, names, K.value, pool, seed=K.qpow_value, want=len(names) - 1)
+
+
+def morphism_scan(K, names, pool) -> tuple[int, ...]:
+    """Orders below q of the morphism (f^q - f)_f, the member ``one`` dropped.
+
+    Its row at i is D^i (f^q - f), the i-th coefficient of the expansion's
+    shift series; the constant member is left out by name, wherever it sits.
+    """
+    exp = K.exp
+    members = [f for f in names if f != "one"]
+    below = [i for i in pool if i < ree_params(K.s).q]
+    return _greedy(K, members, lambda f, i: exp.shift_series(f).get(i, exp.zero),
+                   below)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import random
 import pytest
 
 import reecurve.orders
-from reecurve.backends import backends
+from reecurve.backends import SAMPLE_EXTENSION, backends
 from reecurve.gf import field_context
 from reecurve.hasse import hasse_calculus
 from reecurve.orders import (
@@ -18,7 +18,6 @@ from reecurve.orders import (
     D_PROOF_ROWS,
     E_PROOF_ROWS,
     frobenius_orders,
-    morphism_orders_below_q,
     order_sequence,
     padic_closure_check,
     rejection_report,
@@ -36,7 +35,7 @@ from reecurve.support import (
     order_values,
 )
 
-from reference import ell_of, power
+from reference import ell_of, morphism_scan, power, seeded_scan
 
 D_ORDERS_S1 = (0, 1, 3, 6, 9, 27, 30, 54, 81, 84, 108, 162, 243, 729)
 E_ORDERS_S1 = (0, 1, 9, 27, 54, 243, 729)
@@ -107,8 +106,7 @@ def test_frobenius_e_symbolic():
     fr = frobenius_orders("E", s=1, backend="symbolic")
     assert fr.nus == (0, 9, 27, 54, 243, 729)
     assert fr.omitted_order == 1 and fr.omitted_index == 1
-    # the morphism shortcut agrees with the seeded scan below q
-    assert fr.below_q == tuple(v for v in fr.nus if v < 27)
+    assert fr.below_q == (0, 9)
 
 
 def test_frobenius_tuple_family_symbolic():
@@ -124,11 +122,19 @@ def test_frobenius_tuple_family_points():
     assert fr.nus == (0, 9) and fr.omitted_order == 1 and fr.omitted_index == 1
 
 
-def test_morphism_shortcut_routes_agree():
-    direct = morphism_orders_below_q("D", s=1, backend="symbolic")
-    assert direct == (0, 3, 6, 9)
-    via_points = morphism_orders_below_q("D", s=1, backend="points", trials=2, seed=4)
-    assert via_points == direct
+@pytest.mark.parametrize("backend", ["symbolic", "points"])
+def test_below_q_wherever_one_sits(backend):
+    # the morphism (w1^q - w1, x^q - x) = (x^9 ell, ell) has orders 0 and 9
+    # below q, whatever the place of `one` in the family
+    fr = frobenius_orders(("w1", "x", "one"), s=1, backend=backend, trials=2, seed=0)
+    assert fr.nus == (0, 9) and fr.below_q == (0, 9)
+    # (ell, x^9 ell) has them too, but with no `one` there is no column for
+    # the below-q rule to read, so the family is refused
+    names, pool = _pool(1, ("x", "w1"))
+    K = backends(1, backend, 2, 0, SAMPLE_EXTENSION)
+    assert morphism_scan(K, names, pool) == (0, 9)
+    with pytest.raises(ValueError, match="constant member 'one'"):
+        frobenius_orders(("x", "w1"), s=1, backend=backend, trials=2, seed=0)
 
 
 # -- points backend, base level: must reproduce the symbolic answers
@@ -193,8 +199,8 @@ def test_scans_share_one_backend(monkeypatch):
     assert K.lanes == 2
     assert exp.points == (random_point(1, 8, 6), random_point(1, 9, 6))
     frobenius_orders("E", s=1, backend="points", trials=2, seed=8)
-    # the scan; the Frobenius scan, its order sequence and its shift scan
-    assert len(seen) == 4
+    # the scan; the Frobenius orders and the order sequence they read
+    assert len(seen) == 3
     assert all(K2 is K for K2 in seen)
     assert K.exp is exp  # member series expanded once, for both points
     assert K is backends(1, "points", 2, 8, 6)
@@ -468,9 +474,7 @@ def test_frobenius_pool_equals_the_full_pool(s, series):
     # closed form omits (for a tuple family, the one its raw scan omits)
     names, pool = _pool(s, series)
     K = backends(s, "symbolic", 1, 0)
-    full = reecurve.orders._scan(K, names, pool, seed_row="qpow_value",
-                                 want=len(names) - 1)
-    nus = tuple(i for i, _, _ in full)
+    nus = seeded_scan(K, names, pool)
     if series in ("D", "E"):
         eps = order_values(ree_params(s), series)
     else:
@@ -480,15 +484,37 @@ def test_frobenius_pool_equals_the_full_pool(s, series):
     assert (fr.nus, fr.omitted_order, fr.omitted_index) == (
         nus, omitted, eps.index(omitted)
     )
-    assert fr.below_q == morphism_orders_below_q(series, s=s, backend="symbolic")
+    assert fr.below_q == morphism_scan(K, names, pool)
+
+
+_FROBENIUS_GRID = [("symbolic", s, 1, 0) for s in (1, 2, 3)] + [
+    ("points", s, trials, seed)
+    for s in (1, 2, 3) for trials in (1, 2, 3) for seed in range(4)
+]
+
+
+@pytest.mark.parametrize("backend,s,trials,seed", _FROBENIUS_GRID)
+def test_frobenius_orders_equal_the_reference_scans(backend, s, trials, seed):
+    # on both routes, the union rule over the lanes' order echelons gives
+    # what the seeded scan takes, and below_q what the scan of the morphism
+    # (f^q - f)_f takes, wherever `one` sits in the family
+    K = backends(s, backend, trials, seed, SAMPLE_EXTENSION)
+    for series in ("D", "E", ("one", "x", "w1"), ("w1", "x", "one")):
+        names, pool = _pool(s, series)
+        nus = seeded_scan(K, names, pool)
+        eps = list(order_sequence(series, s, backend, trials, seed).orders)
+        (omitted,) = set(eps) - set(nus)
+        fr = frobenius_orders(series, s, backend, trials, seed)
+        assert (fr.nus, fr.omitted_order, fr.omitted_index, fr.below_q) == (
+            nus, omitted, eps.index(omitted), morphism_scan(K, names, pool)
+        )
 
 
 @pytest.mark.parametrize("series", ["D", "E", ("one", "x", "w1")],
                          ids=["D", "E", "one-x-w1"])
 def test_exact_frobenius_runs_no_seeded_scan(monkeypatch, series):
-    # once the order scan is cached, the exact Frobenius orders come off
-    # its echelon: the only scan left is the below-q shift scan
-    order_sequence(series, s=1, backend="symbolic")
+    # once the order scan is cached, the Frobenius orders of both routes
+    # come off its echelons: no seeded scan, no shift scan, no scan at all
     calls = []
     scan = reecurve.orders._scan
 
@@ -496,9 +522,12 @@ def test_exact_frobenius_runs_no_seeded_scan(monkeypatch, series):
         calls.append((args[3:], kwargs))
         return scan(*args, **kwargs)
 
-    monkeypatch.setattr(reecurve.orders, "_scan", spy)
-    frobenius_orders(series, s=1, backend="symbolic")
-    assert calls == [((), {"row": "shift_value"})]
+    for backend in ("symbolic", "points"):
+        order_sequence(series, s=1, backend=backend, trials=2, seed=0)
+        monkeypatch.setattr(reecurve.orders, "_scan", spy)
+        frobenius_orders(series, s=1, backend=backend, trials=2, seed=0)
+        monkeypatch.undo()
+    assert calls == []
 
 
 # -- the packed point echelon against the FieldElement elimination it replaces

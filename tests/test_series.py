@@ -236,7 +236,7 @@ def test_reads_past_the_depth_raise():
     with pytest.raises(ValueError, match="depth"):
         K.member_d("w1", 20)
     with pytest.raises(ValueError, match="depth"):
-        K.shift_value("w1", 100)
+        K.shift_d("w1", 100)
     with pytest.raises(ValueError, match="precision"):
         K.value("w1", 100)
     # the deepest read that fits equals the same read at the default depth

@@ -39,14 +39,14 @@ A residual must evaluate to exactly zero: a series cut at the backend's
 window, one ring element on the exact route, field values at sampled
 points.  No tolerances exist in characteristic 3.
 
-Before evaluation a residual is bound to its instance and level: roles
-become member names and indices integers (_bind).  Equal bound terms are
-one term, so a catalog run evaluates each distinct leaf, ell power and
-Frobenius power once.  A route has one backend; on the sampled route its
-values hold every sample point as a lane, so each bound residual is
-evaluated once for all points.  The witness of a failed instance is the
-one of its first lane in seed order with a nonzero residual, at that
-lane's first nonzero residual in sublabel order.
+Each residual is evaluated from its tree at every instance.  Leaves, ell
+powers and Frobenius powers are kept for one catalog run under keys that
+name members and value indices at the backend's level (_key), so each
+distinct one is evaluated once.  On the sampled route the one backend's
+values hold every sample point as a lane, so each residual is evaluated
+once for all points.  A failed instance's witness is its first lane in
+seed order with a nonzero residual, at that lane's first nonzero
+residual in sublabel order.
 """
 
 from __future__ import annotations
@@ -424,60 +424,63 @@ def collision_reason(spec: IdentitySpec, roles: dict[str, str]) -> Optional[str]
 # evaluation
 
 
-def _bind(expr: tuple, roles: dict, p) -> tuple:
-    """A residual at one instance and level: roles named, indices valued.
-
-    The bound tree is hashable and equal terms bind to equal nodes, so a
-    term shared by residuals and instances is recognised as one.  A
-    derivative of the virtual t binds to ("t", f, b, i).
-    """
-    op = expr[0]
-    if op == "d" and expr[1] == "t":
-        return ("t", roles["f"], roles["b"], index_value(expr[2], p))
-    if op in ("d", "dshift", "dqpow"):
-        return (op, roles[expr[1]], index_value(expr[2], p))
-    if op == "ell":
-        return ("ell", index_value(expr[1], p))
-    if op == "pw":
-        return ("pw", _bind(expr[1], roles, p), expr[2])
-    if op == "mul":
-        return ("mul",) + tuple(_bind(sub, roles, p) for sub in expr[1:])
-    if op == "sum":
-        return ("sum",) + tuple((sign, _bind(sub, roles, p)) for sign, sub in expr[1:])
-    raise ValueError(f"unknown expression node {op!r}")
-
-
-# the backend read of each bound leaf kind
+# the backend read of each leaf kind, by the first entry of its memo key
 _READS = {"d": "member_d", "t": "virtual_d", "dshift": "shift_d", "dqpow": "qpow_d",
           "ell": "ell_power"}
 
 
-def _evaluate(node: tuple, K, memo: dict):
-    """Value of a bound node on K.
+def _key(expr: tuple, roles: dict, K, memo: dict) -> Optional[tuple]:
+    """The memo key of a leaf or of Frobenius powers of one, else None.
+
+    A key names members and values indices at K's level, so equal terms
+    share one key, and so do slots whose values collide at s=1.  Each
+    index is valued once per run, kept in memo under its SymbolicIndex.
+    """
+    op = expr[0]
+    if op == "pw":
+        inner = _key(expr[1], roles, K, memo)
+        return None if inner is None else ("pw", inner, expr[2])
+    if op not in _READS:  # a product or sum
+        return None
+    ix = expr[-1]
+    i = memo.get(ix)
+    if i is None:
+        i = memo[ix] = index_value(ix, K.p)
+    if op == "ell":
+        return ("ell", i)
+    if op == "d" and expr[1] == "t":
+        return ("t", roles["f"], roles["b"], i)
+    return (op, roles[expr[1]], i)
+
+
+def _evaluate(expr: tuple, roles: dict, K, memo: dict):
+    """Value on K of a residual tree at one instance.
 
     Leaves, ell powers and Frobenius powers recur across residuals and
-    instances, so they are kept in memo; products and sums are almost all
-    distinct and are not.  Backend operations never change their
-    operands, so a kept value can be shared.
+    instances, so they are kept in memo under their _key; products and
+    sums are almost all distinct and are not.  Backend operations never
+    change their operands, so a kept value can be shared.
     """
-    op = node[0]
+    op = expr[0]
     if op == "mul":
-        out = _evaluate(node[1], K, memo)
-        for sub in node[2:]:
-            out = K.mul(out, _evaluate(sub, K, memo))
+        out = _evaluate(expr[1], roles, K, memo)
+        for sub in expr[2:]:
+            out = K.mul(out, _evaluate(sub, roles, K, memo))
         return out
     if op == "sum":
         out = K.zero()
-        for sign, sub in node[1:]:
-            out = K.add(out, _evaluate(sub, K, memo), sign)
+        for sign, sub in expr[1:]:
+            out = K.add(out, _evaluate(sub, roles, K, memo), sign)
         return out
-    val = memo.get(node)
+    key = _key(expr, roles, K, memo)
+    val = memo.get(key)
     if val is None:
         if op == "pw":
-            val = K.pow_tag(_evaluate(node[1], K, memo), node[2])
+            val = K.pow_tag(_evaluate(expr[1], roles, K, memo), expr[2])
         else:
-            val = getattr(K, _READS[op])(*node[1:])
-        memo[node] = val
+            val = getattr(K, _READS[key[0]])(*key[1:])
+        if key is not None:  # a power of a product or sum is not kept
+            memo[key] = val
     return val
 
 
@@ -491,14 +494,14 @@ class CheckResult(NamedTuple):
     skipped: bool = False  # outside the asserted scope at this level
 
 
-def _witness(key: str, bound: tuple, K, memo: dict) -> Optional[str]:
-    """None when every bound residual vanishes on K, else a witness string.
+def _witness(spec: IdentitySpec, roles: dict, K, memo: dict) -> Optional[str]:
+    """None when every residual of one instance vanishes on K, else a witness string.
 
     Each residual is evaluated once, for every lane.  The witness is the
     first lane's, in seed order, whose value of some residual is nonzero,
     at its first such residual in sublabel order.
     """
-    values = [(sub, _evaluate(node, K, memo)) for sub, node in bound]
+    values = [(sub, _evaluate(expr, roles, K, memo)) for sub, expr in spec.residuals]
     if all(K.is_zero(val) for _sub, val in values):
         return None
     for lane in range(K.lanes):
@@ -506,12 +509,8 @@ def _witness(key: str, bound: tuple, K, memo: dict) -> Optional[str]:
             text = K.describe(val, lane)
             if text is not None:
                 where = f" [{sublabel}]" if sublabel else ""
-                return f"{key}{where}: {text}"
+                return f"{spec.key}{where}: {text}"
     return None
-
-
-def _bind_residuals(spec: IdentitySpec, roles: dict, p) -> tuple:
-    return tuple((sub, _bind(expr, roles, p)) for sub, expr in spec.residuals)
 
 
 def _verdict(spec: IdentitySpec, roles: dict[str, str], K: Backend, memo: dict) -> CheckResult:
@@ -521,7 +520,7 @@ def _verdict(spec: IdentitySpec, roles: dict[str, str], K: Backend, memo: dict) 
         reason = collision_reason(spec, roles)
         if reason is not None:
             return CheckResult(spec.key, label, K.kind, True, 0, reason, skipped=True)
-    witness = _witness(spec.key, _bind_residuals(spec, roles, K.p), K, memo)
+    witness = _witness(spec, roles, K, memo)
     return CheckResult(spec.key, label, K.kind, witness is None, sample_count(K), witness)
 
 

@@ -293,6 +293,8 @@ GOLDEN_REPORTS = [
     ("orders_s1_D_symbolic.json", ["orders", "--s", "1", "--series", "D"]),
     # the pivot witnesses at s = 2, where the echelon's entries are largest
     ("orders_s2_D_symbolic.json", ["orders", "--s", "2", "--series", "D"]),
+    # the pivot witnesses at s = 4, the first stable level
+    ("orders_s4_D_symbolic.json", ["orders", "--s", "4", "--series", "D"]),
     # a profile scanned on the point's rows, its last order m above q^2
     ("weierstrass_s2_rational_seed0_D.json",
      ["weierstrass", "--s", "2", "--point", "rational", "--seed", "0", "--series", "D"]),

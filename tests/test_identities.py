@@ -15,11 +15,11 @@ import pytest
 import reecurve.backends
 import reecurve.hasse as hasse
 import reecurve.identities as identities
+import reecurve.params as params
 from reecurve.identities import (
     IDENTITY_CATALOG,
     TYPE1_PAIRS,
     TYPE2_PAIRS,
-    _bind_residuals,
     _dirty_values,
     _instance_label,
     _parse,
@@ -35,7 +35,7 @@ from reecurve.identities import (
 )
 from reecurve.backends import Backend, backends, default_window
 from reecurve.orders import order_sequence
-from reecurve.params import index_value, ree_params
+from reecurve.params import SymbolicIndex, index_value, ree_params
 from reecurve.ring import FAMILY_NAMES, RECIPES, CurveElement
 from reecurve.series import PointExpansion, random_point, rational_point
 from reecurve.support import _member_values, member_support, virtual_support
@@ -129,25 +129,19 @@ def test_catalog_shape():
         assert instances_for(sp), sp.key
 
 
-def test_catalog_indices_stay_in_range():
-    def walk(e):
-        op = e[0]
-        if op in ("d", "dshift", "dqpow"):
-            yield e[2]
-        elif op == "ell":
-            pass
-        elif op == "pw":
-            yield from walk(e[1])
-        elif op == "mul":
-            for sub in e[1:]:
-                yield from walk(sub)
-        elif op == "sum":
-            for _sign, sub in e[1:]:
-                yield from walk(sub)
+def _indices(e):
+    """Every SymbolicIndex in a residual tree."""
+    if isinstance(e, SymbolicIndex):
+        yield e
+    elif isinstance(e, tuple):
+        for sub in e:
+            yield from _indices(sub)
 
+
+def test_catalog_indices_stay_in_range():
     for sp in IDENTITY_CATALOG:
         for _sub, expr in sp.residuals:
-            for ix in walk(expr):
+            for ix in _indices(expr):
                 for p in (P1, P2):
                     assert 0 <= index_value(ix, p) <= p.q**2
 
@@ -158,6 +152,19 @@ def test_catalog_text_round_trips():
     assert len(residuals) == 45
     for key, expr in residuals:
         assert _parse(key, show(expr)) == expr, key
+
+
+def test_frobenius_power_of_a_product_or_sum_is_taken_termwise():
+    # the catalog raises only leaves to Frobenius powers; a power of a
+    # product or sum has no memo key, and in characteristic 3 it is the
+    # product or sum of the powers
+    K = _exact_backend(1)
+    for text in ("(Df[1] Db[q0+1])^q0 - Df[1]^q0 Db[q0+1]^q0",
+                 "(Df[1] - L[1] Db[q])^3q0^q0 - Df[1]^3q0^q0 + L[1]^3q0^q0 Db[q]^3q0^q0"):
+        memo = {}
+        value = identities._evaluate(_parse("termwise", text), {"f": "x", "b": "y"}, K, memo)
+        assert K.is_zero(value), text
+        assert None not in memo
 
 
 # the roles each group's residuals may name: those instances_for binds,
@@ -286,7 +293,7 @@ def test_valued_support_matches_a_direct_count_at_every_leaf():
 
 def _check_on_backend(spec, roles, K):
     """None when every residual of one instance vanishes on K, else a witness."""
-    return _witness(spec.key, _bind_residuals(spec, roles, K.p), K, {})
+    return _witness(spec, roles, K, {})
 
 
 def test_excluded_instances_fail_honestly_where_predicted():
@@ -547,6 +554,34 @@ def test_each_leaf_is_read_once_per_backend_per_run(monkeypatch):
         assert len({K for K, _, _ in reads}) == 1, backend
         assert max(reads.values()) == 1, backend
         assert len(reads) == 608, backend  # the distinct leaves at s = 2
+
+
+def test_each_index_is_valued_once_per_run(monkeypatch):
+    # tooling: a sampled s = 2 run values each catalog index once; valuing
+    # every index afresh at each of the 452 instances made 3,187 calls
+    calls = Counter()
+    index_value, value = params.index_value, SymbolicIndex.value
+
+    def counting_index_value(ix, p):
+        calls["index_value"] += 1
+        return index_value(ix, p)
+
+    def counting_value(ix, p):
+        calls["value"] += 1
+        return value(ix, p)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("reecurve") and \
+                getattr(module, "index_value", None) is index_value:
+            monkeypatch.setattr(module, "index_value", counting_index_value)
+    monkeypatch.setattr(SymbolicIndex, "value", counting_value)
+    distinct = {ix for sp in IDENTITY_CATALOG for _sub, expr in sp.residuals
+                for ix in _indices(expr)}
+    assert len(distinct) == 27
+    rows = verify_catalog(2, "points", trials=3, seed=0)
+    assert all(r.ok for r in rows) and len(rows) == 452
+    assert 0 < calls["index_value"] <= len(distinct)
+    assert calls["value"] <= len(distinct)
 
 
 def _contents(v):

@@ -510,6 +510,25 @@ def test_frobenius_orders_equal_the_reference_scans(backend, s, trials, seed):
         )
 
 
+def test_frobenius_orders_take_the_union_over_lanes(monkeypatch):
+    # on every sampled configuration each lane omits eps_1, so lanes that
+    # omit different orders are stubbed: lane 0 omits eps_1, lane 1 eps_2;
+    # their union is all of eps, and the Frobenius orders its first n - 1
+    omits = [1, 2]
+    calls = []
+
+    def spanned_at(self, vals):
+        calls.append(self)
+        return omits[len(calls) - 1]
+
+    monkeypatch.setattr(reecurve.orders._PointEchelon, "spanned_at", spanned_at)
+    fr = frobenius_orders("D", s=1, backend="points", trials=2, seed=0)
+    assert len(set(calls)) == 2
+    assert fr.nus == D_ORDERS_S1[:-1]
+    assert (fr.omitted_index, fr.omitted_order) == (len(D_ORDERS_S1) - 1, 729)
+    assert fr.below_q == (0, 1, 3, 6, 9)
+
+
 @pytest.mark.parametrize("series", ["D", "E", ("one", "x", "w1")],
                          ids=["D", "E", "one-x-w1"])
 def test_exact_frobenius_runs_no_seeded_scan(monkeypatch, series):

@@ -6,9 +6,9 @@ the lowest byte.  Sums are int additions followed by ``bytes.translate``,
 which reduces every byte mod 3 at once.  Products use Kronecker
 substitution (Harvey, J. Symbolic Comput. 44, 2009): one big-int product,
 a byte-wise reduction, then a Barrett reduction modulo the field
-polynomial made of two more packed products.  Frobenius powers and the
-Artin-Schreier solver are GF(3)-linear maps, applied as sums of packed
-columns built on first use; inverses use the Itoh-Tsujii norm trick.
+polynomial made of two more packed products.  Frobenius powers are the
+one GF(3)-linear map, applied as sums of packed columns built on first
+use; inverses use the Itoh-Tsujii norm trick.
 
 A field of order at most 3^7 (the rational points at s <= 3, and GF(3))
 multiplies, inverts and raises to 3^k-th powers through discrete-log and
@@ -32,7 +32,8 @@ reading of an element.
 
 Beyond the ring operations the module provides the two maps the curve
 machinery needs: iterated cube (Frobenius powers) and a deterministic
-solver for Artin-Schreier equations u^q - u = c.
+solver for Artin-Schreier equations u^q - u = c, the trace form of
+additive Hilbert 90: Frobenius powers and products, no elimination.
 """
 
 from __future__ import annotations
@@ -389,28 +390,16 @@ class FieldContext(_Quotient):
         b = self._frob(b, 1)
         return FieldElement(self, b if self._mulmod(b, x) == 1 else _neg3(b, self.m))
 
-    # -- GF(3)-linear maps as sums of packed columns
-
-    def _columns(self, cols: list[int]) -> list[tuple[int, list]]:
-        """(first index, [(0, col, -col), ...]) per chunk of columns."""
-        triples = [(0, c, _neg3(c, self._wide)) for c in cols]
-        return [(lo, triples[lo : lo + _CHUNK]) for lo in range(0, len(cols), _CHUNK)]
-
-    def _apply(self, table: list[tuple[int, list]], v: int) -> int:
-        """Image of v under the linear map with the given columns."""
-        trits = v.to_bytes(self.m, "little")
-        n = self._wide
-        acc = 0
-        for lo, cols in table:
-            for c, col in zip(trits[lo:], cols):
-                if c:
-                    acc += col[c]
-            acc = _mod3(acc, n)
-        return acc
+    # -- Frobenius powers as sums of packed columns
 
     def _frob(self, v: int, k: int) -> int:
-        """v^(3^k); the columns t^(i*3^k) are built on first use of k."""
-        k %= self.m
+        """v^(3^k), the sum over the trits of v of the columns t^(i*3^k).
+
+        The columns of k are built on first use, kept as (first index,
+        [(0, col, -col), ...]) per chunk of _CHUNK columns.
+        """
+        m = self.m
+        k %= m
         if not k:
             return v
         table = self._frob_cols.get(k)
@@ -419,10 +408,20 @@ class FieldContext(_Quotient):
             for _ in range(k):
                 tk = self._mulmod(self._mulmod(tk, tk), tk)
             cols = [1]
-            for _ in range(self.m - 1):
+            for _ in range(m - 1):
                 cols.append(self._mulmod(cols[-1], tk))
-            table = self._frob_cols[k] = self._columns(cols)
-        return self._apply(table, v)
+            cols = [(0, c, _neg3(c, m)) for c in cols]
+            table = self._frob_cols[k] = [
+                (lo, cols[lo : lo + _CHUNK]) for lo in range(0, m, _CHUNK)
+            ]
+        trits = v.to_bytes(m, "little")
+        acc = 0
+        for lo, chunk in table:
+            for c, col in zip(trits[lo:], chunk):
+                if c:
+                    acc += col[c]
+            acc = _mod3(acc, m)
+        return acc
 
     def frobenius(self, a: FieldElement, k: int) -> FieldElement:
         return FieldElement(self, self._frob(a.packed, k))
@@ -507,48 +506,21 @@ def frobenius_power(a: FieldElement, k: int) -> FieldElement:
     return a.ctx.frobenius(a, k)
 
 
-def _rref(rows: list[list[int]], width: int) -> list[int]:
-    """Gauss-Jordan elimination over GF(3) in place; returns the pivot columns.
-
-    Pivots come from the first width columns; later columns (a right-hand
-    side, an identity block) ride along.  Row r ends with a 1 in column
-    pivots[r] and zeros in the other pivot columns, and rows past the rank
-    are zero on the first width columns.  This reduced form is unique, so
-    a representative read off it (free coordinates zero) is too.
-    """
-    pivots: list[int] = []
-    n = len(rows)
-    for col in range(width):
-        r = len(pivots)
-        pr = next((rr for rr in range(r, n) if rows[rr][col]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][col], -1, 3)
-        rows[r] = [(v * inv) % 3 for v in rows[r]]
-        for rr in range(n):
-            if rr != r and rows[rr][col]:
-                f = rows[rr][col]
-                rows[rr] = [(v - f * p) % 3 for v, p in zip(rows[rr], rows[r])]
-        pivots.append(col)
-    return pivots
-
-
-def _frob_minus_one(ctx: FieldContext, k: int) -> list[list[int]]:
-    """Matrix of Frob^k - I on the power basis, one list per row."""
-    cols = []
-    for j in range(ctx.m):
-        b = FieldElement(ctx, 1 << 8 * j)
-        cols.append((ctx.frobenius(b, k) - b).coeffs)
-    return [list(row) for row in zip(*cols)]
-
-
 def solve_artin_schreier(c: FieldElement, q: int) -> Optional[FieldElement]:
     """Deterministic solution u of u^q - u = c in the context of c, or None.
 
-    q must be a power of 3 whose exponent divides m.  The solution returned
-    is the echelon representative with all free coordinates zero, so equal
-    inputs always produce equal outputs.
+    q must be a power of 3 whose exponent e divides m; Tr is the trace from
+    GF(3^m) to GF(q), a sum of n = m/e conjugates.  The equation is solvable
+    iff Tr(c) = 0 (additive Hilbert 90; Lidl-Niederreiter, Finite Fields,
+    Thm 2.25), and then, with s_i = c + c^q + ... + c^(q^i) and theta the
+    first power-basis element t^j with tau = Tr(theta) != 0,
+
+        u = -1/tau * (s_0 theta + s_1 theta^q + ... + s_(n-1) theta^(q^(n-1))).
+
+    Written through any root w (c = w^q - w, s_i = w^(q^(i+1)) - w), this
+    is u = w - Tr(psi w)/tau with psi = theta^(q^(n-1)), so Tr(psi u) = 0.
+    The roots differ by elements a of GF(q) and Tr(psi (u + a)) = a tau,
+    so u is the one root with Tr(psi u) = 0, whatever computed it.
     """
     ctx = c.ctx
     e = 0
@@ -560,25 +532,32 @@ def solve_artin_schreier(c: FieldElement, q: int) -> Optional[FieldElement]:
         raise ValueError("q must be a power of 3 greater than 1")
     if ctx.m % e:
         raise ValueError("exponent of q must divide field degree")
+    m, n = ctx.m, ctx.m // e
+    frob, mul = ctx._frob, ctx._mulmod
     if e not in ctx._as_cache:
-        # factor the elimination once: row-reduce [A | I] so each solve is
-        # one transform application; transform row r applied to a solvable
-        # c gives row r of the reduced [A | c], so the representative is
-        # the one with free coordinates zero
-        m = ctx.m
-        aug = _frob_minus_one(ctx, e)
-        for i, row in enumerate(aug):
-            row += [int(k == i) for k in range(m)]
-        pivots = _rref(aug, m)
-        # transform row r yields solution coordinate pivots[r]; the rows past
-        # the rank are solvability checks, packed into bytes m and up
-        slots = pivots + list(range(m, 2 * m - len(pivots)))
-        ctx._as_cache[e] = ctx._columns(
-            [sum(row[m + i] << 8 * s for row, s in zip(aug, slots)) for i in range(m)]
-        )
-    out = ctx._apply(ctx._as_cache[e], c.packed)
-    if out >> ctx._bits:
-        return None
+        # theta's conjugates, each times -1/tau; the power basis spans, so
+        # some t^j has nonzero trace
+        for j in range(m):
+            conj = tau = 1 << 8 * j
+            conjs = [conj]
+            for _ in range(n - 1):
+                conj = frob(conj, e)
+                conjs.append(conj)
+                tau = _mod3(tau + conj, m)
+            if tau:
+                break
+        scale = _neg3(ctx.inv(FieldElement(ctx, tau)).packed, m)
+        ctx._as_cache[e] = [mul(scale, x) for x in conjs]
+    term = c.packed
+    sums = [term]
+    for _ in range(n - 1):
+        term = frob(term, e)
+        sums.append(_mod3(sums[-1] + term, m))
+    if sums[-1]:
+        return None  # s_(n-1) = Tr(c)
+    out = 0
+    for s, w in zip(sums, ctx._as_cache[e]):
+        out = _mod3(out + mul(s, w), m)
     u = FieldElement(ctx, out)
     if ctx.frobenius(u, e) - u != c:
         raise ArithmeticError("Artin-Schreier solver produced a non-solution")

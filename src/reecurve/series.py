@@ -156,7 +156,8 @@ def random_point(s: int, seed: int, extension: int = 1) -> CurvePoint:
     lie in GF(q^2), so Tr_{q^6/q}(w) = 3 Tr_{q^2/q}(w) = 0 and both
     equations are solvable by additive Hilbert 90 (Lidl-Niederreiter,
     Finite Fields, Thm 2.25); a solver that finds no solution is an
-    arithmetic fault, not a reason to redraw.
+    arithmetic fault, not a reason to redraw.  y and z are the roots
+    solve_artin_schreier fixes, so (s, seed) replays the point.
     """
     if extension == 1:
         return rational_point(s, seed)

@@ -128,16 +128,30 @@ def test_artin_schreier_deterministic():
             assert u1 == u2
 
 
+def _trace(a, e):
+    """Tr from the context of a to GF(3^e), as a sum of Frobenius powers."""
+    tr = term = a
+    for _ in range(a.ctx.m // e - 1):
+        term = frobenius_power(term, e)
+        tr = tr + term
+    return tr
+
+
 def test_artin_schreier_solvable_iff_trace_zero():
-    # u^3 - u = c solvable over GF(3^m) iff Tr to GF(3) vanishes;
-    # over GF(27) that trace is c + c^3 + c^9
-    ctx = field_context(3)
-    for code in range(27):
-        c = ctx.from_code(code)
-        solvable = solve_artin_schreier(c, 3) is not None
-        tr = c + frobenius_power(c, 1) + frobenius_power(c, 2)
-        assert not any(tr.coeffs[1:])
-        assert solvable == tr.is_zero()
+    # u^q - u = c is solvable over GF(3^m) iff Tr to GF(q) vanishes; the
+    # trace is taken from frobenius_power sums, not through the solver.
+    # (18, 3) is the sampler's shape at s = 1.
+    for m, e in ((3, 1), (6, 2), (18, 3)):
+        ctx = field_context(m)
+        rng = random.Random(f"as-trace:{m}:{e}")
+        cs = [ctx.from_code(code) for code in range(min(ctx.order, 81))]
+        for _ in range(40):
+            v = ctx.random_element(rng)
+            cs += [ctx.random_element(rng), frobenius_power(v, e) - v]
+        for c in cs:
+            tr = _trace(c, e)
+            assert tr == frobenius_power(tr, e)  # the trace lies in GF(q)
+            assert (solve_artin_schreier(c, 3**e) is not None) == tr.is_zero()
 
 
 def _solve_gf3(rows, rhs):
@@ -176,25 +190,31 @@ def _solve_gf3(rows, rhs):
 
 @pytest.mark.parametrize("m,e", [(6, 1), (6, 2), (6, 3), (18, 3), (30, 5)])
 def test_artin_schreier_returns_the_reference_representative(m, e):
-    # the solver's factored elimination against a plain solve of
-    # (Frob^e - I) u = c, free coordinates zero
+    # solvability against a plain solve of (Frob^e - I) u = c; the root is
+    # the one with Tr(psi u) = 0 for psi = theta^(q^(n-1)), theta the first
+    # t^j with nonzero trace.  That pins one root: Tr((u + a) psi) =
+    # Tr(u psi) + a Tr(theta) for a in GF(q).
     ctx = field_context(m)
     cols = []
     for j in range(m):
         b = ctx.from_code(3**j)
         cols.append((frobenius_power(b, e) - b).coeffs)
     rows = [[col[i] for col in cols] for i in range(m)]
+    theta = next(b for b in (ctx.from_code(3**j) for j in range(m))
+                 if not _trace(b, e).is_zero())
+    psi = frobenius_power(theta, m - e)
     rng = random.Random(f"as-reference:{m}:{e}")
     for _ in range(40):
         v = ctx.random_element(rng)
         # a random c, mostly unsolvable, and one that is solvable
         for c in (ctx.random_element(rng), frobenius_power(v, e) - v):
-            want = _solve_gf3(rows, list(c.coeffs))
             got = solve_artin_schreier(c, 3**e)
-            if want is None:
+            if _solve_gf3(rows, list(c.coeffs)) is None:
                 assert got is None
             else:
-                assert got is not None and got.coeffs == tuple(want)
+                assert got is not None
+                assert frobenius_power(got, e) - got == c
+                assert _trace(psi * got, e).is_zero()
 
 
 def test_artin_schreier_rejects_bad_q():

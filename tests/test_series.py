@@ -1,8 +1,10 @@
 """Point sampling and local expansions, cross-checked against the ring."""
 
 import gc
+import json
 import random
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +53,20 @@ def test_point_sampling_is_deterministic():
     d = random_point(1, seed=9, extension=6)
     assert c.coords() == d.coords()
     assert frobenius_power(c.x, 2 * c.s + 1) != c.x  # x lies outside GF(q)
+
+
+def test_degree6_points_match_golden_and_replay_from_codes():
+    # the sampler's roots are the solver's: y and z each have
+    # Tr(psi u) = 0 (see solve_artin_schreier); a witness's codes rebuild
+    # the point through CurvePoint, which checks both curve equations
+    golden = Path(__file__).parent / "golden" / "points_ext6.json"
+    for row in json.loads(golden.read_text()):
+        s, seed = row["s"], row["seed"]
+        P = random_point(s, seed, 6)
+        assert [c.code() for c in P.coords()] == row["codes"]
+        ctx = field_context(6 * (2 * s + 1))
+        Q = CurvePoint(s, 6, *(ctx.from_code(c) for c in row["codes"]))
+        assert Q.coords() == P.coords()
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])

@@ -15,7 +15,7 @@ centre is the route:
 The expansion names the route (kind) and writes the witnesses (describe),
 so no backend method branches on the route, and the exact route loads
 neither the field nor the series module.  A backend offers residual
-arithmetic for the identity catalog (member, member_d, shift_d, qpow_d,
+arithmetic for the identity catalog (member_d, shift_d, qpow_d,
 virtual_d, ell_power, pow_tag, mul, add, is_zero, describe), on series cut
 at the window, and the two row accessors of the rank scans, read at the
 centre: value(name, i) is D^i f, and qpow_value(name) is f^q, the seed row
@@ -76,9 +76,6 @@ class Backend:
                 f"D^{i} over a window of {self.window} reads past depth {self.exp.prec}"
             )
         return hasse_shift(ser, i, self.window)
-
-    def member(self, name: str):
-        return self._read(self.exp.series(name), 0)
 
     def member_d(self, name: str, i: int):
         return self._read(self.exp.series(name), i)

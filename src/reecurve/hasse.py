@@ -60,8 +60,6 @@ independent checks of each other, and of the algorithm, is:
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from reecurve.params import ReeParams, cube_count
 from reecurve.ring import RECIPES, CoordinateRing, CurveElement, coordinate_ring
 
@@ -84,22 +82,6 @@ def binom_mod3(n: int, k: int) -> int:
         n //= 3
         k //= 3
     return out
-
-
-@lru_cache(maxsize=None)
-def binom_support(n: int) -> tuple[int, ...]:
-    """All k with C(n, k) nonzero mod 3, ascending."""
-    digits = []
-    m = n
-    while m:
-        digits.append(m % 3)
-        m //= 3
-    supp = [0]
-    place = 1
-    for d in digits:
-        supp = [k + j * place for k in supp for j in range(d + 1)]
-        place *= 3
-    return tuple(sorted(supp))
 
 
 # ---------------------------------------------------------------------------

@@ -53,17 +53,12 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from reecurve.backends import Backend, backends, sample_count
 from reecurve.params import SymbolicIndex, index_value, ree_params
-from reecurve.ring import (
-    FAMILY_NAMES, PAIRING, QPOWER_RULES, SUBFAMILY_NAMES, is_deep, is_plain,
-)
+from reecurve.ring import FAMILY_NAMES, QPOWER_RULES, is_deep, is_plain
 from reecurve.support import member_support, virtual_support
-
-if TYPE_CHECKING:
-    from reecurve.series import CurvePoint
 
 __all__ = [
     "IdentitySpec",
@@ -72,8 +67,6 @@ __all__ = [
     "TYPE1_PAIRS",
     "TYPE2_PAIRS",
     "verify_catalog",
-    "osculating_functions",
-    "osculating_vanishing",
     "collision_reason",
 ]
 
@@ -548,43 +541,3 @@ def verify_catalog(
     return [
         _verdict(spec, roles, K, memo) for spec in specs for roles in instances_for(spec)
     ]
-
-
-# ---------------------------------------------------------------------------
-# osculating family
-
-
-def osculating_functions(P: CurvePoint):
-    """Series at P of g_P and h_P built from the seven-function family.
-
-    g_P fixes the first slot of the two-point pairing at P and is a
-    member of the small linear series; h_P fixes the second slot and is
-    an exact q^2-th power.  Both vanish at P to order at least q^2; the
-    series are exact on exponents up to q^2.
-    """
-    from reecurve.gf import frobenius_power
-    from reecurve.series import PointExpansion, ser_add
-
-    depth = P.params.q**2 + 1
-    K = Backend(PointExpansion(P, depth), depth)
-    e2 = 2 * (2 * P.s + 1)
-    members = {name: K.member(name) for name in SUBFAMILY_NAMES}
-    values = {name: ser.get(0, P.ctx.zero()) for name, ser in members.items()}
-    g: dict = {}
-    h: dict = {}
-    for name, ser in members.items():
-        partner = PAIRING[name]
-        cg = frobenius_power(values[name], e2)
-        g = ser_add(g, {e: cg * c for e, c in members[partner].items()}, 1)
-        fq2 = K.pow_tag(ser, "q2")
-        cv = values[partner]
-        h = ser_add(h, {e: cv * c for e, c in fq2.items()}, 1)
-    g = {e: c for e, c in g.items() if not c.is_zero()}
-    h = {e: c for e, c in h.items() if not c.is_zero()}
-    return g, h
-
-
-def osculating_vanishing(P: CurvePoint) -> int:
-    """t-adic vanishing order of g_P at P (q^2 + 1 when it is zero to that order)."""
-    g, _ = osculating_functions(P)
-    return min(g) if g else P.params.q**2 + 1

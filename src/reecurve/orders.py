@@ -97,12 +97,9 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 from .backends import SAMPLE_EXTENSION, backends, sample_count
-from .hasse import binom_support
-from .params import (
-    ReeParams, SymbolicIndex, cube_count, index_value, indices, ree_params,
-)
+from .params import ReeParams, cube_count, ree_params
 from .ring import FAMILY_NAMES, PAIRING, SUBFAMILY_NAMES, CurveElement
-from .support import family_candidate_values, minimal_non_orders, order_values
+from .support import family_candidate_values, order_values
 
 if TYPE_CHECKING:
     from .gf import FieldContext
@@ -112,15 +109,6 @@ __all__ = [
     "FrobeniusOrders",
     "order_sequence",
     "frobenius_orders",
-    "triangular_check",
-    "proof_matrix",
-    "padic_closure_check",
-    "rejection_witnesses",
-    "rejection_report",
-    "D_PROOF_ROWS",
-    "D_PROOF_COLS",
-    "E_PROOF_ROWS",
-    "E_PROOF_COLS",
 ]
 
 def _family_names(series) -> tuple[str, ...]:
@@ -453,10 +441,10 @@ def _order_scan(names: tuple[str, ...], K) -> _Scan:
 
     Keyed on the backend, which backends() builds once per route, so
     the scan runs once per family, level and route in a process:
-    order_sequence, frobenius_orders, rejection_report and the epsilons of
-    a tuple-series profile all read it, and the Frobenius orders its
-    echelons.  Closure is set exactly on the exact route.  Callers share
-    the scan, so they only read it and never insert.
+    order_sequence, frobenius_orders and the epsilons of a tuple-series
+    profile all read it, and the Frobenius orders its echelons.  Closure
+    is set exactly on the exact route.  Callers share the scan, so they
+    only read it and never insert.
     """
     pool = family_candidate_values(ree_params(K.s), names)
     return _scan(K, names, pool, want=len(names), closure=K.kind == "symbolic")
@@ -545,140 +533,3 @@ def frobenius_orders(
         backend=backend,
         points=sample_count(K),
     )
-
-
-# ---------------------------------------------------------------------------
-# triangular proof matrices
-
-D_PROOF_ROWS = indices(
-    "0 1 q0+1 2q0+1 3q0+1 q+3q0+1 2q+3q0+1 qq0+2q+q0 qq0+q+2q0+1 qq0+2q+3q0 "
-    "qq0+3q+3q0 2qq0+3q0+1"
-)
-D_PROOF_COLS = ("one", "x", "y", "z", "w1", "w2", "w3", "w4", "w7", "w5", "w9", "w10")
-
-E_PROOF_ROWS = indices("0 1 3q0+1 q+3q0+1 2q+3q0+1")
-E_PROOF_COLS = ("one", "x", "w1", "w2", "w3")
-
-
-def proof_matrix(which: str, p: ReeParams) -> tuple[list[int], tuple[str, ...]]:
-    """Numeric row indices and column names of one proof matrix."""
-    if which == "D":
-        return [index_value(ix, p) for ix in D_PROOF_ROWS], D_PROOF_COLS
-    if which == "E":
-        return [index_value(ix, p) for ix in E_PROOF_ROWS], E_PROOF_COLS
-    raise ValueError(f"unknown matrix {which!r}")
-
-
-def triangular_check(
-    rows,
-    cols,
-    s: int = 1,
-    backend: str = "symbolic",
-    trials: int = 3,
-    seed: int = 0,
-):
-    """Assert the matrix [D^rows[i] cols[j]] is upper triangular.
-
-    Returns the diagonal: ring elements for the symbolic backend, one list
-    of field values per sample point (per lane) otherwise.  Point checks
-    certify the diagonal exactly but can only sample the below-diagonal
-    vanishing.
-    """
-    if len(rows) != len(cols):
-        raise ValueError("rows and cols must have equal length")
-    K = backends(s, backend, trials, seed, SAMPLE_EXTENSION)
-    n = len(rows)
-    entries = [[K.value(f, i) for f in cols] for i in rows]
-    for i in range(n):
-        for j in range(i):
-            # zero in every lane
-            if not entries[i][j].is_zero():
-                raise ArithmeticError(
-                    f"not triangular: D^{rows[i]} {cols[j]} is nonzero"
-                )
-    diag = [list(d) for d in zip(*(K.exp.split(entries[i][i]) for i in range(n)))]
-    return diag[0] if backend == "symbolic" else diag
-
-
-# ---------------------------------------------------------------------------
-# closure and rejection bookkeeping
-
-
-def padic_closure_check(orders) -> list[tuple[int, int]]:
-    """Digitwise downward-closure violations; empty means closed.
-
-    The mu <=3 e digitwise in base 3 are the k with C(e, k) nonzero mod 3
-    (Lucas), so binom_support(e) lists them.
-    """
-    have = set(orders)
-    bad = []
-    for e in sorted(have):
-        for mu in binom_support(e):
-            if mu not in have:
-                bad.append((mu, e))
-    return sorted(set(bad))
-
-
-# Minimal non-orders and how the proofs reject each one, as entries "index
-# key": the key names the identity catalog entry whose vanishing statement
-# kills the index, or is "counting" where the rejection follows from the
-# closure property plus the count of orders already certified below the bound.
-_D_REJECTIONS = (
-    "q0+1 kq0-1, 3q0+1 kq0-3, q+1 A1, q+2q0 A2, q+3q0 A3, 2q+q0 A4, 3q A5, "
-    "qq0+1 A6, qq0+2q0 A7, qq0+3q0 A8, qq0+q+q0 A9, qq0+2q A10, 2qq0+q0 counting"
-)
-_E_REJECTIONS = (
-    "3q0+1 kq0-3, q+1 t1sum-q+1, q+3q0 t1sum-q+3q0, 3q t1sum-3q, "
-    "3qq0+1 counting, 3qq0+3q0 counting, 3qq0+q counting, 6qq0 counting"
-)
-
-
-def rejection_witnesses(series: str = "D") -> dict[SymbolicIndex, str]:
-    table = _D_REJECTIONS if series == "D" else _E_REJECTIONS
-    pairs = map(str.split, table.split(", "))
-    return {SymbolicIndex.parse(ix): key for ix, key in pairs}
-
-
-def rejection_report(
-    series: str = "D",
-    s: int = 1,
-    backend: str = "symbolic",
-    trials: int = 3,
-    seed: int = 0,
-) -> list[dict]:
-    """Cross-check the scan's rejections against the proof witnesses.
-
-    For every minimal non-order: confirm the scan rejected it, and when a
-    differential identity is the stated reason, confirm that identity holds
-    on the same backend (skipped base-level collision instances count as
-    non-failures; they are vacuous there, not refuted).
-    """
-    from .identities import verify_catalog
-
-    p = ree_params(s)
-    scan = set(order_sequence(series, s, backend, trials, seed).orders)
-    witnesses = rejection_witnesses(series)
-    if set(witnesses) != set(minimal_non_orders(series)):
-        raise ArithmeticError("rejection table drifted from the minimal non-orders")
-    keys = sorted({key for key in witnesses.values() if key != "counting"})
-    results = verify_catalog(s=s, backend=backend, keys=keys, trials=trials, seed=seed)
-    key_ok = {}
-    for key in keys:
-        rows = [r for r in results if r.identity == key]
-        key_ok[key] = bool(rows) and all(r.ok for r in rows)
-    theory = set(order_values(p, series))
-    report = []
-    for ix, key in sorted(witnesses.items(), key=lambda kv: index_value(kv[0], p)):
-        value = index_value(ix, p)
-        row = {
-            "index": value,
-            "label": str(ix),
-            "witness": key,
-            "scan_rejected": value not in scan,
-            # at s=1 a non-order index can share its value with an order
-            # (3q = qq0); the scan then accepts the value, not the index
-            "base_collision": value in theory,
-            "identity_ok": key_ok.get(key) if key != "counting" else None,
-        }
-        report.append(row)
-    return report

@@ -26,8 +26,6 @@ and QPOWER_RULES gives its q-power rule, w^q - w through smaller members.
 Both write a Frobenius power as a tag, "1", "q0" or "3q0", in the
 vocabulary of the identity catalog, which adds "q" and "q2";
 params.cube_count turns a tag into a cube count at a level.
-
-The module also computes exact pole orders at the point at infinity.
 """
 
 from __future__ import annotations
@@ -125,9 +123,6 @@ class CurveElement:
         for _ in range(k):
             out = out.pow3()
         return out
-
-    def qpow(self) -> "CurveElement":
-        return self.pow3k(2 * self.ring.p.s + 1)
 
     # -- structure
 
@@ -342,51 +337,6 @@ def is_deep(name: str) -> bool:
     """Every term twisted by q0, none with cofactor x: a shifted-product rule."""
     rule = QPOWER_RULES.get(name, ())
     return bool(rule) and all(tag == "q0" and cof != "x" for _sign, cof, tag, _base in rule)
-
-
-# ---------------------------------------------------------------------------
-# pole orders at the common pole
-
-
-def _term_pole(p: ReeParams, mono: Monomial) -> int:
-    a, b, c = mono
-    q, q0 = p.q, p.q0
-    return a * q * q + b * (q * q + q * q0) + c * (q * q + 2 * q * q0)
-
-
-def pole_order(f: CurveElement, depth: int = 8) -> int:
-    """Exact pole order at the point at infinity (0 for nonzero constants).
-
-    For a normal form whose largest monomial bound is attained once, the
-    bound is exact.  Ties are resolved through f^q - f, whose pole order is
-    q times larger and generically untied; the recursion is depth-capped.
-    """
-    if f.is_zero():
-        raise ValueError("zero element has no pole order")
-    p = f.ring.p
-    best = -1
-    count = 0
-    for mono in f.terms:
-        t = _term_pole(p, mono)
-        if t > best:
-            best, count = t, 1
-        elif t == best:
-            count += 1
-    if best == 0:
-        return 0
-    if count == 1:
-        return best
-    if depth == 0:
-        raise ArithmeticError("pole order tie not resolved within depth cap")
-    g = f.qpow() - f
-    if g.is_zero():
-        # f is fixed by Frobenius, hence a constant of GF(q); but best > 0
-        # means a nonconstant normal form, which cannot happen
-        raise ArithmeticError("nonconstant element fixed by q-power map")
-    sub = pole_order(g, depth - 1)
-    if sub % p.q:
-        raise ArithmeticError("recursive pole order not divisible by q")
-    return sub // p.q
 
 
 _RING_CACHE: dict[int, CoordinateRing] = {}

@@ -194,8 +194,11 @@ def family_candidate_values(p: ReeParams, names=FAMILY_NAMES) -> list[int]:
 
 
 def order_values(p: ReeParams, series: str) -> list[int]:
-    indices = D_ORDER_INDICES if series == "D" else E_ORDER_INDICES
-    return [index_value(ix, p) for ix in indices]
+    """The proposed order sequence of series "D" or "E" at the level of p."""
+    table = {"D": D_ORDER_INDICES, "E": E_ORDER_INDICES}.get(series)
+    if table is None:
+        raise ValueError(f"unknown series {series!r}")
+    return [index_value(ix, p) for ix in table]
 
 
 def minimal_non_orders(series: str) -> tuple[SymbolicIndex, ...]:
@@ -260,28 +263,3 @@ def appendix_csv(kind: str) -> str:
     for row in rows:
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# soundness against the exact calculus
-
-
-def support_soundness(calc) -> tuple[int, list[tuple[str, int]]]:
-    """Exact check that derivatives vanish off the claimed supports.
-
-    Scans every index in [0, q^2] for every member; returns the number of
-    zero checks performed and any violations found.
-    """
-    p = calc.p
-    checked = 0
-    violations = []
-    for name in FAMILY_NAMES:
-        claimed = _member_values(name, p.s)
-        table = calc.table(name)
-        for i in range(p.q**2 + 1):
-            if i in claimed:
-                continue
-            checked += 1
-            if i in table and not table[i].is_zero():
-                violations.append((name, i))
-    return checked, violations

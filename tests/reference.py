@@ -1,7 +1,7 @@
 """Independent references that the tests compare the package against.
 
-None of this runs in a command.  Each piece computes what the package
-computes by another route, so that agreement is evidence:
+None of this runs in a command.  Each piece but the last computes what
+the package computes by another route, so that agreement is evidence:
 
 * ``HasseReference.hasse_derivative`` assembles D^i f of any normal form
   monomial by monomial, from binomials in x and the derivatives of
@@ -23,33 +23,31 @@ computes by another route, so that agreement is evidence:
   their part below q by rank scans, where the package reads them off the
   order echelons: the greedy scan seeded with the row (f^q)_f over the
   full pool, and the scan below q of the morphism (f^q - f)_f over the
-  members other than ``one``.
+  members other than ``one``;
+* the proof pieces, steps of the paper's proof that no command runs:
+  ``proof_matrix``, ``triangular_check``, ``padic_closure_check``,
+  ``binom_support``, ``rejection_witnesses``, ``rejection_report``,
+  ``pole_order``, ``support_soundness`` and the ``osculating_`` pair.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from reecurve.backends import backends, sample_count
-from reecurve.hasse import (
-    HasseCalculus,
-    binom_mod3,
-    binom_support,
-    hasse_calculus,
-    ser_add,
-    ser_mul,
+from reecurve.backends import SAMPLE_EXTENSION, Backend, backends, sample_count
+from reecurve.gf import frobenius_power
+from reecurve.hasse import HasseCalculus, binom_mod3, hasse_calculus, ser_add, ser_mul
+from reecurve.identities import CheckResult, verify_catalog
+from reecurve.orders import _echelons, _lane_rows, order_sequence
+from reecurve.params import (
+    ReeParams, SymbolicIndex, cube_count, index_value, indices, ree_params,
 )
-from reecurve.identities import CheckResult
-from reecurve.orders import _echelons, _lane_rows
-from reecurve.params import ReeParams, cube_count, ree_params
 from reecurve.ring import (
-    QPOWER_RULES,
-    RECIPES,
-    SUBFAMILY_NAMES,
-    CoordinateRing,
-    CurveElement,
-    coordinate_ring,
+    FAMILY_NAMES, PAIRING, QPOWER_RULES, RECIPES, SUBFAMILY_NAMES, CoordinateRing,
+    CurveElement, Monomial, coordinate_ring,
 )
+from reecurve.series import CurvePoint, PointExpansion
+from reecurve.support import _member_values, minimal_non_orders, order_values
 
 Table = dict[int, CurveElement]
 
@@ -62,6 +60,22 @@ def scale(v: CurveElement, c: int) -> CurveElement:
 def ell_of(ring: CoordinateRing) -> CurveElement:
     """x^q - x, the separating element."""
     return ring.monomial(ring.q, 0, 0) - ring.x()
+
+
+@lru_cache(maxsize=None)
+def binom_support(n: int) -> tuple[int, ...]:
+    """All k with C(n, k) nonzero mod 3, ascending."""
+    digits = []
+    m = n
+    while m:
+        digits.append(m % 3)
+        m //= 3
+    supp = [0]
+    place = 1
+    for d in digits:
+        supp = [k + j * place for k in supp for j in range(d + 1)]
+        place *= 3
+    return tuple(sorted(supp))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +301,7 @@ def q_shift(s: int, name: str) -> CurveElement:
 def rule_residual(s: int, name: str) -> CurveElement:
     """Exact check of the q-power rule: (w^q - w) - rule expansion."""
     w = recipe_fold(s).element(name)
-    return (w.qpow() - w) - q_shift(s, name)
+    return (w.pow3k(2 * s + 1) - w) - q_shift(s, name)
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +313,13 @@ def hyper_residuals(K):
     ell, ellq = K.ell_power(1), K.pow_tag(K.ell_power(1), "q")
 
     def m(name):
-        return K.member(name)
+        return K.member_d(name, 0)
 
     def q2(name):
-        return K.pow_tag(K.member(name), "q2")
+        return K.pow_tag(K.member_d(name, 0), "q2")
 
     def tw(name):  # f^(3q0)
-        return K.pow_tag(K.member(name), "3q0")
+        return K.pow_tag(K.member_d(name, 0), "3q0")
 
     def twq(name):  # (f^(3q0))^q
         return K.pow_tag(tw(name), "q")
@@ -352,7 +366,7 @@ def hyper_residuals(K):
     total = K.zero()
     names = SUBFAMILY_NAMES
     for i, name in enumerate(names):
-        total = K.add(total, K.mul(q2(name), K.member(names[6 - i])))
+        total = K.add(total, K.mul(q2(name), K.member_d(names[6 - i], 0)))
     out.append(("sum", total))
     return out
 
@@ -458,3 +472,245 @@ def show(expr: tuple) -> str:
 
 def _grouped(expr: tuple, ops: tuple[str, ...]) -> str:
     return f"({show(expr)})" if expr[0] in ops else show(expr)
+
+
+# ---------------------------------------------------------------------------
+# pole orders at the common pole
+
+
+def _term_pole(p: ReeParams, mono: Monomial) -> int:
+    a, b, c = mono
+    q, q0 = p.q, p.q0
+    return a * q * q + b * (q * q + q * q0) + c * (q * q + 2 * q * q0)
+
+
+def pole_order(f: CurveElement, depth: int = 8) -> int:
+    """Exact pole order at the point at infinity (0 for nonzero constants).
+
+    For a normal form whose largest monomial bound is attained once, the
+    bound is exact.  Ties are resolved through f^q - f, whose pole order is
+    q times larger and generically untied; the recursion is depth-capped.
+    """
+    if f.is_zero():
+        raise ValueError("zero element has no pole order")
+    p = f.ring.p
+    best = -1
+    count = 0
+    for mono in f.terms:
+        t = _term_pole(p, mono)
+        if t > best:
+            best, count = t, 1
+        elif t == best:
+            count += 1
+    if best == 0:
+        return 0
+    if count == 1:
+        return best
+    if depth == 0:
+        raise ArithmeticError("pole order tie not resolved within depth cap")
+    g = f.pow3k(2 * p.s + 1) - f
+    if g.is_zero():
+        # f is fixed by Frobenius, hence a constant of GF(q); but best > 0
+        # means a nonconstant normal form, which cannot happen
+        raise ArithmeticError("nonconstant element fixed by q-power map")
+    sub = pole_order(g, depth - 1)
+    if sub % p.q:
+        raise ArithmeticError("recursive pole order not divisible by q")
+    return sub // p.q
+
+
+# ---------------------------------------------------------------------------
+# soundness against the exact calculus
+
+
+def support_soundness(calc) -> tuple[int, list[tuple[str, int]]]:
+    """Exact check that derivatives vanish off the claimed supports.
+
+    Scans every index in [0, q^2] for every member; returns the number of
+    zero checks performed and any violations found.
+    """
+    p = calc.p
+    checked = 0
+    violations = []
+    for name in FAMILY_NAMES:
+        claimed = _member_values(name, p.s)
+        table = calc.table(name)
+        for i in range(p.q**2 + 1):
+            if i in claimed:
+                continue
+            checked += 1
+            if i in table and not table[i].is_zero():
+                violations.append((name, i))
+    return checked, violations
+
+
+# ---------------------------------------------------------------------------
+# osculating family
+
+
+def osculating_functions(P: CurvePoint):
+    """Series at P of g_P and h_P built from the seven-function family.
+
+    g_P fixes the first slot of the two-point pairing at P and is a
+    member of the small linear series; h_P fixes the second slot and is
+    an exact q^2-th power.  Both vanish at P to order at least q^2; the
+    series are exact on exponents up to q^2.
+    """
+    depth = P.params.q**2 + 1
+    K = Backend(PointExpansion(P, depth), depth)
+    e2 = 2 * (2 * P.s + 1)
+    members = {name: K.member_d(name, 0) for name in SUBFAMILY_NAMES}
+    values = {name: ser.get(0, P.ctx.zero()) for name, ser in members.items()}
+    g: dict = {}
+    h: dict = {}
+    for name, ser in members.items():
+        partner = PAIRING[name]
+        cg = frobenius_power(values[name], e2)
+        g = ser_add(g, {e: cg * c for e, c in members[partner].items()}, 1)
+        fq2 = K.pow_tag(ser, "q2")
+        cv = values[partner]
+        h = ser_add(h, {e: cv * c for e, c in fq2.items()}, 1)
+    g = {e: c for e, c in g.items() if not c.is_zero()}
+    h = {e: c for e, c in h.items() if not c.is_zero()}
+    return g, h
+
+
+def osculating_vanishing(P: CurvePoint) -> int:
+    """t-adic vanishing order of g_P at P (q^2 + 1 when it is zero to that order)."""
+    g, _ = osculating_functions(P)
+    return min(g) if g else P.params.q**2 + 1
+
+
+# ---------------------------------------------------------------------------
+# triangular proof matrices
+
+D_PROOF_ROWS = indices(
+    "0 1 q0+1 2q0+1 3q0+1 q+3q0+1 2q+3q0+1 qq0+2q+q0 qq0+q+2q0+1 qq0+2q+3q0 "
+    "qq0+3q+3q0 2qq0+3q0+1"
+)
+D_PROOF_COLS = ("one", "x", "y", "z", "w1", "w2", "w3", "w4", "w7", "w5", "w9", "w10")
+
+E_PROOF_ROWS = indices("0 1 3q0+1 q+3q0+1 2q+3q0+1")
+E_PROOF_COLS = ("one", "x", "w1", "w2", "w3")
+
+
+def proof_matrix(which: str, p: ReeParams) -> tuple[list[int], tuple[str, ...]]:
+    """Numeric row indices and column names of one proof matrix."""
+    if which == "D":
+        return [index_value(ix, p) for ix in D_PROOF_ROWS], D_PROOF_COLS
+    if which == "E":
+        return [index_value(ix, p) for ix in E_PROOF_ROWS], E_PROOF_COLS
+    raise ValueError(f"unknown matrix {which!r}")
+
+
+def triangular_check(
+    rows,
+    cols,
+    s: int = 1,
+    backend: str = "symbolic",
+    trials: int = 3,
+    seed: int = 0,
+):
+    """Assert the matrix [D^rows[i] cols[j]] is upper triangular.
+
+    Returns the diagonal: ring elements for the symbolic backend, one list
+    of field values per sample point (per lane) otherwise.  Point checks
+    certify the diagonal exactly but can only sample the below-diagonal
+    vanishing.
+    """
+    if len(rows) != len(cols):
+        raise ValueError("rows and cols must have equal length")
+    K = backends(s, backend, trials, seed, SAMPLE_EXTENSION)
+    n = len(rows)
+    entries = [[K.value(f, i) for f in cols] for i in rows]
+    for i in range(n):
+        for j in range(i):
+            # zero in every lane
+            if not entries[i][j].is_zero():
+                raise ArithmeticError(
+                    f"not triangular: D^{rows[i]} {cols[j]} is nonzero"
+                )
+    diag = [list(d) for d in zip(*(K.exp.split(entries[i][i]) for i in range(n)))]
+    return diag[0] if backend == "symbolic" else diag
+
+
+# ---------------------------------------------------------------------------
+# closure and rejection bookkeeping
+
+
+def padic_closure_check(orders) -> list[tuple[int, int]]:
+    """Digitwise downward-closure violations; empty means closed.
+
+    The mu <=3 e digitwise in base 3 are the k with C(e, k) nonzero mod 3
+    (Lucas), so binom_support(e) lists them.
+    """
+    have = set(orders)
+    bad = []
+    for e in sorted(have):
+        for mu in binom_support(e):
+            if mu not in have:
+                bad.append((mu, e))
+    return sorted(set(bad))
+
+
+# Minimal non-orders and how the proofs reject each one, as entries "index
+# key": the key names the identity catalog entry whose vanishing statement
+# kills the index, or is "counting" where the rejection follows from the
+# closure property plus the count of orders already certified below the bound.
+_D_REJECTIONS = (
+    "q0+1 kq0-1, 3q0+1 kq0-3, q+1 A1, q+2q0 A2, q+3q0 A3, 2q+q0 A4, 3q A5, "
+    "qq0+1 A6, qq0+2q0 A7, qq0+3q0 A8, qq0+q+q0 A9, qq0+2q A10, 2qq0+q0 counting"
+)
+_E_REJECTIONS = (
+    "3q0+1 kq0-3, q+1 t1sum-q+1, q+3q0 t1sum-q+3q0, 3q t1sum-3q, "
+    "3qq0+1 counting, 3qq0+3q0 counting, 3qq0+q counting, 6qq0 counting"
+)
+
+
+def rejection_witnesses(series: str = "D") -> dict[SymbolicIndex, str]:
+    table = _D_REJECTIONS if series == "D" else _E_REJECTIONS
+    pairs = map(str.split, table.split(", "))
+    return {SymbolicIndex.parse(ix): key for ix, key in pairs}
+
+
+def rejection_report(
+    series: str = "D",
+    s: int = 1,
+    backend: str = "symbolic",
+    trials: int = 3,
+    seed: int = 0,
+) -> list[dict]:
+    """Cross-check the scan's rejections against the proof witnesses.
+
+    For every minimal non-order: confirm the scan rejected it, and when a
+    differential identity is the stated reason, confirm that identity holds
+    on the same backend (skipped base-level collision instances count as
+    non-failures; they are vacuous there, not refuted).
+    """
+    p = ree_params(s)
+    scan = set(order_sequence(series, s, backend, trials, seed).orders)
+    witnesses = rejection_witnesses(series)
+    if set(witnesses) != set(minimal_non_orders(series)):
+        raise ArithmeticError("rejection table drifted from the minimal non-orders")
+    keys = sorted({key for key in witnesses.values() if key != "counting"})
+    results = verify_catalog(s=s, backend=backend, keys=keys, trials=trials, seed=seed)
+    key_ok = {}
+    for key in keys:
+        rows = [r for r in results if r.identity == key]
+        key_ok[key] = bool(rows) and all(r.ok for r in rows)
+    theory = set(order_values(p, series))
+    report = []
+    for ix, key in sorted(witnesses.items(), key=lambda kv: index_value(kv[0], p)):
+        value = index_value(ix, p)
+        row = {
+            "index": value,
+            "label": str(ix),
+            "witness": key,
+            "scan_rejected": value not in scan,
+            # at s=1 a non-order index can share its value with an order
+            # (3q = qq0); the scan then accepts the value, not the index
+            "base_collision": value in theory,
+            "identity_ok": key_ok.get(key) if key != "counting" else None,
+        }
+        report.append(row)
+    return report

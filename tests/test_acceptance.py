@@ -20,8 +20,8 @@ from reecurve.backends import backends
 from reecurve.cli import main
 from reecurve.gf import field_context
 from reecurve.hasse import binom_mod3, hasse_calculus
-from reecurve.identities import IDENTITY_CATALOG, osculating_vanishing, verify_catalog
-from reecurve.orders import frobenius_orders, order_sequence, proof_matrix, triangular_check
+from reecurve.identities import IDENTITY_CATALOG, verify_catalog
+from reecurve.orders import frobenius_orders, order_sequence
 from reecurve.params import ree_params
 from reecurve.ring import FAMILY_NAMES, coordinate_ring
 from reecurve.series import (
@@ -30,10 +30,21 @@ from reecurve.series import (
     random_point,
     rational_point,
 )
-from reecurve.support import appendix_csv, order_values, support_soundness
+from reecurve.support import appendix_csv, order_values
 from reecurve.weierstrass import divisor_degree_audit, vanishing_orders
 
-from reference import check_hypersurface, ell_of, evaluate, hasse_reference, power, scale
+from reference import (
+    check_hypersurface,
+    ell_of,
+    evaluate,
+    hasse_reference,
+    osculating_vanishing,
+    power,
+    proof_matrix,
+    scale,
+    support_soundness,
+    triangular_check,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 

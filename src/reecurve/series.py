@@ -34,12 +34,12 @@ coefficient is omitted only when it is zero in every lane, and each lane
 equals that point's own expansion.  The sampled route expands its trial
 points this way; a profile expands one point.
 
-``backends.Backend`` reads either expansion, so this module holds no
-backend: only the points route loads it, when backends() samples points
-or a profile expands one.  A point's expansion is exact below its
-precision: q^2 + 1 for the sampled route, which covers every order
-candidate and every catalog read D^i over the window, and m + 1 for a
-vanishing profile.
+An expansion is its route's object, so this module holds no backend:
+only the points route loads it, when backends() samples points or a
+profile expands one.  A point's expansion is exact below its precision:
+q^2 + 1 for the sampled route, which covers every order candidate and
+every catalog read D^i over the window default_window(p), and m + 1 for
+a vanishing profile, which reads rows only.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 
-from reecurve.backends import SAMPLE_EXTENSION
+from reecurve.backends import SAMPLE_EXTENSION, default_window
 from reecurve.gf import (
     FieldContext,
     FieldElement,
@@ -207,6 +207,7 @@ class PointExpansion(Expansion):
     tuple of points the coefficients lie in Lanes(field, T): lane j of
     every coefficient belongs to points[j], so one series operation
     serves every point, and each lane equals that point's own expansion.
+    Its catalog reads keep default_window(p) coefficients.
     """
 
     kind = "points"
@@ -224,6 +225,7 @@ class PointExpansion(Expansion):
             self.ctx = Lanes(self.field, self.lanes)
             coords = (self.ctx.pack(cs) for cs in zip(*(P.coords() for P in points)))
         super().__init__(first.params, self.ctx.one(), *coords, prec)
+        self.window = default_window(self.p)
 
     def split(self, c: FieldElement) -> list[FieldElement]:
         """A coefficient's lanes, one element of the field per point."""

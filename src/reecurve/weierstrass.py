@@ -4,7 +4,7 @@ The profile of a family at a point P lists the orders of vanishing
 achievable by linear combinations of the family members at P.  An exponent
 i is one of them exactly when the row of i-th Hasse derivatives at P grows
 the rank of the rows below it (Stöhr-Voloch), so the profile is the greedy
-scan of orders.py run on a Backend of P's expansion, one per point in a
+scan of orders.py run on the rows of P's expansion, one per point in a
 process, shared by the profiles of every family there.  Away from finitely
 many points the profile is the order sequence; the excess weight
 sum(j_i - eps_i) is positive exactly at the special points, and the
@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .backends import Backend
 from .orders import _family_names, _scan, order_sequence
 from .params import ReeParams, indices, ree_params
 from .series import CurvePoint, PointExpansion
@@ -68,13 +67,13 @@ def expected_rational_profile(p: ReeParams, series: str = "D") -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _profile_backend(point: CurvePoint) -> Backend:
-    """The Backend of the point's expansion to m + 1, built once per point.
+def _profile_backend(point: CurvePoint) -> PointExpansion:
+    """The point's expansion to m + 1, built once per point.
 
     Every family's profile at the point reads it: E's members are D's, and
     D's recipes build on each other, so the expansion serves both.
     """
-    return Backend(PointExpansion(point, point.params.m_value + 1), 1)
+    return PointExpansion(point, point.params.m_value + 1)
 
 
 def vanishing_orders(series="D", point: CurvePoint | None = None) -> VanishingProfile:
@@ -89,12 +88,12 @@ def vanishing_orders(series="D", point: CurvePoint | None = None) -> VanishingPr
     names = _family_names(series)
     p = point.params
     K = _profile_backend(point)
-    candidates = set().union(*(K.row(f) for f in names))
+    candidates = set().union(*(K.series(f) for f in names))
     js = [i for i, _, _ in _scan(K, names, candidates, want=len(names))]
     if len(js) != len(names):
         raise ArithmeticError(
             f"precision shortfall: only {len(js)} of {len(names)} pivots "
-            f"below precision {K.exp.prec}"
+            f"below precision {K.prec}"
         )
     if isinstance(series, str):
         eps = order_values(p, series)

@@ -34,9 +34,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from reecurve.backends import SAMPLE_EXTENSION, Backend, backends, sample_count
+from reecurve.backends import SAMPLE_EXTENSION, backends, sample_count
 from reecurve.gf import frobenius_power
-from reecurve.hasse import HasseCalculus, binom_mod3, hasse_calculus, ser_add, ser_mul
+from reecurve.hasse import (
+    HasseCalculus, binom_mod3, hasse_calculus, ser_add, ser_mul, ser_pow3k,
+)
 from reecurve.identities import CheckResult, verify_catalog
 from reecurve.orders import _echelons, _lane_rows, order_sequence
 from reecurve.params import (
@@ -363,7 +365,7 @@ def hyper_residuals(K):
     )
     out.append(("pair-w2", K.add(lhs, rhs, -1)))
 
-    total = K.zero()
+    total = {}
     names = SUBFAMILY_NAMES
     for i, name in enumerate(names):
         total = K.add(total, K.mul(q2(name), K.member_d(names[6 - i], 0)))
@@ -423,7 +425,7 @@ def _greedy(K, names, row, pool, seed=None, want=None) -> tuple[int, ...]:
 
 def seeded_scan(K, names, pool) -> tuple[int, ...]:
     """The Frobenius orders: the scan seeded with (f^q)_f, n - 1 acceptances."""
-    return _greedy(K, names, K.value, pool, seed=K.qpow_value, want=len(names) - 1)
+    return _greedy(K, names, K.coefficient, pool, seed=K.qpow_value, want=len(names) - 1)
 
 
 def morphism_scan(K, names, pool) -> tuple[int, ...]:
@@ -432,11 +434,9 @@ def morphism_scan(K, names, pool) -> tuple[int, ...]:
     Its row at i is D^i (f^q - f), the i-th coefficient of the expansion's
     shift series; the constant member is left out by name, wherever it sits.
     """
-    exp = K.exp
     members = [f for f in names if f != "one"]
     below = [i for i in pool if i < ree_params(K.s).q]
-    return _greedy(K, members, lambda f, i: exp.shift_series(f).get(i, exp.zero),
-                   below)
+    return _greedy(K, members, lambda f, i: K.shift_series(f).get(i, K.zero), below)
 
 
 # ---------------------------------------------------------------------------
@@ -557,9 +557,9 @@ def osculating_functions(P: CurvePoint):
     series are exact on exponents up to q^2.
     """
     depth = P.params.q**2 + 1
-    K = Backend(PointExpansion(P, depth), depth)
+    exp = PointExpansion(P, depth)
     e2 = 2 * (2 * P.s + 1)
-    members = {name: K.member_d(name, 0) for name in SUBFAMILY_NAMES}
+    members = {name: exp.series(name) for name in SUBFAMILY_NAMES}
     values = {name: ser.get(0, P.ctx.zero()) for name, ser in members.items()}
     g: dict = {}
     h: dict = {}
@@ -567,7 +567,7 @@ def osculating_functions(P: CurvePoint):
         partner = PAIRING[name]
         cg = frobenius_power(values[name], e2)
         g = ser_add(g, {e: cg * c for e, c in members[partner].items()}, 1)
-        fq2 = K.pow_tag(ser, "q2")
+        fq2 = ser_pow3k(ser, cube_count("q2", P.s), depth)
         cv = values[partner]
         h = ser_add(h, {e: cv * c for e, c in fq2.items()}, 1)
     g = {e: c for e, c in g.items() if not c.is_zero()}
@@ -622,7 +622,7 @@ def triangular_check(
         raise ValueError("rows and cols must have equal length")
     K = backends(s, backend, trials, seed, SAMPLE_EXTENSION)
     n = len(rows)
-    entries = [[K.value(f, i) for f in cols] for i in rows]
+    entries = [[K.coefficient(f, i) for f in cols] for i in rows]
     for i in range(n):
         for j in range(i):
             # zero in every lane
@@ -630,7 +630,7 @@ def triangular_check(
                 raise ArithmeticError(
                     f"not triangular: D^{rows[i]} {cols[j]} is nonzero"
                 )
-    diag = [list(d) for d in zip(*(K.exp.split(entries[i][i]) for i in range(n)))]
+    diag = [list(d) for d in zip(*(K.split(entries[i][i]) for i in range(n)))]
     return diag[0] if backend == "symbolic" else diag
 
 

@@ -295,6 +295,14 @@ GOLDEN_REPORTS = [
     ("orders_s2_D_symbolic.json", ["orders", "--s", "2", "--series", "D"]),
     # the pivot witnesses at s = 4, the first stable level
     ("orders_s4_D_symbolic.json", ["orders", "--s", "4", "--series", "D"]),
+    ("orders_s4_E_symbolic.json", ["orders", "--s", "4", "--series", "E"]),
+    # the sampled scan through the merge at s = 4 (m = 54)
+    ("orders_s4_D_series_seed0_trials2.json",
+     ["orders", "--s", "4", "--series", "D", "--backend", "series", "--seed", "0",
+      "--trials", "2"]),
+    # the catalog read through the default window at s = 4 (m = 9)
+    ("verify_s4_series_seed0_trials1.json",
+     ["verify", "--s", "4", "--backend", "series", "--seed", "0", "--trials", "1"]),
     # a profile scanned on the point's rows, its last order m above q^2
     ("weierstrass_s2_rational_seed0_D.json",
      ["weierstrass", "--s", "2", "--point", "rational", "--seed", "0", "--series", "D"]),

@@ -16,6 +16,7 @@ import reecurve.backends
 import reecurve.hasse as hasse
 import reecurve.identities as identities
 import reecurve.params as params
+import reecurve.weierstrass as weierstrass
 from reecurve.identities import (
     IDENTITY_CATALOG,
     TYPE1_PAIRS,
@@ -31,7 +32,7 @@ from reecurve.identities import (
     instances_for,
     verify_catalog,
 )
-from reecurve.backends import Backend, backends, default_window
+from reecurve.backends import SAMPLE_EXTENSION, backends, default_window
 from reecurve.orders import order_sequence
 from reecurve.params import SymbolicIndex, index_value, ree_params
 from reecurve.ring import FAMILY_NAMES, RECIPES, CurveElement
@@ -51,13 +52,13 @@ P2 = ree_params(2)
 
 
 def _exact_backend(s):
-    """The exact route's backend: the generic point, one coefficient wide."""
-    return Backend(hasse.hasse_calculus(s), 1)
+    """The exact route's expansion: the generic point, one coefficient wide."""
+    return hasse.hasse_calculus(s)
 
 
 def _point_backend(P):
-    """The sampled route's backend at P, with its depth and default window."""
-    return Backend(PointExpansion(P, P.params.q**2 + 1), default_window(P.params))
+    """The sampled route's expansion at P, with its depth and default window."""
+    return PointExpansion(P, P.params.q**2 + 1)
 
 
 def _row(key, instance, s=1, backend="symbolic", **kw):
@@ -410,16 +411,16 @@ def test_witness_comes_from_the_first_failing_lane(monkeypatch):
     monkeypatch.setattr(reecurve.backends, "_BACKENDS", {})
 
     def tamper(K, bump):
-        ser = K.exp.series("w1")
-        v = ser.get(e, K.exp.zero) + bump
+        ser = K.series("w1")
+        v = ser.get(e, K.zero) + bump
         if v.is_zero():
             ser.pop(e)
         else:
             ser[e] = v
 
     K = backends(s, "points", 2, seed)
-    field = K.exp.field
-    tamper(K, K.exp.ctx.pack([field.zero(), field.one()]))
+    field = K.field
+    tamper(K, K.ctx.pack([field.zero(), field.one()]))
     tamper(backends(s, "points", 1, seed + 1), field.one())
 
     def w1_row(trials, at):
@@ -436,20 +437,35 @@ def test_witness_comes_from_the_first_failing_lane(monkeypatch):
 
 
 def test_sampled_catalog_multiplies_once_for_all_points(monkeypatch):
-    # tooling: Backend.mul calls of the sampled catalog at s = 2 on three
-    # points; a backend per point made 4,269, one backend with the points
-    # as lanes makes a third of that
+    # tooling: Expansion.mul calls of the sampled catalog at s = 2 on three
+    # points; an expansion per point made 4,269, one expansion with the
+    # points as lanes makes a third of that
     calls = [0]
-    mul = Backend.mul
+    mul = hasse.Expansion.mul
 
     def counting(self, a, b):
         calls[0] += 1
         return mul(self, a, b)
 
-    monkeypatch.setattr(Backend, "mul", counting)
+    monkeypatch.setattr(hasse.Expansion, "mul", counting)
     rows = verify_catalog(2, "points", trials=3, seed=0)
     assert all(r.ok and r.points == 3 for r in rows)
     assert 0 < calls[0] < 2000
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_window_is_read_off_the_route(s):
+    # the exact route reads one coefficient; every point expansion keeps
+    # the default window: the catalog's, the order scans' over extension 6
+    # and a profile's
+    assert backends(s, "symbolic", 1, 0).window == 1
+    points = [
+        backends(s, "points", 1, 0),
+        backends(s, "points", 2, 0, SAMPLE_EXTENSION),
+        weierstrass._profile_backend(rational_point(s, 0)),
+    ]
+    assert [K.kind for K in points] == ["points"] * 3
+    assert [K.window for K in points] == [default_window(ree_params(s))] * 3
 
 
 def test_window_clears_the_deepest_ell_power():
@@ -540,7 +556,7 @@ def test_each_leaf_is_read_once_per_backend_per_run(monkeypatch):
     reads = Counter()
 
     def counting(name):
-        method = getattr(Backend, name)
+        method = getattr(hasse.Expansion, name)
 
         def read(self, *args):
             reads[(self, name, args)] += 1
@@ -549,7 +565,7 @@ def test_each_leaf_is_read_once_per_backend_per_run(monkeypatch):
         return read
 
     for name in ("member_d", "shift_d", "qpow_d", "virtual_d", "ell_power"):
-        monkeypatch.setattr(Backend, name, counting(name))
+        monkeypatch.setattr(hasse.Expansion, name, counting(name))
     # both routes share the one class, so each run is counted on its own
     for backend in ("points", "symbolic"):
         reads.clear()

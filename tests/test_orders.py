@@ -85,6 +85,25 @@ def test_rank_deficiency_reported():
         order_sequence(("one", "x", "x"), s=1, backend="symbolic")
 
 
+@pytest.mark.parametrize("backend", ["symbolic", "points"])
+def test_empty_family_is_refused(backend, monkeypatch):
+    # all() over no members is true, so () once passed as a family: an
+    # order sequence with no orders, after sampling the points route's points
+    routes = []
+
+    def spy(*args, **kwargs):
+        routes.append(args)
+        return backends(*args, **kwargs)
+
+    monkeypatch.setattr(reecurve.orders, "backends", spy)
+    for call in (order_sequence, frobenius_orders):
+        with pytest.raises(ValueError, match="empty family"):
+            call((), s=1, backend=backend, trials=2, seed=0)
+        with pytest.raises(ValueError, match="empty family"):
+            call([], s=1, backend=backend, trials=2, seed=0)
+    assert routes == []
+
+
 def test_symbolic_backend_policy():
     with pytest.raises(ValueError, match="unknown backend"):
         order_sequence("D", s=1, backend="magic")
@@ -196,15 +215,14 @@ def test_scans_share_one_backend(monkeypatch):
     monkeypatch.setattr(reecurve.orders, "backends", spy)
     order_sequence("E", s=1, backend="points", trials=2, seed=8)
     K = seen[0]
-    exp = K.exp
-    # one backend holds both points, lane j at seed 8 + j
+    # one expansion holds both points, lane j at seed 8 + j
     assert K.lanes == 2
-    assert exp.points == (random_point(1, 8, 6), random_point(1, 9, 6))
+    assert K.points == (random_point(1, 8, 6), random_point(1, 9, 6))
     frobenius_orders("E", s=1, backend="points", trials=2, seed=8)
-    # the scan; the Frobenius orders and the order sequence they read
+    # the scan; the Frobenius orders and the order sequence they read: one
+    # expansion, so member series are expanded once, for both points
     assert len(seen) == 3
     assert all(K2 is K for K2 in seen)
-    assert K.exp is exp  # member series expanded once, for both points
     assert K is backends(1, "points", 2, 8, 6)
 
 
@@ -350,7 +368,7 @@ def test_pairing_row_annihilates_the_rows_below_the_last_order(s, series):
     c = reecurve.orders._pairing_row(K, names)
     eps = order_values(ree_params(s), series)
     assert eps[-1] == ree_params(s).q ** 2
-    dots = [reecurve.orders._dot([K.value(f, i) for f in names], c) for i in eps]
+    dots = [reecurve.orders._dot([K.coefficient(f, i) for f in names], c) for i in eps]
     assert [d.is_zero() for d in dots] == [True] * (len(names) - 1) + [False]
 
 
@@ -373,9 +391,9 @@ def test_close_takes_only_an_exact_kernel():
     c = reecurve.orders._pairing_row(K, names)
     six = reecurve.orders._scan(K, names, pool, want=len(names) - 1)
     (echelon,) = six.echelons
-    zero = K.value("one", 0).ring.zero()
+    zero = K.coefficient("one", 0).ring.zero()
     assert not echelon.close([zero] * len(names))
-    assert not echelon.close(c[:-1] + [c[-1] + K.value("one", 0)])
+    assert not echelon.close(c[:-1] + [c[-1] + K.coefficient("one", 0)])
     assert echelon.kernel is None
     assert echelon.close(c) and echelon.kernel is c
     short = reecurve.orders._scan(K, names, pool, want=len(names) - 2)
@@ -391,7 +409,7 @@ def test_full_echelon_spans_every_row(series):
     K = backends(1, "symbolic", 1, 0)
     (echelon,) = reecurve.orders._order_scan(names, K).echelons
     assert echelon.full
-    last = [K.value(f, ree_params(1).q ** 2) for f in names]
+    last = [K.coefficient(f, ree_params(1).q ** 2) for f in names]
     assert echelon.spanned_at(last) == len(names) - 1
     partial = _Echelon(len(names))
     partial.rows = list(echelon.rows)
@@ -423,7 +441,7 @@ _RAW_FULL_POOL_CASES = [(1, "D"), (1, "E"), (2, "D"), (2, "E"), (3, "E")]
 
 
 class _Offered:
-    """A symbolic backend that records which candidates' rows are read."""
+    """The exact route's expansion, recording which candidates' rows are read."""
 
     kind = "symbolic"
 
@@ -431,9 +449,9 @@ class _Offered:
         self.K = K
         self.seen = set()
 
-    def value(self, f, i):
+    def coefficient(self, f, i):
         self.seen.add(i)
-        return self.K.value(f, i)
+        return self.K.coefficient(f, i)
 
 
 def _pool(s, series):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reecurve import series
-from reecurve.backends import Backend, default_window
+from reecurve.backends import default_window
 from reecurve.gf import field_context, frobenius_power
 from reecurve.hasse import binom_mod3, hasse_calculus, ser_pow3k
 from reecurve.identities import IDENTITY_CATALOG, TYPE2_PAIRS
@@ -30,11 +30,9 @@ from reecurve.series import (
 from reference import evaluate
 
 
-def _point_backend(P, window=None, depth=None):
-    """The sampled route's backend at P: depth q^2 + 1, the default window."""
-    p = P.params
-    depth = p.q**2 + 1 if depth is None else depth
-    return Backend(PointExpansion(P, depth), default_window(p) if window is None else window)
+def _point_backend(P, depth=None):
+    """The sampled route's expansion at P: depth q^2 + 1, the default window."""
+    return PointExpansion(P, P.params.q**2 + 1 if depth is None else depth)
 
 
 @settings(max_examples=300, deadline=None)
@@ -132,9 +130,9 @@ def test_origin_expansion_starts_at_the_gap_ladder():
 def test_origin_series_hold_no_zero_coefficient(s):
     # every coordinate of the origin is 0; a zero centre is dropped, not kept
     K = _point_backend(origin_point(s))
-    assert K.exp.series("x") == {1: K.exp.one}
+    assert K.series("x") == {1: K.one}
     for name in FAMILY_NAMES:
-        for ser in (K.exp.series(name), K.row(name), K.member_d(name, 0)):
+        for ser in (K.series(name), K.member_d(name, 0)):
             assert all(not c.is_zero() for c in ser.values()), name
 
 
@@ -230,14 +228,16 @@ def test_cross_backend_agreement_on_seeded_triples():
 
 
 def test_derivative_series_window_matches_coefficients():
-    K = _point_backend(rational_point(1, seed=8), window=40)
+    K = _point_backend(rational_point(1, seed=8))
     p = ree_params(1)
+    assert K.window == default_window(p) == 89
     for name in ("y", "w4", "w10"):
         for i in (1, p.q0 + 1, p.q):
             win = K.member_d(name, i)
-            for j in range(40):
-                want = K.exp.coefficient(name, i + j)
-                got = win.get(j, K.exp.zero)
+            assert all(j < K.window for j in win)
+            for j in range(K.window):
+                want = K.coefficient(name, i + j)
+                got = win.get(j, K.zero)
                 bc = binom_mod3(i + j, i)
                 if bc == 0:
                     assert got.is_zero()
@@ -254,10 +254,12 @@ def test_reads_past_the_depth_raise():
     with pytest.raises(ValueError, match="depth"):
         K.shift_d("w1", 100)
     with pytest.raises(ValueError, match="precision"):
-        K.value("w1", 100)
+        K.coefficient("w1", 100)
     # the deepest read that fits equals the same read at the default depth
     i = 100 - K.window
-    assert K.member_d("w1", i) == _point_backend(K.exp.points[0]).member_d("w1", i)
+    with pytest.raises(ValueError, match="depth"):
+        K.member_d("w1", i + 1)
+    assert K.member_d("w1", i) == _point_backend(K.points[0]).member_d("w1", i)
 
 
 def test_power_helper_matches_repeated_multiplication():
@@ -268,7 +270,8 @@ def test_power_helper_matches_repeated_multiplication():
     for n in range(1, 8):
         acc = ser_mul(acc, ell, prec)
         assert exp.power(ell, n, prec) == acc
-        assert exp.ell_power(n, prec) == acc
+        # the catalog's read, cut at the window
+        assert exp.ell_power(n) == {e: c for e, c in acc.items() if e < exp.window}
 
 
 def test_expansions_are_freed():

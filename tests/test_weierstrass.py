@@ -35,6 +35,18 @@ def test_origin_profile_d():
     assert prof.epsilons == tuple(order_values(ree_params(1), "D"))
 
 
+def test_empty_family_has_no_profile_and_no_audit():
+    # all() over no members is true, so () once gave a weight-0 profile and
+    # a degree-0 audit
+    with pytest.raises(ValueError, match="empty family"):
+        vanishing_orders((), origin_point(1))
+    with pytest.raises(ValueError, match="empty family"):
+        divisor_degree_audit(1, order_sequence((), 1))
+    empty = OrderSequence((), 1, (), (), "symbolic", 0, ())
+    with pytest.raises(ValueError, match="empty family"):
+        divisor_degree_audit(1, empty)
+
+
 def test_origin_profile_e():
     prof = vanishing_orders("E", origin_point(1))
     assert prof.jorders == E_PROFILE_S1

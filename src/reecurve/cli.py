@@ -6,7 +6,7 @@ every module of the package first, for code that patches them from
 outside; its main is the same function.
 """
 
-from . import backends, gf, hasse, identities, orders, params  # noqa: F401
+from . import gf, hasse, identities, orders, params  # noqa: F401
 from . import ring, series, support, weierstrass  # noqa: F401
 from .commands import build_parser, main
 

@@ -6,8 +6,8 @@ byte-identical JSON, so runs can be diffed.  Numeric values inside JSON
 payloads are decimal strings because order values grow past 2^63 for
 large s and not every JSON consumer keeps integers exact.
 
-Exit codes: 0 success, 1 verification failure or computation error,
-2 usage error.
+Exit codes: 0 success, 1 verification failure, computation error or an
+output path that cannot be written, 2 usage error.
 
 Each handler imports its own route's modules when it runs, so a command
 loads only what it executes (reecurve.cli loads the whole package up
@@ -66,7 +66,7 @@ def _config(args, parser) -> dict:
     """
     if args.backend == "series" and args.seed is None:
         parser.error("the series backend needs --seed for reproducibility")
-    from .backends import SAMPLE_EXTENSION
+    from .params import SAMPLE_EXTENSION
 
     return {
         "s": args.s,
@@ -426,7 +426,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args, parser)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -464,11 +464,8 @@ class Lanes:
 
     def split(self, a: FieldElement) -> list[FieldElement]:
         """The lanes of a, as elements of the field."""
-        return [FieldElement(self.field, v) for v in self._split(a.packed)]
-
-    def _split(self, v: int) -> list[int]:
-        mask = self._lane_mask
-        return [(v >> sh) & mask for sh in self._shifts]
+        v, mask = a.packed, self._lane_mask
+        return [FieldElement(self.field, (v >> sh) & mask) for sh in self._shifts]
 
     def _mulmod(self, a: int, b: int) -> int:
         mul, mask = self.field._mulmod, self._lane_mask

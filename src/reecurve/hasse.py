@@ -43,6 +43,12 @@ nonzero series (``describe``).  A sampled expansion may hold several
 centres at once, as lanes of each coefficient (``lanes``, ``split``); the
 generic point is one.
 
+``route`` gives the one expansion of each route, which identities, orders
+and profiles share: ``hasse_calculus(s)`` on the exact route, and on the
+sampled route one ``PointExpansion`` holding every trial point as a lane.
+It builds each once per process, and loads ``series`` only for a points
+route, so the exact route loads neither the field nor the series module.
+
 The exact and sampled routes share this algorithm.  What keeps them
 independent checks of each other, and of the algorithm, is:
 
@@ -254,20 +260,6 @@ class Expansion:
             out[0] = l0
         return out
 
-    def power(self, a: Series, n: int, prec: int) -> Series:
-        """a**n by base-3 splitting, so Frobenius factors stay sparse."""
-        out: Series = {0: self.one}
-        k = 0
-        while n:
-            n, d = divmod(n, 3)
-            if d:
-                piece = ser_pow3k(a, k, prec)
-                out = ser_mul(out, piece, prec)
-                if d == 2:
-                    out = ser_mul(out, piece, prec)
-            k += 1
-        return out
-
     # -- residual arithmetic for the identity catalog, on series cut at the window
 
     def _read(self, ser: Series, i: int) -> Series:
@@ -294,7 +286,19 @@ class Expansion:
         return self._read(self.lift(f, b), i)
 
     def ell_power(self, n: int) -> Series:
-        return self.power(self.ell_series(), n, self.window)
+        """ell^n by base-3 splitting, so Frobenius factors stay sparse."""
+        ell, window = self.ell_series(), self.window
+        out: Series = {0: self.one}
+        k = 0
+        while n:
+            n, d = divmod(n, 3)
+            if d:
+                piece = ser_pow3k(ell, k, window)
+                out = ser_mul(out, piece, window)
+                if d == 2:
+                    out = ser_mul(out, piece, window)
+            k += 1
+        return out
 
     def pow_tag(self, v: Series, tag: str) -> Series:
         return ser_pow3k(v, cube_count(tag, self.s), self.window)
@@ -323,6 +327,7 @@ class HasseCalculus(Expansion):
 
     kind = "symbolic"
     window = 1
+    points = ()  # the exact route samples none
 
     def __init__(self, ring: CoordinateRing):
         q2 = ring.p.q**2
@@ -352,3 +357,28 @@ def hasse_calculus(s: int) -> HasseCalculus:
     if s not in _CALC_CACHE:
         _CALC_CACHE[s] = HasseCalculus(coordinate_ring(s))
     return _CALC_CACHE[s]
+
+
+_ROUTES: dict[tuple, Expansion] = {}
+
+
+def route(s: int, backend: str, trials: int, seed: int, extension: int = 1) -> Expansion:
+    """The expansion of one route, built on first use and then shared.
+
+    "symbolic" gives hasse_calculus(s); "points" gives one
+    series.PointExpansion to q^2 + 1 at the points of seeds
+    seed .. seed+trials-1 over the given extension, lane j at seed + j.
+    """
+    if backend == "symbolic":
+        return hasse_calculus(s)
+    if backend != "points":
+        raise ValueError(f"unknown backend {backend!r}")
+    if trials < 1:
+        raise ValueError("the points backend needs at least one trial")
+    key = (s, trials, seed, extension)
+    if key not in _ROUTES:
+        from reecurve.series import PointExpansion, random_point
+
+        points = tuple(random_point(s, seed + j, extension) for j in range(trials))
+        _ROUTES[key] = PointExpansion(points, points[0].params.q**2 + 1)
+    return _ROUTES[key]

@@ -1,4 +1,4 @@
-"""Differential identity catalog and its verification backends.
+"""Differential identity catalog and its verification on each route.
 
 Each identity is written as text in the paper's notation, one residual
 per text:
@@ -32,7 +32,7 @@ the q-power rules ring.QPOWER_RULES (TYPE1_PAIRS, TYPE2_PAIRS), and the
 derivative support of t is support.virtual_support.
 Derivatives of t are obtained from the recursion
 D^i t = (D^(i/q) t)^q - D^i(t^q - t), which never needs t itself for
-i >= 1, so both backends can evaluate them without leaving the function
+i >= 1, so both routes can evaluate them without leaving the function
 field.
 
 A residual must evaluate to exactly zero: a series cut at the route's
@@ -55,8 +55,7 @@ import re
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from reecurve.backends import backends, sample_count
-from reecurve.hasse import Expansion
+from reecurve.hasse import Expansion, route
 from reecurve.params import SymbolicIndex, index_value, ree_params
 from reecurve.ring import FAMILY_NAMES, QPOWER_RULES, is_deep, is_plain
 from reecurve.support import member_support, virtual_support
@@ -515,7 +514,7 @@ def _verdict(spec: IdentitySpec, roles: dict[str, str], K: Expansion, memo: dict
         if reason is not None:
             return CheckResult(spec.key, label, K.kind, True, 0, reason, skipped=True)
     witness = _witness(spec, roles, K, memo)
-    return CheckResult(spec.key, label, K.kind, witness is None, sample_count(K), witness)
+    return CheckResult(spec.key, label, K.kind, witness is None, len(K.points), witness)
 
 
 def verify_catalog(
@@ -528,7 +527,7 @@ def verify_catalog(
     """Every catalog identity over its full applicability set.
 
     The points route checks at `trials` rational points, seeds seed on,
-    with the series window default_window(p).
+    with the series window series.default_window(p).
     """
     specs = IDENTITY_CATALOG
     if keys is not None:
@@ -537,7 +536,7 @@ def verify_catalog(
         missing = wanted - {sp.key for sp in specs}
         if missing:
             raise KeyError(f"unknown identity keys: {sorted(missing)}")
-    K = backends(s, backend, trials, seed)
+    K = route(s, backend, trials, seed)
     memo: dict = {}  # for this call only
     return [
         _verdict(spec, roles, K, memo) for spec in specs for roles in instances_for(spec)

@@ -3,11 +3,13 @@
 An index i is an order of a function family exactly when the derivative row
 (D^i f)_f increases the rank of the rows selected at smaller indices; scanning
 candidates in increasing order therefore reproduces the lexicographically
-minimal order sequence (the Stöhr-Voloch method).  The Frobenius orders are
-read off the echelons that scan fills (the Frobenius pool rule below), and
-the vanishing profile at a point (weierstrass.vanishing_orders) is the same
-scan on that point's rows.  Rows are the coefficients of the route's one
-expansion (backends.backends, shared with the identity checks):
+minimal order sequence (the Stöhr-Voloch method).  The candidates are the
+exponents at which some member's series is nonzero: a zero row never grows
+the rank.  The Frobenius orders are read off the echelons that scan fills
+(the Frobenius pool rule below), and the vanishing profile at a point
+(weierstrass.vanishing_orders) is the same scan on that point's rows.
+Rows are the coefficients of the route's one expansion (hasse.route,
+shared with the identity checks):
 
 * symbolic (any s): fraction-free cross-multiplication elimination over the
   coordinate ring, exact; the pivot column of a reduced row is zero by
@@ -27,10 +29,10 @@ two rules that leave every result unchanged:
 
 * closure: by the p-adic criterion (Stöhr-Voloch, Proc. LMS 52, 1986,
   Cor. 1.9) every mu <=3 eps (digitwise in base 3) of an order eps is an
-  order, so the scan over the full candidate pool skips i unless each
-  i - 3^k, for each nonzero base-3 digit k of i, is already accepted; a
-  skipped i would be rejected, and a rejected insert never changes an
-  echelon's state, so every accepted index and pivot stays the same;
+  order, so the scan skips i unless each i - 3^k, for each nonzero
+  base-3 digit k of i, is already accepted; a skipped i would be
+  rejected, and a rejected insert never changes an echelon's state, so
+  every accepted index and pivot stays the same;
 * closing: once the echelon holds n - 1 rows, n the family's size, the
   scan builds the pairing row c (ring.PAIRING): c[f_(6-i)] = f_i^(q^2)
   over the seven-function family, zero elsewhere, the coefficients of the
@@ -77,12 +79,12 @@ The Frobenius orders run no scan on either route, by two more rules:
   the same i in (0, q), and both accept 0, as x^q != x.
 
 The criterion is about generic orders, so vanishing profiles at a point
-keep the full pool, and so does the sampled route, which stays an
+are offered every candidate, and so is the sampled route, which stays an
 independent check on the exact one.  The order scan runs once per family,
 level and route in a process (_order_scan), and the Frobenius orders name
 their omitted order against that route's own order sequence.
 
-Sample points live in the degree-6 extension (backends.SAMPLE_EXTENSION),
+Sample points live in the degree-6 extension (params.SAMPLE_EXTENSION),
 the smallest that holds non-rational points; at rational points the scan
 would return the rational vanishing profile instead of the generic orders.
 Rows independent at a point are independent generically, so a sampled
@@ -96,10 +98,10 @@ from collections import namedtuple
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
-from .backends import SAMPLE_EXTENSION, backends, sample_count
-from .params import ReeParams, cube_count, ree_params
+from .hasse import route
+from .params import SAMPLE_EXTENSION, ReeParams, cube_count, ree_params
 from .ring import FAMILY_NAMES, PAIRING, SUBFAMILY_NAMES, CurveElement
-from .support import family_candidate_values, order_values
+from .support import order_values
 
 if TYPE_CHECKING:
     from .gf import FieldContext
@@ -252,7 +254,7 @@ class _SymbolicEchelon:
             return None
         # smallest pivot entry keeps later cross-multiplications cheap
         pivot = min(live, key=lambda k: (len(vec[k]), k))
-        self.rows.append((pivot, vec))
+        self.rows.append((pivot, list(vec)))
         return pivot
 
     def spanned_at(self, vec: list[CurveElement]) -> int | None:
@@ -276,10 +278,11 @@ class _SymbolicEchelon:
 class _PointEchelon:
     """Plain Gaussian elimination over one sample point's field.
 
-    Rows are lists of packed residues of the field.  A stored row is
-    scaled to 1 at its pivot, its first nonzero column, and kept as its
-    later nonzero entries, (column, packed int) pairs, so a reduction
-    touches only those columns and sets the pivot column to zero.
+    Rows come in as elements of the field and are reduced as their packed
+    residues.  A stored row is scaled to 1 at its pivot, its first nonzero
+    column, and kept as its later nonzero entries, (column, packed int)
+    pairs, so a reduction touches only those columns and sets the pivot
+    column to zero.
     """
 
     def __init__(self, ctx: FieldContext):
@@ -305,7 +308,7 @@ class _PointEchelon:
         """Reduce against stored rows; keep and return pivot if independent."""
         ctx = self.ctx
         mulmod = ctx._mulmod
-        vals = list(vals)
+        vals = [a.packed for a in vals]
         self._reduce(vals, self.rows)
         for k, a in enumerate(vals):
             if a:
@@ -319,7 +322,7 @@ class _PointEchelon:
 
     def spanned_at(self, vals) -> int | None:
         """As _SymbolicEchelon.spanned_at, by the same rule."""
-        vals = list(vals)
+        vals = [a.packed for a in vals]
         for j, stored in enumerate(self.rows):
             self._reduce(vals, (stored,))
             if not any(vals):
@@ -332,20 +335,6 @@ def _echelons(K, ncols: int) -> list:
     if K.kind == "symbolic":
         return [_SymbolicEchelon(ncols)]
     return [_PointEchelon(K.field) for _ in range(K.lanes)]
-
-
-def _lane_rows(K):
-    """The map from a row of K's values to the rows its echelons take.
-
-    The exact route keeps the row; the points route gives echelon j the
-    packed residues of lane j, building no element per lane.
-    """
-    if K.kind == "symbolic":
-        return lambda vec: (vec,)
-    if K.lanes == 1:
-        return lambda vec: ([a.packed for a in vec],)
-    split = K.ctx._split
-    return lambda vec: zip(*[split(a.packed) for a in vec])
 
 
 def _pairing_row(K, names) -> list[CurveElement]:
@@ -386,43 +375,42 @@ class _Scan(tuple):
     echelons: list
 
 
-def _scan(K, names, candidates, want=None, closure=False) -> _Scan:
+def _scan(K, names, want=None, closure=False) -> _Scan:
     """The greedy rank scan, the one loop behind order sequences and profiles.
 
-    Offers the row (K.coefficient(f, i))_f of each candidate i, in
-    increasing order, to one echelon per lane of K; i is accepted when the
-    rank grows in any lane, that is when some echelon's insert returns a
-    pivot rather than None.  Stops after want acceptances.  Returns
-    (i, hits, pivot) per accepted i, the lanes whose rank grew and the
-    first pivot taken, with the echelons the scan filled, which the
-    Frobenius orders read.
+    The candidates are the exponents of the members' series, where some
+    member's row is nonzero.  Offers the row (K.coefficient(f, i))_f of
+    each candidate i, in increasing order, its lane j (K.split) to echelon
+    j of K; i is accepted when the rank grows in any lane, that is when
+    some echelon's insert returns a pivot rather than None.  Stops after
+    want acceptances.  Returns (i, hits, pivot) per accepted i, the lanes
+    whose rank grew and the first pivot taken, with the echelons the scan
+    filled, which the Frobenius orders read.
 
-    The exact route cuts the pool by the closure rule of the module
+    The exact route cuts the candidates by the closure rule of the module
     docstring, and after n - 1 acceptances closes its echelon on the
     pairing row (the closing rule there); _order_scan sets closure
     exactly on that route.  With closure set, i is offered only when
-    _closure_admits it; that is sound for the generic orders over the full
-    candidate pool, where the accepted set is the order set below i:
-    closed under digitwise base-3 domination (Stöhr-Voloch Cor. 1.9), it
-    stays a down-set by induction, a skipped i is a non-order the echelon
-    would have rejected, and a rejected insert leaves the echelon as it
-    was.  The minimal non-orders have every proper submask an order, so
-    they still reach the echelon and are rejected by it.  Profiles at a
-    point and the sampled route offer the full pool, since the criterion is
-    about generic orders and the sampled scan must stay an independent
-    check on the exact one.
+    _closure_admits it; that is sound for the generic orders, where the
+    accepted set is the order set below i: closed under digitwise base-3
+    domination (Stöhr-Voloch Cor. 1.9), it stays a down-set by induction,
+    a skipped i is a non-order the echelon would have rejected, and a
+    rejected insert leaves the echelon as it was.  The minimal non-orders
+    have every proper submask an order, so they still reach the echelon
+    and are rejected by it.  Profiles at a point and the sampled route
+    offer every candidate, since the criterion is about generic orders and
+    the sampled scan must stay an independent check on the exact one.
     """
     echelons = _echelons(K, len(names))
-    lanes = _lane_rows(K)
     found = []
     accepted: set[int] = set()
-    for i in sorted(candidates):
+    for i in sorted(set().union(*(K.series(f) for f in names))):
         if closure and not _closure_admits(i, accepted):
             continue
         hits = []
         pivot = None
         row = [K.coefficient(f, i) for f in names]
-        for j, (ech, vals) in enumerate(zip(echelons, lanes(row))):
+        for j, (ech, vals) in enumerate(zip(echelons, zip(*map(K.split, row)))):
             got = ech.insert(vals)
             if got is not None:
                 hits.append(j)
@@ -442,17 +430,16 @@ def _scan(K, names, candidates, want=None, closure=False) -> _Scan:
 
 @lru_cache(maxsize=None)
 def _order_scan(names: tuple[str, ...], K) -> _Scan:
-    """The order scan of one family over the full pool of one route.
+    """The order scan of one family on one route.
 
-    Keyed on the route's expansion, which backends() builds once, so the
+    Keyed on the route's expansion, which hasse.route builds once, so the
     scan runs once per family, level and route in a process:
     order_sequence, frobenius_orders and the epsilons of a tuple-series
     profile all read it, and the Frobenius orders its echelons.  Closure
     is set exactly on the exact route.  Callers share the scan, so they
     only read it and never insert.
     """
-    pool = family_candidate_values(ree_params(K.s), names)
-    return _scan(K, names, pool, want=len(names), closure=K.kind == "symbolic")
+    return _scan(K, names, want=len(names), closure=K.kind == "symbolic")
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +453,10 @@ def order_sequence(
     trials: int = 3,
     seed: int = 0,
 ) -> OrderSequence:
-    """Greedy lexicographic order scan over the candidate index pool."""
+    """Greedy lexicographic order scan of the family on one route."""
     names = _family_names(series)
     p = ree_params(s)
-    K = backends(s, backend, trials, seed, SAMPLE_EXTENSION)
+    K = route(s, backend, trials, seed, SAMPLE_EXTENSION)
     found = _order_scan(names, K)
     orders = [i for i, _, _ in found]
     witness = [
@@ -488,7 +475,7 @@ def order_sequence(
         orders=tuple(orders),
         labels=_order_labels(series, p, tuple(orders)),
         backend=backend,
-        points=sample_count(K),
+        points=len(K.points),
         witness=tuple(witness),
     )
 
@@ -511,10 +498,10 @@ def frobenius_orders(
         raise ValueError(
             f"{series} lacks the constant member 'one', whose column below_q reads")
     p = ree_params(s)
-    K = backends(s, backend, trials, seed, SAMPLE_EXTENSION)
+    K = route(s, backend, trials, seed, SAMPLE_EXTENSION)
     eps = list(order_sequence(series, s, backend, trials, seed).orders)
     scan = _order_scan(names, K)
-    seed_rows = _lane_rows(K)([K.qpow_value(f) for f in names])
+    seed_rows = zip(*map(K.split, [K.qpow_value(f) for f in names]))
     union: set[int] = set()
     for j, (echelon, vals) in enumerate(zip(scan.echelons, seed_rows)):
         lane = [i for i, hits, _ in scan if j in hits]
@@ -536,5 +523,5 @@ def frobenius_orders(
         omitted_order=eps[omitted],
         below_q=tuple(v for v in nus if v < p.q),
         backend=backend,
-        points=sample_count(K),
+        points=len(K.points),
     )

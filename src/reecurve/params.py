@@ -27,7 +27,14 @@ __all__ = [
     "indices",
     "index_value",
     "Q2",
+    "SAMPLE_EXTENSION",
 ]
+
+# The curve has no places of degree 2 through 5 (its zeta function forces
+# N_k = N_1 for k <= 5): degree 6 is the smallest extension of GF(q) that
+# holds non-rational points.  series.random_point builds them directly,
+# with x in GF(q^2) but not in GF(q): about 1/q^2 of the degree-6 points.
+SAMPLE_EXTENSION = 6
 
 
 class ReeParams(NamedTuple):

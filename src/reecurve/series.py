@@ -35,7 +35,7 @@ equals that point's own expansion.  The sampled route expands its trial
 points this way; a profile expands one point.
 
 An expansion is its route's object, so this module holds no backend:
-only the points route loads it, when backends() samples points or a
+only the points route loads it, when hasse.route samples points or a
 profile expands one.  A point's expansion is exact below its precision:
 q^2 + 1 for the sampled route, which covers every order candidate and
 every catalog read D^i over the window default_window(p), and m + 1 for
@@ -47,7 +47,6 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 
-from reecurve.backends import SAMPLE_EXTENSION, default_window
 from reecurve.gf import (
     FieldContext,
     FieldElement,
@@ -57,11 +56,12 @@ from reecurve.gf import (
     solve_artin_schreier,
 )
 from reecurve.hasse import Expansion, ser_add, ser_mul
-from reecurve.params import ReeParams, ree_params
+from reecurve.params import SAMPLE_EXTENSION, ReeParams, ree_params
 
 __all__ = [
     "CurvePoint",
     "PointExpansion",
+    "default_window",
     "origin_point",
     "rational_point",
     "random_point",
@@ -198,6 +198,16 @@ def _hilbert90(c: FieldElement, q: int) -> FieldElement:
 
 # ---------------------------------------------------------------------------
 # expansions
+
+
+def default_window(p: ReeParams) -> int:
+    """Series window wide enough that no catalog term truncates away.
+
+    At rational points ell has valuation one, so a product with ell^(2q+1)
+    only shows up from exponent 2q+1 on; the window clears that with room
+    for a block of genuinely shared coefficients.
+    """
+    return 2 * p.q + p.q0 + 32
 
 
 class PointExpansion(Expansion):

@@ -186,7 +186,7 @@ def virtual_support(f: str, b: str) -> tuple[SymbolicIndex, ...]:
 
 
 def family_candidate_values(p: ReeParams, names=FAMILY_NAMES) -> list[int]:
-    """Union of the member supports, the candidate pool for order scans."""
+    """Union of the member supports, where some member's derivative may be nonzero."""
     out: set[int] = set()
     for name in names:
         out |= _member_values(name, p.s)

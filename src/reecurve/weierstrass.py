@@ -79,7 +79,6 @@ def _profile_backend(point: CurvePoint) -> PointExpansion:
 def vanishing_orders(series="D", point: CurvePoint | None = None) -> VanishingProfile:
     """Profile of the family at one point by the greedy scan of its rows.
 
-    The candidates are the exponents where some member's row is nonzero.
     A section of D vanishes at a point to order at most deg D = m, so rows
     stop at m.
     """
@@ -88,8 +87,7 @@ def vanishing_orders(series="D", point: CurvePoint | None = None) -> VanishingPr
     names = _family_names(series)
     p = point.params
     K = _profile_backend(point)
-    candidates = set().union(*(K.series(f) for f in names))
-    js = [i for i, _, _ in _scan(K, names, candidates, want=len(names))]
+    js = [i for i, _, _ in _scan(K, names, want=len(names))]
     if len(js) != len(names):
         raise ArithmeticError(
             f"precision shortfall: only {len(js)} of {len(names)} pivots "

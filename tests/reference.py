@@ -34,15 +34,15 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from reecurve.backends import SAMPLE_EXTENSION, backends, sample_count
 from reecurve.gf import frobenius_power
 from reecurve.hasse import (
-    HasseCalculus, binom_mod3, hasse_calculus, ser_add, ser_mul, ser_pow3k,
+    HasseCalculus, binom_mod3, hasse_calculus, route, ser_add, ser_mul, ser_pow3k,
 )
 from reecurve.identities import CheckResult, verify_catalog
-from reecurve.orders import _echelons, _lane_rows, order_sequence
+from reecurve.orders import _echelons, order_sequence
 from reecurve.params import (
-    ReeParams, SymbolicIndex, cube_count, index_value, indices, ree_params,
+    SAMPLE_EXTENSION, ReeParams, SymbolicIndex, cube_count, index_value, indices,
+    ree_params,
 )
 from reecurve.ring import (
     FAMILY_NAMES, PAIRING, QPOWER_RULES, RECIPES, SUBFAMILY_NAMES, CoordinateRing,
@@ -384,7 +384,7 @@ def check_hypersurface(
     A failing residual's witness names the first lane, in seed order,
     where it is nonzero.
     """
-    K = backends(s, backend, trials, seed)
+    K = route(s, backend, trials, seed)
     results = []
     for label, v in hyper_residuals(K):
         ok = K.is_zero(v)
@@ -393,7 +393,7 @@ def check_hypersurface(
             lane = next(j for j in range(K.lanes) if K.describe(v, j) is not None)
             witness = f"lane {lane}: {K.describe(v, lane)}"
         results.append(
-            CheckResult("hypersurface", label, K.kind, ok, sample_count(K), witness))
+            CheckResult("hypersurface", label, K.kind, ok, len(K.points), witness))
     return results
 
 
@@ -408,7 +408,10 @@ def _greedy(K, names, row, pool, seed=None, want=None) -> tuple[int, ...]:
     closure, no closing, stopping after want acceptances.
     """
     echelons = _echelons(K, len(names))
-    lanes = _lane_rows(K)
+
+    def lanes(row):
+        return zip(*map(K.split, row))
+
     if seed is not None:
         for ech, vals in zip(echelons, lanes([seed(f) for f in names])):
             ech.insert(vals)
@@ -620,7 +623,7 @@ def triangular_check(
     """
     if len(rows) != len(cols):
         raise ValueError("rows and cols must have equal length")
-    K = backends(s, backend, trials, seed, SAMPLE_EXTENSION)
+    K = route(s, backend, trials, seed, SAMPLE_EXTENSION)
     n = len(rows)
     entries = [[K.coefficient(f, i) for f in cols] for i in rows]
     for i in range(n):

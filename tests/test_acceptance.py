@@ -16,10 +16,9 @@ import time
 from pathlib import Path
 
 import reecurve.orders
-from reecurve.backends import backends
 from reecurve.cli import main
 from reecurve.gf import field_context
-from reecurve.hasse import binom_mod3, hasse_calculus
+from reecurve.hasse import binom_mod3, hasse_calculus, route
 from reecurve.identities import IDENTITY_CATALOG, verify_catalog
 from reecurve.orders import frobenius_orders, order_sequence
 from reecurve.params import ree_params
@@ -351,7 +350,7 @@ def test_criterion_14_exact_route_at_s4_and_s5():
             assert list(fr.nus) == [v for v in eps if v != 1]
             names = reecurve.orders._family_names(series)
             (echelon,) = reecurve.orders._order_scan(
-                names, backends(s, "symbolic", 1, 0)).echelons
+                names, route(s, "symbolic", 1, 0)).echelons
             assert echelon.full and len(echelon.rows) == len(names) - 1
     dt = time.time() - t0
     _verdict(

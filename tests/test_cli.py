@@ -224,6 +224,28 @@ def test_support_writes_tables(tmp_path, capsys):
             assert emitted == fh.read()
 
 
+@pytest.mark.parametrize("argv", [
+    ["params", "--s", "1"],
+    ["verify", "--s", "1", "--identity", "nu1"],
+], ids=["params", "verify"])
+def test_out_in_a_missing_directory_is_an_error_line(tmp_path, capsys, argv):
+    code = main(argv + ["--out", str(tmp_path / "missing" / "report.json")])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "missing" in err
+
+
+def test_support_out_on_a_file_is_an_error_line(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    target.write_text("")
+    code = main(["support", "--s", "1", "--out", str(target)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(target) in err
+
+
 def test_weierstrass_origin(capsys):
     code, doc = run_json(capsys, ["weierstrass", "--s", "1", "--series", "D"])
     assert code == 0

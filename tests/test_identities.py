@@ -12,7 +12,6 @@ from collections import Counter
 
 import pytest
 
-import reecurve.backends
 import reecurve.hasse as hasse
 import reecurve.identities as identities
 import reecurve.params as params
@@ -32,11 +31,11 @@ from reecurve.identities import (
     instances_for,
     verify_catalog,
 )
-from reecurve.backends import SAMPLE_EXTENSION, backends, default_window
+from reecurve.hasse import route
 from reecurve.orders import order_sequence
-from reecurve.params import SymbolicIndex, index_value, ree_params
+from reecurve.params import SAMPLE_EXTENSION, SymbolicIndex, index_value, ree_params
 from reecurve.ring import FAMILY_NAMES, RECIPES, CurveElement
-from reecurve.series import PointExpansion, random_point, rational_point
+from reecurve.series import PointExpansion, default_window, random_point, rational_point
 from reecurve.support import _member_values, member_support, virtual_support
 
 from reference import (
@@ -87,7 +86,7 @@ def _check_rank_one(s, backend="symbolic", trials=3, seed=0):
     rows = verify_catalog(s, backend, keys=["nu1"], trials=trials, seed=seed)
     assert len(rows) == len(FAMILY_NAMES)
     assert all(r.ok and not r.skipped for r in rows)
-    K = backends(s, backend, trials, seed)
+    K = route(s, backend, trials, seed)
     ell = K.ell_power(1)
     assert all(K.describe(ell, lane) is not None for lane in range(K.lanes))
 
@@ -408,7 +407,7 @@ def test_witness_comes_from_the_first_failing_lane(monkeypatch):
     # the witness is the seed + 1 point's, byte for byte as the one-point
     # route writes it with the same tampering
     s, seed, e = 1, 3, 5
-    monkeypatch.setattr(reecurve.backends, "_BACKENDS", {})
+    monkeypatch.setattr(hasse, "_ROUTES", {})
 
     def tamper(K, bump):
         ser = K.series("w1")
@@ -418,10 +417,10 @@ def test_witness_comes_from_the_first_failing_lane(monkeypatch):
         else:
             ser[e] = v
 
-    K = backends(s, "points", 2, seed)
+    K = route(s, "points", 2, seed)
     field = K.field
     tamper(K, K.ctx.pack([field.zero(), field.one()]))
-    tamper(backends(s, "points", 1, seed + 1), field.one())
+    tamper(route(s, "points", 1, seed + 1), field.one())
 
     def w1_row(trials, at):
         (row,) = [r for r in verify_catalog(s, "points", keys=["nu1"], trials=trials, seed=at)
@@ -458,10 +457,10 @@ def test_window_is_read_off_the_route(s):
     # the exact route reads one coefficient; every point expansion keeps
     # the default window: the catalog's, the order scans' over extension 6
     # and a profile's
-    assert backends(s, "symbolic", 1, 0).window == 1
+    assert route(s, "symbolic", 1, 0).window == 1
     points = [
-        backends(s, "points", 1, 0),
-        backends(s, "points", 2, 0, SAMPLE_EXTENSION),
+        route(s, "points", 1, 0),
+        route(s, "points", 2, 0, SAMPLE_EXTENSION),
         weierstrass._profile_backend(rational_point(s, 0)),
     ]
     assert [K.kind for K in points] == ["points"] * 3
@@ -515,7 +514,7 @@ def test_checks_do_not_depend_on_call_history():
     seed = 23
     fresh = [(label, not v)
              for label, v in hyper_residuals(_point_backend(rational_point(1, seed)))]
-    K = backends(1, "points", 1, seed)
+    K = route(1, "points", 1, seed)
     K.member_d("w8", 40)
     K.shift_d("w6", 200)
     verify_catalog(1, backend="points", trials=1, seed=seed)
@@ -541,7 +540,7 @@ class _CountingRecipes(dict):
 def test_each_member_is_folded_once_per_expansion(monkeypatch):
     recipes = _CountingRecipes()
     monkeypatch.setattr(hasse, "RECIPES", recipes)
-    monkeypatch.setattr(reecurve.backends, "_BACKENDS", {})
+    monkeypatch.setattr(hasse, "_ROUTES", {})
     monkeypatch.setattr(hasse, "_CALC_CACHE", {})
     verify_catalog(2, "points", seed=3, trials=1)
     verify_catalog(1)
@@ -569,7 +568,7 @@ def test_each_leaf_is_read_once_per_backend_per_run(monkeypatch):
     # both routes share the one class, so each run is counted on its own
     for backend in ("points", "symbolic"):
         reads.clear()
-        monkeypatch.setattr(reecurve.backends, "_BACKENDS", {})
+        monkeypatch.setattr(hasse, "_ROUTES", {})
         verify_catalog(2, backend, seed=3, trials=1)
         assert len({K for K, _, _ in reads}) == 1, backend
         assert max(reads.values()) == 1, backend
@@ -619,7 +618,7 @@ def _contents(v):
 def test_backend_operations_leave_their_operands_unchanged(backend, s):
     # a catalog run shares each memoized value across residuals, so an
     # operation that updated an operand in place would corrupt later verdicts
-    K = backends(s, backend, 1, 5)
+    K = route(s, backend, 1, 5)
     rng = random.Random(f"operands:{backend}:{s}")
     reads = []
     for _ in range(3):

@@ -225,6 +225,39 @@ def test_src_holds_only_what_something_runs():
     assert not unread, f"read only by tests: {unread}"
 
 
+def modules_imported(tree: ast.AST, package: str | None = None) -> set[str]:
+    """The reecurve modules a file imports, anywhere in it.
+
+    package names the file's package, for its relative imports.
+    """
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = package if node.level else None
+            module = ".".join(filter(None, [base, node.module]))
+            out.add(module)
+            out |= {f"{module}.{alias.name}" for alias in node.names}
+    return out & MODULES
+
+
+def test_each_module_is_imported_outside_tests():
+    # a module that only tests import belongs in tests/; cli.py imports
+    # every module on purpose, so its imports show no module is run
+    importers = {path: "reecurve" for path in (SRC / "reecurve").glob("*.py")
+                 if path.name != "cli.py"}
+    importers |= {path: None for folder in ("perfbench", "scripts")
+                  for path in (ROOT / folder).glob("*.py")}
+    imported = Counter()
+    for path, package in importers.items():
+        home = f"reecurve.{path.stem}" if package else None
+        imported.update(modules_imported(ast.parse(path.read_text()), package) - {home})
+    entry = {"reecurve", "reecurve.__init__", "reecurve.__main__"}
+    unimported = sorted(MODULES - entry - set(imported))
+    assert not unimported, f"imported only by tests: {unimported}"
+
+
 # ---------------------------------------------------------------------------
 # lazy package exports
 

@@ -10,11 +10,10 @@ import random
 import pytest
 
 import reecurve.orders
-from reecurve.backends import SAMPLE_EXTENSION, backends
 from reecurve.gf import field_context
-from reecurve.hasse import hasse_calculus
+from reecurve.hasse import hasse_calculus, route
 from reecurve.orders import frobenius_orders, order_sequence
-from reecurve.params import index_value, ree_params
+from reecurve.params import SAMPLE_EXTENSION, index_value, ree_params
 from reecurve.ring import CurveElement
 from reecurve.series import random_point
 from reecurve.support import (
@@ -26,6 +25,7 @@ from reecurve.support import (
 
 from reference import (
     D_PROOF_COLS,
+    _greedy,
     D_PROOF_ROWS,
     E_PROOF_ROWS,
     ell_of,
@@ -93,9 +93,9 @@ def test_empty_family_is_refused(backend, monkeypatch):
 
     def spy(*args, **kwargs):
         routes.append(args)
-        return backends(*args, **kwargs)
+        return route(*args, **kwargs)
 
-    monkeypatch.setattr(reecurve.orders, "backends", spy)
+    monkeypatch.setattr(reecurve.orders, "route", spy)
     for call in (order_sequence, frobenius_orders):
         with pytest.raises(ValueError, match="empty family"):
             call((), s=1, backend=backend, trials=2, seed=0)
@@ -152,7 +152,7 @@ def test_below_q_wherever_one_sits(backend):
     # (ell, x^9 ell) has them too, but with no `one` there is no column for
     # the below-q rule to read, so the family is refused
     names, pool = _pool(1, ("x", "w1"))
-    K = backends(1, backend, 2, 0, SAMPLE_EXTENSION)
+    K = route(1, backend, 2, 0, SAMPLE_EXTENSION)
     assert morphism_scan(K, names, pool) == (0, 9)
     with pytest.raises(ValueError, match="constant member 'one'"):
         frobenius_orders(("x", "w1"), s=1, backend=backend, trials=2, seed=0)
@@ -175,7 +175,7 @@ def test_points_backend_e_and_frobenius_s1():
     assert fr.below_q == (0, 3, 6, 9)
 
 
-# -- level two, points backend (sample points shared through backends())
+# -- level two, points backend (sample points shared through hasse.route)
 
 
 def test_points_backend_s2_matches_theory():
@@ -208,11 +208,11 @@ def test_scans_share_one_backend(monkeypatch):
     seen = []
 
     def spy(*args, **kwargs):
-        K = backends(*args, **kwargs)
+        K = route(*args, **kwargs)
         seen.append(K)
         return K
 
-    monkeypatch.setattr(reecurve.orders, "backends", spy)
+    monkeypatch.setattr(reecurve.orders, "route", spy)
     order_sequence("E", s=1, backend="points", trials=2, seed=8)
     K = seen[0]
     # one expansion holds both points, lane j at seed 8 + j
@@ -223,7 +223,7 @@ def test_scans_share_one_backend(monkeypatch):
     # expansion, so member series are expanded once, for both points
     assert len(seen) == 3
     assert all(K2 is K for K2 in seen)
-    assert K is backends(1, "points", 2, 8, 6)
+    assert K is route(1, "points", 2, 8, 6)
 
 
 # -- the exact echelon against the full cross-multiplication it replaces
@@ -249,7 +249,7 @@ class _CrossMultiplyEchelon:
         if not live:
             return None
         pivot = min(live, key=lambda k: (len(vec[k]), k))
-        self.rows.append((pivot, vec))
+        self.rows.append((pivot, list(vec)))
         return pivot
 
     def spanned_at(self, vec):
@@ -347,8 +347,8 @@ def test_closing_verdicts_are_the_reduction_verdicts(monkeypatch, s, series):
     # last order the pivot, that a reduction through the stored rows gives
     monkeypatch.setattr(reecurve.orders, "_SymbolicEchelon", _ClosingTwin)
     _ClosingTwin.decided = []
-    names, pool = _pool(s, series)
-    found = reecurve.orders._scan(backends(s, "symbolic", 1, 0), names, pool,
+    names = reecurve.orders._family_names(series)
+    found = reecurve.orders._scan(route(s, "symbolic", 1, 0), names,
                                   want=len(names), closure=True)
     assert [i for i, _, _ in found] == order_values(ree_params(s), series)
     (echelon,) = found.echelons
@@ -364,7 +364,7 @@ def test_pairing_row_annihilates_the_rows_below_the_last_order(s, series):
     # the osculating hyperplane at the generic point, exactly: it meets
     # the rows of the first n-1 orders and not the row of q^2
     names = reecurve.orders._family_names(series)
-    K = backends(s, "symbolic", 1, 0)
+    K = route(s, "symbolic", 1, 0)
     c = reecurve.orders._pairing_row(K, names)
     eps = order_values(ree_params(s), series)
     assert eps[-1] == ree_params(s).q ** 2
@@ -373,9 +373,9 @@ def test_pairing_row_annihilates_the_rows_below_the_last_order(s, series):
 
 
 def test_family_without_the_seven_keeps_the_reduction():
-    names, pool = _pool(1, ("one", "x", "w1"))
-    K = backends(1, "symbolic", 1, 0)
-    raw = reecurve.orders._scan(K, names, pool, want=len(names))
+    names = ("one", "x", "w1")
+    K = route(1, "symbolic", 1, 0)
+    raw = reecurve.orders._scan(K, names, want=len(names))
     closed = reecurve.orders._order_scan(names, K)
     (echelon,) = closed.echelons
     assert echelon.kernel is None and not echelon.full
@@ -386,17 +386,17 @@ def test_family_without_the_seven_keeps_the_reduction():
 def test_close_takes_only_an_exact_kernel():
     # an E echelon of six rows closes on the pairing row, and on nothing
     # that is zero or fails to annihilate a stored row
-    names, pool = _pool(1, "E")
-    K = backends(1, "symbolic", 1, 0)
+    names = reecurve.orders._family_names("E")
+    K = route(1, "symbolic", 1, 0)
     c = reecurve.orders._pairing_row(K, names)
-    six = reecurve.orders._scan(K, names, pool, want=len(names) - 1)
+    six = reecurve.orders._scan(K, names, want=len(names) - 1)
     (echelon,) = six.echelons
     zero = K.coefficient("one", 0).ring.zero()
     assert not echelon.close([zero] * len(names))
     assert not echelon.close(c[:-1] + [c[-1] + K.coefficient("one", 0)])
     assert echelon.kernel is None
     assert echelon.close(c) and echelon.kernel is c
-    short = reecurve.orders._scan(K, names, pool, want=len(names) - 2)
+    short = reecurve.orders._scan(K, names, want=len(names) - 2)
     assert not short.echelons[0].close(c)
 
 
@@ -406,7 +406,7 @@ def test_full_echelon_spans_every_row(series):
     # rows), but a row outside the stored rows' span lies in the span of
     # all n rows of a closed scan, the last one unstored
     names = reecurve.orders._family_names(series)
-    K = backends(1, "symbolic", 1, 0)
+    K = route(1, "symbolic", 1, 0)
     (echelon,) = reecurve.orders._order_scan(names, K).echelons
     assert echelon.full
     last = [K.coefficient(f, ree_params(1).q ** 2) for f in names]
@@ -453,6 +453,12 @@ class _Offered:
         self.seen.add(i)
         return self.K.coefficient(f, i)
 
+    def series(self, f):
+        return self.K.series(f)
+
+    def split(self, c):
+        return self.K.split(c)
+
 
 def _pool(s, series):
     names = reecurve.orders._family_names(series)
@@ -463,9 +469,9 @@ def _pool(s, series):
 def test_closure_scan_equals_the_raw_scan(s, series):
     # skipping the candidates closure rejects changes no accepted index,
     # no pivot and no hit list
-    names, pool = _pool(s, series)
-    K = backends(s, "symbolic", 1, 0)
-    raw = reecurve.orders._scan(K, names, pool, want=len(names))
+    names = reecurve.orders._family_names(series)
+    K = route(s, "symbolic", 1, 0)
+    raw = reecurve.orders._scan(K, names, want=len(names))
     closed = reecurve.orders._order_scan(names, K)
     assert [(i, tuple(hits), pivot) for i, hits, pivot in raw] == list(closed)
 
@@ -476,8 +482,8 @@ def test_minimal_non_orders_reach_the_echelon(s, series):
     # the echelon itself still rejects every minimal non-order in the pool
     names, pool = _pool(s, series)
     p = ree_params(s)
-    spy = _Offered(backends(s, "symbolic", 1, 0))
-    found = reecurve.orders._scan(spy, names, pool, want=len(names), closure=True)
+    spy = _Offered(route(s, "symbolic", 1, 0))
+    found = reecurve.orders._scan(spy, names, want=len(names), closure=True)
     assert [i for i, _, _ in found] == order_values(p, series)
     minimal = {index_value(ix, p) for ix in minimal_non_orders(series)} & set(pool)
     assert minimal and minimal <= spy.seen
@@ -493,12 +499,12 @@ def test_frobenius_pool_equals_the_full_pool(s, series):
     # scan over the full pool takes, and the omitted order is the one the
     # closed form omits (for a tuple family, the one its raw scan omits)
     names, pool = _pool(s, series)
-    K = backends(s, "symbolic", 1, 0)
+    K = route(s, "symbolic", 1, 0)
     nus = seeded_scan(K, names, pool)
     if series in ("D", "E"):
         eps = order_values(ree_params(s), series)
     else:
-        eps = [i for i, _, _ in reecurve.orders._scan(K, names, pool)]
+        eps = [i for i, _, _ in reecurve.orders._scan(K, names)]
     (omitted,) = set(eps) - set(nus)
     fr = frobenius_orders(series, s=s, backend="symbolic")
     assert (fr.nus, fr.omitted_order, fr.omitted_index) == (
@@ -518,7 +524,7 @@ def test_frobenius_orders_equal_the_reference_scans(backend, s, trials, seed):
     # on both routes, the union rule over the lanes' order echelons gives
     # what the seeded scan takes, and below_q what the scan of the morphism
     # (f^q - f)_f takes, wherever `one` sits in the family
-    K = backends(s, backend, trials, seed, SAMPLE_EXTENSION)
+    K = route(s, backend, trials, seed, SAMPLE_EXTENSION)
     for series in ("D", "E", ("one", "x", "w1"), ("w1", "x", "one")):
         names, pool = _pool(s, series)
         nus = seeded_scan(K, names, pool)
@@ -528,6 +534,20 @@ def test_frobenius_orders_equal_the_reference_scans(backend, s, trials, seed):
         assert (fr.nus, fr.omitted_order, fr.omitted_index, fr.below_q) == (
             nus, omitted, eps.index(omitted), morphism_scan(K, names, pool)
         )
+
+
+@pytest.mark.parametrize("backend,s,trials,seed",
+                         [(backend, s, 2, 0) for backend in ("symbolic", "points")
+                          for s in (1, 2, 3)])
+def test_order_scan_equals_the_greedy_scan_over_the_support_pool(backend, s, trials, seed):
+    # the order scan offers the exponents of the members' series; the plain
+    # greedy scan over the pool of the support rules, with no closure and
+    # no closing, takes the same orders on both routes
+    K = route(s, backend, trials, seed, SAMPLE_EXTENSION)
+    for series in ("D", "E", ("one", "x", "w1"), ("w1", "x", "one")):
+        names, pool = _pool(s, series)
+        greedy = _greedy(K, names, K.coefficient, pool, want=len(names))
+        assert tuple(i for i, _, _ in reecurve.orders._order_scan(names, K)) == greedy
 
 
 def test_frobenius_orders_take_the_union_over_lanes(monkeypatch):
@@ -558,7 +578,7 @@ def test_exact_frobenius_runs_no_seeded_scan(monkeypatch, series):
     scan = reecurve.orders._scan
 
     def spy(*args, **kwargs):
-        calls.append((args[3:], kwargs))
+        calls.append((args[2:], kwargs))
         return scan(*args, **kwargs)
 
     for backend in ("symbolic", "points"):
@@ -632,7 +652,7 @@ def test_point_echelon_stores_what_field_elements_store(m, seed):
     ref = _FieldElementEchelon()
     pivots = []
     for vec in rows:
-        got = fast.insert([a.packed for a in vec])
+        got = fast.insert(vec)
         assert got == ref.insert(vec)
         pivots.append(got)
         assert fast.rows == _packed_rows(ref)

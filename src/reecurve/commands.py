@@ -7,7 +7,8 @@ payloads are decimal strings because order values grow past 2^63 for
 large s and not every JSON consumer keeps integers exact.
 
 Exit codes: 0 success, 1 verification failure, computation error or an
-output path that cannot be written, 2 usage error.
+output path that cannot be written (tried before a route is run), 2 usage
+error.
 
 Each handler imports its own route's modules when it runs, so a command
 loads only what it executes (reecurve.cli loads the whole package up
@@ -96,6 +97,17 @@ def _json_text(payload: dict) -> str:
     return json.dumps(body, sort_keys=True, indent=2) + "\n"
 
 
+def _check_out(args) -> None:
+    """Raise, before the run, the OSError that writing --out would raise;
+    appending leaves a file as it was, and a file made here is removed."""
+    if args.out:
+        path = Path(args.out)
+        made = not path.exists()
+        path.open("a").close()
+        if made:
+            path.unlink()
+
+
 def _emit(args, payload: dict, text_lines: list[str], csv_text: Optional[str]) -> None:
     if args.format == "json":
         out = _json_text(payload)
@@ -169,6 +181,7 @@ def cmd_verify(args, parser) -> int:
         for key in keys:
             if key not in known:
                 parser.error(f"unknown identity {key!r}")
+    _check_out(args)
     results = identities.verify_catalog(
         args.s,
         _BACKENDS[args.backend],
@@ -236,6 +249,7 @@ def cmd_orders(args, parser) -> int:
     if args.backend == "symbolic":
         _refuse_given(args, parser, ("seed", "trials"), "by the exact route")
     config = _config(args, parser)
+    _check_out(args)
     seq = orders.order_sequence(
         args.series,
         s=args.s,
@@ -316,6 +330,7 @@ def cmd_weierstrass(args, parser) -> int:
     if args.point == "origin":
         _refuse_given(args, parser, ("seed",), "at the origin")
     config = _config(args, parser)
+    _check_out(args)
     seed_used = None if args.point == "origin" else args.seed
     if args.point == "origin":
         pt = series.origin_point(args.s)

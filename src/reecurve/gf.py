@@ -28,7 +28,9 @@ The modulus for each degree is pinned so that any two runs (and any two
 machines) agree on element encodings: it is the monic irreducible whose
 non-leading coefficient vector, read as a base-3 integer with the constant
 term least significant, is smallest.  ``code()`` is that same base-3
-reading of an element.
+reading of an element.  The search runs Ben-Or's irreducibility test on
+packed candidates in that order; it drops a candidate at its smallest
+factor (Gao-Panario, Finite Fields and Applications, 1997).
 
 Beyond the ring operations the module provides the two maps the curve
 machinery needs: iterated cube (Frobenius powers) and a deterministic
@@ -48,92 +50,6 @@ __all__ = [
     "frobenius_power",
     "solve_artin_schreier",
 ]
-
-
-# ---------------------------------------------------------------------------
-# dense GF(3)[t] helpers, little-endian coefficient lists (modulus search)
-
-
-def _ptrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmod(a: Sequence[int], f: Sequence[int]) -> list[int]:
-    r = list(a)
-    df = len(f) - 1
-    inv_lead = pow(f[-1], -1, 3)
-    while len(r) - 1 >= df and r:
-        lead = r[-1]
-        if lead:
-            coef = (lead * inv_lead) % 3
-            shift = len(r) - 1 - df
-            for i, fi in enumerate(f):
-                r[i + shift] = (r[i + shift] - coef * fi) % 3
-        _ptrim(r)
-    return r
-
-
-def _pgcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pmod(a, b)
-    if a:
-        inv = pow(a[-1], -1, 3)
-        a = [(c * inv) % 3 for c in a]
-    return a
-
-
-def _is_irreducible(f: list[int]) -> bool:
-    m = len(f) - 1
-    if m < 2:
-        return m == 1
-    # t^(3^m) == t mod f, and gcd(t^(3^(m/p)) - t, f) == 1 for prime p | m.
-    ring = _Quotient(f)
-    checks = {m // p for p in _prime_factors(m)}
-    t = x = 1 << 8
-    powers = []
-    for j in range(1, m + 1):
-        x = ring._mulmod(ring._mulmod(x, x), x)
-        if j in checks:
-            powers.append(x)
-    if x != t:
-        return False
-    for tp in powers:
-        diff = list(tp.to_bytes(m, "little"))
-        diff[1] = (diff[1] - 1) % 3
-        if len(_pgcd(_ptrim(diff), f)) != 1:
-            return False
-    return True
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _smallest_modulus(m: int) -> tuple[int, ...]:
-    """Monic irreducible of degree m whose low-coefficient code is minimal."""
-    for n in range(3**m):
-        coeffs = []
-        k = n
-        for _ in range(m):
-            coeffs.append(k % 3)
-            k //= 3
-        f = coeffs + [1]
-        if _is_irreducible(list(f)):
-            return tuple(f)
-    raise ArithmeticError(f"no irreducible of degree {m} found")
 
 
 # ---------------------------------------------------------------------------
@@ -176,33 +92,42 @@ def _kmul(a: int, b: int, n: int, c: int = 0) -> int:
     return _mod3(c + a * b, n)
 
 
-def _barrett_mu(f: Sequence[int]) -> list[int]:
-    """Coefficients of floor(t^(2m-2) / f) for monic f of degree m."""
-    m = len(f) - 1
-    r = [0] * (2 * m - 2) + [1]
-    q = [0] * (m - 1)
-    for i in range(2 * m - 2, m - 1, -1):
-        c = r[i]
-        if c:
-            q[i - m] = c
-            for j, fj in enumerate(f):
-                r[i - m + j] = (r[i - m + j] - c * fj) % 3
-    return q
+def _from_code(code: int, m: int) -> int:
+    """The packed element whose base-3 code is code."""
+    trits = bytearray(m)
+    for i in range(m):
+        code, trits[i] = divmod(code, 3)
+    return _from_bytes(trits, "little")
+
+
+def _divmod(a: int, f: int) -> tuple[int, int]:
+    """Quotient and remainder of packed a by packed f != 0, by long division:
+    f's leading trit is its own inverse mod 3, so each quotient trit is the
+    product of the two leading trits."""
+    df = (f.bit_length() - 1) >> 3
+    lead = f >> 8 * df
+    minus = (0, _neg3(f, df + 1), f)  # -c*f for the quotient trit c
+    q = 0
+    while (d := (a.bit_length() - 1) >> 3) >= df:
+        c = (a >> 8 * d) * lead % 3
+        q |= c << 8 * (d - df)
+        a = _mod3(a + (minus[c] << 8 * (d - df)), d + 1)
+    return q, a
 
 
 class _Quotient:
-    """GF(3)[t]/(f) for monic f of degree m >= 1, on packed residues."""
+    """GF(3)[t]/(f) for packed monic f of degree m >= 1, on packed residues."""
 
-    def __init__(self, f: Sequence[int]):
-        m = len(f) - 1
+    def __init__(self, f: int):
+        m = (f.bit_length() - 1) >> 3
         self.m = m
-        self.modulus = tuple(f)
+        self.modulus = tuple(f.to_bytes(m + 1, "little"))
         self._bits = 8 * m
         self._mask = (1 << self._bits) - 1
         self._wide = 2 * m  # bytes of a product before reduction mod f
-        self._mu = _pack(_barrett_mu(f))
+        self._mu = _divmod(1 << 8 * (2 * m - 2), f)[0]  # floor(t^(2m-2) / f)
         self._qshift = 8 * max(m - 2, 0)
-        self._tm = _pack([-c % 3 for c in f[:m]])  # t^m mod f
+        self._tm = _neg3(f & self._mask, m)  # t^m mod f
 
     def _mulmod(self, a: int, b: int) -> int:
         """a*b mod f.  Polynomial Barrett reduction needs no correction:
@@ -218,6 +143,35 @@ class _Quotient:
 
 
 # ---------------------------------------------------------------------------
+# the modulus search: Ben-Or's test on packed candidates
+
+
+def _is_irreducible(f: int) -> bool:
+    """Ben-Or's test (FOCS 1981) of a packed monic f of degree m.
+
+    A reducible f has an irreducible factor of some degree d <= m/2, which
+    divides t^(3^d) - t; so f is irreducible iff gcd(t^(3^d) - t, f) = 1
+    for every d <= m/2.  The loop stops at the smallest factor's degree.
+    """
+    ring = _Quotient(f)
+    x = 1 << 8  # t
+    for _ in range(ring.m // 2):
+        x = ring._mulmod(ring._mulmod(x, x), x)
+        a, b = f, _mod3(x + (2 << 8), ring.m)  # x - t = x + 2t
+        while b:
+            a, b = b, _divmod(a, b)[1]
+        if a >> 8:
+            return False
+    return True
+
+
+def _smallest_modulus(m: int) -> int:
+    """Packed monic irreducible of degree m whose low-coefficient code is minimal."""
+    candidates = (_from_code(code, m) | 1 << 8 * m for code in range(3**m))
+    return next(filter(_is_irreducible, candidates))
+
+
+# ---------------------------------------------------------------------------
 
 
 class FieldElement:
@@ -228,11 +182,6 @@ class FieldElement:
     def __init__(self, ctx: "FieldContext", packed: int):
         self.ctx = ctx
         self.packed = packed
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        """Coefficients in the power basis, constant term first."""
-        return tuple(self.packed.to_bytes(self.ctx.m, "little"))
 
     def is_zero(self) -> bool:
         return not self.packed
@@ -287,12 +236,18 @@ class FieldElement:
 _TABLE_ORDER = 3**7
 
 
-def _from_code(code: int, m: int) -> int:
-    """The packed element whose base-3 code is code."""
-    trits = bytearray(m)
-    for i in range(m):
-        code, trits[i] = divmod(code, 3)
-    return _from_bytes(trits, "little")
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 class FieldContext(_Quotient):

@@ -17,8 +17,7 @@ field width S is the bit length of 3q.  The fields of a normal form are
 below q and 2^S > 3(q-1), so adding two keys multiplies the monomials and
 3*key is the Frobenius cube, with no carry between fields.  A product is
 one int add and one dict update per term pair; the mod 3 and the fold of
-y- and z-degrees >= q are left to ``CoordinateRing.reduce``.  The
-{(a, b, c): coeff} view ``terms`` is derived on demand.
+y- and z-degrees >= q are left to ``CoordinateRing.reduce``.
 
 The fourteen functions spanning the canonical very ample series are stated
 by two level-free tables: RECIPES builds each member from earlier ones,
@@ -47,12 +46,6 @@ class CurveElement:
     def __init__(self, ring: "CoordinateRing", packed: dict[int, int]):
         self.ring = ring
         self.packed = packed
-
-    @property
-    def terms(self) -> dict[Monomial, int]:
-        """The terms as a fresh {(a, b, c): coeff} dict."""
-        unpack = self.ring.unpack
-        return {unpack(k): v for k, v in self.packed.items()}
 
     # -- predicates
 

@@ -24,17 +24,24 @@ the package computes by another route, so that agreement is evidence:
   order echelons: the greedy scan seeded with the row (f^q)_f over the
   full pool, and the scan below q of the morphism (f^q - f)_f over the
   members other than ``one``;
+* ``rabin_modulus`` finds the pinned modulus of GF(3^m) by Rabin's
+  irreducibility test on coefficient lists, where ``gf`` runs Ben-Or's
+  test on packed ints; ``_pmod`` reduces a coefficient list;
 * the proof pieces, steps of the paper's proof that no command runs:
   ``proof_matrix``, ``triangular_check``, ``padic_closure_check``,
   ``binom_support``, ``rejection_witnesses``, ``rejection_report``,
   ``pole_order``, ``support_soundness`` and the ``osculating_`` pair.
+
+``terms`` and ``coeffs`` read an element's terms or coordinates as plain
+tuples, for tests that compare with such references.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Sequence
 
-from reecurve.gf import frobenius_power
+from reecurve.gf import _pack, _prime_factors, _Quotient, frobenius_power
 from reecurve.hasse import (
     HasseCalculus, binom_mod3, hasse_calculus, route, ser_add, ser_mul, ser_pow3k,
 )
@@ -52,6 +59,17 @@ from reecurve.series import CurvePoint, PointExpansion
 from reecurve.support import _member_values, minimal_non_orders, order_values
 
 Table = dict[int, CurveElement]
+
+
+def terms(f: CurveElement) -> dict[Monomial, int]:
+    """The terms of f as a fresh {(a, b, c): coeff} dict."""
+    unpack = f.ring.unpack
+    return {unpack(k): v for k, v in f.packed.items()}
+
+
+def coeffs(a) -> tuple[int, ...]:
+    """Coordinates of a field element in the power basis, constant term first."""
+    return tuple(a.packed.to_bytes(a.ctx.m, "little"))
 
 
 def scale(v: CurveElement, c: int) -> CurveElement:
@@ -192,7 +210,7 @@ class HasseReference:
         x_shift = 2 * ring.width
         raw: dict[int, int] = {}
         get = raw.get
-        for (a, b, c), coeff in f.terms.items():
+        for (a, b, c), coeff in terms(f).items():
             for i1 in binom_support(a):
                 if i1 > i:
                     break
@@ -206,7 +224,7 @@ class HasseReference:
     def element_table(self, f: CurveElement) -> Table:
         """Full derivative table of an arbitrary normal form."""
         out: Table = {}
-        for (a, b, c), coeff in f.terms.items():
+        for (a, b, c), coeff in terms(f).items():
             part = ser_mul(self._x_power_table(a), self._y_power(b), self.prec)
             part = ser_mul(part, self._z_power(c), self.prec)
             if coeff != 1:
@@ -250,7 +268,7 @@ def evaluate(f: CurveElement, vx, vy, vz):
         return pw[key]
 
     total = ctx.zero()
-    for (a, b, c), v in f.terms.items():
+    for (a, b, c), v in terms(f).items():
         term = ctx.from_code(v)
         if a:
             term = term * cached(0, vx, a)
@@ -499,7 +517,7 @@ def pole_order(f: CurveElement, depth: int = 8) -> int:
     p = f.ring.p
     best = -1
     count = 0
-    for mono in f.terms:
+    for mono in terms(f):
         t = _term_pole(p, mono)
         if t > best:
             best, count = t, 1
@@ -717,3 +735,75 @@ def rejection_report(
         }
         report.append(row)
     return report
+
+
+# ---------------------------------------------------------------------------
+# the modulus search by Rabin's test, on little-endian coefficient lists
+
+
+def _ptrim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _pmod(a: Sequence[int], f: Sequence[int]) -> list[int]:
+    r = list(a)
+    df = len(f) - 1
+    inv_lead = pow(f[-1], -1, 3)
+    while len(r) - 1 >= df and r:
+        lead = r[-1]
+        if lead:
+            coef = (lead * inv_lead) % 3
+            shift = len(r) - 1 - df
+            for i, fi in enumerate(f):
+                r[i + shift] = (r[i + shift] - coef * fi) % 3
+        _ptrim(r)
+    return r
+
+
+def _pgcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, _pmod(a, b)
+    if a:
+        inv = pow(a[-1], -1, 3)
+        a = [(c * inv) % 3 for c in a]
+    return a
+
+
+def rabin_is_irreducible(f: list[int]) -> bool:
+    m = len(f) - 1
+    if m < 2:
+        return m == 1
+    # t^(3^m) == t mod f, and gcd(t^(3^(m/p)) - t, f) == 1 for prime p | m.
+    ring = _Quotient(_pack(f))
+    checks = {m // p for p in _prime_factors(m)}
+    t = x = 1 << 8
+    powers = []
+    for j in range(1, m + 1):
+        x = ring._mulmod(ring._mulmod(x, x), x)
+        if j in checks:
+            powers.append(x)
+    if x != t:
+        return False
+    for tp in powers:
+        diff = list(tp.to_bytes(m, "little"))
+        diff[1] = (diff[1] - 1) % 3
+        if len(_pgcd(_ptrim(diff), f)) != 1:
+            return False
+    return True
+
+
+def rabin_modulus(m: int) -> tuple[int, ...]:
+    """Monic irreducible of degree m whose low-coefficient code is minimal."""
+    for n in range(3**m):
+        coeffs = []
+        k = n
+        for _ in range(m):
+            coeffs.append(k % 3)
+            k //= 3
+        f = coeffs + [1]
+        if rabin_is_irreducible(list(f)):
+            return tuple(f)
+    raise ArithmeticError(f"no irreducible of degree {m} found")

@@ -246,6 +246,39 @@ def test_support_out_on_a_file_is_an_error_line(tmp_path, capsys):
     assert str(target) in err
 
 
+@pytest.mark.parametrize("argv,route", [
+    (["verify", "--s", "1"], "reecurve.identities.verify_catalog"),
+    (["orders", "--s", "1"], "reecurve.orders.order_sequence"),
+    (["weierstrass", "--s", "1", "--point", "generic"],
+     "reecurve.weierstrass.vanishing_orders"),
+], ids=["verify", "orders", "weierstrass"])
+def test_unwritable_out_fails_before_the_run(tmp_path, capsys, monkeypatch, argv, route):
+    def run(*args, **kwargs):
+        raise AssertionError("the route ran before --out was checked")
+
+    monkeypatch.setattr(route, run)
+    code = main(argv + ["--out", str(tmp_path / "missing" / "x.json")])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "missing" in err
+
+
+def test_a_failed_run_leaves_the_out_path_as_it_was(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ArithmeticError("forced failure")
+
+    monkeypatch.setattr("reecurve.identities.verify_catalog", fail)
+    report = tmp_path / "report.json"
+    argv = ["verify", "--s", "1", "--out", str(report)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: forced failure\n"
+    assert not report.exists()
+    report.write_text("an earlier report\n")
+    assert main(argv) == 1
+    assert report.read_text() == "an earlier report\n"
+
+
 def test_weierstrass_origin(capsys):
     code, doc = run_json(capsys, ["weierstrass", "--s", "1", "--series", "D"])
     assert code == 0

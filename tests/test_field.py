@@ -7,14 +7,16 @@ from hypothesis import strategies as st
 from reecurve.gf import (
     FieldElement,
     Lanes,
-    _pmod,
+    _is_irreducible,
+    _pack,
     _Quotient,
+    _smallest_modulus,
     field_context,
     frobenius_power,
     solve_artin_schreier,
 )
 
-from reference import power
+from reference import _pmod, coeffs, power, rabin_is_irreducible, rabin_modulus
 
 
 def _gen(ctx):
@@ -27,7 +29,7 @@ def test_canonical_modulus_gf9():
     ctx = field_context(2)
     assert ctx.modulus == (1, 0, 1)
     t = _gen(ctx)
-    assert (t * t).coeffs == (2, 0)  # t^2 = -1 = 2
+    assert coeffs(t * t) == (2, 0)  # t^2 = -1 = 2
 
 
 def test_canonical_modulus_gf27():
@@ -49,6 +51,50 @@ def test_modulus_is_irreducible_by_order():
         for d in (1, 2, 3):
             if d < m and m % d == 0:
                 assert ctx.frobenius(t, d) != t
+
+
+def _poly(code, m):
+    """The monic coefficient list of degree m whose low coefficients read code."""
+    return [code // 3**i % 3 for i in range(m)] + [1]
+
+
+def test_irreducibility_test_matches_rabins_on_every_small_polynomial():
+    # every monic polynomial of degree 1 to 7, squares and products of
+    # equal-degree factors among them
+    for m in range(1, 8):
+        for code in range(3**m):
+            f = _poly(code, m)
+            assert _is_irreducible(_pack(f)) == rabin_is_irreducible(f), f
+    assert not _is_irreducible(_pack([0, 0, 1]))  # t^2
+    assert not _is_irreducible(_pack([1, 0, 2, 0, 1]))  # (t^2 + 1)^2
+    assert not _is_irreducible(_pack([2, 0, 0, 0, 1]))  # (t^2 + 1)(t^2 + 2)
+
+
+def test_smallest_modulus_matches_rabins_search():
+    for m in range(1, 61):
+        assert _Quotient(_smallest_modulus(m)).modulus == rabin_modulus(m), m
+
+
+# the codes of the moduli that Rabin's search pinned at degrees where
+# rerunning it takes seconds (about 2 s at m = 150 and 7 s at m = 246)
+@pytest.mark.parametrize("m,code", [(126, 37), (150, 356), (201, 143), (246, 382)])
+def test_large_moduli_stay_pinned(m, code):
+    assert tuple(_smallest_modulus(m).to_bytes(m + 1, "little")) == tuple(_poly(code, m))
+
+
+def test_modulus_search_stops_at_the_smallest_factor(monkeypatch):
+    # Ben-Or's test at m = 150 takes 1,940 products; Rabin's full test,
+    # 2m products on each of the 357 candidates, took 107,100
+    calls = []
+    mulmod = _Quotient._mulmod
+
+    def counted(self, a, b):
+        calls.append(1)
+        return mulmod(self, a, b)
+
+    monkeypatch.setattr(_Quotient, "_mulmod", counted)
+    _smallest_modulus(150)
+    assert len(calls) < 10_000
 
 
 def test_code_round_trip():
@@ -198,7 +244,7 @@ def test_artin_schreier_returns_the_reference_representative(m, e):
     cols = []
     for j in range(m):
         b = ctx.from_code(3**j)
-        cols.append((frobenius_power(b, e) - b).coeffs)
+        cols.append(coeffs(frobenius_power(b, e) - b))
     rows = [[col[i] for col in cols] for i in range(m)]
     theta = next(b for b in (ctx.from_code(3**j) for j in range(m))
                  if not _trace(b, e).is_zero())
@@ -209,7 +255,7 @@ def test_artin_schreier_returns_the_reference_representative(m, e):
         # a random c, mostly unsolvable, and one that is solvable
         for c in (ctx.random_element(rng), frobenius_power(v, e) - v):
             got = solve_artin_schreier(c, 3**e)
-            if _solve_gf3(rows, list(c.coeffs)) is None:
+            if _solve_gf3(rows, list(coeffs(c))) is None:
                 assert got is None
             else:
                 assert got is not None
@@ -237,8 +283,8 @@ def _pmul(a, b):
     return out
 
 
-def _reduced(ctx, coeffs):
-    c = _pmod(coeffs, ctx.modulus)
+def _reduced(ctx, poly):
+    c = _pmod(poly, ctx.modulus)
     return tuple(c) + (0,) * (ctx.m - len(c))
 
 
@@ -250,29 +296,29 @@ def test_packed_ops_match_schoolbook(m):
     rng = random.Random(f"packed:{m}")
     xs = [ctx.random_element(rng) for _ in range(8)] + [ctx.from_code(ctx.order - 1)]
     for a, b in zip(xs, xs[1:] + xs[:1]):
-        ac, bc = list(a.coeffs), list(b.coeffs)
-        assert (a * b).coeffs == _reduced(ctx, _pmul(ac, bc))
+        ac, bc = list(coeffs(a)), list(coeffs(b))
+        assert coeffs(a * b) == _reduced(ctx, _pmul(ac, bc))
         # the all-2 square puts 4m into the middle byte of the product
-        assert (a * a).coeffs == _reduced(ctx, _pmul(ac, ac))
-        assert (a + b).coeffs == tuple((x + y) % 3 for x, y in zip(ac, bc))
-        assert (a - b).coeffs == tuple((x - y) % 3 for x, y in zip(ac, bc))
-        assert (-a).coeffs == tuple(-x % 3 for x in ac)
+        assert coeffs(a * a) == _reduced(ctx, _pmul(ac, ac))
+        assert coeffs(a + b) == tuple((x + y) % 3 for x, y in zip(ac, bc))
+        assert coeffs(a - b) == tuple((x - y) % 3 for x, y in zip(ac, bc))
+        assert coeffs(-a) == tuple(-x % 3 for x in ac)
         cube = _reduced(ctx, _pmul(_pmul(ac, ac), ac))
-        assert frobenius_power(a, 1).coeffs == cube
+        assert coeffs(frobenius_power(a, 1)) == cube
         assert frobenius_power(frobenius_power(a, 1), 1) == frobenius_power(a, 2)
         # a^(3^(m-1)) is the cube root of a
-        root = frobenius_power(a, m - 1).coeffs
-        assert _reduced(ctx, _pmul(_pmul(root, root), root)) == a.coeffs
+        root = coeffs(frobenius_power(a, m - 1))
+        assert _reduced(ctx, _pmul(_pmul(root, root), root)) == coeffs(a)
         assert frobenius_power(a, m // 2 + 1) == frobenius_power(
             frobenius_power(a, m // 2), 1
         )
         if not a.is_zero():
-            inv = a.inverse().coeffs
+            inv = coeffs(a.inverse())
             assert _reduced(ctx, _pmul(ac, inv)) == (1,) + (0,) * (m - 1)
         code = a.code()
         assert code == sum(c * 3**i for i, c in enumerate(ac))
         assert ctx.from_code(code) == a
-        assert (a + power(_gen(ctx), m + 1)).coeffs == _reduced(ctx, ac + [0, 1])
+        assert coeffs(a + power(_gen(ctx), m + 1)) == _reduced(ctx, ac + [0, 1])
     with pytest.raises(ZeroDivisionError):
         ctx.zero().inverse()
 

@@ -1,13 +1,15 @@
 """Time the identity catalog, identity by identity.
 
-Useful when comparing backends: prints a per-identity wall-clock table,
-slowest first, plus the overall verdict.  Backends are built once per
-route and then shared.  On the points route the first key's time
-includes sampling the points; each point has one expansion, and a key's
-time includes building, once, the member series, shifts and lifts it is
-the first to read, at depth q^2 + 1.  Later keys read them.  Each key
-is its own catalog run, so the per-key runs do not share the memo of
-evaluated terms: a leaf read by several keys is evaluated once in each.
+Useful when comparing backends: prints a per-identity table of processor
+time, slowest first, plus the overall verdict.  The times are
+time.process_time, which a busy shared machine moves far less than wall
+time.  Backends are built once per route and then shared.  On the points
+route the first key's time includes sampling the points; each point has
+one expansion, and a key's time includes building, once, the member
+series, shifts and lifts it is the first to read, at depth q^2 + 1.
+Later keys read them.  Each key is its own catalog run, so the per-key
+runs do not share the memo of evaluated terms: a leaf read by several
+keys is evaluated once in each.
 
     python3 scripts/identity_timing.py --s 2 --backend points --trials 3
 """
@@ -29,10 +31,10 @@ def main() -> int:
     rows = []
     failures = 0
     for spec in IDENTITY_CATALOG:
-        t0 = time.time()
+        t0 = time.process_time()
         res = verify_catalog(args.s, args.backend, keys=[spec.key],
                              trials=args.trials, seed=args.seed)
-        dt = time.time() - t0
+        dt = time.process_time() - t0
         bad = sum(1 for r in res if not r.ok and not r.skipped)
         skipped = sum(1 for r in res if r.skipped)
         failures += bad

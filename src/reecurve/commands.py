@@ -135,32 +135,33 @@ def _params_fields(s: int) -> dict:
     }
 
 
-def _params_fit(s: int, limit: int) -> bool:
-    """Whether every number of the params report at s has at most limit digits.
-
-    n_rational = q^3 + 1 > 10^(2s), so no s >= limit fits, and no such s
-    has its numbers built.
-    """
-    return s < limit and max(_params_fields(s).values()) < 10**limit
-
-
-def cmd_params(args, parser) -> int:
-    # the report writes each number in decimal, which Python refuses past
-    # sys.get_int_max_str_digits() digits (0: no limit)
+def _refuse_long_numbers(args, parser, largest) -> None:
+    """Refuse a level whose report has a number longer than Python writes,
+    sys.get_int_max_str_digits() digits (0: no limit).  largest(s) is the
+    report's largest number; it exceeds 10^s, so no s >= limit fits and
+    none has its numbers built."""
     limit = sys.get_int_max_str_digits()
-    if limit and not _params_fit(args.s, limit):
-        fits, too_long = 1, min(args.s, limit)
-        while too_long - fits > 1:
-            mid = (fits + too_long) // 2
-            if _params_fit(mid, limit):
-                fits = mid
+
+    def fits(s: int) -> bool:
+        return s < limit and largest(s) < 10**limit
+
+    if limit and not fits(args.s):
+        good, bad = 1, min(args.s, limit)
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            if fits(mid):
+                good = mid
             else:
-                too_long = mid
+                bad = mid
         parser.error(
             f"--s {args.s} gives numbers longer than {limit} digits, Python's limit "
             f"for writing an int (sys.get_int_max_str_digits()); the largest s "
-            f"whose report fits is {fits}"
+            f"whose report fits is {good}"
         )
+
+
+def cmd_params(args, parser) -> int:
+    _refuse_long_numbers(args, parser, lambda s: max(_params_fields(s).values()))
     fields = _params_fields(args.s)
     payload = {"command": "params", **fields}
     lines = [f"{k} = {v}" for k, v in fields.items()]
@@ -244,11 +245,12 @@ def cmd_verify(args, parser) -> int:
 
 
 def cmd_orders(args, parser) -> int:
-    from . import orders
+    from . import orders, params
 
     if args.backend == "symbolic":
         _refuse_given(args, parser, ("seed", "trials"), "by the exact route")
     config = _config(args, parser)
+    _refuse_long_numbers(args, parser, lambda s: params.ree_params(s).q ** 2)  # top order
     _check_out(args)
     seq = orders.order_sequence(
         args.series,
@@ -330,6 +332,9 @@ def cmd_weierstrass(args, parser) -> int:
     if args.point == "origin":
         _refuse_given(args, parser, ("seed",), "at the origin")
     config = _config(args, parser)
+    _refuse_long_numbers(  # the audit's degree is the largest number
+        args, parser, lambda s: weierstrass.divisor_degree_audit(s, args.series)["degree"]
+    )
     _check_out(args)
     seed_used = None if args.point == "origin" else args.seed
     if args.point == "origin":

@@ -8,11 +8,12 @@ substitution (Harvey, J. Symbolic Comput. 44, 2009): one big-int product,
 a byte-wise reduction, then a Barrett reduction modulo the field
 polynomial made of two more packed products.  Frobenius powers are the
 one GF(3)-linear map, applied as sums of packed columns built on first
-use; inverses use the Itoh-Tsujii norm trick.
+use.  Inverses run the extended Euclidean algorithm (Knuth, TAOCP vol. 2,
+4.6.1) on the packed long division that the modulus search uses too.
 
 A field of order at most 3^7 (the rational points at s <= 3, and GF(3))
-multiplies, inverts and raises to 3^k-th powers through discrete-log and
-exp tables instead (Zech logarithms; Lidl-Niederreiter, Finite Fields,
+multiplies and raises to 3^k-th powers through discrete-log and exp
+tables instead (Zech logarithms; Lidl-Niederreiter, Finite Fields,
 ch. 9), built on the field's least primitive element by code.  The
 choice depends on the field order only, and both give the same elements.
 
@@ -121,6 +122,7 @@ class _Quotient:
     def __init__(self, f: int):
         m = (f.bit_length() - 1) >> 3
         self.m = m
+        self._f = f
         self.modulus = tuple(f.to_bytes(m + 1, "little"))
         self._bits = 8 * m
         self._mask = (1 << self._bits) - 1
@@ -260,7 +262,6 @@ class FieldContext(_Quotient):
         self.order = 3**m
         self._threes = _pack([3] * m)
         self._frob_cols: dict[int, list] = {}
-        self._as_cache: dict[int, list] = {}
         self._log: dict[int, int] | None = None
         if self.order <= _TABLE_ORDER:
             self._build_tables()
@@ -324,26 +325,18 @@ class FieldContext(_Quotient):
     # -- core ops
 
     def inv(self, a: FieldElement) -> FieldElement:
+        """1/a by the extended Euclidean algorithm: s1*a = r1 mod f at each
+        step, and the last r1 is a nonzero constant, its own inverse mod 3."""
         if a.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        if self._log is not None:
-            return FieldElement(self, self._exp[self.order - 1 - self._log[a.packed]])
-        # Itoh-Tsujii: r = (3^m - 1)/2 = 1 + 3 + ... + 3^(m-1), so a^r is the
-        # norm of a.  It lies in GF(3)^* = {1, 2}, so it is its own inverse
-        # and 1/a = a^(r-1) * a^r.  With b_j = a^((3^j - 1)/2) and
-        # b_(i+j) = b_i^(3^j) * b_j, b_(m-1) is built along the binary
-        # digits of m - 1; a^(r-1) = b_(m-1)^3.
-        x = a.packed
-        n = self.m - 1
-        b, j = (x, 1) if n else (1, 0)
-        for bit in bin(n)[3:]:
-            b = self._mulmod(self._frob(b, j), b)
-            j *= 2
-            if bit == "1":
-                b = self._mulmod(self._frob(b, 1), x)
-                j += 1
-        b = self._frob(b, 1)
-        return FieldElement(self, b if self._mulmod(b, x) == 1 else _neg3(b, self.m))
+        m = self.m
+        r0, r1 = self._f, a.packed
+        s0, s1 = 0, 1
+        while r1 >> 8:
+            quo, r = _divmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, _kmul(_neg3(quo, m), s1, m, s0)
+        return FieldElement(self, s1 if r1 == 1 else _neg3(s1, m))
 
     # -- Frobenius powers as sums of packed columns
 
@@ -486,20 +479,6 @@ def solve_artin_schreier(c: FieldElement, q: int) -> Optional[FieldElement]:
         raise ValueError("exponent of q must divide field degree")
     m, n = ctx.m, ctx.m // e
     frob, mul = ctx._frob, ctx._mulmod
-    if e not in ctx._as_cache:
-        # theta's conjugates, each times -1/tau; the power basis spans, so
-        # some t^j has nonzero trace
-        for j in range(m):
-            conj = tau = 1 << 8 * j
-            conjs = [conj]
-            for _ in range(n - 1):
-                conj = frob(conj, e)
-                conjs.append(conj)
-                tau = _mod3(tau + conj, m)
-            if tau:
-                break
-        scale = _neg3(ctx.inv(FieldElement(ctx, tau)).packed, m)
-        ctx._as_cache[e] = [mul(scale, x) for x in conjs]
     term = c.packed
     sums = [term]
     for _ in range(n - 1):
@@ -507,9 +486,20 @@ def solve_artin_schreier(c: FieldElement, q: int) -> Optional[FieldElement]:
         sums.append(_mod3(sums[-1] + term, m))
     if sums[-1]:
         return None  # s_(n-1) = Tr(c)
+    # theta's conjugates; the power basis spans, so some t^j has nonzero trace
+    for j in range(m):
+        conj = tau = 1 << 8 * j
+        conjs = [conj]
+        for _ in range(n - 1):
+            conj = frob(conj, e)
+            conjs.append(conj)
+            tau = _mod3(tau + conj, m)
+        if tau:
+            break
     out = 0
-    for s, w in zip(sums, ctx._as_cache[e]):
+    for s, w in zip(sums, conjs):
         out = _mod3(out + mul(s, w), m)
+    out = mul(_neg3(out, m), ctx.inv(FieldElement(ctx, tau)).packed)
     u = FieldElement(ctx, out)
     if ctx.frobenius(u, e) - u != c:
         raise ArithmeticError("Artin-Schreier solver produced a non-solution")

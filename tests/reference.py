@@ -27,6 +27,8 @@ the package computes by another route, so that agreement is evidence:
 * ``rabin_modulus`` finds the pinned modulus of GF(3^m) by Rabin's
   irreducibility test on coefficient lists, where ``gf`` runs Ben-Or's
   test on packed ints; ``_pmod`` reduces a coefficient list;
+* ``itoh_tsujii_inverse`` inverts by the norm, from Frobenius powers and
+  products, where ``gf`` runs the extended Euclidean algorithm;
 * the proof pieces, steps of the paper's proof that no command runs:
   ``proof_matrix``, ``triangular_check``, ``padic_closure_check``,
   ``binom_support``, ``rejection_witnesses``, ``rejection_report``,
@@ -41,7 +43,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from reecurve.gf import _pack, _prime_factors, _Quotient, frobenius_power
+from reecurve.gf import (
+    FieldElement, _neg3, _pack, _prime_factors, _Quotient, frobenius_power,
+)
 from reecurve.hasse import (
     HasseCalculus, binom_mod3, hasse_calculus, route, ser_add, ser_mul, ser_pow3k,
 )
@@ -807,3 +811,28 @@ def rabin_modulus(m: int) -> tuple[int, ...]:
         if rabin_is_irreducible(list(f)):
             return tuple(f)
     raise ArithmeticError(f"no irreducible of degree {m} found")
+
+
+# ---------------------------------------------------------------------------
+# inverses by the norm
+
+
+def itoh_tsujii_inverse(ctx, a: FieldElement) -> FieldElement:
+    """1/a for nonzero a (Itoh-Tsujii, Inform. and Comput. 78, 1988), on
+    ctx's packed Frobenius powers and products."""
+    # Itoh-Tsujii: r = (3^m - 1)/2 = 1 + 3 + ... + 3^(m-1), so a^r is the
+    # norm of a.  It lies in GF(3)^* = {1, 2}, so it is its own inverse
+    # and 1/a = a^(r-1) * a^r.  With b_j = a^((3^j - 1)/2) and
+    # b_(i+j) = b_i^(3^j) * b_j, b_(m-1) is built along the binary
+    # digits of m - 1; a^(r-1) = b_(m-1)^3.
+    x = a.packed
+    n = ctx.m - 1
+    b, j = (x, 1) if n else (1, 0)
+    for bit in bin(n)[3:]:
+        b = ctx._mulmod(ctx._frob(b, j), b)
+        j *= 2
+        if bit == "1":
+            b = ctx._mulmod(ctx._frob(b, 1), x)
+            j += 1
+    b = ctx._frob(b, 1)
+    return FieldElement(ctx, b if ctx._mulmod(b, x) == 1 else _neg3(b, ctx.m))

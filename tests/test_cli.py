@@ -61,6 +61,51 @@ def test_params_past_the_int_string_limit_is_usage_error(capsys):
     assert f"is {bound}" in capsys.readouterr().err
 
 
+@pytest.fixture
+def default_digit_limit():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # Python's default
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.usefixtures("default_digit_limit")
+def test_profiles_and_orders_past_the_int_string_limit_are_usage_errors(
+    capsys, monkeypatch, tmp_path
+):
+    # weierstrass writes the audit's degree and orders writes q^2, each
+    # its report's longest number; a level past the bound is refused
+    # before any route runs or --out is tried
+    import reecurve.orders
+    import reecurve.series
+
+    def never(*args, **kwargs):
+        raise AssertionError("the route ran")
+
+    out = tmp_path / "never.json"
+    cases = (
+        (["weierstrass", "--s", "1001", "--point", "origin"], 1000),
+        (["weierstrass", "--s", "1001", "--point", "generic", "--series", "E"], 1000),
+        (["orders", "--s", "2253", "--series", "E"], 2252),
+        (["orders", "--s", "10000", "--backend", "series", "--seed", "0"], 2252),
+    )
+    with monkeypatch.context() as patch:
+        patch.setattr(reecurve.series, "origin_point", never)
+        patch.setattr(reecurve.series, "random_point", never)
+        patch.setattr(reecurve.orders, "order_sequence", never)
+        for argv, bound in cases:
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--out", str(out)])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"{argv[2]} gives numbers longer than 4300 digits" in err
+            assert err.rstrip().endswith(f"the largest s whose report fits is {bound}")
+    assert not out.exists()
+    code, doc = run_json(capsys, ["weierstrass", "--s", "1000", "--point", "origin"])
+    assert code == 0 and len(doc["audit"]["degree"]) <= 4300
+    assert ree_params(2252).q ** 2 < 10**4300 <= ree_params(2253).q ** 2
+
+
 def test_symbolic_backend_runs_above_s1(capsys):
     code, doc = run_json(capsys, ["orders", "--s", "2", "--series", "E"])
     assert code == 0

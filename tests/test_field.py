@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reecurve.gf import (
+    FieldContext,
     FieldElement,
     Lanes,
     _is_irreducible,
@@ -16,7 +17,9 @@ from reecurve.gf import (
     solve_artin_schreier,
 )
 
-from reference import _pmod, coeffs, power, rabin_is_irreducible, rabin_modulus
+from reference import (
+    _pmod, coeffs, itoh_tsujii_inverse, power, rabin_is_irreducible, rabin_modulus,
+)
 
 
 def _gen(ctx):
@@ -321,6 +324,32 @@ def test_packed_ops_match_schoolbook(m):
         assert coeffs(a + power(_gen(ctx), m + 1)) == _reduced(ctx, ac + [0, 1])
     with pytest.raises(ZeroDivisionError):
         ctx.zero().inverse()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7])
+def test_inverse_matches_itoh_tsujii_on_every_element(m):
+    ctx = field_context(m)
+    for code in range(1, ctx.order):
+        a = ctx.from_code(code)
+        assert ctx.inv(a) == itoh_tsujii_inverse(ctx, a)
+
+
+def test_inverse_matches_itoh_tsujii_on_seeded_elements():
+    for m in [*range(8, 61), 201]:
+        ctx = field_context(m)
+        rng = random.Random(f"inverse:{m}")
+        for _ in range(6):
+            a = ctx.from_code(rng.randrange(1, ctx.order))
+            assert ctx.inv(a) == itoh_tsujii_inverse(ctx, a)
+
+
+def test_inverse_builds_no_frobenius_table():
+    # a fresh context: the shared one may hold columns built by other tests
+    ctx = FieldContext(201)
+    a = ctx.from_code(3**200 + 12345)
+    b = ctx.inv(a)
+    assert ctx._frob_cols == {}
+    assert a * b == ctx.one()
 
 
 def test_mixed_contexts_raise():
